@@ -11,12 +11,15 @@ are exactly ``x* <= 0`` with ``y* = 0`` when ``nu > 0`` (any ``y*`` in
 import numpy as np
 
 from ..problem import ProblemConstants, PsiUndefinedError, SaddleProblem
-from ..prox import PolytopeProjector
-from ..qp import QpProblem, QpStatus, solve_qp
+from ..prox import PolytopeProjector, project_polyhedron
 
 __all__ = ["ToyProblem", "random_toy_problem"]
 
 _FEAS_TOL = 1e-8
+
+
+class RankDeficientError(ValueError):
+    """The constraint matrix does not have full row rank."""
 
 
 def spectral_norm(a: np.ndarray, iters: int = 200, tol: float = 1e-12) -> float:
@@ -50,7 +53,7 @@ class ToyProblem(SaddleProblem):
         d, n = a.shape
         singular = np.linalg.svd(a, compute_uv=False)
         if singular[-1] <= 1e-8 * singular[0]:
-            raise ValueError("a_matrix must have full row rank")
+            raise RankDeficientError("a_matrix must have full row rank")
         self.a = a
         self.nu = float(nu)
         self.dim_x = d
@@ -105,31 +108,23 @@ class ToyProblem(SaddleProblem):
 
     def saddle_point(self) -> tuple[np.ndarray, np.ndarray]:
         """``x* = -e`` always; ``y* = 0`` for ``nu > 0``, otherwise a unit
-        vector with ``A y* > 0`` from the min-norm point of ``{A y >= e}``."""
+        vector with ``A y* > 0`` from the min-norm point of ``{A y >= e}``:
+        the projection of 0 by the cone projector's dual kernel with
+        ``h = e``, started with every constraint active (the dense QP only
+        on a stall, with a warning)."""
         x_star = -np.ones(self.dim_x)
         if self.nu > 0:
             return x_star, np.zeros(self.dim_y)
-        problem = QpProblem(
-            q_matrix=np.eye(self.dim_y),
-            q_vector=np.zeros(self.dim_y),
-            ineq_matrix=self.a,
-            ineq_vector=np.ones(self.dim_x),
-        )
-        # the least-norm point of {A y = e} activates every constraint
-        start = self.a.T @ np.linalg.solve(self.a @ self.a.T, np.ones(self.dim_x))
-        result = solve_qp(problem, tol=1e-10, start=start,
-                          initial_active=tuple(range(self.dim_x)))
-        if result.status is not QpStatus.OPTIMAL:
-            raise RuntimeError(f"interior-point search failed: {result.status}")
-        y_star = result.x / np.linalg.norm(result.x)
-        return x_star, y_star
+        y, _ = project_polyhedron(self.a, self._projector.gram, np.zeros(self.dim_y),
+                                  np.ones(self.dim_x), np.ones(self.dim_x, dtype=bool))
+        return x_star, y / np.linalg.norm(y)
 
 
 def random_toy_problem(d: int, n: int, nu: float, rng: np.random.Generator) -> ToyProblem:
     """Entries uniform on [-3, 3]; redrawn until the row rank is full."""
     for _ in range(20):
-        a = rng.uniform(-3.0, 3.0, (d, n))
-        singular = np.linalg.svd(a, compute_uv=False)
-        if singular[-1] > 1e-8 * singular[0]:
-            return ToyProblem(a, nu=nu)
+        try:
+            return ToyProblem(rng.uniform(-3.0, 3.0, (d, n)), nu=nu)
+        except RankDeficientError:
+            continue
     raise RuntimeError("could not draw a full-row-rank matrix")

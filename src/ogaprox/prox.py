@@ -1,13 +1,15 @@
 """Proximal operators and Euclidean projections used by the model problems.
 
 The closed-form operators (simplex, box-and-hyperplane, scaled positive
-part) are exact finite algorithms.  Projection onto a polyhedral cone
-``{y : A y >= 0}`` is available twice: through the dense QP solver
-(:func:`project_polytope`) and through a dual nonnegative least-squares
-method (:class:`PolytopeProjector`) that is fast enough for solver inner
-loops.  The two routes are cross-checked in the test suite.
+part) are exact finite algorithms.  Projections onto polyhedra
+``{y : A y >= h}`` (the warm-started cone projector, and the cone toy
+problem's saddle point) share one dual active-set kernel that is fast
+enough for solver inner loops.  The dense QP route (:func:`project_polytope`)
+is the test oracle and the kernel's only fallback, taken with a
+:class:`ProjectionFallbackWarning` when pivoting stalls.
 """
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,9 +22,12 @@ __all__ = [
     "BoxHyperplaneSet",
     "PolytopeSet",
     "PolytopeProjector",
+    "ProjectionFallbackWarning",
     "project_simplex",
     "project_box_hyperplane",
     "project_polytope",
+    "project_polyhedron",
+    "solve_polytope_dual",
     "prox_positive_part_scaled",
     "prox_oracle",
 ]
@@ -34,6 +39,10 @@ class InfeasibleSetError(ValueError):
 
 class RootFindingError(RuntimeError):
     """Scalar dual search failed to converge."""
+
+
+class ProjectionFallbackWarning(RuntimeWarning):
+    """Dual pivoting stalled, so a projection went through the dense QP."""
 
 
 def _as_vector(v, name: str = "v") -> np.ndarray:
@@ -161,17 +170,21 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v, max_bisect: int = 200) -> np.
 
 @dataclass(frozen=True)
 class PolytopeSet:
-    """Polyhedral cone ``{y : A y >= 0}`` (always contains the origin)."""
+    """Polyhedron ``{y : A y >= offset}``; ``offset`` is a scalar or one
+    value per row, and the default 0 gives a cone."""
 
     a_matrix: np.ndarray
+    offset: np.ndarray | float = 0.0
 
     def __post_init__(self):
         a = np.asarray(self.a_matrix, dtype=float)
         if a.ndim != 2 or a.size == 0:
             raise ValueError("a_matrix must be a nonempty 2-d array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("a_matrix must be finite")
+        h = np.broadcast_to(np.asarray(self.offset, dtype=float), a.shape[:1]).copy()
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
+            raise ValueError("a_matrix and offset must be finite")
         object.__setattr__(self, "a_matrix", a)
+        object.__setattr__(self, "offset", h)
 
     @property
     def dim(self) -> int:
@@ -179,36 +192,85 @@ class PolytopeSet:
 
 
 def project_polytope(s: PolytopeSet, v, tol: float = 1e-10) -> np.ndarray:
-    """Projection onto ``{y : A y >= 0}`` through the dense QP solver.
-
-    The origin is always feasible and is used as the starting point.
-    """
+    """Projection onto ``{y : A y >= h}`` through the dense QP solver,
+    started at the least-norm point of ``{A y = h}`` (the origin for h = 0)."""
     w = _as_vector(v)
     if w.size != s.dim:
         raise ValueError("dimension mismatch with polytope")
-    n = s.dim
-    problem = QpProblem(
-        q_matrix=np.eye(n),
-        q_vector=-w,
-        ineq_matrix=s.a_matrix,
-        ineq_vector=np.zeros(s.a_matrix.shape[0]),
-    )
-    result = solve_qp(problem, tol=tol, start=np.zeros(n))
+    problem = QpProblem(q_matrix=np.eye(s.dim), q_vector=-w,
+                        ineq_matrix=s.a_matrix, ineq_vector=s.offset)
+    start = np.linalg.lstsq(s.a_matrix, s.offset, rcond=None)[0]
+    # with h > 0 the origin is cut off; starting all rows active saves most QP iterations
+    active = tuple(range(s.offset.size)) if np.any(s.offset > 0.0) else ()
+    result = solve_qp(problem, tol=tol, start=start, initial_active=active)
     if result.status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polytope projection QP ended with status {result.status}")
     return result.x
 
 
-class PolytopeProjector:
-    """Warm-startable projection onto ``{y : A y >= 0}`` for hot loops.
+def solve_polytope_dual(gram, c, free) -> tuple[np.ndarray, np.ndarray] | None:
+    """Dual active-set kernel for projecting ``w`` onto ``{y : A y >= h}``.
 
-    Works on the dual problem ``min_{lam >= 0} 0.5 lam' A A' lam + (A v)' lam``
-    (the projection is ``v + A' lam``) with the block-pivoting active-set
-    scheme of Portugal--Judice--Vicente plus Murty's single-exchange
-    safeguard.  The Gram matrix is factored once; consecutive calls reuse
-    the previous support as a starting guess, which only affects speed,
-    never the result.  Falls back to the QP route if pivoting stalls.
+    Solves ``min_{lam >= 0} 0.5 lam' G lam + c' lam`` with ``G = A A'`` and
+    ``c = A w - h`` (the projection is ``w + A' lam``) by the block pivoting
+    of Portugal--Judice--Vicente with Murty's single-exchange safeguard,
+    started from the boolean free set ``free``, which affects only speed.
+    Returns ``(lam, final free set)``, or ``None`` when pivoting stalls.
+    The arguments are not modified.
     """
+    d = c.size
+    eps = 1e-12 * max(1.0, float(np.max(np.abs(c))))
+    free = np.array(free, dtype=bool)
+    best_inf = np.inf
+    patience = 3
+    lam = np.zeros(d)
+    for _ in range(10 + 3 * d):
+        lam.fill(0.0)
+        idx = np.flatnonzero(free)
+        if idx.size:
+            try:
+                lam[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], -c[idx])
+            except np.linalg.LinAlgError:
+                return None
+        slack = gram @ lam + c
+        # negative free multipliers and violated bound rows
+        bad = np.where(free, lam, slack) < -eps
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            return np.maximum(lam, 0.0), free
+        if n_bad < best_inf:
+            best_inf, patience = n_bad, 3
+        elif patience > 0:
+            patience -= 1
+        else:
+            # Murty safeguard: flip only the largest-index infeasible
+            last = np.flatnonzero(bad)[-1]
+            free[last] = not free[last]
+            continue
+        free ^= bad
+    return None
+
+
+def project_polyhedron(a, gram, w, h=0.0, free=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(projection of w onto {y : A y >= h}, final free set)`` by
+    :func:`solve_polytope_dual` on ``gram = A A'``, started from ``free``
+    (default: the violated rows).  A stall warns and returns
+    ``(project_polytope answer, None)``."""
+    c = a @ w - h
+    if np.all(c >= 0.0):
+        return w.copy(), np.zeros(c.size, dtype=bool)
+    found = solve_polytope_dual(gram, c, c < 0.0 if free is None else free)
+    if found is None:
+        warnings.warn("dual pivoting stalled; projecting through the dense QP",
+                      ProjectionFallbackWarning, stacklevel=3)
+        return project_polytope(PolytopeSet(a, h), w), None
+    lam, free = found
+    return w + a.T @ lam, free
+
+
+class PolytopeProjector:
+    """Warm-startable projection onto the cone ``{y : A y >= 0}`` for hot
+    loops: :func:`project_polyhedron` started from the previous free set."""
 
     def __init__(self, a_matrix):
         a = np.asarray(a_matrix, dtype=float)
@@ -218,53 +280,10 @@ class PolytopeProjector:
         self.gram = a @ a.T
         self._warm: np.ndarray | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.a.shape[1]
-
     def project(self, v) -> np.ndarray:
-        w = np.asarray(v, dtype=float)
-        d = self.a.shape[0]
-        c = self.a @ w
-        if np.all(c >= 0.0):
-            self._warm = np.zeros(d, dtype=bool)
-            return w.copy()
-        eps = 1e-12 * max(1.0, float(np.max(np.abs(c))))
-
-        free = self._warm if self._warm is not None else (c < 0.0)
-        free = free.copy()
-        best_inf = np.inf
-        patience = 3
-        lam = np.zeros(d)
-        for _ in range(10 + 3 * d):
-            lam.fill(0.0)
-            idx = np.flatnonzero(free)
-            if idx.size:
-                try:
-                    lam[idx] = np.linalg.solve(self.gram[np.ix_(idx, idx)], -c[idx])
-                except np.linalg.LinAlgError:
-                    break
-            slack = self.gram @ lam + c
-            bad_free = free & (lam < -eps)
-            bad_bound = ~free & (slack < -eps)
-            n_bad = int(bad_free.sum() + bad_bound.sum())
-            if n_bad == 0:
-                self._warm = free
-                lam = np.maximum(lam, 0.0)
-                return w + self.a.T @ lam
-            if n_bad < best_inf:
-                best_inf = n_bad
-                patience = 3
-                free ^= bad_free | bad_bound
-            elif patience > 0:
-                patience -= 1
-                free ^= bad_free | bad_bound
-            else:
-                # Murty safeguard: flip only the largest-index infeasible
-                last = np.flatnonzero(bad_free | bad_bound)[-1]
-                free[last] = not free[last]
-        self._warm = None
-        return project_polytope(PolytopeSet(self.a), w)
+        y, self._warm = project_polyhedron(self.a, self.gram, np.asarray(v, dtype=float),
+                                           free=self._warm)
+        return y
 
 
 def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:

@@ -1,5 +1,8 @@
 """Experiment drivers at reduced scale, including synthetic-dataset runs."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from ogaprox.experiments import (
     validation_experiment,
     _trimmed_mean,
 )
+from ogaprox.prox import ProjectionFallbackWarning
 from ogaprox.rng import make_rng
 
 
@@ -54,6 +58,20 @@ def test_toy_experiment_shares_instance_across_nu():
     b = toy_experiment(seed=6, nu=0.3, d=10, n=15, max_iter=10)
     np.testing.assert_array_equal(a.problem.a, b.problem.a)
     np.testing.assert_array_equal(a.x0, b.x0)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3])
+def test_toy_experiment_never_reaches_dense_qp(nu, monkeypatch):
+    def no_qp(*args, **kwargs):
+        raise AssertionError("solve_qp called on the toy fast path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ogaprox" and "solve_qp" in vars(module):
+            monkeypatch.setattr(module, "solve_qp", no_qp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ProjectionFallbackWarning)
+        out = toy_experiment(seed=8, nu=nu, d=60, n=80, max_iter=300)
+    assert len(out.report.step_dx) == 300
 
 
 def test_toy_gap_column_positive_and_bounded():

@@ -9,7 +9,8 @@ from ogaprox.problems import (
     QuadraticSaddleProblem,
     random_toy_problem,
 )
-from ogaprox.prox import prox_oracle
+from ogaprox.prox import ProjectionFallbackWarning, prox_oracle
+from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 
 
@@ -89,6 +90,34 @@ def test_toy_saddle_merely_concave_case():
     assert np.all(x_star <= 0)
     assert np.linalg.norm(y_star) == pytest.approx(1.0, rel=1e-9)
     assert np.min(p.a @ y_star) > 0  # strictly inside the cone
+
+
+def _qp_saddle_y(p):
+    """The dense QP route to the min-norm point of ``{A y >= e}``, normalized."""
+    problem = QpProblem(q_matrix=np.eye(p.dim_y), q_vector=np.zeros(p.dim_y),
+                        ineq_matrix=p.a, ineq_vector=np.ones(p.dim_x))
+    start = p.a.T @ np.linalg.solve(p.a @ p.a.T, np.ones(p.dim_x))
+    result = solve_qp(problem, tol=1e-10, start=start,
+                      initial_active=tuple(range(p.dim_x)))
+    assert result.status is QpStatus.OPTIMAL
+    return result.x / np.linalg.norm(result.x)
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+def test_toy_saddle_matches_qp_route_full_size(seed):
+    p = random_toy_problem(250, 350, 0.0, make_rng(seed, 0))
+    np.testing.assert_allclose(p.saddle_point()[1], _qp_saddle_y(p), atol=1e-9)
+
+
+def test_toy_saddle_stall_falls_back_to_qp_with_warning(monkeypatch):
+    import ogaprox.prox as prox_module
+
+    p = _toy(make_rng(44, 0))
+    monkeypatch.setattr(prox_module, "solve_polytope_dual", lambda gram, c, free: None)
+    with pytest.warns(ProjectionFallbackWarning):
+        _, y_star = p.saddle_point()
+    np.testing.assert_allclose(y_star, _qp_saddle_y(p), atol=1e-9)
+    assert np.min(p.a @ y_star) > 0
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3])

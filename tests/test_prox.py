@@ -6,11 +6,13 @@ from ogaprox.prox import (
     InfeasibleSetError,
     PolytopeProjector,
     PolytopeSet,
+    ProjectionFallbackWarning,
     project_box_hyperplane,
     project_polytope,
     project_simplex,
     prox_oracle,
     prox_positive_part_scaled,
+    solve_polytope_dual,
 )
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
@@ -164,6 +166,104 @@ def test_fast_projector_matches_qp_route():
         slow = project_polytope(s, v)
         np.testing.assert_allclose(fast, slow, atol=1e-8)
         assert np.min(a @ fast) >= -1e-9
+
+
+# -- dual polytope kernel ----------------------------------------------------
+
+# d = 1, d = n and d = n - 1 are the edge shapes; the rest are drawn at random
+_KERNEL_SHAPES = [(1, 6), (5, 5), (6, 7), (7, 8)] + [
+    (int(d), int(d + k)) for d, k in make_rng(16, 0).integers(2, 9, (3, 2))
+]
+
+
+def _qp_projection(a, h, w):
+    """Oracle: ``solve_qp`` from its own feasibility phase."""
+    problem = QpProblem(q_matrix=np.eye(a.shape[1]), q_vector=-w,
+                        ineq_matrix=a, ineq_vector=np.broadcast_to(h, a.shape[:1]))
+    result = solve_qp(problem, tol=1e-10)
+    assert result.status is QpStatus.OPTIMAL
+    return result.x
+
+
+def _kernel_projection(a, h, w, free):
+    found = solve_polytope_dual(a @ a.T, a @ w - h, free)
+    assert found is not None, "pivoting stalled"
+    lam, free = found
+    assert np.all(lam >= 0.0)
+    return w + a.T @ lam, free
+
+
+def _tie_point(a, h, rng):
+    """``(v, y)`` with ``y`` the projection of ``v`` onto ``{A y >= h}``:
+    rows 0 and 1 are active at ``y``, row 1 with a zero multiplier."""
+    d = a.shape[0]
+    slack = rng.uniform(0.5, 2.0, d)
+    slack[:2] = 0.0
+    y = a.T @ np.linalg.solve(a @ a.T, h + slack)
+    mult = np.zeros(d)
+    mult[0] = rng.uniform(0.5, 2.0)
+    return y - a.T @ mult, y
+
+
+@pytest.mark.parametrize("d,n", _KERNEL_SHAPES)
+def test_polytope_kernel_warm_sequence_matches_qp(d, n):
+    rng = make_rng(16, d * 100 + n)
+    a = rng.uniform(-3, 3, (d, n))
+    free = np.zeros(d, dtype=bool)
+    for trial in range(30):
+        if trial % 5 == 4 and d >= 2:
+            w, expected = _tie_point(a, 0.0, rng)
+        else:
+            w = rng.standard_normal(n) * rng.uniform(0.5, 8.0)
+            expected = None
+        fast, free = _kernel_projection(a, 0.0, w, free)  # warm from the last free set
+        np.testing.assert_allclose(fast, _qp_projection(a, 0.0, w), atol=1e-9)
+        if expected is not None:
+            np.testing.assert_allclose(fast, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("d,n", _KERNEL_SHAPES)
+def test_polytope_kernel_offset_cold_start_matches_qp(d, n):
+    rng = make_rng(17, d * 100 + n)
+    a = rng.uniform(-3, 3, (d, n))
+    h = np.ones(d)
+    all_active = np.ones(d, dtype=bool)
+    points = [np.zeros(n)] + [rng.standard_normal(n) * 3 for _ in range(5)]
+    for w in points:
+        fast, _ = _kernel_projection(a, h, w, all_active)
+        np.testing.assert_allclose(fast, _qp_projection(a, h, w), atol=1e-9)
+        assert np.min(a @ fast - h) >= -1e-9
+    if d >= 2:
+        w, expected = _tie_point(a, h, rng)
+        fast, _ = _kernel_projection(a, h, w, all_active)
+        np.testing.assert_allclose(fast, expected, atol=1e-9)
+        np.testing.assert_allclose(fast, _qp_projection(a, h, w), atol=1e-9)
+
+
+def test_polytope_kernel_leaves_arguments_alone():
+    rng = make_rng(18, 0)
+    a = rng.uniform(-3, 3, (4, 6))
+    gram, c = a @ a.T, a @ rng.standard_normal(6) - 1.0
+    free = np.ones(4, dtype=bool)
+    copies = (gram.copy(), c.copy(), free.copy())
+    solve_polytope_dual(gram, c, free)
+    for before, after in zip(copies, (gram, c, free)):
+        np.testing.assert_array_equal(before, after)
+
+
+def test_projector_stall_falls_back_to_qp_with_warning(monkeypatch):
+    import ogaprox.prox as prox_module
+
+    rng = make_rng(19, 0)
+    a = rng.uniform(-3, 3, (5, 8))
+    projector = PolytopeProjector(a)
+    v = rng.standard_normal(8) * 4
+    assert np.min(a @ v) < 0  # the kernel runs, not the feasible shortcut
+    monkeypatch.setattr(prox_module, "solve_polytope_dual", lambda gram, c, free: None)
+    with pytest.warns(ProjectionFallbackWarning):
+        out = projector.project(v)
+    np.testing.assert_allclose(out, _qp_projection(a, 0.0, v), atol=1e-9)
+    assert projector._warm is None
 
 
 # -- scaled positive part ---------------------------------------------------
