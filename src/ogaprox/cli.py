@@ -115,7 +115,7 @@ def _cmd_synthetic(cfg, seed, out_dir) -> int:
     return 0 if outcome.certificate_ok else 2
 
 
-def _dataset_from_cfg(cfg, seed, default_name=None):
+def _dataset_from_cfg(cfg, default_name=None):
     name = cfg.get("dataset", default_name)
     if name is None:
         raise ValueError("config must set dataset = <name>")
@@ -129,14 +129,11 @@ def _dataset_from_cfg(cfg, seed, default_name=None):
             "sonar": "sonar.all-data",
         }[name]
         path = str(Path(data_dir) / filename)
-    spec = DatasetSpec(name=name, path=path,
-                       split_fraction=_get(cfg, "split_fraction", float, 0.8),
-                       seed=seed, runs=_get(cfg, "runs", int, 12))
-    return load_dataset(spec)
+    return load_dataset(DatasetSpec(name=name, path=path))
 
 
 def _cmd_mksvm(cfg, seed, out_dir) -> int:
-    data = _dataset_from_cfg(cfg, seed)
+    data = _dataset_from_cfg(cfg)
     variant = cfg.get("variant", "c1")
     if variant not in MKSVM_VARIANTS:
         print(f"unknown variant {variant!r}", file=sys.stderr)
@@ -160,7 +157,7 @@ def _cmd_mksvm(cfg, seed, out_dir) -> int:
 
 
 def _cmd_fairness(cfg, seed, out_dir) -> int:
-    data = _dataset_from_cfg(cfg, seed, default_name="heart-disease")
+    data = _dataset_from_cfg(cfg, default_name="heart-disease")
     grouping = cfg.get("grouping", "sex")
     outcome = fairness_experiment(
         data,

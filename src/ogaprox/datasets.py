@@ -76,13 +76,8 @@ _HEART_SEX_COLUMN = 1
 class DatasetSpec:
     name: str
     path: str
-    split_fraction: float = 0.8
-    seed: int = 0
-    runs: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must lie in (0, 1)")
         if self.name not in DATASET_FORMATS:
             raise UnknownDatasetError(f"unknown dataset {self.name!r}")
 
@@ -196,6 +191,8 @@ def _is_float(token: str) -> bool:
 def train_test_split(n_rows: int, fraction: float,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint covering index split with ``round(fraction * n)`` training rows."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("split_fraction must lie in (0, 1)")
     order = rng.permutation(n_rows)
     n_train = int(round(fraction * n_rows))
     n_train = min(max(n_train, 1), n_rows - 1)

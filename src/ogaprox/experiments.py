@@ -37,7 +37,6 @@ from .rng import experiment_rng, make_rng
 from .schedule import (
     ADAPTIVE_SIGMA0_FACTOR,
     LinearSchedule,
-    advance_schedule,
     balanced_alpha,
     default_adaptive,
     default_c_alpha,
@@ -45,14 +44,7 @@ from .schedule import (
     default_linear,
     make_schedule,
 )
-from .solver import (
-    SolverState,
-    ergodic_pair,
-    gap_certificate,
-    initial_distance,
-    run,
-    step,
-)
+from .solver import gap_certificate, initial_distance, run
 
 __all__ = [
     "log_checkpoints",
@@ -140,8 +132,7 @@ def toy_experiment(
     def metrics(k, state, sched):
         if k not in marks:
             return None
-        erg = ergodic_pair(state, sched)
-        out = {"gap": problem.gap_value(saddle, erg),
+        out = {"gap": problem.gap_value(saddle, state.ergodic(sched.t_sum)),
                "dist_x": float(np.linalg.norm(state.x - saddle[0]))}
         if nu > 0:
             out["dist_y"] = float(np.linalg.norm(state.y - saddle[1]))
@@ -202,27 +193,25 @@ def synthetic_experiment(
     y0 = rng.standard_normal(dim)
 
     started = time.perf_counter()
-    state = SolverState.initial(problem, x0, y0)
-    sched = make_schedule(kind, problem.constants)
-    d0 = initial_distance(saddle, x0, y0, sched.tau0, sched.sigma0)
-    report = RunReport()
+    sched0 = make_schedule(kind, problem.constants)
+    d0 = initial_distance(saddle, x0, y0, sched0.tau0, sched0.sigma0)
     ok = True
     max_ratio = 0.0
-    for k in range(1, max_iter + 1):
-        state = step(problem, state, sched)
-        sched = advance_schedule(sched, kind, problem.constants)
+
+    def certify(k, state, sched):
+        nonlocal ok, max_ratio
         cert = gap_certificate(problem, saddle, state.ergodic(sched.t_sum),
                                sched, kind, x0, y0, final=(state.x, state.y))
         ratio = cert.lhs / cert.bound if cert.bound > 0 else np.inf
         max_ratio = max(max_ratio, ratio)
         ok = ok and cert.lhs <= cert.bound * (1 + 1e-8)
         if k % record_every == 0 or k == max_iter:
-            report.add(MetricRecord(
-                k=k, gap=cert.gap,
-                dist_x=float(np.linalg.norm(state.x - saddle[0])),
-                dist_y=float(np.linalg.norm(state.y - saddle[1])),
-                theta=sched.theta, tau=sched.tau, sigma=sched.sigma,
-            ))
+            return {"gap": cert.gap,
+                    "dist_x": float(np.linalg.norm(state.x - saddle[0])),
+                    "dist_y": float(np.linalg.norm(state.y - saddle[1]))}
+        return None
+
+    report = run(problem, kind, x0, y0, max_iter, callbacks=(certify,)).report
     elapsed = time.perf_counter() - started
     report.config = {
         "experiment": "synthetic", "seed": seed, "dim": dim,

@@ -110,13 +110,13 @@ class ToyProblem(SaddleProblem):
         """``x* = -e`` always; ``y* = 0`` for ``nu > 0``, otherwise a unit
         vector with ``A y* > 0`` from the min-norm point of ``{A y >= e}``:
         the projection of 0 by the cone projector's dual kernel with
-        ``h = e``, started with every constraint active (the dense QP only
-        on a stall, with a warning)."""
+        ``h = e``, where every row starts violated and so free (the dense
+        QP only on a stall, with a warning)."""
         x_star = -np.ones(self.dim_x)
         if self.nu > 0:
             return x_star, np.zeros(self.dim_y)
-        y, _ = project_polyhedron(self.a, self._projector.gram, np.zeros(self.dim_y),
-                                  np.ones(self.dim_x), np.ones(self.dim_x, dtype=bool))
+        y = project_polyhedron(self.a, self._projector.gram, np.zeros(self.dim_y),
+                               np.ones(self.dim_x))
         return x_star, y / np.linalg.norm(y)
 
 

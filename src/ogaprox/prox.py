@@ -2,8 +2,8 @@
 
 The closed-form operators (simplex, box-and-hyperplane, scaled positive
 part) are exact finite algorithms.  Projections onto polyhedra
-``{y : A y >= h}`` (the warm-started cone projector, and the cone toy
-problem's saddle point) share one dual active-set kernel that is fast
+``{y : A y >= h}`` (the cone projector, and the cone toy problem's
+saddle point) share one dual active-set kernel that is fast
 enough for solver inner loops.  The dense QP route (:func:`project_polytope`)
 is the test oracle and the kernel's only fallback, taken with a
 :class:`ProjectionFallbackWarning` when pivoting stalls.
@@ -208,19 +208,18 @@ def project_polytope(s: PolytopeSet, v, tol: float = 1e-10) -> np.ndarray:
     return result.x
 
 
-def solve_polytope_dual(gram, c, free) -> tuple[np.ndarray, np.ndarray] | None:
+def solve_polytope_dual(gram, c) -> np.ndarray | None:
     """Dual active-set kernel for projecting ``w`` onto ``{y : A y >= h}``.
 
     Solves ``min_{lam >= 0} 0.5 lam' G lam + c' lam`` with ``G = A A'`` and
     ``c = A w - h`` (the projection is ``w + A' lam``) by the block pivoting
     of Portugal--Judice--Vicente with Murty's single-exchange safeguard,
-    started from the boolean free set ``free``, which affects only speed.
-    Returns ``(lam, final free set)``, or ``None`` when pivoting stalls.
-    The arguments are not modified.
+    started with the violated rows ``c < 0`` free.  Returns ``lam``, or
+    ``None`` when pivoting stalls.  The arguments are not modified.
     """
     d = c.size
     eps = 1e-12 * max(1.0, float(np.max(np.abs(c))))
-    free = np.array(free, dtype=bool)
+    free = c < 0.0
     best_inf = np.inf
     patience = 3
     lam = np.zeros(d)
@@ -237,7 +236,7 @@ def solve_polytope_dual(gram, c, free) -> tuple[np.ndarray, np.ndarray] | None:
         bad = np.where(free, lam, slack) < -eps
         n_bad = int(bad.sum())
         if n_bad == 0:
-            return np.maximum(lam, 0.0), free
+            return np.maximum(lam, 0.0)
         if n_bad < best_inf:
             best_inf, patience = n_bad, 3
         elif patience > 0:
@@ -251,26 +250,25 @@ def solve_polytope_dual(gram, c, free) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
-def project_polyhedron(a, gram, w, h=0.0, free=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(projection of w onto {y : A y >= h}, final free set)`` by
-    :func:`solve_polytope_dual` on ``gram = A A'``, started from ``free``
-    (default: the violated rows).  A stall warns and returns
-    ``(project_polytope answer, None)``."""
+def project_polyhedron(a, gram, w, h=0.0) -> np.ndarray:
+    """Projection of ``w`` onto ``{y : A y >= h}`` by
+    :func:`solve_polytope_dual` on ``gram = A A'``.  A stall warns and
+    returns the :func:`project_polytope` answer."""
     c = a @ w - h
     if np.all(c >= 0.0):
-        return w.copy(), np.zeros(c.size, dtype=bool)
-    found = solve_polytope_dual(gram, c, c < 0.0 if free is None else free)
-    if found is None:
+        return w.copy()
+    lam = solve_polytope_dual(gram, c)
+    if lam is None:
         warnings.warn("dual pivoting stalled; projecting through the dense QP",
                       ProjectionFallbackWarning, stacklevel=3)
-        return project_polytope(PolytopeSet(a, h), w), None
-    lam, free = found
-    return w + a.T @ lam, free
+        return project_polytope(PolytopeSet(a, h), w)
+    return w + a.T @ lam
 
 
 class PolytopeProjector:
-    """Warm-startable projection onto the cone ``{y : A y >= 0}`` for hot
-    loops: :func:`project_polyhedron` started from the previous free set."""
+    """Projection onto the cone ``{y : A y >= 0}`` for hot loops:
+    :func:`project_polyhedron` with the Gram matrix formed once.  It holds
+    no state between calls, so one projector is safe to share."""
 
     def __init__(self, a_matrix):
         a = np.asarray(a_matrix, dtype=float)
@@ -278,12 +276,9 @@ class PolytopeProjector:
             raise ValueError("a_matrix must be 2-d")
         self.a = a
         self.gram = a @ a.T
-        self._warm: np.ndarray | None = None
 
     def project(self, v) -> np.ndarray:
-        y, self._warm = project_polyhedron(self.a, self.gram, np.asarray(v, dtype=float),
-                                           free=self._warm)
-        return y
+        return project_polyhedron(self.a, self.gram, np.asarray(v, dtype=float))
 
 
 def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:

@@ -34,7 +34,6 @@ __all__ = [
     "NonFiniteIterateError",
     "step",
     "run",
-    "ergodic_pair",
     "initial_distance",
     "GapCertificate",
     "gap_certificate",
@@ -61,7 +60,6 @@ class SolverState:
     """Iterates, cached gradient and weighted ergodic accumulators."""
 
     x: np.ndarray
-    x_prev: np.ndarray
     y: np.ndarray
     grad_prev: np.ndarray
     erg_x: np.ndarray
@@ -75,7 +73,7 @@ class SolverState:
         # conventions x_{-1} = x_0, y_{-1} = y_0: the cached gradient starts
         # at grad_y(x_0, y_0), so the first extrapolation is plain
         return cls(
-            x=x0, x_prev=x0.copy(), y=y0,
+            x=x0, y=y0,
             grad_prev=problem.grad_y(x0, y0),
             erg_x=np.zeros_like(x0), erg_y=np.zeros_like(y0), k=0,
         )
@@ -98,19 +96,12 @@ def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> So
         raise NonFiniteIterateError(state.k + 1)
     return SolverState(
         x=x_next,
-        x_prev=state.x,
         y=y_next,
         grad_prev=grad_cur,
         erg_x=state.erg_x + sched.t * x_next,
         erg_y=state.erg_y + sched.t * y_next,
         k=state.k + 1,
     )
-
-
-def ergodic_pair(state: SolverState, sched: ScheduleState) -> tuple[np.ndarray, np.ndarray]:
-    """Ergodic averages inside a callback, where ``sched`` is the schedule
-    used by the step just taken (its totals do not yet include ``t_k``)."""
-    return state.ergodic(sched.t_sum + sched.t)
 
 
 @dataclass
@@ -120,9 +111,6 @@ class RunResult:
     state: SolverState
     schedule: ScheduleState
     report: RunReport
-    kind: ScheduleKind
-    x0: np.ndarray
-    y0: np.ndarray
 
     def ergodic(self) -> tuple[np.ndarray, np.ndarray]:
         return self.state.ergodic(self.schedule.t_sum)
@@ -139,10 +127,14 @@ def run(
     """Run the iteration for ``max_iter`` steps from a feasible start.
 
     Each callback is invoked once per iteration as
-    ``callback(k, state, sched)`` with the state after step ``k`` and the
-    schedule values used by it; it may return a dict of metric fields
-    (``gap``, ``dist_x``, ``dist_y``, ``tsa``) to log, and must not mutate
-    the state.  Step norms are always recorded.
+    ``callback(k, state, sched)`` with the state and the schedule after
+    step ``k``: ``sched.k == k`` and ``state.ergodic(sched.t_sum)`` is the
+    ergodic pair of the first ``k`` steps, the convention of
+    :attr:`RunResult.schedule` and :func:`gap_certificate`.  A callback may
+    return a dict of metric fields (``gap``, ``dist_x``, ``dist_y``,
+    ``tsa``) to log, and must not mutate the state.  Logged records and the
+    schedule trace carry the theta/tau/sigma used by step ``k``; step norms
+    are always recorded.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
@@ -161,25 +153,24 @@ def run(
         report.schedule_trace["theta"].append(sched.theta)
         report.schedule_trace["tau"].append(sched.tau)
         report.schedule_trace["sigma"].append(sched.sigma)
+        state, used = new_state, sched
+        sched = advance_schedule(sched, kind, problem.constants)
         metrics: dict = {}
         for callback in callbacks:
-            extra = callback(new_state.k, new_state, sched)
+            extra = callback(state.k, state, sched)
             if extra:
                 metrics.update(extra)
         if metrics:
             report.add(MetricRecord(
-                k=new_state.k, theta=sched.theta, tau=sched.tau, sigma=sched.sigma,
+                k=state.k, theta=used.theta, tau=used.tau, sigma=used.sigma,
                 **metrics,
             ))
-        state = new_state
-        sched = advance_schedule(sched, kind, problem.constants)
         if sched.t > _WEIGHT_CAP:
             factor = 1.0 / sched.t
             sched = replace(sched, t=sched.t * factor, t_sum=sched.t_sum * factor)
             state.erg_x *= factor
             state.erg_y *= factor
-    return RunResult(state=state, schedule=sched, report=report, kind=kind,
-                     x0=np.asarray(x0, float).copy(), y0=np.asarray(y0, float).copy())
+    return RunResult(state=state, schedule=sched, report=report)
 
 
 def initial_distance(saddle, x0, y0, tau0: float, sigma0: float) -> float:

@@ -101,8 +101,9 @@ def test_unknown_dataset_rejected(tmp_path):
 
 
 def test_split_fraction_validated():
-    with pytest.raises(ValueError):
-        DatasetSpec(name="sonar", path="x", split_fraction=1.0)
+    for fraction in (0.0, 1.0):
+        with pytest.raises(ValueError, match="split_fraction"):
+            train_test_split(10, fraction, make_rng(94, 0))
 
 
 def test_missing_file_raises(tmp_path):

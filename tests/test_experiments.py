@@ -88,6 +88,15 @@ def test_synthetic_experiment_certificate():
     assert len(out.report.records) == 200
 
 
+def test_synthetic_long_horizon_gaps_stay_finite():
+    # theta**-k passes the ergodic weight cap near k = 5,500, so the
+    # weights must be rescaled as in every other run
+    out = synthetic_experiment(seed=3, dim=10, max_iter=7000, record_every=1000)
+    gaps = out.report.column("gap")
+    assert [r.k for r in out.report.records] == list(range(1000, 7001, 1000))
+    assert np.all(np.isfinite(gaps))
+
+
 def test_mksvm_experiment_learns_separable_data():
     rng = make_rng(95, 0)
     data = _separable_dataset(rng, rows=50, dim=4, noise=0.25)

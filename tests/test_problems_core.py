@@ -113,7 +113,7 @@ def test_toy_saddle_stall_falls_back_to_qp_with_warning(monkeypatch):
     import ogaprox.prox as prox_module
 
     p = _toy(make_rng(44, 0))
-    monkeypatch.setattr(prox_module, "solve_polytope_dual", lambda gram, c, free: None)
+    monkeypatch.setattr(prox_module, "solve_polytope_dual", lambda gram, c: None)
     with pytest.warns(ProjectionFallbackWarning):
         _, y_star = p.saddle_point()
     np.testing.assert_allclose(y_star, _qp_saddle_y(p), atol=1e-9)

@@ -185,12 +185,11 @@ def _qp_projection(a, h, w):
     return result.x
 
 
-def _kernel_projection(a, h, w, free):
-    found = solve_polytope_dual(a @ a.T, a @ w - h, free)
-    assert found is not None, "pivoting stalled"
-    lam, free = found
+def _kernel_projection(a, h, w):
+    lam = solve_polytope_dual(a @ a.T, a @ w - h)
+    assert lam is not None, "pivoting stalled"
     assert np.all(lam >= 0.0)
-    return w + a.T @ lam, free
+    return w + a.T @ lam
 
 
 def _tie_point(a, h, rng):
@@ -207,16 +206,16 @@ def _tie_point(a, h, rng):
 
 @pytest.mark.parametrize("d,n", _KERNEL_SHAPES)
 def test_polytope_kernel_warm_sequence_matches_qp(d, n):
+    # a run's sequence of projections on one matrix; every call starts cold
     rng = make_rng(16, d * 100 + n)
     a = rng.uniform(-3, 3, (d, n))
-    free = np.zeros(d, dtype=bool)
     for trial in range(30):
         if trial % 5 == 4 and d >= 2:
             w, expected = _tie_point(a, 0.0, rng)
         else:
             w = rng.standard_normal(n) * rng.uniform(0.5, 8.0)
             expected = None
-        fast, free = _kernel_projection(a, 0.0, w, free)  # warm from the last free set
+        fast = _kernel_projection(a, 0.0, w)
         np.testing.assert_allclose(fast, _qp_projection(a, 0.0, w), atol=1e-9)
         if expected is not None:
             np.testing.assert_allclose(fast, expected, atol=1e-9)
@@ -227,15 +226,14 @@ def test_polytope_kernel_offset_cold_start_matches_qp(d, n):
     rng = make_rng(17, d * 100 + n)
     a = rng.uniform(-3, 3, (d, n))
     h = np.ones(d)
-    all_active = np.ones(d, dtype=bool)
     points = [np.zeros(n)] + [rng.standard_normal(n) * 3 for _ in range(5)]
     for w in points:
-        fast, _ = _kernel_projection(a, h, w, all_active)
+        fast = _kernel_projection(a, h, w)
         np.testing.assert_allclose(fast, _qp_projection(a, h, w), atol=1e-9)
         assert np.min(a @ fast - h) >= -1e-9
     if d >= 2:
         w, expected = _tie_point(a, h, rng)
-        fast, _ = _kernel_projection(a, h, w, all_active)
+        fast = _kernel_projection(a, h, w)
         np.testing.assert_allclose(fast, expected, atol=1e-9)
         np.testing.assert_allclose(fast, _qp_projection(a, h, w), atol=1e-9)
 
@@ -244,10 +242,9 @@ def test_polytope_kernel_leaves_arguments_alone():
     rng = make_rng(18, 0)
     a = rng.uniform(-3, 3, (4, 6))
     gram, c = a @ a.T, a @ rng.standard_normal(6) - 1.0
-    free = np.ones(4, dtype=bool)
-    copies = (gram.copy(), c.copy(), free.copy())
-    solve_polytope_dual(gram, c, free)
-    for before, after in zip(copies, (gram, c, free)):
+    copies = (gram.copy(), c.copy())
+    solve_polytope_dual(gram, c)
+    for before, after in zip(copies, (gram, c)):
         np.testing.assert_array_equal(before, after)
 
 
@@ -259,11 +256,10 @@ def test_projector_stall_falls_back_to_qp_with_warning(monkeypatch):
     projector = PolytopeProjector(a)
     v = rng.standard_normal(8) * 4
     assert np.min(a @ v) < 0  # the kernel runs, not the feasible shortcut
-    monkeypatch.setattr(prox_module, "solve_polytope_dual", lambda gram, c, free: None)
+    monkeypatch.setattr(prox_module, "solve_polytope_dual", lambda gram, c: None)
     with pytest.warns(ProjectionFallbackWarning):
         out = projector.project(v)
     np.testing.assert_allclose(out, _qp_projection(a, 0.0, v), atol=1e-9)
-    assert projector._warm is None
 
 
 # -- scaled positive part ---------------------------------------------------

@@ -122,6 +122,18 @@ def test_cli_bad_config_is_validation_error(tmp_path):
     assert main(["mksvm", "--config", str(cfg)]) == 2
 
 
+def test_cli_split_fraction_out_of_range_is_validation_error(tmp_path):
+    rng = make_rng(103, 0)
+    rows = [",".join(f"{v:.4f}" for v in rng.uniform(size=60)) + (",R" if i % 2 else ",M")
+            for i in range(20)]
+    data_path = tmp_path / "sonar.all-data"
+    data_path.write_text("\n".join(rows))
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(f"dataset = sonar\npath = {data_path}\nsplit_fraction = 1.0\n"
+                   "runs = 1\ncheckpoints = 5\n")
+    assert main(["mksvm", "--config", str(cfg)]) == 2
+
+
 def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
     rng = make_rng(101, 0)
     rows = []

@@ -154,9 +154,13 @@ def test_non_finite_iterate_carries_partial_report():
 def test_callbacks_record_metrics():
     p = random_toy_problem(4, 6, 0.0, make_rng(46, 0))
     seen = []
+    ergodic = []
 
     def watch(k, state, sched):
+        # the schedule after step k, whose totals cover the first k steps
+        assert sched.k == k
         seen.append(k)
+        ergodic.append(state.ergodic(sched.t_sum))
         if k % 2 == 0:
             return {"dist_x": float(np.linalg.norm(state.x))}
         return None
@@ -166,6 +170,20 @@ def test_callbacks_record_metrics():
     assert seen == [1, 2, 3, 4, 5, 6]
     assert [r.k for r in result.report.records] == [2, 4, 6]
     assert all(r.theta == 1.0 for r in result.report.records)
+    for inside, final in zip(ergodic[-1], result.ergodic()):
+        np.testing.assert_array_equal(inside, final)
+
+    # on the adaptive law the parameters change every step: a record
+    # carries the theta/tau/sigma used by its own step
+    q = random_toy_problem(4, 6, 0.3, make_rng(46, 1))
+    result = run(q, default_adaptive(q.constants), np.zeros(4), np.zeros(6), max_iter=6,
+                 callbacks=(lambda k, state, sched: {"dist_y": float(np.linalg.norm(state.y))},))
+    trace = result.report.schedule_trace
+    assert len(set(trace["tau"])) == 6
+    for rec in result.report.records:
+        i = rec.k - 1
+        assert (rec.theta, rec.tau, rec.sigma) == (
+            trace["theta"][i], trace["tau"][i], trace["sigma"][i])
 
 
 def test_ergodic_is_plain_average_for_constant_schedule():
