@@ -43,6 +43,7 @@ from .schedule import (
     default_constant,
     default_linear,
     make_schedule,
+    sigma_tilde,
 )
 from .solver import gap_certificate, initial_distance, run
 
@@ -61,12 +62,13 @@ __all__ = [
 ]
 
 
-def log_checkpoints(max_iter: int, per_decade: int = 20) -> list[int]:
-    """Ascending, duplicate-free, roughly log-spaced iteration counts."""
+def log_checkpoints(max_iter: int) -> list[int]:
+    """Ascending, duplicate-free, roughly log-spaced iteration counts
+    (about 20 per decade)."""
     if max_iter < 1:
         return []
     decades = max(1.0, np.log10(max_iter))
-    points = max(2, int(round(per_decade * decades)))
+    points = max(2, int(round(20 * decades)))
     grid = np.unique(np.round(10 ** np.linspace(0.0, np.log10(max_iter), points)).astype(int))
     return [int(k) for k in grid if 1 <= k <= max_iter]
 
@@ -179,7 +181,10 @@ def synthetic_experiment(
     Runs the linear-rate schedule with the balanced Young weight and
     checks the full linear certificate at every iteration.  ``theta``
     defaults to 0.9 rather than the midpoint rule so the certified
-    quantities stay above double-precision noise through 500 iterations.
+    quantities stay above double-precision noise through 500 iterations;
+    past that, the certificate is checked against a roundoff floor, its
+    own value at a point 16 ulps from the saddle point, once the bound
+    falls below it.
     """
     rng = experiment_rng(seed, "synthetic", 0)
     a = rng.standard_normal((dim, dim))
@@ -197,14 +202,20 @@ def synthetic_experiment(
     d0 = initial_distance(saddle, x0, y0, sched0.tau0, sched0.sigma0)
     ok = True
     max_ratio = 0.0
+    # a point 16 ulps (relative) from the saddle point has these distance
+    # terms times 1/(2 tau) and 1/(2 sigma_tilde); lhs settles at 14-35
+    # eps**2 times the same, so a bound below this floor certifies roundoff
+    ulps2 = (16.0 * float(np.finfo(float).eps)) ** 2
+    x_floor, y_floor = (ulps2 * float(u @ u) for u in saddle)
 
     def certify(k, state, sched):
         nonlocal ok, max_ratio
         cert = gap_certificate(problem, saddle, state.ergodic(sched.t_sum),
                                sched, kind, x0, y0, final=(state.x, state.y))
-        ratio = cert.lhs / cert.bound if cert.bound > 0 else np.inf
-        max_ratio = max(max_ratio, ratio)
-        ok = ok and cert.lhs <= cert.bound * (1 + 1e-8)
+        floor = x_floor / (2.0 * sched.tau) + y_floor / (2.0 * sigma_tilde(sched, kind))
+        bound = max(cert.bound, floor)
+        max_ratio = max(max_ratio, cert.lhs / bound if bound > 0 else np.inf)
+        ok = ok and cert.lhs <= max(cert.bound * (1 + 1e-8), floor)
         if k % record_every == 0 or k == max_iter:
             return {"gap": cert.gap,
                     "dist_x": float(np.linalg.norm(state.x - saddle[0])),

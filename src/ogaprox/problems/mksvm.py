@@ -36,15 +36,15 @@ def polynomial_kernel(features: np.ndarray) -> np.ndarray:
     return (1.0 + features @ features.T) ** 2
 
 
-def gaussian_kernel(features: np.ndarray, gamma: float = 5.0) -> np.ndarray:
-    """Gaussian kernel ``exp(-gamma ||a - a'||^2)``.
+def gaussian_kernel(features: np.ndarray) -> np.ndarray:
+    """Gaussian kernel ``exp(-5 ||a - a'||^2)``.
 
-    The default ``gamma = 5`` corresponds to a squared-exponential with
-    width 1/10 (read as ``exp(-0.5 ||a-a'||^2 / 0.1)``).
+    ``gamma = 5`` corresponds to a squared-exponential with width 1/10
+    (read as ``exp(-0.5 ||a-a'||^2 / 0.1)``).
     """
     sq = np.sum(features**2, axis=1)
     dist = sq[:, None] + sq[None, :] - 2.0 * (features @ features.T)
-    return np.exp(-gamma * np.maximum(dist, 0.0))
+    return np.exp(-5.0 * np.maximum(dist, 0.0))
 
 
 def linear_kernel(features: np.ndarray) -> np.ndarray:
@@ -181,7 +181,6 @@ def mksvm_predict(
     eta: np.ndarray,
     nu: float,
     box_c: float,
-    active_tol: float | None = None,
 ) -> MkSvmPrediction:
     """Label the test points with the combined-kernel decision function.
 
@@ -191,15 +190,13 @@ def mksvm_predict(
     coefficient falls in the band, the most interior one is used and the
     prediction is flagged.  ``sign(0)`` maps to +1.
     """
-    if active_tol is None:
-        active_tol = 1e-4 * box_c
     alpha = np.asarray(alpha, dtype=float)
     combined_cross = sum(
         e * k[np.ix_(train_idx, test_idx)] for e, k in zip(eta, kernels)
     )
     interior = np.minimum(alpha, box_c - alpha)
     j0 = int(np.argmax(interior))
-    fallback = bool(interior[j0] < active_tol)
+    fallback = bool(interior[j0] < 1e-4 * box_c)
     combined_j0 = sum(
         e * k[np.ix_(train_idx, train_idx[j0:j0 + 1])][:, 0] for e, k in zip(eta, kernels)
     )

@@ -22,21 +22,22 @@ class RankDeficientError(ValueError):
     """The constraint matrix does not have full row rank."""
 
 
-def spectral_norm(a: np.ndarray, iters: int = 200, tol: float = 1e-12) -> float:
-    """Power iteration on ``A'A``; result inflated by 1.001 so downstream
-    step-size conditions hold for the true norm as well."""
+def spectral_norm(a: np.ndarray) -> float:
+    """Power iteration on ``A'A`` (at most 200 steps, stopping at a relative
+    change of 1e-12); result inflated by 1.001 so downstream step-size
+    conditions hold for the true norm as well."""
     rng = np.random.Generator(np.random.Philox(12345))
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     value = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         w = a.T @ (a @ v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
         new_value = float(np.sqrt(norm_w))
-        if abs(new_value - value) <= tol * max(1.0, new_value):
+        if abs(new_value - value) <= 1e-12 * max(1.0, new_value):
             value = new_value
             break
         value = new_value

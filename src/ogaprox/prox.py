@@ -9,6 +9,7 @@ is the test oracle and the kernel's only fallback, taken with a
 :class:`ProjectionFallbackWarning` when pivoting stalls.
 """
 
+import bisect
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -35,10 +36,6 @@ __all__ = [
 
 class InfeasibleSetError(ValueError):
     """The constraint set is empty."""
-
-
-class RootFindingError(RuntimeError):
-    """Scalar dual search failed to converge."""
 
 
 class ProjectionFallbackWarning(RuntimeWarning):
@@ -105,67 +102,40 @@ class BoxHyperplaneSet:
         return self.normal.size
 
 
-def project_box_hyperplane(s: BoxHyperplaneSet, v, max_bisect: int = 200) -> np.ndarray:
+def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     """Euclidean projection onto a box intersected with a hyperplane.
 
     The projection is ``clip(v - t * normal, lower, upper)`` for the scalar
-    dual multiplier ``t`` solving ``<y(t), normal> = offset``; the residual
-    is monotone in ``t``, so ``t`` is found by bracket expansion and
-    bisection (with a Newton polish on the final free set).
+    dual multiplier ``t`` solving ``r(t) = <y(t), normal> - offset = 0``.
+    ``r`` is nonincreasing and piecewise linear with knots where a
+    coordinate meets a bound, so an exact breakpoint search (Kiwiel 2008)
+    finds it: a binary search over the sorted knots brackets the root
+    between neighbouring knots, where the free set is fixed and ``r`` is
+    linear, and one division gives ``t``.
     """
     w = _as_vector(v)
     if w.size != s.dim:
         raise ValueError("dimension mismatch with set normal")
-    n = s.normal
+    n, lower, upper = s.normal, s.lower, s.upper
+    nz = n != 0.0
+    knots = np.unique(np.concatenate(((w[nz] - lower) / n[nz], (w[nz] - upper) / n[nz])))
+    knots = knots[np.isfinite(knots)]  # upper = inf has no upper knots
 
-    def residual(t: float) -> float:
-        y = np.clip(w - t * n, s.lower, s.upper)
-        return float(n @ y - s.offset)
+    def negative(t: float) -> bool:
+        return float(n @ np.clip(w - t * n, lower, upper)) < s.offset
 
-    r0 = residual(0.0)
-    scale = max(1.0, abs(s.offset), float(np.abs(n) @ np.abs(w)))
-    tol = 1e-12 * scale
-    if abs(r0) <= tol:
-        return np.clip(w, s.lower, s.upper)
-
-    # residual is nonincreasing in t: positive residual needs larger t
-    step = 1.0 + abs(r0) / max(1.0, float(n @ n))
-    if r0 > 0:
-        lo, hi = 0.0, step
-        while residual(hi) > tol:
-            hi *= 2.0
-            if hi > 1e30:
-                raise RootFindingError("bracket expansion failed")
-    else:
-        lo, hi = -step, 0.0
-        while residual(lo) < -tol:
-            lo *= 2.0
-            if lo < -1e30:
-                raise RootFindingError("bracket expansion failed")
-
-    t = 0.5 * (lo + hi)
-    for _ in range(max_bisect):
-        t = 0.5 * (lo + hi)
-        r = residual(t)
-        if abs(r) <= tol:
-            break
-        if r > 0:
-            lo = t
-        else:
-            hi = t
-    else:
-        raise RootFindingError(f"hyperplane residual above {tol} after {max_bisect} bisections")
-
-    # Newton polish on the current free coordinates tightens the residual
-    y = np.clip(w - t * n, s.lower, s.upper)
-    free = (y > s.lower) & (y < s.upper)
+    # first knot with r < 0; the root lies between it and the knot before,
+    # or on an open end segment past the first or the last knot
+    j = bisect.bisect_left(knots, True, key=negative)
+    left = knots[j - 1] if j > 0 else knots[0] - 1.0 - abs(knots[0])
+    right = knots[j] if j < knots.size else knots[-1] + 1.0 + abs(knots[-1])
+    t = 0.5 * (left + right)
+    y = np.clip(w - t * n, lower, upper)
+    free = (y > lower) & (y < upper)
     slope = float(n[free] @ n[free])
-    if slope > 0.0:
-        t_ref = t + (n @ y - s.offset) / slope
-        y_ref = np.clip(w - t_ref * n, s.lower, s.upper)
-        if abs(n @ y_ref - s.offset) <= abs(n @ y - s.offset):
-            y = y_ref
-    return y
+    if slope > 0.0:  # otherwise r is constant (zero) on the segment and any t in it is a root
+        t = (float(n @ np.where(free, w, y)) - s.offset) / slope
+    return np.clip(w - t * n, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -191,7 +161,7 @@ class PolytopeSet:
         return self.a_matrix.shape[1]
 
 
-def project_polytope(s: PolytopeSet, v, tol: float = 1e-10) -> np.ndarray:
+def project_polytope(s: PolytopeSet, v) -> np.ndarray:
     """Projection onto ``{y : A y >= h}`` through the dense QP solver,
     started at the least-norm point of ``{A y = h}`` (the origin for h = 0)."""
     w = _as_vector(v)
@@ -202,7 +172,7 @@ def project_polytope(s: PolytopeSet, v, tol: float = 1e-10) -> np.ndarray:
     start = np.linalg.lstsq(s.a_matrix, s.offset, rcond=None)[0]
     # with h > 0 the origin is cut off; starting all rows active saves most QP iterations
     active = tuple(range(s.offset.size)) if np.any(s.offset > 0.0) else ()
-    result = solve_qp(problem, tol=tol, start=start, initial_active=active)
+    result = solve_qp(problem, tol=1e-10, start=start, initial_active=active)
     if result.status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polytope projection QP ended with status {result.status}")
     return result.x
@@ -304,13 +274,12 @@ def prox_oracle(
     candidate,
     trials: int = 1000,
     seed: int = 0,
-    scales: tuple[float, ...] = (1e-3, 1e-1, 1.0),
 ) -> float:
     """Brute-force optimality check for a claimed proximal point.
 
-    Samples Gaussian perturbations of ``candidate`` at the given scales and
-    returns the largest amount by which a sample beats the candidate on
-    ``f(u) + 0.5 ||u - x||^2``.  A correct prox keeps this at roundoff
+    Samples Gaussian perturbations of ``candidate`` at scales 1e-3, 0.1
+    and 1 in turn and returns the largest amount by which a sample beats
+    the candidate on ``f(u) + 0.5 ||u - x||^2``.  A correct prox keeps this at roundoff
     level; values above ``1e-8`` indicate a wrong operator.
     """
     if trials <= 0:
@@ -333,7 +302,6 @@ def prox_oracle(
     rng = make_rng(seed, 97)
     worst = -np.inf
     for j in range(trials):
-        scale = scales[j % len(scales)]
-        u = cand + scale * rng.standard_normal(cand.size)
+        u = cand + (1e-3, 1e-1, 1.0)[j % 3] * rng.standard_normal(cand.size)
         worst = max(worst, f_cand - objective(u))
     return worst

@@ -7,7 +7,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-__all__ = ["MetricRecord", "RunReport", "emit_report", "package_version", "CSV_COLUMNS"]
+__all__ = ["MetricRecord", "RunReport", "package_version", "CSV_COLUMNS"]
 
 CSV_COLUMNS = ("k", "gap", "dist_x", "dist_y", "tsa", "theta", "tau", "sigma")
 
@@ -102,17 +102,3 @@ class RunReport:
             config=payload.get("config", {}),
             version=payload.get("version", "0.0.0+unknown"),
         )
-
-
-def emit_report(report: RunReport, format: str, path) -> None:
-    """Write ``report`` as ``csv`` or ``json``; IO errors carry the path."""
-    if format == "csv":
-        writer = report.to_csv
-    elif format == "json":
-        writer = report.to_json
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    try:
-        writer(path)
-    except OSError as err:
-        raise OSError(f"could not write report to {path}: {err}") from err

@@ -104,7 +104,7 @@ def test_box_hyperplane_residual_tolerance():
     s = _svm_box(50, rng)
     v = rng.standard_normal(50) * 5
     y = project_box_hyperplane(s, v)
-    assert abs(s.normal @ y) <= 1e-10
+    assert abs(s.normal @ y) <= 1e-12
     assert y.min() >= -1e-14 and y.max() <= 1.0 + 1e-14
 
 
@@ -369,8 +369,55 @@ def test_projection_prox_oracle_1000_trials():
         assert prox_oracle(indicator, v, cand, trials=1000, seed=5) <= 1e-8, name
 
 
+def _box_hyperplane_qp(s, v):
+    n = s.dim
+    rows = [np.eye(n)] + ([-np.eye(n)] if np.isfinite(s.upper) else [])
+    bounds = [np.full(n, s.lower)] + ([np.full(n, -s.upper)] if np.isfinite(s.upper) else [])
+    problem = QpProblem(
+        q_matrix=np.eye(n), q_vector=-np.asarray(v, dtype=float),
+        ineq_matrix=np.vstack(rows), ineq_vector=np.concatenate(bounds),
+        eq_matrix=s.normal[None, :], eq_vector=np.array([s.offset]),
+    )
+    result = solve_qp(problem, tol=1e-10)
+    assert result.status is QpStatus.OPTIMAL
+    return result.x
+
+
+def _degenerate_box_hyperplane_cases():
+    """Inputs where the knots of the dual residual tie, the root sits on a
+    knot or on an open end segment, or the normal has zero entries."""
+    pm = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    inf = np.inf
+    cases = [
+        # repeated entries: tied knots on both sides
+        (0.0, 1.0, pm, 0.0, [0.5, 0.5, 0.5, -0.2, -0.2, 0.5]),
+        (0.0, 1.0, np.ones(5), 1.0, np.full(5, 0.3)),
+        # r vanishes on the whole segment between the knots t = 0.5 and t = 1
+        (0.0, 1.0, np.array([1.0, 1.0]), 1.0, [2.0, 0.5]),
+        # zero normal entries: those coordinates are only clipped
+        (-1.0, 2.0, np.array([1.0, 0.0, -1.0, 0.0, 2.0]), 0.5, [3.0, -4.0, 0.1, 0.7, -2.0]),
+        # upper = inf with mixed signs
+        (0.0, inf, np.array([1.0, -1.0, 2.0, -0.5]), 0.3, [-1.0, 2.0, 0.4, -3.0]),
+        (0.0, inf, -np.ones(2), -3.0, [1.0, 2.5]),
+        # root on the open end segments before the first and after the last knot
+        (0.0, inf, np.ones(2), 10.0, [0.0, 0.0]),
+        (0.0, inf, -np.ones(2), -10.0, [0.0, 0.0]),
+        # the simplex as a box-hyperplane set, unbounded and boxed
+        (0.0, inf, np.ones(6), 1.0, [0.9, -0.3, 0.2, 0.9, 1.4, -2.0]),
+        (0.0, 1.0, np.ones(6), 1.0, [0.9, -0.3, 0.2, 0.9, 1.4, -2.0]),
+        # single-point sets: every coordinate pinned, no free coordinate left
+        (0.0, 1.0, np.ones(3), 3.0, [0.3, 2.0, -1.0]),
+        (0.0, 1.0, pm, -3.0, [0.7, 0.2, 0.1, 0.9, -0.4, 0.5]),
+        # feasible input comes back unchanged
+        (0.0, 1.0, pm, 0.0, [0.2, 0.3, 0.6, 0.1, 0.4, 0.8]),
+    ]
+    return [(BoxHyperplaneSet(lower=lo, upper=up, normal=normal, offset=off), np.asarray(v, float))
+            for lo, up, normal, off, v in cases]
+
+
 def test_box_hyperplane_general_sets_match_qp_oracle():
     rng = make_rng(14, 23)
+    cases = []
     for trial in range(20):
         n = int(rng.integers(3, 12))
         normal = rng.standard_normal(n)
@@ -382,17 +429,19 @@ def test_box_hyperplane_general_sets_match_qp_oracle():
         reach_hi = upper * normal[normal > 0].sum() + lower * normal[normal < 0].sum()
         offset = float(rng.uniform(reach_lo, reach_hi))
         s = BoxHyperplaneSet(lower=lower, upper=upper, normal=normal, offset=offset)
-        v = rng.standard_normal(n) * 3
+        cases.append((s, rng.standard_normal(n) * 3))
+    degenerate = _degenerate_box_hyperplane_cases()
+    cases += degenerate
+    # one set shaped like the multi-kernel SVM dual at n = 60
+    cases.append((_svm_box(60, rng, box_c=0.5), rng.standard_normal(60)))
+    for i, (s, v) in enumerate(cases):
         fast = project_box_hyperplane(s, v)
-        problem = QpProblem(
-            q_matrix=np.eye(n), q_vector=-v,
-            ineq_matrix=np.vstack([np.eye(n), -np.eye(n)]),
-            ineq_vector=np.concatenate([np.full(n, lower), np.full(n, -upper)]),
-            eq_matrix=normal[None, :], eq_vector=np.array([offset]),
-        )
-        result = solve_qp(problem, tol=1e-10)
-        assert result.status is QpStatus.OPTIMAL, trial
-        np.testing.assert_allclose(fast, result.x, atol=1e-8)
+        np.testing.assert_allclose(fast, _box_hyperplane_qp(s, v), atol=1e-8, err_msg=str(i))
+        assert abs(s.normal @ fast - s.offset) <= 1e-12 * max(1.0, np.abs(s.normal) @ np.abs(v)), i
+    feasible, v = degenerate[-1]
+    np.testing.assert_allclose(project_box_hyperplane(feasible, v), v, rtol=0, atol=1e-15)
+    simplex, v = degenerate[8]
+    np.testing.assert_allclose(project_box_hyperplane(simplex, v), project_simplex(v), atol=1e-15)
 
 
 def test_oracle_flags_wrong_projection():

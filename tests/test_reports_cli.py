@@ -167,20 +167,6 @@ def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
     assert "with_fairness" in report.config
 
 
-def test_emit_report_function(tmp_path):
-    from ogaprox.report import emit_report
-
-    report = RunReport()
-    report.add(MetricRecord(k=5, gap=0.25))
-    emit_report(report, "csv", tmp_path / "a.csv")
-    emit_report(report, "json", tmp_path / "a.json")
-    assert (tmp_path / "a.csv").exists() and (tmp_path / "a.json").exists()
-    with pytest.raises(ValueError, match="format"):
-        emit_report(report, "xml", tmp_path / "a.xml")
-    with pytest.raises(OSError, match="no/such"):
-        emit_report(report, "csv", tmp_path / "no" / "such" / "dir.csv")
-
-
 def test_run_report_carries_schedule_trace():
     from ogaprox.experiments import toy_experiment
 
