@@ -3,7 +3,7 @@
 ``Phi(x, y) = sum_i y_i * (average hinge loss of group i at x)`` with
 ``y`` on the probability simplex, so the adversary concentrates weight on
 the worst-off group.  The x-prox is the weighted-hinge proximal problem,
-solved as a QP after introducing one slack variable per data point.
+solved exactly by an active-set method on the hinge kinks in x-space.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,6 @@ import numpy as np
 
 from ..problem import ProblemConstants, SaddleProblem
 from ..prox import project_simplex
-from ..qp import QpProblem, QpStatus, solve_qp
 
 __all__ = ["Group", "FairnessProblem"]
 
@@ -60,20 +59,6 @@ class FairnessProblem(SaddleProblem):
             float(np.sum(g.features**2)) / g.size for g in groups
         )))
         self.constants = ProblemConstants(l_yx=l_yx, l_yy=0.0, mu=0.0, nu=0.0)
-        self._row_sq = np.maximum(np.einsum("ij,ij->i", self.signed, self.signed), 1e-12)
-        self._qp_template = self._build_qp_template()
-
-    def _build_qp_template(self):
-        d, n_rows = self.dim_x, self.signed.shape[0]
-        dim = d + n_rows
-        q_mat = np.zeros((dim, dim))
-        q_mat[:d, :d] = np.eye(d)
-        g_mat = np.zeros((2 * n_rows, dim))
-        g_mat[:n_rows, d:] = np.eye(n_rows)
-        g_mat[n_rows:, :d] = self.signed
-        g_mat[n_rows:, d:] = np.eye(n_rows)
-        h_vec = np.concatenate([np.zeros(n_rows), np.ones(n_rows)])
-        return q_mat, g_mat, h_vec
 
     def group_losses(self, x) -> np.ndarray:
         """Average hinge loss of each group at ``x``."""
@@ -85,39 +70,54 @@ class FairnessProblem(SaddleProblem):
         return self.group_losses(x)
 
     def prox_phi_x(self, tau, y, x):
-        """Slack-variable QP for the weighted-hinge prox; returns ``u``.
+        """Prox of the weighted hinge sum ``sum_i w_i max(0, 1 - s_i'u)``,
+        ``w_i = tau y_g / n_g``, by an exact primal active-set method in x-space.
 
-        The classifier part of the quadratic is strictly convex, and every
-        slack stays pinned by one of its two lower bounds (those pins have
-        nonnegative multipliers), so the active-set solver is warm-started
-        with pins predicted by a few fixed-point passes on the hinge set
-        (prediction quality only affects speed, not the solution).
+        Rows are hinged (multiplier ``w_i``), slack (0) or on their kink in
+        the independent working set ``W``.  A step moves ``u`` towards
+        ``z = x + sum_hinged w_i s_i`` in the null space of ``S_W`` and stops
+        at the first kink crossing, whose row joins ``W``; at the minimizer
+        on ``W`` the row whose multiplier lies furthest outside ``[0, w_i]``
+        leaves to the side of its sign.  Steps descend and ties go to the
+        lowest row, so the method is finite.
         """
         x = np.asarray(x, float)
         if tau < 0:
             raise ValueError("tau must be nonnegative")
-        if tau == 0.0:
-            return x.copy()
-        d, n_rows = self.dim_x, self.signed.shape[0]
-        q_mat, g_mat, h_vec = self._qp_template
         weights = tau * np.asarray(y, float)[self.row_group] * self.row_weight
-        q_vec = np.concatenate([-x, weights])
-        problem = QpProblem(q_matrix=q_mat, q_vector=q_vec,
-                            ineq_matrix=g_mat, ineq_vector=h_vec)
-        lam = weights * ((1.0 - self.signed @ x) > 0.0)
-        u_guess = x + self.signed.T @ lam
-        for _ in range(12):
-            resid = 1.0 - self.signed @ u_guess
-            lam = np.clip(lam + 0.4 * resid / self._row_sq, 0.0, weights)
-            u_guess = x + self.signed.T @ lam
-        margins = 1.0 - self.signed @ u_guess
-        start = np.concatenate([u_guess, np.maximum(margins, 0.0)])
-        pins = np.where(margins > 0.0, np.arange(n_rows) + n_rows, np.arange(n_rows))
-        result = solve_qp(problem, tol=1e-9, start=start,
-                          initial_active=tuple(int(i) for i in pins))
-        if result.status is not QpStatus.OPTIMAL:
-            raise RuntimeError(f"hinge prox QP ended with status {result.status}")
-        return result.x[:d]
+        rows, w = self.signed[weights > 0.0], weights[weights > 0.0]
+        norms = np.linalg.norm(rows, axis=1)
+        step_tol = 1e-13 * max(1.0, float(np.linalg.norm(x)), float(w @ norms))
+        lam_tol = 1e-10 * float(np.max(w, initial=0.0))
+        side = np.where(rows @ x < 1.0, 1, -1)  # +1 hinged, -1 slack, 0 in W
+        work: list[int] = []
+        u = x.copy()
+        for _ in range(10 * (w.size + x.size)):
+            z = x + (w * (side > 0)) @ rows
+            q, r = np.linalg.qr(rows[work].T)
+            p = z - u - q @ (q.T @ (z - u))
+            if float(np.linalg.norm(p)) > step_tol:
+                rate = side * (rows @ p)
+                cand = np.flatnonzero(rate > 0.0)
+                alpha = np.maximum(side[cand] * (1.0 - rows[cand] @ u), 0.0) / rate[cand]
+                # kinks reached before the minimizer on W; rows in the span of W cannot cross
+                off_span = rows[cand] - (rows[cand] @ q) @ q.T
+                hit = (alpha < 1.0) & (np.linalg.norm(off_span, axis=1) > 1e-10 * norms[cand])
+                if np.any(hit):
+                    k = np.flatnonzero(hit)[np.argmin(alpha[hit])]
+                    u = u + alpha[k] * p
+                    side[cand[k]] = 0
+                    work.append(int(cand[k]))
+                    continue
+                u = u + p  # the minimizer on W; q'(u - z) is unchanged
+            lam = np.linalg.solve(r, q.T @ (u - z))
+            viol = np.maximum(-lam, lam - w[work])
+            top = float(np.max(viol, initial=0.0))
+            if top <= lam_tol:
+                return u
+            pos = min(np.flatnonzero(viol == top), key=lambda i: work[i])
+            side[work.pop(pos)] = 1 if lam[pos] > 0.0 else -1
+        raise RuntimeError("hinge prox active set reached its step cap")
 
     def prox_g(self, sigma, v):
         return project_simplex(v)

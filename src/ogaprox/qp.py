@@ -8,6 +8,9 @@ zero-curvature descent directions (which also covers the LP used as the
 feasibility phase).  Problems here are small and dense, so factorizations
 are recomputed each iteration rather than updated.
 
+Tolerances follow the data scale ``s = max(1, |q|, |h|, |e|)`` (largest
+entries): KKT residuals pass at ``tol * s``, complementarity at ``tol * s**2``.
+
 Determinism: blocking constraints and multiplier drops break ties by
 lowest constraint index, and all linear algebra is plain LAPACK, so
 identical inputs give bit-identical outputs.
@@ -96,7 +99,6 @@ class QpResult:
     status: QpStatus
     iterations: int
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    eq_multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     active_set: tuple[int, ...] = ()
     kkt: KktResidual | None = None
 
@@ -120,11 +122,11 @@ class _ActiveSetCore:
         self.q_vec = q_vec
         self.g_mat = g_mat
         self.h_vec = h_vec
-        self.tol = tol
         self.n = q_vec.size
         self.m = h_vec.size
         self.curv_tol = 1e-11 * max(1.0, _absmax(q_mat))
         self.grad_tol = 1e-12 * max(1.0, _absmax(q_vec))
+        self.lam_tol = max(tol, 1e-11) * _data_scale(q_vec, h_vec)
 
     def solve(self, z, working: list[int], max_iter: int):
         n, m = self.n, self.m
@@ -182,7 +184,7 @@ class _ActiveSetCore:
                     lam = np.linalg.solve(r_full[:w, :], q_full[:, :w].T @ grad)
                 else:
                     lam, *_ = np.linalg.lstsq(g_work.T, grad, rcond=None)
-                neg = np.flatnonzero(lam < -max(self.tol, 1e-11))
+                neg = np.flatnonzero(lam < -self.lam_tol)
                 if neg.size == 0:
                     return z, QpStatus.OPTIMAL, iterations, working
                 if bland:
@@ -233,6 +235,10 @@ def _absmax(arr) -> float:
     return float(np.max(np.abs(arr), initial=0.0))
 
 
+def _data_scale(*vectors) -> float:
+    return max([1.0] + [_absmax(v) for v in vectors if v is not None])
+
+
 def _phase_one(g_mat, h_vec, tol, max_iter):
     """Feasible point for ``Gz >= h`` by minimizing the worst violation.
 
@@ -262,7 +268,6 @@ def _phase_one(g_mat, h_vec, tol, max_iter):
 def solve_qp(
     problem: QpProblem,
     tol: float = 1e-9,
-    max_iter: int | None = None,
     start: np.ndarray | None = None,
     initial_active: tuple[int, ...] = (),
 ) -> QpResult:
@@ -271,17 +276,15 @@ def solve_qp(
     ``start`` may supply a feasible point (skipping the feasibility
     phase) and ``initial_active`` a warm-start working set; both are
     validated before use.  On ``OPTIMAL`` the KKT residuals (stationarity,
-    primal feasibility, dual feasibility, complementarity) are each at
-    most ``tol``.
+    primal feasibility, dual feasibility, complementarity) are within
+    ``tol`` relative to the data scale (see the module docstring).  The
+    active-set phase takes at most ``10 * (n + m)`` iterations.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = problem.dim
     m = problem.n_ineq
-    if max_iter is None:
-        max_iter = 10 * (n + m)
-    if max_iter <= 0:
-        raise ValueError("max_iter must be positive")
+    max_iter = 10 * (n + m)
 
     q_mat, q_vec = problem.q_matrix, problem.q_vector
     g_mat = problem.ineq_matrix if problem.ineq_matrix is not None else np.zeros((0, n))
@@ -379,14 +382,15 @@ def _finish(problem, x, status, iterations, working, tol):
         dual=max(0.0, -float(np.min(lam, initial=0.0))),
         complementarity=comp,
     )
-    if status is QpStatus.OPTIMAL and kkt.max > tol:
+    scale = _data_scale(problem.q_vector, problem.ineq_vector, problem.eq_vector)
+    worst = max(kkt.stationarity, kkt.primal, kkt.dual, kkt.complementarity / scale)
+    if status is QpStatus.OPTIMAL and worst > tol * scale:
         status = QpStatus.MAX_ITER
     return QpResult(
         x=x,
         status=status,
         iterations=iterations,
         multipliers=lam,
-        eq_multipliers=eq_mult,
         active_set=tuple(int(i) for i in working),
         kkt=kkt,
     )

@@ -60,18 +60,32 @@ def test_toy_experiment_shares_instance_across_nu():
     np.testing.assert_array_equal(a.x0, b.x0)
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.3])
-def test_toy_experiment_never_reaches_dense_qp(nu, monkeypatch):
+def _toy_run(nu):
+    out = toy_experiment(seed=8, nu=nu, d=60, n=80, max_iter=300)
+    assert len(out.report.step_dx) == 300
+
+
+def _fairness_run():
+    data = _separable_dataset(make_rng(98, 2), rows=70, dim=5, noise=0.5, with_groups=True)
+    out = fairness_experiment(data, grouping="sex", seed=3, partitions=1, checkpoints=(40,))
+    assert 0.0 <= out.with_fairness[40]["overall"] <= 100.0
+
+
+@pytest.mark.parametrize("experiment", [
+    pytest.param(lambda: _toy_run(0.0), id="0.0"),
+    pytest.param(lambda: _toy_run(0.3), id="0.3"),
+    pytest.param(_fairness_run, id="fairness"),
+])
+def test_toy_experiment_never_reaches_dense_qp(experiment, monkeypatch):
     def no_qp(*args, **kwargs):
-        raise AssertionError("solve_qp called on the toy fast path")
+        raise AssertionError("solve_qp called on a fast path")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ogaprox" and "solve_qp" in vars(module):
             monkeypatch.setattr(module, "solve_qp", no_qp)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ProjectionFallbackWarning)
-        out = toy_experiment(seed=8, nu=nu, d=60, n=80, max_iter=300)
-    assert len(out.report.step_dx) == 300
+        experiment()
 
 
 def test_toy_gap_column_positive_and_bounded():

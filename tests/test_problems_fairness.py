@@ -4,6 +4,7 @@ import pytest
 from ogaprox.problem import validate_problem
 from ogaprox.problems import FairnessProblem, Group
 from ogaprox.prox import prox_oracle
+from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_constant
 from ogaprox.solver import run
@@ -105,6 +106,69 @@ def test_prox_x_oracle_random_instances():
         violation = prox_oracle(lambda u: tau * p.phi_value(u, y), x, cand,
                                 trials=1000, seed=trial)
         assert violation <= 1e-7
+
+
+def _slack_qp_prox(p, tau, y, x):
+    """Oracle: the weighted-hinge prox as a dense QP in ``(u, xi)`` with one
+    slack per row, ``min 0.5||u - x||^2 + w'xi`` subject to ``xi >= 0`` and
+    ``xi + S u >= 1``, started at ``u = x`` with each slack on its active bound."""
+    d, n = p.dim_x, p.signed.shape[0]
+    weights = tau * y[p.row_group] * p.row_weight
+    q_mat = np.zeros((d + n, d + n))
+    q_mat[:d, :d] = np.eye(d)
+    g_mat = np.block([[np.zeros((n, d)), np.eye(n)], [p.signed, np.eye(n)]])
+    h_vec = np.concatenate([np.zeros(n), np.ones(n)])
+    problem = QpProblem(q_matrix=q_mat, q_vector=np.concatenate([-x, weights]),
+                        ineq_matrix=g_mat, ineq_vector=h_vec)
+    margins = 1.0 - p.signed @ x
+    pins = np.where(margins > 0.0, np.arange(n) + n, np.arange(n))
+    result = solve_qp(problem, tol=1e-9, start=np.concatenate([x, np.maximum(margins, 0.0)]),
+                      initial_active=tuple(int(i) for i in pins))
+    assert result.status is QpStatus.OPTIMAL
+    return result.x[:d]
+
+
+def _oracle_case(rng, trial):
+    """A random prox instance; the trial number cycles through integer
+    features, a zero row, duplicated rows (equal and opposite labels), a
+    zero entry of ``y`` and ``x`` placed on a kink."""
+    dim = int(rng.integers(1, 9))
+    groups = []
+    for size in rng.integers(3, 16, size=int(rng.integers(1, 4))):
+        if trial % 2:
+            feats = rng.integers(-3, 4, size=(size, dim)).astype(float)
+        else:
+            feats = rng.standard_normal((size, dim))
+        labels = np.where(rng.uniform(size=size) < 0.5, -1.0, 1.0)
+        if trial % 5 == 0:
+            feats[0] = 0.0
+        if trial % 3 == 0:
+            feats[1] = feats[2]
+            labels[1] = labels[2] if trial % 2 else -labels[2]
+        groups.append(Group(feats, labels))
+    p = FairnessProblem(groups)
+    tau = float(10.0 ** rng.uniform(-8, 3))
+    y = rng.dirichlet(np.ones(p.dim_y))
+    if trial % 4 == 0 and p.dim_y > 1:
+        y[int(rng.integers(p.dim_y))] = 0.0
+        y /= y.sum()
+    x = rng.standard_normal(dim) * float(rng.choice([0.1, 1.0, 10.0]))
+    if trial % 7 == 0:
+        row = p.signed[int(rng.integers(p.signed.shape[0]))]
+        if np.any(row):
+            x = x + (1.0 - row @ x) * row / (row @ row)
+    return p, tau, y, x
+
+
+def test_prox_x_matches_slack_qp_oracle():
+    rng = make_rng(87, 0)
+    for trial in range(240):
+        p, tau, y, x = _oracle_case(rng, trial)
+        ours = p.prox_phi_x(tau, y, x)
+        expected = _slack_qp_prox(p, tau, y, x)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        np.testing.assert_allclose(ours, expected, rtol=0, atol=1e-9 * scale,
+                                   err_msg=f"trial {trial}, tau {tau}")
 
 
 def test_single_group_run_reduces_to_proximal_point():

@@ -168,6 +168,20 @@ def test_fast_projector_matches_qp_route():
         assert np.min(a @ fast) >= -1e-9
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_polytope_qp_route_at_large_scale(scale):
+    # the fallback's QP judges its KKT residuals relative to the data, so
+    # large inputs still reach OPTIMAL and agree with the dual kernel
+    rng = make_rng(8, 18)
+    for _ in range(10):
+        a = rng.standard_normal((20, 30))
+        v = rng.standard_normal(30)
+        v *= scale / np.max(np.abs(v))
+        slow = project_polytope(PolytopeSet(a), v)
+        np.testing.assert_allclose(slow, _kernel_projection(a, 0.0, v), rtol=0, atol=1e-12 * scale)
+        assert np.min(a @ slow) >= -1e-12 * scale
+
+
 # -- dual polytope kernel ----------------------------------------------------
 
 # d = 1, d = n and d = n - 1 are the edge shapes; the rest are drawn at random
@@ -434,6 +448,12 @@ def test_box_hyperplane_general_sets_match_qp_oracle():
     cases += degenerate
     # one set shaped like the multi-kernel SVM dual at n = 60
     cases.append((_svm_box(60, rng, box_c=0.5), rng.standard_normal(60)))
+    # wide boxes: the oracle's KKT check has to follow the scale of the data
+    for upper in (1e3, 1e6):
+        for _ in range(5):
+            normal = np.where(rng.uniform(size=6) < 0.5, -1.0, 1.0)
+            cases.append((BoxHyperplaneSet(lower=0.0, upper=upper, normal=normal),
+                          rng.uniform(-3.0, 3.0, 6) * upper))
     for i, (s, v) in enumerate(cases):
         fast = project_box_hyperplane(s, v)
         np.testing.assert_allclose(fast, _box_hyperplane_qp(s, v), atol=1e-8, err_msg=str(i))
