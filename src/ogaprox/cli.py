@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .datasets import DatasetSpec, load_dataset
+from .datasets import DATASET_FORMATS, DatasetSpec, UnknownDatasetError, load_dataset
 from .experiments import (
     MKSVM_VARIANTS,
     fairness_experiment,
@@ -119,6 +119,8 @@ def _dataset_from_cfg(cfg, default_name=None):
     name = cfg.get("dataset", default_name)
     if name is None:
         raise ValueError("config must set dataset = <name>")
+    if name not in DATASET_FORMATS:
+        raise UnknownDatasetError(f"unknown dataset {name!r}")
     path = cfg.get("path")
     if path is None:
         data_dir = cfg.get("data_dir", "data")

@@ -35,7 +35,7 @@ class BilinearProblem(SaddleProblem):
     def prox_g(self, sigma, v):
         w = np.asarray(v, float) / (1.0 + self.nu * sigma)
         if self.box is None:
-            return w.copy() if w is v else w
+            return w
         return np.clip(w, self.box[0], self.box[1])
 
     def phi_value(self, x, y):

@@ -11,15 +11,11 @@ are exactly ``x* <= 0`` with ``y* = 0`` when ``nu > 0`` (any ``y*`` in
 import numpy as np
 
 from ..problem import ProblemConstants, PsiUndefinedError, SaddleProblem
-from ..prox import PolytopeProjector, project_polyhedron
+from ..prox import PolytopeProjector, RankDeficientError, solve_polytope_dual
 
 __all__ = ["ToyProblem", "random_toy_problem"]
 
 _FEAS_TOL = 1e-8
-
-
-class RankDeficientError(ValueError):
-    """The constraint matrix does not have full row rank."""
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -46,21 +42,13 @@ def spectral_norm(a: np.ndarray) -> float:
 
 class ToyProblem(SaddleProblem):
     def __init__(self, a_matrix, nu: float = 0.0):
-        a = np.asarray(a_matrix, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("a_matrix must be 2-d")
         if nu < 0:
             raise ValueError("nu must be nonnegative")
-        d, n = a.shape
-        singular = np.linalg.svd(a, compute_uv=False)
-        if singular[-1] <= 1e-8 * singular[0]:
-            raise RankDeficientError("a_matrix must have full row rank")
-        self.a = a
+        self._projector = PolytopeProjector(a_matrix)  # rejects A without full row rank
+        self.a = self._projector.a
         self.nu = float(nu)
-        self.dim_x = d
-        self.dim_y = n
-        self.constants = ProblemConstants(l_yx=spectral_norm(a), l_yy=0.0, mu=0.0, nu=self.nu)
-        self._projector = PolytopeProjector(a)
+        self.dim_x, self.dim_y = self.a.shape
+        self.constants = ProblemConstants(l_yx=spectral_norm(self.a), l_yy=0.0, mu=0.0, nu=self.nu)
 
     def grad_y(self, x, y):
         return self.a.T @ np.maximum(x, 0.0)
@@ -111,13 +99,12 @@ class ToyProblem(SaddleProblem):
         """``x* = -e`` always; ``y* = 0`` for ``nu > 0``, otherwise a unit
         vector with ``A y* > 0`` from the min-norm point of ``{A y >= e}``:
         the projection of 0 by the cone projector's dual kernel with
-        ``h = e``, where every row starts violated and so free (the dense
-        QP only on a stall, with a warning)."""
+        ``h = e``, where every row starts violated and so free."""
         x_star = -np.ones(self.dim_x)
         if self.nu > 0:
             return x_star, np.zeros(self.dim_y)
-        y = project_polyhedron(self.a, self._projector.gram, np.zeros(self.dim_y),
-                               np.ones(self.dim_x))
+        lam = solve_polytope_dual(self._projector.gram, -np.ones(self.dim_x))
+        y = self.a.T @ lam
         return x_star, y / np.linalg.norm(y)
 
 

@@ -2,15 +2,14 @@
 
 The closed-form operators (simplex, box-and-hyperplane, scaled positive
 part) are exact finite algorithms.  Projections onto polyhedra
-``{y : A y >= h}`` (the cone projector, and the cone toy problem's
-saddle point) share one dual active-set kernel that is fast
-enough for solver inner loops.  The dense QP route (:func:`project_polytope`)
-is the test oracle and the kernel's only fallback, taken with a
-:class:`ProjectionFallbackWarning` when pivoting stalls.
+``{y : A y >= h}`` with full-row-rank ``A`` (the cone projector, and the
+cone toy problem's saddle point) go through one dual active-set kernel,
+:func:`solve_polytope_dual`, which is finite on such data.  The dense QP
+route (:func:`project_polytope`) has no run-time caller: it is the test
+oracle for the cone projector.
 """
 
 import bisect
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,11 +22,9 @@ __all__ = [
     "BoxHyperplaneSet",
     "PolytopeSet",
     "PolytopeProjector",
-    "ProjectionFallbackWarning",
     "project_simplex",
     "project_box_hyperplane",
     "project_polytope",
-    "project_polyhedron",
     "solve_polytope_dual",
     "prox_positive_part_scaled",
     "prox_oracle",
@@ -38,8 +35,8 @@ class InfeasibleSetError(ValueError):
     """The constraint set is empty."""
 
 
-class ProjectionFallbackWarning(RuntimeWarning):
-    """Dual pivoting stalled, so a projection went through the dense QP."""
+class RankDeficientError(ValueError):
+    """The constraint matrix does not have full row rank."""
 
 
 def _as_vector(v, name: str = "v") -> np.ndarray:
@@ -140,21 +137,17 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolytopeSet:
-    """Polyhedron ``{y : A y >= offset}``; ``offset`` is a scalar or one
-    value per row, and the default 0 gives a cone."""
+    """Cone ``{y : A y >= 0}``."""
 
     a_matrix: np.ndarray
-    offset: np.ndarray | float = 0.0
 
     def __post_init__(self):
         a = np.asarray(self.a_matrix, dtype=float)
         if a.ndim != 2 or a.size == 0:
             raise ValueError("a_matrix must be a nonempty 2-d array")
-        h = np.broadcast_to(np.asarray(self.offset, dtype=float), a.shape[:1]).copy()
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(h))):
-            raise ValueError("a_matrix and offset must be finite")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("a_matrix must be finite")
         object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "offset", h)
 
     @property
     def dim(self) -> int:
@@ -162,30 +155,30 @@ class PolytopeSet:
 
 
 def project_polytope(s: PolytopeSet, v) -> np.ndarray:
-    """Projection onto ``{y : A y >= h}`` through the dense QP solver,
-    started at the least-norm point of ``{A y = h}`` (the origin for h = 0)."""
+    """Projection onto the cone ``{y : A y >= 0}`` through the dense QP
+    solver, started at the origin: the test oracle for the cone projector."""
     w = _as_vector(v)
     if w.size != s.dim:
         raise ValueError("dimension mismatch with polytope")
-    problem = QpProblem(q_matrix=np.eye(s.dim), q_vector=-w,
-                        ineq_matrix=s.a_matrix, ineq_vector=s.offset)
-    start = np.linalg.lstsq(s.a_matrix, s.offset, rcond=None)[0]
-    # with h > 0 the origin is cut off; starting all rows active saves most QP iterations
-    active = tuple(range(s.offset.size)) if np.any(s.offset > 0.0) else ()
-    result = solve_qp(problem, tol=1e-10, start=start, initial_active=active)
+    problem = QpProblem(q_matrix=np.eye(s.dim), q_vector=-w, ineq_matrix=s.a_matrix,
+                        ineq_vector=np.zeros(s.a_matrix.shape[0]))
+    result = solve_qp(problem, tol=1e-10, start=np.zeros(s.dim))
     if result.status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polytope projection QP ended with status {result.status}")
     return result.x
 
 
-def solve_polytope_dual(gram, c) -> np.ndarray | None:
+def solve_polytope_dual(gram, c) -> np.ndarray:
     """Dual active-set kernel for projecting ``w`` onto ``{y : A y >= h}``.
 
     Solves ``min_{lam >= 0} 0.5 lam' G lam + c' lam`` with ``G = A A'`` and
     ``c = A w - h`` (the projection is ``w + A' lam``) by the block pivoting
     of Portugal--Judice--Vicente with Murty's single-exchange safeguard,
-    started with the violated rows ``c < 0`` free.  Returns ``lam``, or
-    ``None`` when pivoting stalls.  The arguments are not modified.
+    started with the violated rows ``c < 0`` free, and returns ``lam``.
+    ``G`` must be positive definite (``A`` of full row rank): then every
+    principal block is nonsingular, the LCP matrix is a P-matrix and the
+    safeguard makes pivoting finite (Murty 1974).  Past ``10 + 3d`` pivots
+    it raises ``RuntimeError``.  The arguments are not modified.
     """
     d = c.size
     eps = 1e-12 * max(1.0, float(np.max(np.abs(c))))
@@ -197,10 +190,7 @@ def solve_polytope_dual(gram, c) -> np.ndarray | None:
         lam.fill(0.0)
         idx = np.flatnonzero(free)
         if idx.size:
-            try:
-                lam[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], -c[idx])
-            except np.linalg.LinAlgError:
-                return None
+            lam[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], -c[idx])
         slack = gram @ lam + c
         # negative free multipliers and violated bound rows
         bad = np.where(free, lam, slack) < -eps
@@ -217,38 +207,35 @@ def solve_polytope_dual(gram, c) -> np.ndarray | None:
             free[last] = not free[last]
             continue
         free ^= bad
-    return None
-
-
-def project_polyhedron(a, gram, w, h=0.0) -> np.ndarray:
-    """Projection of ``w`` onto ``{y : A y >= h}`` by
-    :func:`solve_polytope_dual` on ``gram = A A'``.  A stall warns and
-    returns the :func:`project_polytope` answer."""
-    c = a @ w - h
-    if np.all(c >= 0.0):
-        return w.copy()
-    lam = solve_polytope_dual(gram, c)
-    if lam is None:
-        warnings.warn("dual pivoting stalled; projecting through the dense QP",
-                      ProjectionFallbackWarning, stacklevel=3)
-        return project_polytope(PolytopeSet(a, h), w)
-    return w + a.T @ lam
+    raise RuntimeError(f"dual pivoting did not finish in {10 + 3 * d} pivots")
 
 
 class PolytopeProjector:
     """Projection onto the cone ``{y : A y >= 0}`` for hot loops:
-    :func:`project_polyhedron` with the Gram matrix formed once.  It holds
+    :func:`solve_polytope_dual` with the Gram matrix formed once.  ``A``
+    must have full row rank, which is checked here.  The projector holds
     no state between calls, so one projector is safe to share."""
 
     def __init__(self, a_matrix):
         a = np.asarray(a_matrix, dtype=float)
         if a.ndim != 2:
             raise ValueError("a_matrix must be 2-d")
+        d, n = a.shape
+        if d > n:
+            raise ValueError(f"a_matrix has more rows than columns ({d} > {n}),"
+                             " so its row rank cannot be full")
+        singular = np.linalg.svd(a, compute_uv=False)
+        if singular[-1] <= 1e-8 * singular[0]:
+            raise RankDeficientError("a_matrix must have full row rank")
         self.a = a
         self.gram = a @ a.T
 
     def project(self, v) -> np.ndarray:
-        return project_polyhedron(self.a, self.gram, np.asarray(v, dtype=float))
+        w = np.asarray(v, dtype=float)
+        c = self.a @ w
+        if np.all(c >= 0.0):
+            return w.copy()
+        return w + self.a.T @ solve_polytope_dual(self.gram, c)
 
 
 def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:

@@ -7,15 +7,29 @@ from ogaprox.problem import ProblemConstants, PsiUndefinedError, validate_proble
 from ogaprox.problems import (
     BilinearProblem,
     QuadraticSaddleProblem,
+    ToyProblem,
     random_toy_problem,
 )
-from ogaprox.prox import ProjectionFallbackWarning, prox_oracle
+from ogaprox.prox import RankDeficientError, prox_oracle
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 
 
 def _toy(rng, d=6, n=9, nu=0.0):
     return random_toy_problem(d, n, nu, rng)
+
+
+def test_toy_rejects_a_without_full_row_rank():
+    rng = make_rng(23, 0)
+    a = rng.uniform(-3, 3, (5, 3))
+    with pytest.raises(ValueError) as info:
+        ToyProblem(a)  # more rows than columns: rank 3 < 5
+    assert not isinstance(info.value, RankDeficientError)
+    with pytest.raises(ValueError) as info:
+        random_toy_problem(5, 3, 0.0, rng)  # no redraw can help
+    assert not isinstance(info.value, RankDeficientError)
+    with pytest.raises(RankDeficientError):
+        ToyProblem(np.vstack([a.T, a.T[1]]))  # a repeated row
 
 
 # -- toy gradient and prox ---------------------------------------------------
@@ -107,17 +121,6 @@ def _qp_saddle_y(p):
 def test_toy_saddle_matches_qp_route_full_size(seed):
     p = random_toy_problem(250, 350, 0.0, make_rng(seed, 0))
     np.testing.assert_allclose(p.saddle_point()[1], _qp_saddle_y(p), atol=1e-9)
-
-
-def test_toy_saddle_stall_falls_back_to_qp_with_warning(monkeypatch):
-    import ogaprox.prox as prox_module
-
-    p = _toy(make_rng(44, 0))
-    monkeypatch.setattr(prox_module, "solve_polytope_dual", lambda gram, c: None)
-    with pytest.warns(ProjectionFallbackWarning):
-        _, y_star = p.saddle_point()
-    np.testing.assert_allclose(y_star, _qp_saddle_y(p), atol=1e-9)
-    assert np.min(p.a @ y_star) > 0
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3])

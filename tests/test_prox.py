@@ -6,7 +6,7 @@ from ogaprox.prox import (
     InfeasibleSetError,
     PolytopeProjector,
     PolytopeSet,
-    ProjectionFallbackWarning,
+    RankDeficientError,
     project_box_hyperplane,
     project_polytope,
     project_simplex,
@@ -162,7 +162,7 @@ def test_fast_projector_matches_qp_route():
     projector = PolytopeProjector(a)
     for _ in range(25):
         v = rng.standard_normal(9) * rng.uniform(0.5, 8.0)
-        fast = projector.project(v)  # consecutive calls reuse the warm support
+        fast = projector.project(v)
         slow = project_polytope(s, v)
         np.testing.assert_allclose(fast, slow, atol=1e-8)
         assert np.min(a @ fast) >= -1e-9
@@ -170,8 +170,8 @@ def test_fast_projector_matches_qp_route():
 
 @pytest.mark.parametrize("scale", [1e3, 1e6])
 def test_polytope_qp_route_at_large_scale(scale):
-    # the fallback's QP judges its KKT residuals relative to the data, so
-    # large inputs still reach OPTIMAL and agree with the dual kernel
+    # the QP judges its KKT residuals relative to the data, so large
+    # inputs still reach OPTIMAL and agree with the dual kernel
     rng = make_rng(8, 18)
     for _ in range(10):
         a = rng.standard_normal((20, 30))
@@ -201,7 +201,6 @@ def _qp_projection(a, h, w):
 
 def _kernel_projection(a, h, w):
     lam = solve_polytope_dual(a @ a.T, a @ w - h)
-    assert lam is not None, "pivoting stalled"
     assert np.all(lam >= 0.0)
     return w + a.T @ lam
 
@@ -262,18 +261,20 @@ def test_polytope_kernel_leaves_arguments_alone():
         np.testing.assert_array_equal(before, after)
 
 
-def test_projector_stall_falls_back_to_qp_with_warning(monkeypatch):
-    import ogaprox.prox as prox_module
+def test_polytope_kernel_raises_at_its_pivot_cap():
+    # not a P-matrix: the LCP has no solution and pivoting cycles
+    gram = np.array([[1.0, -2.0], [-2.0, 1.0]])
+    with pytest.raises(RuntimeError, match="pivots"):
+        solve_polytope_dual(gram, np.array([-1.0, -1.0]))
 
-    rng = make_rng(19, 0)
-    a = rng.uniform(-3, 3, (5, 8))
-    projector = PolytopeProjector(a)
-    v = rng.standard_normal(8) * 4
-    assert np.min(a @ v) < 0  # the kernel runs, not the feasible shortcut
-    monkeypatch.setattr(prox_module, "solve_polytope_dual", lambda gram, c: None)
-    with pytest.warns(ProjectionFallbackWarning):
-        out = projector.project(v)
-    np.testing.assert_allclose(out, _qp_projection(a, 0.0, v), atol=1e-9)
+
+def test_projector_rejects_a_without_full_row_rank():
+    a = make_rng(19, 0).uniform(-3, 3, (4, 7))
+    with pytest.raises(RankDeficientError):
+        PolytopeProjector(np.vstack([a, a[1]]))
+    with pytest.raises(ValueError) as info:
+        PolytopeProjector(a.T)  # more rows than columns
+    assert not isinstance(info.value, RankDeficientError)
 
 
 # -- scaled positive part ---------------------------------------------------

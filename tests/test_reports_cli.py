@@ -116,6 +116,19 @@ def test_cli_missing_dataset_is_runtime_error(tmp_path):
     assert main(["mksvm", "--config", str(cfg)]) == 1
 
 
+def test_cli_unknown_dataset_without_path_names_it(tmp_path, capsys):
+    cfg = tmp_path / "iris.cfg"
+    cfg.write_text("dataset = iris\n")
+    assert main(["mksvm", "--config", str(cfg)]) == 2
+    assert "unknown dataset 'iris'" in capsys.readouterr().err
+
+
+def test_cli_toy_with_more_rows_than_columns_is_validation_error(tmp_path):
+    cfg = tmp_path / "tall.cfg"
+    cfg.write_text("d = 5\nn = 3\niters = 10\n")
+    assert main(["toy", "--config", str(cfg)]) == 2
+
+
 def test_cli_bad_config_is_validation_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dataset = not-a-dataset\npath = x\n")
