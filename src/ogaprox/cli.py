@@ -8,10 +8,13 @@ One verb per experiment plus a library self-check::
     ogaprox mksvm     --config FILE [--seed N] [--out DIR]
     ogaprox fairness  --config FILE [--seed N] [--out DIR]
 
-Config files are flat ``key = value`` text ('#' starts a comment); the
-keys each verb reads are listed in its handler below and in the README.
-Exit codes: 0 on success, 2 when validation fails (or a config value is
-rejected), 1 on runtime errors.
+Config files are flat ``key = value`` text ('#' starts a comment).  Each
+key a handler below reads is a keyword of its experiment driver (``iters``
+is ``max_iter``); a key that is not set takes the driver's default, and
+the driver checks every value.  The CLI's own keys are ``dataset``,
+``path`` and ``data_dir`` (default ``data``); toy runs both nu = 0 and 0.3
+unless ``nu`` is set.  Exit codes: 0 on success, 2 when validation fails
+or a config value is rejected, 1 on runtime errors.
 """
 
 import argparse
@@ -20,7 +23,6 @@ from pathlib import Path
 
 from .datasets import DATASET_FORMATS, DatasetSpec, UnknownDatasetError, load_dataset
 from .experiments import (
-    MKSVM_VARIANTS,
     fairness_experiment,
     mksvm_experiment,
     synthetic_experiment,
@@ -48,14 +50,19 @@ def parse_config(path: str | None) -> dict[str, str]:
     return values
 
 
-def _get(cfg, key, cast, default):
-    if key not in cfg:
-        return default
-    return cast(cfg[key])
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _options(cfg, casts) -> dict:
+    """Driver keywords for the config keys that are set; ``casts`` maps a key
+    to its cast, or to ``(keyword, cast)`` where the names differ."""
+    options = {}
+    for key, spec in casts.items():
+        if key in cfg:
+            keyword, cast = spec if isinstance(spec, tuple) else (key, spec)
+            options[keyword] = cast(cfg[key])
+    return options
 
 
 def _write_reports(out_dir: str | None, named_reports: dict) -> None:
@@ -70,44 +77,32 @@ def _write_reports(out_dir: str | None, named_reports: dict) -> None:
 
 
 def _cmd_validate(cfg, seed, out_dir) -> int:
-    trials = _get(cfg, "trials", int, 1000)
-    ok, lines = validation_experiment(seed=seed, trials=trials)
+    ok, lines = validation_experiment(seed=seed, **_options(cfg, {"trials": int}))
     for line in lines:
         print(line)
     return 0 if ok else 2
 
 
 def _cmd_toy(cfg, seed, out_dir) -> int:
-    d = _get(cfg, "d", int, 250)
-    n = _get(cfg, "n", int, 350)
-    max_iter = _get(cfg, "iters", int, 10_000)
-    nu = _get(cfg, "nu", float, None)
-    checkpoints = _get(cfg, "checkpoints", _int_list, None)
-    tau0 = _get(cfg, "tau0", float, None)
-    sigma0 = _get(cfg, "sigma0", float, None)
-    nus = [nu] if nu is not None else [0.0, 0.3]
+    options = _options(cfg, {"d": int, "n": int, "iters": ("max_iter", int),
+                             "checkpoints": _int_list, "tau0": float, "sigma0": float})
+    nus = [float(cfg["nu"])] if "nu" in cfg else [0.0, 0.3]
     reports = {}
     for value in nus:
-        outcome = toy_experiment(seed=seed, nu=value, d=d, n=n, max_iter=max_iter,
-                                 checkpoints=list(checkpoints) if checkpoints else None,
-                                 tau0=tau0, sigma0=sigma0)
+        outcome = toy_experiment(seed=seed, nu=value, **options)
         tag = f"toy_nu{str(value).replace('.', '-')}"
         reports[tag] = outcome.report
         final = outcome.report.records[-1] if outcome.report.records else None
         gap = f"{final.gap:.3e}" if final else "n/a"
-        print(f"{tag}: {max_iter} iterations in {outcome.elapsed:.1f}s, final gap {gap}")
+        print(f"{tag}: {outcome.report.config['max_iter']} iterations in "
+              f"{outcome.elapsed:.1f}s, final gap {gap}")
     _write_reports(out_dir, reports)
     return 0
 
 
 def _cmd_synthetic(cfg, seed, out_dir) -> int:
-    outcome = synthetic_experiment(
-        seed=seed,
-        dim=_get(cfg, "dim", int, 40),
-        max_iter=_get(cfg, "iters", int, 500),
-        theta=_get(cfg, "theta", float, 0.9),
-        record_every=_get(cfg, "record_every", int, 1),
-    )
+    outcome = synthetic_experiment(seed=seed, **_options(
+        cfg, {"dim": int, "iters": ("max_iter", int), "theta": float, "record_every": int}))
     status = "holds" if outcome.certificate_ok else "VIOLATED"
     print(f"synthetic: linear certificate {status} "
           f"(max lhs/bound {outcome.max_ratio:.3f}) in {outcome.elapsed:.2f}s")
@@ -123,34 +118,16 @@ def _dataset_from_cfg(cfg, default_name=None):
         raise UnknownDatasetError(f"unknown dataset {name!r}")
     path = cfg.get("path")
     if path is None:
-        data_dir = cfg.get("data_dir", "data")
-        filename = {
-            "breast-cancer": "breast-cancer-wisconsin.data",
-            "heart-disease": "heart.dat",
-            "ionosphere": "ionosphere.data",
-            "sonar": "sonar.all-data",
-        }[name]
-        path = str(Path(data_dir) / filename)
+        path = str(Path(cfg.get("data_dir", "data")) / DATASET_FORMATS[name].filename)
     return load_dataset(DatasetSpec(name=name, path=path))
 
 
 def _cmd_mksvm(cfg, seed, out_dir) -> int:
     data = _dataset_from_cfg(cfg)
-    variant = cfg.get("variant", "c1")
-    if variant not in MKSVM_VARIANTS:
-        print(f"unknown variant {variant!r}", file=sys.stderr)
-        return 2
-    outcome = mksvm_experiment(
-        data,
-        variant=variant,
-        seed=seed,
-        runs=_get(cfg, "runs", int, 12),
-        checkpoints=_get(cfg, "checkpoints", _int_list, (250, 500, 1000, 1500, 2000)),
-        box_c=_get(cfg, "box_c", float, 1.0),
-        split_fraction=_get(cfg, "split_fraction", float, 0.8),
-        tau0=_get(cfg, "tau0", float, None),
-        sigma0=_get(cfg, "sigma0", float, None),
-    )
+    outcome = mksvm_experiment(data, seed=seed, **_options(cfg, {
+        "variant": str, "runs": int, "checkpoints": _int_list, "box_c": float,
+        "split_fraction": float, "tau0": float, "sigma0": float}))
+    variant = outcome.report.config["variant"]
     for k, tsa in outcome.aggregated.items():
         print(f"{data.name} {variant} k={k}: TSA {tsa:.2f}")
     print(f"({outcome.elapsed:.1f}s over {len(outcome.per_run)} runs)")
@@ -160,20 +137,14 @@ def _cmd_mksvm(cfg, seed, out_dir) -> int:
 
 def _cmd_fairness(cfg, seed, out_dir) -> int:
     data = _dataset_from_cfg(cfg, default_name="heart-disease")
-    grouping = cfg.get("grouping", "sex")
-    outcome = fairness_experiment(
-        data,
-        grouping=grouping,
-        seed=seed,
-        partitions=_get(cfg, "partitions", int, 5),
-        checkpoints=_get(cfg, "checkpoints", _int_list, (100, 500, 1000)),
-        split_fraction=_get(cfg, "split_fraction", float, 0.8),
-    )
+    outcome = fairness_experiment(data, seed=seed, **_options(cfg, {
+        "grouping": str, "partitions": int, "checkpoints": _int_list,
+        "split_fraction": float}))
     for k in sorted(outcome.with_fairness):
         cell = outcome.with_fairness[k]
         plain = outcome.without_fairness[k]
         print(f"k={k}: overall with {cell['overall']:.2f} / without {plain['overall']:.2f}")
-    _write_reports(out_dir, {f"fairness_{grouping}": outcome.report})
+    _write_reports(out_dir, {f"fairness_{outcome.report.config['grouping']}": outcome.report})
     return 0
 
 

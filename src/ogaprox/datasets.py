@@ -42,6 +42,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetFormat:
+    filename: str  # name of the file as distributed by the UCI repository
     label_column: int
     label_map: dict
     drop_columns: tuple[int, ...] = ()
@@ -52,18 +53,20 @@ class DatasetFormat:
 DATASET_FORMATS = {
     # id column dropped; labels 2 = benign, 4 = malignant; '?' marks missing
     "breast-cancer": DatasetFormat(
-        label_column=10, label_map={"2": -1.0, "4": 1.0},
-        drop_columns=(0,), missing_marker="?", n_columns=11,
+        filename="breast-cancer-wisconsin.data", label_column=10,
+        label_map={"2": -1.0, "4": 1.0}, drop_columns=(0,), missing_marker="?", n_columns=11,
     ),
     # 13 features then the class (1 = absence, 2 = presence)
     "heart-disease": DatasetFormat(
-        label_column=13, label_map={"1": -1.0, "2": 1.0}, n_columns=14,
+        filename="heart.dat", label_column=13, label_map={"1": -1.0, "2": 1.0}, n_columns=14,
     ),
     "ionosphere": DatasetFormat(
-        label_column=34, label_map={"b": -1.0, "g": 1.0}, n_columns=35,
+        filename="ionosphere.data", label_column=34, label_map={"b": -1.0, "g": 1.0},
+        n_columns=35,
     ),
     "sonar": DatasetFormat(
-        label_column=60, label_map={"R": -1.0, "M": 1.0}, n_columns=61,
+        filename="sonar.all-data", label_column=60, label_map={"R": -1.0, "M": 1.0},
+        n_columns=61,
     ),
 }
 

@@ -2,10 +2,11 @@
 multi-kernel SVM training and minimax-fair classification.
 
 Each driver is a pure function of (data, options, seed) returning
-:class:`~ogaprox.report.RunReport` objects; the CLI is a thin wrapper
-that parses a config file and writes the reports out.  All randomness is
-drawn from per-(experiment, run) Philox streams, so a seed reproduces
-every output bit-exactly.
+:class:`~ogaprox.report.RunReport` objects.  The drivers own their
+defaults and check their options; the CLI is a thin wrapper that maps
+config keys to driver keywords and writes the reports out.  All
+randomness is drawn from per-(experiment, run) Philox streams, so a seed
+reproduces every output bit-exactly.
 """
 
 import time
@@ -73,6 +74,20 @@ def log_checkpoints(max_iter: int) -> list[int]:
     return [int(k) for k in grid if 1 <= k <= max_iter]
 
 
+def _at_least_one(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _sorted_checkpoints(checkpoints) -> tuple[int, ...]:
+    """Ascending checkpoints; rejects an empty list and counts below 1."""
+    marks = tuple(sorted(checkpoints))
+    if not marks or marks[0] < 1:
+        raise ValueError(f"checkpoints must be one or more counts >= 1, got {list(marks)}")
+    return marks
+
+
 # -- toy problem -------------------------------------------------------------
 
 @dataclass
@@ -104,6 +119,8 @@ def toy_experiment(
     Two calls with the same seed but different ``nu`` share the instance
     and the starting points (the draws come first in the stream).
     """
+    marks = set(log_checkpoints(max_iter) if checkpoints is None
+                else _sorted_checkpoints(checkpoints))
     rng = experiment_rng(seed, "toy", 0)
     problem = random_toy_problem(d, n, nu, rng)
     x0 = rng.uniform(-5.0, 5.0, d)
@@ -129,7 +146,6 @@ def toy_experiment(
         kind = default_constant(problem.constants, tau0=tau0, sigma0=sigma0)
         sched0 = (kind.tau, kind.sigma)
     d0 = initial_distance(saddle, x0, y0, *sched0)
-    marks = set(checkpoints if checkpoints is not None else log_checkpoints(max_iter))
 
     def metrics(k, state, sched):
         if k not in marks:
@@ -186,6 +202,7 @@ def synthetic_experiment(
     own value at a point 16 ulps from the saddle point, once the bound
     falls below it.
     """
+    _at_least_one(dim=dim, record_every=record_every)
     rng = experiment_rng(seed, "synthetic", 0)
     a = rng.standard_normal((dim, dim))
     a /= np.linalg.svd(a, compute_uv=False)[0]
@@ -281,7 +298,8 @@ def mksvm_experiment(
     if variant not in MKSVM_VARIANTS:
         raise ValueError(f"variant must be one of {sorted(MKSVM_VARIANTS)}")
     mu, nu = MKSVM_VARIANTS[variant]["mu"], MKSVM_VARIANTS[variant]["nu"]
-    checkpoints = tuple(sorted(checkpoints))
+    _at_least_one(runs=runs)
+    checkpoints = _sorted_checkpoints(checkpoints)
     max_iter = checkpoints[-1]
     kernels = _build_kernels(data.features)
     traces = np.array([np.trace(k) for k in kernels])
@@ -384,7 +402,8 @@ def fairness_experiment(
         raise ValueError(f"dataset has no grouping {grouping!r}")
     group_vector = data.groups[grouping]
     group_ids = [int(g) for g in np.unique(group_vector)]
-    checkpoints = tuple(sorted(checkpoints))
+    _at_least_one(partitions=partitions)
+    checkpoints = _sorted_checkpoints(checkpoints)
     max_iter = checkpoints[-1]
 
     started = time.perf_counter()

@@ -125,9 +125,13 @@ class SaddleProblem(abc.ABC):
         raise NotImplementedError
 
     def check_start(self, x0: np.ndarray, y0: np.ndarray) -> None:
-        """Raise ``ValueError`` if ``(x0, y0)`` is not a valid starting pair."""
+        """Raise ``ValueError`` if ``(x0, y0)`` is not a valid starting pair:
+        the shapes must match and ``y0`` must lie in dom g, which is checked
+        when the problem implements :meth:`g_value`."""
         if np.shape(x0) != (self.dim_x,) or np.shape(y0) != (self.dim_y,):
             raise ValueError("starting point dimensions do not match the problem")
+        if type(self).g_value is not SaddleProblem.g_value and self.g_value(y0) == np.inf:
+            raise ValueError("y0 must lie in dom g")
 
 
 @dataclass(frozen=True)

@@ -134,11 +134,6 @@ class FairnessProblem(SaddleProblem):
     def sample_point(self, rng):
         return rng.standard_normal(self.dim_x), rng.dirichlet(np.ones(self.dim_y))
 
-    def check_start(self, x0, y0):
-        super().check_start(x0, y0)
-        if self.g_value(y0) == np.inf:
-            raise ValueError("y0 must lie on the probability simplex")
-
     def accuracy(self, x, features, labels) -> float:
         """Percent of points with ``sign(a'x)`` matching the label; sign(0) -> +1."""
         scores = np.asarray(features, float) @ np.asarray(x, float)

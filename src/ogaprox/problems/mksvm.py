@@ -160,8 +160,6 @@ class MkSvmProblem(SaddleProblem):
     def check_start(self, x0, y0):
         super().check_start(x0, y0)
         self._check_simplex(x0)
-        if self.g_value(y0) == np.inf:
-            raise ValueError("y0 must lie in the box-hyperplane set")
 
 
 @dataclass(frozen=True)

@@ -90,11 +90,6 @@ class ToyProblem(SaddleProblem):
         y = self._projector.project(rng.uniform(-5.0, 5.0, self.dim_y))
         return x, y
 
-    def check_start(self, x0, y0):
-        super().check_start(x0, y0)
-        if self.g_value(y0) == np.inf:
-            raise ValueError("y0 must lie in the cone {A y >= 0}")
-
     def saddle_point(self) -> tuple[np.ndarray, np.ndarray]:
         """``x* = -e`` always; ``y* = 0`` for ``nu > 0``, otherwise a unit
         vector with ``A y* > 0`` from the min-norm point of ``{A y >= e}``:

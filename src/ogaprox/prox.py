@@ -221,6 +221,8 @@ class PolytopeProjector:
         if a.ndim != 2:
             raise ValueError("a_matrix must be 2-d")
         d, n = a.shape
+        if d == 0:
+            raise ValueError("a_matrix has no rows (d = 0)")
         if d > n:
             raise ValueError(f"a_matrix has more rows than columns ({d} > {n}),"
                              " so its row rank cannot be full")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ogaprox.datasets import DatasetSpec, load_dataset
+from ogaprox.datasets import DATASET_FORMATS, DatasetSpec, load_dataset
 from ogaprox.experiments import (
     fairness_experiment,
     mksvm_experiment,
@@ -63,12 +63,6 @@ from ogaprox.solver import SolverState, rate_certificates, run, step
 SEED = 9001
 
 DATA_DIR = Path(os.environ.get("OGAPROX_DATA", Path(__file__).resolve().parent.parent / "data"))
-DATA_FILES = {
-    "breast-cancer": "breast-cancer-wisconsin.data",
-    "heart-disease": "heart.dat",
-    "ionosphere": "ionosphere.data",
-    "sonar": "sonar.all-data",
-}
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -85,7 +79,7 @@ def _slope(records, lo=100, hi=10_000):
 
 
 def _dataset(name: str):
-    path = DATA_DIR / DATA_FILES[name]
+    path = DATA_DIR / DATASET_FORMATS[name].filename
     if not path.exists():
         pytest.skip(
             f"dataset file {path} not present; place the UCI files under "

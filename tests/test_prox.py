@@ -275,6 +275,8 @@ def test_projector_rejects_a_without_full_row_rank():
     with pytest.raises(ValueError) as info:
         PolytopeProjector(a.T)  # more rows than columns
     assert not isinstance(info.value, RankDeficientError)
+    with pytest.raises(ValueError, match=r"d = 0"):
+        PolytopeProjector(np.zeros((0, 7)))
 
 
 # -- scaled positive part ---------------------------------------------------

@@ -1,7 +1,10 @@
 import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
+from ogaprox import cli
 from ogaprox.cli import main, parse_config
 from ogaprox.report import CSV_COLUMNS, MetricRecord, RunReport
 from ogaprox.rng import make_rng
@@ -147,7 +150,7 @@ def test_cli_split_fraction_out_of_range_is_validation_error(tmp_path):
     assert main(["mksvm", "--config", str(cfg)]) == 2
 
 
-def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
+def _heart_file(tmp_path):
     rng = make_rng(101, 0)
     rows = []
     for _ in range(80):
@@ -159,7 +162,11 @@ def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
         rows.append(" ".join(f"{v:.4f}" for v in [age, sex, *rest]) + f" {label}")
     data_path = tmp_path / "heart.dat"
     data_path.write_text("\n".join(rows))
+    return data_path
 
+
+def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
+    data_path = _heart_file(tmp_path)
     cfg = tmp_path / "mksvm.cfg"
     cfg.write_text(
         f"dataset = heart-disease\npath = {data_path}\nruns = 2\n"
@@ -178,6 +185,60 @@ def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
                  "--out", str(tmp_path / "fair")]) == 0
     report = RunReport.from_json((tmp_path / "fair" / "fairness_sex.json").read_text())
     assert "with_fairness" in report.config
+
+
+@pytest.mark.parametrize("verb, line, key", [
+    ("mksvm", "checkpoints =", "checkpoints"),
+    ("mksvm", "checkpoints = 0", "checkpoints"),
+    ("mksvm", "checkpoints = -3, 5", "checkpoints"),
+    ("mksvm", "runs = 0", "runs"),
+    ("fairness", "checkpoints =", "checkpoints"),
+    ("fairness", "checkpoints = 0", "checkpoints"),
+    ("fairness", "partitions = 0", "partitions"),
+    ("synthetic", "dim = 0", "dim"),
+    ("synthetic", "record_every = 0", "record_every"),
+    ("toy", "d = 0", "d"),
+])
+def test_cli_bad_size_is_validation_error_naming_the_key(tmp_path, capsys, verb, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"dataset = heart-disease\npath = {_heart_file(tmp_path)}\n{line}\n")
+    assert main([verb, "--config", str(cfg)]) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+def test_cli_passes_only_the_keys_that_are_set(tmp_path, monkeypatch):
+    """With no driver key in the config, every driver runs on its own defaults."""
+    calls = []
+
+    def fake(name, result):
+        def driver(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return result
+        return driver
+
+    outcome = SimpleNamespace(
+        report=RunReport(config={"max_iter": 1, "variant": "c1", "grouping": "sex"}),
+        elapsed=0.0, certificate_ok=True, max_ratio=0.0, aggregated={}, per_run=[],
+        with_fairness={}, without_fairness={})
+    for name in ("toy_experiment", "synthetic_experiment", "mksvm_experiment",
+                 "fairness_experiment"):
+        monkeypatch.setattr(cli, name, fake(name, outcome))
+    monkeypatch.setattr(cli, "validation_experiment", fake("validation_experiment", (True, [])))
+    data = SimpleNamespace(name="ionosphere")
+    monkeypatch.setattr(cli, "load_dataset", lambda spec: data)
+    mksvm_cfg = tmp_path / "mksvm.cfg"
+    mksvm_cfg.write_text("dataset = ionosphere\n")  # a CLI key, not a driver keyword
+    for verb in ("validate", "toy", "synthetic", "fairness"):
+        assert main([verb, "--seed", "7"]) == 0
+    assert main(["mksvm", "--config", str(mksvm_cfg), "--seed", "7"]) == 0
+    assert calls == [
+        ("validation_experiment", (), {"seed": 7}),
+        ("toy_experiment", (), {"seed": 7, "nu": 0.0}),
+        ("toy_experiment", (), {"seed": 7, "nu": 0.3}),
+        ("synthetic_experiment", (), {"seed": 7}),
+        ("fairness_experiment", (data,), {"seed": 7}),
+        ("mksvm_experiment", (data,), {"seed": 7}),
+    ]
 
 
 def test_run_report_carries_schedule_trace():

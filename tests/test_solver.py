@@ -118,6 +118,9 @@ def test_run_rejects_infeasible_start():
     if p.g_value(y_bad) == np.inf:
         with pytest.raises(ValueError):
             run(p, _constant_for(p), np.zeros(4), y_bad, max_iter=1)
+    boxed = BilinearProblem(np.eye(3), box=(-1.0, 1.0))
+    with pytest.raises(ValueError, match="dom g"):
+        run(boxed, _constant_for(boxed), np.zeros(3), np.full(3, 5.0), max_iter=1)
 
 
 class _PoisonedProblem(SaddleProblem):
