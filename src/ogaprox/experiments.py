@@ -119,8 +119,10 @@ def toy_experiment(
     Two calls with the same seed but different ``nu`` share the instance
     and the starting points (the draws come first in the stream).
     """
-    marks = set(log_checkpoints(max_iter) if checkpoints is None
-                else _sorted_checkpoints(checkpoints))
+    marks = log_checkpoints(max_iter) if checkpoints is None else _sorted_checkpoints(checkpoints)
+    if marks and marks[-1] > max_iter:
+        raise ValueError(f"checkpoints must not exceed max_iter = {max_iter}, got {marks[-1]}")
+    marks = set(marks)
     rng = experiment_rng(seed, "toy", 0)
     problem = random_toy_problem(d, n, nu, rng)
     x0 = rng.uniform(-5.0, 5.0, d)

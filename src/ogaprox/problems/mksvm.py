@@ -122,9 +122,14 @@ class MkSvmProblem(SaddleProblem):
         return 1.0 - x @ my
 
     def prox_phi_x(self, tau, y, x):
+        return self.prox_phi_x_grad(tau, y, x)[0]
+
+    def prox_phi_x_grad(self, tau, y, x):
+        """``prox_phi_x`` and ``grad_y`` at the new pair from one stacked matvec."""
         my = self.m_stack @ y
         xi = 0.5 * (my @ y)
-        return project_simplex((np.asarray(x, float) + tau * xi) / (1.0 + self.mu * tau))
+        x_next = project_simplex((np.asarray(x, float) + tau * xi) / (1.0 + self.mu * tau))
+        return x_next, 1.0 - x_next @ my
 
     def prox_g(self, sigma, v):
         return project_box_hyperplane(self.y_set, np.asarray(v, float) / (1.0 + self.nu * sigma))

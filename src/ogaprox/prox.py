@@ -9,7 +9,6 @@ route (:func:`project_polytope`) has no run-time caller: it is the test
 oracle for the cone projector.
 """
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,33 +105,53 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     dual multiplier ``t`` solving ``r(t) = <y(t), normal> - offset = 0``.
     ``r`` is nonincreasing and piecewise linear with knots where a
     coordinate meets a bound, so an exact breakpoint search (Kiwiel 2008)
-    finds it: a binary search over the sorted knots brackets the root
-    between neighbouring knots, where the free set is fixed and ``r`` is
-    linear, and one division gives ``t``.
+    finds it.  The knots are sorted once with their slope changes
+    (``-normal_i**2`` where coordinate ``i`` leaves a bound, ``+normal_i**2``
+    where it meets the other); cumulative slopes give ``r`` at every knot and
+    so the bracketing knots.  The sums lose digits on wide boxes, so a direct
+    residual on each side confirms the bracket, moving it a knot at a time if
+    needed.  On that segment the free set is fixed and ``r`` is linear, so
+    one division gives ``t``.
     """
     w = _as_vector(v)
     if w.size != s.dim:
         raise ValueError("dimension mismatch with set normal")
     n, lower, upper = s.normal, s.lower, s.upper
     nz = n != 0.0
-    knots = np.unique(np.concatenate(((w[nz] - lower) / n[nz], (w[nz] - upper) / n[nz])))
-    knots = knots[np.isfinite(knots)]  # upper = inf has no upper knots
+    a, b = (w[nz] - lower) / n[nz], (w[nz] - upper) / n[nz]
+    knots = np.concatenate((np.minimum(a, b), np.maximum(a, b)))
+    change = np.concatenate((-n[nz] ** 2, n[nz] ** 2))
+    # an infinite bound has no knot: its coordinates are free from t = -inf
+    # (the running slope starts with them) or up to t = +inf
+    slope0 = float(change[knots == -np.inf].sum())
+    finite = np.isfinite(knots)
+    order = np.argsort(knots[finite])
+    knots, change = knots[finite][order], change[finite][order]
+
+    def y_at(t: float) -> np.ndarray:
+        return np.minimum(np.maximum(w - t * n, lower), upper)
 
     def negative(t: float) -> bool:
-        return float(n @ np.clip(w - t * n, lower, upper)) < s.offset
+        return float(n @ y_at(t)) < s.offset
 
+    steps = (slope0 + np.cumsum(change[:-1])) * np.diff(knots)
+    r = float(n @ y_at(knots[0])) - s.offset + np.concatenate(([0.0], np.cumsum(steps)))
     # first knot with r < 0; the root lies between it and the knot before,
     # or on an open end segment past the first or the last knot
-    j = bisect.bisect_left(knots, True, key=negative)
+    j = int(np.searchsorted(-r, 0.0, side="right"))
+    while j < knots.size and not negative(knots[j]):
+        j += 1
+    while j > 0 and negative(knots[j - 1]):
+        j -= 1
     left = knots[j - 1] if j > 0 else knots[0] - 1.0 - abs(knots[0])
     right = knots[j] if j < knots.size else knots[-1] + 1.0 + abs(knots[-1])
     t = 0.5 * (left + right)
-    y = np.clip(w - t * n, lower, upper)
+    y = y_at(t)
     free = (y > lower) & (y < upper)
     slope = float(n[free] @ n[free])
     if slope > 0.0:  # otherwise r is constant (zero) on the segment and any t in it is a root
         t = (float(n @ np.where(free, w, y)) - s.offset) / slope
-    return np.clip(w - t * n, lower, upper)
+    return y_at(t)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ for the linear one, where the ratio identity would be wrong).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .problem import ProblemConstants
 
@@ -233,21 +233,23 @@ def advance_schedule(state: ScheduleState, kind: ScheduleKind,
                      constants: ProblemConstants) -> ScheduleState:
     """State for iteration ``k+1``; accumulates ``t_k`` into ``t_sum``."""
     t_sum = state.t_sum + state.t
+    # built positionally: dataclasses.replace costs several times more per iteration
     if isinstance(kind, ConstantSchedule):
-        return replace(state, t_sum=t_sum, k=state.k + 1,
-                       alpha=kind.c_alpha * state.tau)
+        return ScheduleState(state.theta, state.tau, state.sigma, state.t, t_sum,
+                             kind.c_alpha * state.tau, state.delta, state.k + 1,
+                             state.tau0, state.sigma0)
     if isinstance(kind, AdaptiveSchedule):
         theta = 1.0 / math.sqrt(1.0 + constants.nu * state.sigma)
         tau = state.tau / theta
         # deriving sigma from the invariant tau_k*sigma_k = tau0*sigma0
         # keeps the product exact to one ulp over any horizon
         sigma = (state.tau0 * state.sigma0) / tau
-        return replace(
-            state, theta=theta, tau=tau, sigma=sigma, t=state.t / theta,
-            t_sum=t_sum, alpha=kind.c_alpha * state.tau, k=state.k + 1,
-        )
+        return ScheduleState(theta, tau, sigma, state.t / theta, t_sum,
+                             kind.c_alpha * state.tau, state.delta, state.k + 1,
+                             state.tau0, state.sigma0)
     if isinstance(kind, LinearSchedule):
-        return replace(state, t=state.t / state.theta, t_sum=t_sum, k=state.k + 1)
+        return ScheduleState(state.theta, state.tau, state.sigma, state.t / state.theta, t_sum,
+                             state.alpha, state.delta, state.k + 1, state.tau0, state.sigma0)
     raise TypeError(f"unknown schedule kind {type(kind).__name__}")
 
 

@@ -3,7 +3,10 @@
 One iteration extrapolates the y-gradient with the previous one,
 ``(1 + theta_k) * grad_y(x_k, y_k) - theta_k * grad_y(x_{k-1}, y_{k-1})``,
 takes a prox step of ``g`` in ``y`` and a pure prox step of
-``Phi(., y_{k+1})`` in ``x``.  Ergodic averages are accumulated with the
+``Phi(., y_{k+1})`` in ``x``.  The state carries both gradients: a step
+ends with ``grad_y(x_{k+1}, y_{k+1})``, taken from the problem's optional
+fused oracle ``prox_phi_x_grad`` (x-prox and gradient sharing their work)
+when it has one.  Ergodic averages are accumulated with the
 schedule weights ``t_k`` and normalized only on read, so a common rescale
 of the weights (applied automatically before they overflow on linear
 schedules) leaves them unchanged.
@@ -57,10 +60,12 @@ class NonFiniteIterateError(RuntimeError):
 
 @dataclass
 class SolverState:
-    """Iterates, cached gradient and weighted ergodic accumulators."""
+    """Iterates, ``grad = grad_y(x_k, y_k)``, ``grad_prev =
+    grad_y(x_{k-1}, y_{k-1})`` and weighted ergodic accumulators."""
 
     x: np.ndarray
     y: np.ndarray
+    grad: np.ndarray
     grad_prev: np.ndarray
     erg_x: np.ndarray
     erg_y: np.ndarray
@@ -70,13 +75,10 @@ class SolverState:
     def initial(cls, problem: SaddleProblem, x0, y0) -> "SolverState":
         x0 = np.asarray(x0, dtype=float).copy()
         y0 = np.asarray(y0, dtype=float).copy()
-        # conventions x_{-1} = x_0, y_{-1} = y_0: the cached gradient starts
-        # at grad_y(x_0, y_0), so the first extrapolation is plain
-        return cls(
-            x=x0, y=y0,
-            grad_prev=problem.grad_y(x0, y0),
-            erg_x=np.zeros_like(x0), erg_y=np.zeros_like(y0), k=0,
-        )
+        # conventions x_{-1} = x_0, y_{-1} = y_0: both gradients start at
+        # grad_y(x_0, y_0), so the first extrapolation is plain
+        grad = problem.grad_y(x0, y0)
+        return cls(x0, y0, grad, grad, np.zeros_like(x0), np.zeros_like(y0), 0)
 
     def ergodic(self, t_sum: float) -> tuple[np.ndarray, np.ndarray]:
         if t_sum <= 0:
@@ -84,24 +86,28 @@ class SolverState:
         return self.erg_x / t_sum, self.erg_y / t_sum
 
 
+def _finite(v: np.ndarray) -> bool:
+    # one dot product; a large finite vector can overflow it, so confirm exactly
+    return math.isfinite(float(v @ v)) or bool(np.isfinite(v).all())
+
+
 def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> SolverState:
     """One iteration at the parameters of ``sched``; returns a new state."""
-    grad_cur = problem.grad_y(state.x, state.y)
     v = state.y + sched.sigma * (
-        (1.0 + sched.theta) * grad_cur - sched.theta * state.grad_prev
+        (1.0 + sched.theta) * state.grad - sched.theta * state.grad_prev
     )
     y_next = problem.prox_g(sched.sigma, v)
-    x_next = problem.prox_phi_x(sched.tau, y_next, state.x)
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(y_next))):
+    fused = getattr(problem, "prox_phi_x_grad", None)
+    if fused is None:
+        x_next, grad = problem.prox_phi_x(sched.tau, y_next, state.x), None
+    else:
+        x_next, grad = fused(sched.tau, y_next, state.x)
+    if not (_finite(x_next) and _finite(y_next)):
         raise NonFiniteIterateError(state.k + 1)
-    return SolverState(
-        x=x_next,
-        y=y_next,
-        grad_prev=grad_cur,
-        erg_x=state.erg_x + sched.t * x_next,
-        erg_y=state.erg_y + sched.t * y_next,
-        k=state.k + 1,
-    )
+    if grad is None:
+        grad = problem.grad_y(x_next, y_next)
+    return SolverState(x_next, y_next, grad, state.grad, state.erg_x + sched.t * x_next,
+                       state.erg_y + sched.t * y_next, state.k + 1)
 
 
 @dataclass
@@ -148,8 +154,9 @@ def run(
         except NonFiniteIterateError as err:
             err.report = report
             raise
-        report.step_dx.append(float(np.linalg.norm(new_state.x - state.x)))
-        report.step_dy.append(float(np.linalg.norm(new_state.y - state.y)))
+        dx, dy = new_state.x - state.x, new_state.y - state.y
+        report.step_dx.append(math.sqrt(float(dx @ dx)))
+        report.step_dy.append(math.sqrt(float(dy @ dy)))
         report.schedule_trace["theta"].append(sched.theta)
         report.schedule_trace["tau"].append(sched.tau)
         report.schedule_trace["sigma"].append(sched.sigma)

@@ -12,6 +12,8 @@ from ogaprox.problems.mksvm import (
 )
 from ogaprox.prox import project_box_hyperplane, project_simplex, prox_oracle
 from ogaprox.rng import make_rng
+from ogaprox.schedule import default_adaptive, default_constant, default_linear
+from ogaprox.solver import run
 
 
 def _synthetic_instance(rng, n_train=14, n_test=5, m_feat=3):
@@ -30,9 +32,23 @@ def _synthetic_instance(rng, n_train=14, n_test=5, m_feat=3):
     return kernels, train_idx, test_idx, labels, mats
 
 
-def _problem(rng, mu=0.0, nu=0.0):
+def _problem(rng, mu=0.0, nu=0.0, cls=MkSvmProblem):
     _, train_idx, _, labels, mats = _synthetic_instance(rng)
-    return MkSvmProblem(mats, labels[: len(train_idx)], box_c=1.0, mu=mu, nu=nu)
+    return cls(mats, labels[: len(train_idx)], box_c=1.0, mu=mu, nu=nu)
+
+
+class _TwoCallMkSvm(MkSvmProblem):
+    """Hides the fused oracle, so ``run`` calls ``prox_phi_x`` and then ``grad_y``."""
+
+    prox_phi_x_grad = None
+
+    def prox_phi_x(self, tau, y, x):
+        return MkSvmProblem.prox_phi_x_grad(self, tau, y, x)[0]
+
+
+# (mu, nu) and schedule law of the three MKSVM variants c1, a and c2
+_VARIANTS = [(0.0, 0.0, default_constant), (0.0, 0.5, default_adaptive),
+             (1.0, 0.5, default_linear)]
 
 
 def test_normalized_kernels_have_unit_diagonal_trace():
@@ -114,6 +130,45 @@ def test_prox_x_matches_oracle():
     violation = prox_oracle(lambda u: tau * p.phi_value(u, y), x, cand,
                             trials=1000, seed=11)
     assert violation <= 1e-8
+
+
+@pytest.mark.parametrize("mu, nu", [(mu, nu) for mu, nu, _ in _VARIANTS])
+def test_fused_prox_x_grad_equals_the_two_oracles(mu, nu):
+    p = _problem(make_rng(72, 0), mu=mu, nu=nu)
+    rng = make_rng(72, 1)
+    for tau in (0.0, 0.04, 3.0):
+        x, y = p.sample_point(rng)
+        x_next, grad = p.prox_phi_x_grad(tau, y, x)
+        np.testing.assert_array_equal(x_next, p.prox_phi_x(tau, y, x))
+        np.testing.assert_array_equal(grad, p.grad_y(x_next, y))
+
+
+@pytest.mark.parametrize("mu, nu, law", _VARIANTS)
+def test_fused_run_matches_the_two_call_run(mu, nu, law):
+    fused = _problem(make_rng(73, 0), mu=mu, nu=nu)
+    two_call = _problem(make_rng(73, 0), mu=mu, nu=nu, cls=_TwoCallMkSvm)
+    x0, y0 = fused.sample_point(make_rng(73, 1))
+    kind = law(fused.constants)
+    a = run(fused, kind, x0, y0, max_iter=150)
+    b = run(two_call, kind, x0, y0, max_iter=150)
+    for u, v in zip((a.state.x, a.state.y, *a.ergodic()), (b.state.x, b.state.y, *b.ergodic())):
+        np.testing.assert_array_equal(u, v)
+    assert a.report.step_dx == b.report.step_dx
+    assert a.report.step_dy == b.report.step_dy
+
+
+def test_fused_run_evaluates_grad_y_only_at_the_start():
+    p = _problem(make_rng(74, 0), mu=1.0, nu=0.5)
+    x0, y0 = p.sample_point(make_rng(74, 1))
+    calls, grad_y = [], p.grad_y
+
+    def counting(x, y):
+        calls.append((x, y))
+        return grad_y(x, y)
+
+    p.grad_y = counting
+    run(p, default_constant(p.constants), x0, y0, max_iter=30)
+    assert len(calls) == 1
 
 
 def test_prox_g_composition_identity():

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -465,6 +467,65 @@ def test_box_hyperplane_general_sets_match_qp_oracle():
     np.testing.assert_allclose(project_box_hyperplane(feasible, v), v, rtol=0, atol=1e-15)
     simplex, v = degenerate[8]
     np.testing.assert_allclose(project_box_hyperplane(simplex, v), project_simplex(v), atol=1e-15)
+
+
+def _box_hyperplane_bisect(s, v):
+    """The earlier breakpoint search, kept as the slow reference: it finds
+    the bracketing knots by a binary search with one direct residual per
+    probe instead of cumulative slopes."""
+    w = np.asarray(v, dtype=float)
+    n, lower, upper = s.normal, s.lower, s.upper
+    nz = n != 0.0
+    knots = np.unique(np.concatenate(((w[nz] - lower) / n[nz], (w[nz] - upper) / n[nz])))
+    knots = knots[np.isfinite(knots)]  # upper = inf has no upper knots
+
+    def negative(t: float) -> bool:
+        return float(n @ np.clip(w - t * n, lower, upper)) < s.offset
+
+    # first knot with r < 0; the root lies between it and the knot before,
+    # or on an open end segment past the first or the last knot
+    j = bisect.bisect_left(knots, True, key=negative)
+    left = knots[j - 1] if j > 0 else knots[0] - 1.0 - abs(knots[0])
+    right = knots[j] if j < knots.size else knots[-1] + 1.0 + abs(knots[-1])
+    t = 0.5 * (left + right)
+    y = np.clip(w - t * n, lower, upper)
+    free = (y > lower) & (y < upper)
+    slope = float(n[free] @ n[free])
+    if slope > 0.0:  # otherwise r is constant (zero) on the segment and any t in it is a root
+        t = (float(n @ np.where(free, w, y)) - s.offset) / slope
+    return np.clip(w - t * n, lower, upper)
+
+
+def _random_box_hyperplane_cases(count, rng):
+    """Sets with +-1 or Gaussian normals (a fifth of their entries zero),
+    ``upper`` from 0.1 to 1e6 or infinite, and 2 to 300 coordinates."""
+    uppers = (0.1, 1.0, 10.0, 1e3, 1e6, np.inf)
+    cases = []
+    for trial in range(count):
+        n = int(rng.integers(2, 301))
+        if trial % 2:
+            normal = rng.standard_normal(n)
+            normal[rng.uniform(size=n) < 0.2] = 0.0
+        else:
+            normal = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+        normal[0] = normal[0] or 1.0
+        upper = uppers[trial % len(uppers)]
+        # offset 0 as in the SVM dual, or <normal, y> at a random point of the box
+        inside = rng.uniform(0.0, min(upper, 1e3), n)
+        offset = 0.0 if trial % 4 < 2 else float(normal @ inside)
+        scale = min(upper, 1e6) * 10.0 ** rng.uniform(-1.0, 2.0)
+        cases.append((BoxHyperplaneSet(lower=0.0, upper=upper, normal=normal, offset=offset),
+                      rng.standard_normal(n) * scale))
+    return cases
+
+
+def test_box_hyperplane_matches_the_bisection_search():
+    # the cumulative slopes lose digits on wide boxes; these sets include
+    # ones where the direct residuals have to move the bracket
+    cases = _random_box_hyperplane_cases(2000, make_rng(16, 25)) + _degenerate_box_hyperplane_cases()
+    for i, (s, v) in enumerate(cases):
+        np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v),
+                                      err_msg=str(i))
 
 
 def test_oracle_flags_wrong_projection():

@@ -198,6 +198,7 @@ def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
     ("synthetic", "dim = 0", "dim"),
     ("synthetic", "record_every = 0", "record_every"),
     ("toy", "d = 0", "d"),
+    ("toy", "d = 5\nn = 8\niters = 50\ncheckpoints = 100", "checkpoints"),
 ])
 def test_cli_bad_size_is_validation_error_naming_the_key(tmp_path, capsys, verb, line, key):
     cfg = tmp_path / "bad.cfg"

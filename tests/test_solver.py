@@ -50,6 +50,23 @@ def test_first_step_uses_plain_gradient():
     np.testing.assert_allclose(new.y, np.clip(v_expected, -1, 1), atol=1e-14)
 
 
+def test_run_evaluates_grad_y_once_per_step_plus_the_start():
+    # without a fused oracle, each step ends with grad_y at the new pair
+    p = random_toy_problem(4, 6, 0.3, make_rng(40, 1))
+    x0, y0 = p.sample_point(make_rng(40, 2))
+    seen, grad_y = [], p.grad_y
+
+    def counting(x, y):
+        seen.append((x.copy(), y.copy()))
+        return grad_y(x, y)
+
+    p.grad_y = counting
+    result = run(p, _constant_for(p), x0, y0, max_iter=25)
+    assert len(seen) == 26
+    np.testing.assert_array_equal(seen[-1][0], result.state.x)
+    np.testing.assert_array_equal(seen[-1][1], result.state.y)
+
+
 def test_pdhg_equivalence_on_bilinear():
     # independent primal-dual loop: x_bar = 2 x_k - x_{k-1},
     # y_{k+1} = clip(y_k + sigma A x_bar), x_{k+1} = x_k - tau A' y_{k+1}
