@@ -152,7 +152,7 @@ def toy_experiment(
     def metrics(k, state, sched):
         if k not in marks:
             return None
-        out = {"gap": problem.gap_value(saddle, state.ergodic(sched.t_sum)),
+        out = {"gap": problem.gap_value(saddle, state.ergodic()),
                "dist_x": float(np.linalg.norm(state.x - saddle[0]))}
         if nu > 0:
             out["dist_y"] = float(np.linalg.norm(state.y - saddle[1]))
@@ -229,8 +229,7 @@ def synthetic_experiment(
 
     def certify(k, state, sched):
         nonlocal ok, max_ratio
-        cert = gap_certificate(problem, saddle, state.ergodic(sched.t_sum),
-                               sched, kind, x0, y0, final=(state.x, state.y))
+        cert = gap_certificate(problem, saddle, state, sched, kind, x0, y0)
         floor = x_floor / (2.0 * sched.tau) + y_floor / (2.0 * sigma_tilde(sched, kind))
         bound = max(cert.bound, floor)
         max_ratio = max(max_ratio, cert.lhs / bound if bound > 0 else np.inf)
@@ -299,6 +298,8 @@ def mksvm_experiment(
     """
     if variant not in MKSVM_VARIANTS:
         raise ValueError(f"variant must be one of {sorted(MKSVM_VARIANTS)}")
+    if variant == "c2" and (tau0 is not None or sigma0 is not None):
+        raise ValueError("tau0 and sigma0 do not apply to the linear law of variant c2")
     mu, nu = MKSVM_VARIANTS[variant]["mu"], MKSVM_VARIANTS[variant]["nu"]
     _at_least_one(runs=runs)
     checkpoints = _sorted_checkpoints(checkpoints)

@@ -8,7 +8,6 @@ hybrid gradient method; the equivalence is exercised in the tests.
 import numpy as np
 
 from ..problem import ProblemConstants, SaddleProblem
-from .toy import spectral_norm
 
 __all__ = ["BilinearProblem"]
 
@@ -24,7 +23,8 @@ class BilinearProblem(SaddleProblem):
         self.box = box
         self.nu = float(nu)
         self.dim_y, self.dim_x = a.shape
-        self.constants = ProblemConstants(l_yx=spectral_norm(a), l_yy=0.0, mu=0.0, nu=self.nu)
+        self.constants = ProblemConstants(l_yx=1.001 * float(np.linalg.norm(a, 2)), l_yy=0.0,
+                                          mu=0.0, nu=self.nu)
 
     def grad_y(self, x, y):
         return self.a @ x

@@ -10,7 +10,6 @@ checkable instance for the linear-rate certificate and fixed-point tests.
 import numpy as np
 
 from ..problem import ProblemConstants, SaddleProblem
-from .toy import spectral_norm
 
 __all__ = ["QuadraticSaddleProblem"]
 
@@ -31,7 +30,7 @@ class QuadraticSaddleProblem(SaddleProblem):
         self.nu = float(nu)
         self.dim_y, self.dim_x = a.shape
         self.constants = ProblemConstants(
-            l_yx=spectral_norm(a), l_yy=0.0, mu=self.mu, nu=self.nu
+            l_yx=1.001 * float(np.linalg.norm(a, 2)), l_yy=0.0, mu=self.mu, nu=self.nu
         )
 
     def grad_y(self, x, y):

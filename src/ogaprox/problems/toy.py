@@ -10,34 +10,12 @@ are exactly ``x* <= 0`` with ``y* = 0`` when ``nu > 0`` (any ``y*`` in
 
 import numpy as np
 
-from ..problem import ProblemConstants, PsiUndefinedError, SaddleProblem
+from ..problem import ProblemConstants, SaddleProblem
 from ..prox import PolytopeProjector, RankDeficientError, solve_polytope_dual
 
 __all__ = ["ToyProblem", "random_toy_problem"]
 
 _FEAS_TOL = 1e-8
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    """Power iteration on ``A'A`` (at most 200 steps, stopping at a relative
-    change of 1e-12); result inflated by 1.001 so downstream step-size
-    conditions hold for the true norm as well."""
-    rng = np.random.Generator(np.random.Philox(12345))
-    v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(200):
-        w = a.T @ (a @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_value = float(np.sqrt(norm_w))
-        if abs(new_value - value) <= 1e-12 * max(1.0, new_value):
-            value = new_value
-            break
-        value = new_value
-    return 1.001 * value
 
 
 class ToyProblem(SaddleProblem):
@@ -48,7 +26,8 @@ class ToyProblem(SaddleProblem):
         self.a = self._projector.a
         self.nu = float(nu)
         self.dim_x, self.dim_y = self.a.shape
-        self.constants = ProblemConstants(l_yx=spectral_norm(self.a), l_yy=0.0, mu=0.0, nu=self.nu)
+        # 1.001 * ||A||, from the singular values of the projector's rank check
+        self.constants = ProblemConstants(l_yx=1.001 * self._projector.norm, l_yy=0.0, nu=self.nu)
 
     def grad_y(self, x, y):
         return self.a.T @ np.maximum(x, 0.0)
@@ -73,17 +52,6 @@ class ToyProblem(SaddleProblem):
         if np.min(slack) < -_FEAS_TOL * max(1.0, float(np.max(np.abs(slack)))):
             return np.inf
         return 0.5 * self.nu * float(y @ y)
-
-    def gap_value(self, saddle, pair):
-        """Stable gap: indicator terms resolved by feasibility checks."""
-        x_star, y_star = saddle
-        x, y = pair
-        for point, name in ((y_star, "y*"), (y, "y")):
-            if self.g_value(point) == np.inf:
-                raise PsiUndefinedError(f"{name} outside the cone beyond tolerance")
-        lhs = self.phi_value(x, y_star) - 0.5 * self.nu * float(y_star @ y_star)
-        rhs = self.phi_value(x_star, y) - 0.5 * self.nu * float(y @ y)
-        return lhs - rhs
 
     def sample_point(self, rng):
         x = rng.uniform(-5.0, 5.0, self.dim_x)

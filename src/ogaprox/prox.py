@@ -66,8 +66,9 @@ def project_simplex(v) -> np.ndarray:
 class BoxHyperplaneSet:
     """Intersection ``{lower <= y <= upper, <y, normal> = offset}``.
 
-    ``upper`` may be ``+inf``.  Nonemptiness is checked at construction
-    via the exact interval condition on ``<y, normal>`` over the box.
+    ``lower`` must be finite; ``upper`` may be ``+inf``.  Nonemptiness is
+    checked at construction via the exact interval condition on
+    ``<y, normal>`` over the box.
     """
 
     lower: float
@@ -81,6 +82,8 @@ class BoxHyperplaneSet:
             raise ValueError("normal must be a nonempty vector")
         if not np.any(self.normal != 0.0):
             raise ValueError("normal must be nonzero")
+        if not np.isfinite(self.lower):
+            raise ValueError(f"lower bound must be finite, got {self.lower}")
         if not self.lower < self.upper:
             raise ValueError("lower bound must be below upper bound")
         sum_pos = float(self.normal[self.normal > 0].sum())
@@ -232,8 +235,9 @@ def solve_polytope_dual(gram, c) -> np.ndarray:
 class PolytopeProjector:
     """Projection onto the cone ``{y : A y >= 0}`` for hot loops:
     :func:`solve_polytope_dual` with the Gram matrix formed once.  ``A``
-    must have full row rank, which is checked here.  The projector holds
-    no state between calls, so one projector is safe to share."""
+    must have full row rank, which is checked here; ``norm`` is the spectral
+    norm of ``A``.  The projector holds no state between calls, so one
+    projector is safe to share."""
 
     def __init__(self, a_matrix):
         a = np.asarray(a_matrix, dtype=float)
@@ -249,6 +253,7 @@ class PolytopeProjector:
         if singular[-1] <= 1e-8 * singular[0]:
             raise RankDeficientError("a_matrix must have full row rank")
         self.a = a
+        self.norm = float(singular[0])
         self.gram = a @ a.T
 
     def project(self, v) -> np.ndarray:

@@ -14,8 +14,9 @@ Three parameter laws are supported, one per convexity regime:
   ``sigma = (1-theta)/(nu*theta)``.
 
 Violated conditions raise :class:`StepSizeViolationError` naming the
-inequality.  The ergodic weight ``t_k`` is tracked by the recurrence
-``t_{k+1} = t_k / theta_{k+1}`` (exact for the constant law, equal to
+inequality.  A :class:`ScheduleState` holds what the law sets for the next
+step; the run's totals ``K`` and ``T_K`` are the solver state's.  The weight
+``t_k`` follows ``t_{k+1} = t_k / theta_{k+1}`` (1 for the constant law,
 ``tau_k / tau_0`` up to roundoff for the adaptive one, and ``theta**-k``
 for the linear one, where the ratio identity would be wrong).
 """
@@ -78,10 +79,9 @@ ScheduleKind = ConstantSchedule | AdaptiveSchedule | LinearSchedule
 
 @dataclass(frozen=True)
 class ScheduleState:
-    """Parameters at iteration ``k`` plus running ergodic totals.
+    """Parameters the law sets for the next step.
 
-    ``t`` is the ergodic weight ``t_k`` and ``t_sum`` the total
-    ``T_k = sum_{j<k} t_j`` over completed iterations.  ``alpha`` is the
+    ``t`` is that step's ergodic weight ``t_k``.  ``alpha`` is the
     Young-inequality weight of the validity conditions; ``delta`` the
     positive margin (for the linear law it is ``1 - theta*sigma*
     (alpha*l_yx + l_yy)``, the denominator of ``sigma_tilde``).
@@ -91,10 +91,8 @@ class ScheduleState:
     tau: float
     sigma: float
     t: float
-    t_sum: float
     alpha: float
     delta: float
-    k: int
     tau0: float
     sigma0: float
 
@@ -200,8 +198,8 @@ def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleSt
                     f"sigma0 <= (9+3*sqrt(13))/(2*nu) required: {sigma0} > {cap}"
                 )
         return ScheduleState(
-            theta=1.0, tau=tau0, sigma=sigma0, t=1.0, t_sum=0.0,
-            alpha=kind.c_alpha * tau0, delta=delta, k=0, tau0=tau0, sigma0=sigma0,
+            theta=1.0, tau=tau0, sigma=sigma0, t=1.0, alpha=kind.c_alpha * tau0,
+            delta=delta, tau0=tau0, sigma0=sigma0,
         )
 
     if isinstance(kind, LinearSchedule):
@@ -222,8 +220,8 @@ def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleSt
                 f"1 - theta*sigma*(alpha*l_yx + l_yy) must be positive, got {margin}"
             )
         return ScheduleState(
-            theta=kind.theta, tau=tau, sigma=sigma, t=1.0, t_sum=0.0,
-            alpha=kind.alpha, delta=margin, k=0, tau0=tau, sigma0=sigma,
+            theta=kind.theta, tau=tau, sigma=sigma, t=1.0, alpha=kind.alpha,
+            delta=margin, tau0=tau, sigma0=sigma,
         )
 
     raise TypeError(f"unknown schedule kind {type(kind).__name__}")
@@ -231,25 +229,21 @@ def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleSt
 
 def advance_schedule(state: ScheduleState, kind: ScheduleKind,
                      constants: ProblemConstants) -> ScheduleState:
-    """State for iteration ``k+1``; accumulates ``t_k`` into ``t_sum``."""
-    t_sum = state.t_sum + state.t
-    # built positionally: dataclasses.replace costs several times more per iteration
+    """State for the step after ``state``'s; the constant law's is ``state``."""
     if isinstance(kind, ConstantSchedule):
-        return ScheduleState(state.theta, state.tau, state.sigma, state.t, t_sum,
-                             kind.c_alpha * state.tau, state.delta, state.k + 1,
-                             state.tau0, state.sigma0)
+        return state
+    # built positionally: dataclasses.replace costs several times more per iteration
     if isinstance(kind, AdaptiveSchedule):
         theta = 1.0 / math.sqrt(1.0 + constants.nu * state.sigma)
         tau = state.tau / theta
         # deriving sigma from the invariant tau_k*sigma_k = tau0*sigma0
         # keeps the product exact to one ulp over any horizon
         sigma = (state.tau0 * state.sigma0) / tau
-        return ScheduleState(theta, tau, sigma, state.t / theta, t_sum,
-                             kind.c_alpha * state.tau, state.delta, state.k + 1,
-                             state.tau0, state.sigma0)
+        return ScheduleState(theta, tau, sigma, state.t / theta, kind.c_alpha * state.tau,
+                             state.delta, state.tau0, state.sigma0)
     if isinstance(kind, LinearSchedule):
-        return ScheduleState(state.theta, state.tau, state.sigma, state.t / state.theta, t_sum,
-                             state.alpha, state.delta, state.k + 1, state.tau0, state.sigma0)
+        return ScheduleState(state.theta, state.tau, state.sigma, state.t / state.theta,
+                             state.alpha, state.delta, state.tau0, state.sigma0)
     raise TypeError(f"unknown schedule kind {type(kind).__name__}")
 
 

@@ -6,10 +6,10 @@ takes a prox step of ``g`` in ``y`` and a pure prox step of
 ``Phi(., y_{k+1})`` in ``x``.  The state carries both gradients: a step
 ends with ``grad_y(x_{k+1}, y_{k+1})``, taken from the problem's optional
 fused oracle ``prox_phi_x_grad`` (x-prox and gradient sharing their work)
-when it has one.  Ergodic averages are accumulated with the
-schedule weights ``t_k`` and normalized only on read, so a common rescale
-of the weights (applied automatically before they overflow on linear
-schedules) leaves them unchanged.
+when it has one.  The state also holds the run's totals: the count ``k``
+and the iterate sums weighted by ``t_k`` with their total ``T_k``, which
+are normalized only on read, so a common rescale of the weights (applied
+before they overflow on linear schedules) leaves the averages unchanged.
 """
 
 import enum
@@ -61,7 +61,8 @@ class NonFiniteIterateError(RuntimeError):
 @dataclass
 class SolverState:
     """Iterates, ``grad = grad_y(x_k, y_k)``, ``grad_prev =
-    grad_y(x_{k-1}, y_{k-1})`` and weighted ergodic accumulators."""
+    grad_y(x_{k-1}, y_{k-1})``, the weighted sums ``erg_x``, ``erg_y`` of
+    the iterates, their total weight ``t_sum = T_k`` and the count ``k``."""
 
     x: np.ndarray
     y: np.ndarray
@@ -69,6 +70,7 @@ class SolverState:
     grad_prev: np.ndarray
     erg_x: np.ndarray
     erg_y: np.ndarray
+    t_sum: float = 0.0
     k: int = 0
 
     @classmethod
@@ -78,12 +80,12 @@ class SolverState:
         # conventions x_{-1} = x_0, y_{-1} = y_0: both gradients start at
         # grad_y(x_0, y_0), so the first extrapolation is plain
         grad = problem.grad_y(x0, y0)
-        return cls(x0, y0, grad, grad, np.zeros_like(x0), np.zeros_like(y0), 0)
+        return cls(x0, y0, grad, grad, np.zeros_like(x0), np.zeros_like(y0))
 
-    def ergodic(self, t_sum: float) -> tuple[np.ndarray, np.ndarray]:
-        if t_sum <= 0:
+    def ergodic(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.t_sum <= 0:
             raise ValueError("ergodic average undefined before the first step")
-        return self.erg_x / t_sum, self.erg_y / t_sum
+        return self.erg_x / self.t_sum, self.erg_y / self.t_sum
 
 
 def _finite(v: np.ndarray) -> bool:
@@ -107,7 +109,7 @@ def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> So
     if grad is None:
         grad = problem.grad_y(x_next, y_next)
     return SolverState(x_next, y_next, grad, state.grad, state.erg_x + sched.t * x_next,
-                       state.erg_y + sched.t * y_next, state.k + 1)
+                       state.erg_y + sched.t * y_next, state.t_sum + sched.t, state.k + 1)
 
 
 @dataclass
@@ -119,7 +121,7 @@ class RunResult:
     report: RunReport
 
     def ergodic(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.state.ergodic(self.schedule.t_sum)
+        return self.state.ergodic()
 
 
 def run(
@@ -133,10 +135,10 @@ def run(
     """Run the iteration for ``max_iter`` steps from a feasible start.
 
     Each callback is invoked once per iteration as
-    ``callback(k, state, sched)`` with the state and the schedule after
-    step ``k``: ``sched.k == k`` and ``state.ergodic(sched.t_sum)`` is the
-    ergodic pair of the first ``k`` steps, the convention of
-    :attr:`RunResult.schedule` and :func:`gap_certificate`.  A callback may
+    ``callback(k, state, sched)`` with the state after step ``k``
+    (``state.k == k``, and ``state.ergodic()`` is the ergodic pair of the
+    first ``k`` steps) and the schedule for the step after it, the
+    convention of :class:`RunResult` and :func:`gap_certificate`.  A callback may
     return a dict of metric fields (``gap``, ``dist_x``, ``dist_y``,
     ``tsa``) to log, and must not mutate the state.  Logged records and the
     schedule trace carry the theta/tau/sigma used by step ``k``; step norms
@@ -174,7 +176,8 @@ def run(
             ))
         if sched.t > _WEIGHT_CAP:
             factor = 1.0 / sched.t
-            sched = replace(sched, t=sched.t * factor, t_sum=sched.t_sum * factor)
+            sched = replace(sched, t=sched.t * factor)
+            state.t_sum *= factor
             state.erg_x *= factor
             state.erg_y *= factor
     return RunResult(state=state, schedule=sched, report=report)
@@ -212,35 +215,28 @@ class GapCertificate:
 def gap_certificate(
     problem: SaddleProblem,
     saddle: tuple[np.ndarray, np.ndarray] | None,
-    erg: tuple[np.ndarray, np.ndarray],
+    state: SolverState,
     sched: ScheduleState,
     kind: ScheduleKind,
     x0,
     y0,
-    final: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GapCertificate:
-    """Evaluate the ergodic gap and the bound the schedule guarantees.
-
-    ``erg`` is the ergodic pair after ``K = sched.k`` iterations; the
-    linear law additionally needs the final iterates in ``final``.
-    """
+    """Evaluate the ergodic gap after ``K = state.k`` iterations and the
+    bound the schedule guarantees; ``sched`` is the schedule after them."""
     if saddle is None:
         raise MissingSaddlePointError("gap certificate needs a known saddle point")
-    if sched.k <= 0:
+    if state.k <= 0:
         raise ValueError("gap certificate needs at least one completed iteration")
-    gap = problem.gap_value(saddle, erg)
+    gap = problem.gap_value(saddle, state.ergodic())
     d0 = initial_distance(saddle, x0, y0, sched.tau0, sched.sigma0)
     if isinstance(kind, LinearSchedule):
-        if final is None:
-            raise ValueError("linear certificate needs the final iterates")
         x_star, y_star = saddle
-        x_fin, y_fin = final
         lhs = kind.theta * gap
-        lhs += float(np.linalg.norm(x_star - x_fin)) ** 2 / (2.0 * sched.tau)
-        lhs += float(np.linalg.norm(y_star - y_fin)) ** 2 / (2.0 * sigma_tilde(sched, kind))
-        bound = math.exp(sched.k * math.log(kind.theta)) * d0
+        lhs += float(np.linalg.norm(x_star - state.x)) ** 2 / (2.0 * sched.tau)
+        lhs += float(np.linalg.norm(y_star - state.y)) ** 2 / (2.0 * sigma_tilde(sched, kind))
+        bound = math.exp(state.k * math.log(kind.theta)) * d0
         return GapCertificate(gap=gap, bound=bound, d0=d0, lhs=lhs)
-    return GapCertificate(gap=gap, bound=d0 / sched.t_sum, d0=d0)
+    return GapCertificate(gap=gap, bound=d0 / state.t_sum, d0=d0)
 
 
 class CertificateKind(enum.Enum):

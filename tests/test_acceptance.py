@@ -171,9 +171,8 @@ def test_criterion_5_adaptive_schedule_invariants():
     product0 = state.tau * state.sigma
     ok = True
     worst = 0.0
-    for _ in range(10_000):
+    for k in range(1, 10_001):
         state = advance_schedule(state, kind, constants)
-        k = state.k
         prod_err = abs(state.tau * state.sigma - product0) / product0
         t_err = abs(state.t - state.tau / state.tau0) / state.t
         worst = max(worst, prod_err, t_err)

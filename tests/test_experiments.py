@@ -131,6 +131,13 @@ def test_mksvm_other_variants_run(variant):
     assert out.aggregated[120] >= 70.0
 
 
+@pytest.mark.parametrize("steps", [{"tau0": 0.5}, {"sigma0": 0.5}])
+def test_mksvm_linear_variant_rejects_step_sizes(steps):
+    data = _separable_dataset(make_rng(96, 1), rows=40, dim=3)
+    with pytest.raises(ValueError, match="tau0 and sigma0"):
+        mksvm_experiment(data, variant="c2", runs=1, checkpoints=(10,), **steps)
+
+
 def test_mksvm_aggregation_uses_twelve_minus_extremes():
     rng = make_rng(97, 0)
     data = _separable_dataset(rng, rows=40, dim=3, noise=0.3)

@@ -12,7 +12,7 @@ from ogaprox.problems import (
 )
 from ogaprox.prox import RankDeficientError, prox_oracle
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
-from ogaprox.rng import make_rng
+from ogaprox.rng import experiment_rng, make_rng
 
 
 def _toy(rng, d=6, n=9, nu=0.0):
@@ -163,6 +163,27 @@ def test_toy_lipschitz_constant_is_spectral_norm():
     exact = np.linalg.svd(p.a, compute_uv=False)[0]
     assert p.constants.l_yx == pytest.approx(1.001 * exact, rel=1e-9)
     assert p.constants.l_yy == 0.0
+
+
+def test_toy_benchmark_instance_declares_an_upper_bound():
+    # the toy-cone benchmark instance, where a power iteration stopped
+    # 0.7% short of the norm
+    p = random_toy_problem(250, 350, 0.0, experiment_rng(14, "toy", 0))
+    exact = np.linalg.svd(p.a, compute_uv=False)[0]
+    assert p.constants.l_yx >= exact
+
+
+@pytest.mark.parametrize("make", [
+    BilinearProblem,
+    lambda a: QuadraticSaddleProblem(a, np.zeros(30), np.zeros(30), mu=1.0, nu=1.0),
+])
+def test_square_coupling_declares_an_upper_bound(make):
+    # the criterion-4 shape, where a power iteration stopped short of the norm
+    a = make_rng(36, 41).standard_normal((30, 30)) / np.sqrt(30.0)
+    p = make(a)
+    exact = np.linalg.svd(a, compute_uv=False)[0]
+    assert p.constants.l_yx == pytest.approx(1.001 * exact, rel=1e-12)
+    assert p.constants.l_yx >= exact
 
 
 # -- bilinear ---------------------------------------------------------------

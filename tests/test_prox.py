@@ -116,6 +116,13 @@ def test_box_hyperplane_infinite_upper():
     np.testing.assert_allclose(y, [2.0, 2.0], atol=1e-10)
 
 
+def test_box_hyperplane_rejects_infinite_lower():
+    # a knot-free set {<y, (1, -1)> = 0} would leave the projection with
+    # no finite breakpoint to search
+    with pytest.raises(ValueError, match="lower bound must be finite"):
+        BoxHyperplaneSet(lower=-np.inf, upper=np.inf, normal=np.array([1.0, -1.0]))
+
+
 def test_box_hyperplane_infeasible_construction():
     with pytest.raises(InfeasibleSetError):
         BoxHyperplaneSet(lower=0.0, upper=1.0, normal=np.array([1.0, 1.0]), offset=3.0)

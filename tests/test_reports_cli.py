@@ -192,6 +192,8 @@ def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
     ("mksvm", "checkpoints = 0", "checkpoints"),
     ("mksvm", "checkpoints = -3, 5", "checkpoints"),
     ("mksvm", "runs = 0", "runs"),
+    ("mksvm", "variant = c2\ntau0 = 0.5", "tau0"),
+    ("mksvm", "variant = c2\nsigma0 = 0.5", "sigma0"),
     ("fairness", "checkpoints =", "checkpoints"),
     ("fairness", "checkpoints = 0", "checkpoints"),
     ("fairness", "partitions = 0", "partitions"),

@@ -177,10 +177,10 @@ def test_callbacks_record_metrics():
     ergodic = []
 
     def watch(k, state, sched):
-        # the schedule after step k, whose totals cover the first k steps
-        assert sched.k == k
+        # the state after step k, whose totals cover the first k steps
+        assert state.k == k
         seen.append(k)
-        ergodic.append(state.ergodic(sched.t_sum))
+        ergodic.append(state.ergodic())
         if k % 2 == 0:
             return {"dist_x": float(np.linalg.norm(state.x))}
         return None
@@ -245,8 +245,7 @@ def test_gap_bound_constant_schedule_on_quadratic():
     y0 = rng.standard_normal(6)
     for max_iter in (1, 5, 40, 200):
         result = run(p, kind, x0, y0, max_iter=max_iter)
-        cert = gap_certificate(p, saddle, result.ergodic(), result.schedule,
-                               kind, x0, y0)
+        cert = gap_certificate(p, saddle, result.state, result.schedule, kind, x0, y0)
         assert cert.gap >= -1e-10
         assert cert.gap <= cert.bound + 1e-9
 
@@ -261,7 +260,7 @@ def test_gap_bound_adaptive_schedule_on_quadratic():
     x0 = rng.standard_normal(6)
     y0 = rng.standard_normal(6)
     result = run(p, kind, x0, y0, max_iter=300)
-    cert = gap_certificate(p, saddle, result.ergodic(), result.schedule, kind, x0, y0)
+    cert = gap_certificate(p, saddle, result.state, result.schedule, kind, x0, y0)
     assert 0.0 <= cert.gap <= cert.bound + 1e-9
     certs = rate_certificates(kind, p.constants, make_schedule(kind, p.constants),
                               saddle, x0, y0)
@@ -287,10 +286,33 @@ def test_linear_certificate_full_inequality_short_horizon():
     for k in range(1, 101):
         state = step(p, state, sched)
         sched = advance_schedule(sched, kind, p.constants)
-        cert = gap_certificate(p, saddle, state.ergodic(sched.t_sum), sched,
-                               kind, x0, y0, final=(state.x, state.y))
+        cert = gap_certificate(p, saddle, state, sched, kind, x0, y0)
         assert cert.lhs >= -1e-12
         assert cert.lhs <= cert.bound * (1 + 1e-8) + 1e-12, k
+
+
+@pytest.mark.parametrize("law", ["constant", "adaptive", "linear"])
+def test_state_counts_steps_and_sums_weights(law):
+    rng = make_rng(54, 0)
+    a = rng.standard_normal((4, 4)) * 0.5
+    p = QuadraticSaddleProblem(a, rng.standard_normal(4), rng.standard_normal(4),
+                               mu=1.0, nu=1.0)
+    kind = {"constant": _constant_for(p), "adaptive": default_adaptive(p.constants),
+            "linear": LinearSchedule(theta=0.9, alpha=balanced_alpha(p.constants))}[law]
+    x0, y0 = rng.standard_normal(4), rng.standard_normal(4)
+    state = SolverState.initial(p, x0, y0)
+    sched = make_schedule(kind, p.constants)
+    assert (state.k, state.t_sum) == (0, 0.0)
+    weights = []
+    for k in range(1, 31):
+        weights.append(sched.t)
+        state = step(p, state, sched)
+        sched = advance_schedule(sched, kind, p.constants)
+        assert state.k == k
+        assert state.t_sum == sum(weights)
+    assert len(set(weights)) == (1 if law == "constant" else 30)
+    result = run(p, kind, x0, y0, max_iter=30)
+    assert (result.state.k, result.state.t_sum) == (state.k, state.t_sum)
 
 
 def test_weight_rescale_keeps_ergodic_finite():
@@ -316,7 +338,7 @@ def test_gap_certificate_requires_saddle_point():
     kind = _constant_for(p)
     result = run(p, kind, np.zeros(4), np.zeros(6), max_iter=3)
     with pytest.raises(MissingSaddlePointError):
-        gap_certificate(p, None, result.ergodic(), result.schedule, kind,
+        gap_certificate(p, None, result.state, result.schedule, kind,
                         np.zeros(4), np.zeros(6))
 
 
