@@ -163,6 +163,8 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
             raise ParseError(f"non-numeric feature {feature_tokens[bad]!r}",
                              index, bad) from None
         labels.append(fmt.label_map[label_token])
+    if not raw_rows:
+        raise ValueError(f"dataset file {path} has no complete data rows")
 
     raw = np.asarray(raw_rows, dtype=float)
     label_arr = np.asarray(labels, dtype=float)

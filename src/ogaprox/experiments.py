@@ -81,8 +81,8 @@ def _at_least_one(**counts: int) -> None:
 
 
 def _sorted_checkpoints(checkpoints) -> tuple[int, ...]:
-    """Ascending checkpoints; rejects an empty list and counts below 1."""
-    marks = tuple(sorted(checkpoints))
+    """Ascending distinct checkpoints; rejects an empty list and counts below 1."""
+    marks = tuple(sorted(set(checkpoints)))
     if not marks or marks[0] < 1:
         raise ValueError(f"checkpoints must be one or more counts >= 1, got {list(marks)}")
     return marks

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..problem import ProblemConstants, SaddleProblem
-from ..prox import project_simplex
+from ..prox import on_simplex, project_simplex
 
 __all__ = ["Group", "FairnessProblem"]
-
-_FEAS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,10 +124,7 @@ class FairnessProblem(SaddleProblem):
         return float(np.asarray(y, float) @ self.group_losses(x))
 
     def g_value(self, y):
-        y = np.asarray(y, float)
-        if abs(float(np.sum(y)) - 1.0) > _FEAS_TOL or float(np.min(y)) < -_FEAS_TOL:
-            return np.inf
-        return 0.0
+        return 0.0 if on_simplex(y) else np.inf
 
     def sample_point(self, rng):
         return rng.standard_normal(self.dim_x), rng.dirichlet(np.ones(self.dim_y))

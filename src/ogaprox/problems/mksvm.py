@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..problem import ProblemConstants, SaddleProblem
-from ..prox import BoxHyperplaneSet, project_box_hyperplane, project_simplex
+from ..prox import BoxHyperplaneSet, on_simplex, project_box_hyperplane, project_simplex
 
 __all__ = [
     "MkSvmProblem",
@@ -132,7 +132,7 @@ class MkSvmProblem(SaddleProblem):
         )
 
     def _check_simplex(self, x):
-        if abs(float(np.sum(x)) - 1.0) > _FEAS_TOL or float(np.min(x)) < -_FEAS_TOL:
+        if not on_simplex(x):
             raise ValueError("x must lie on the unit simplex")
 
     def grad_y(self, x, y):
@@ -155,7 +155,7 @@ class MkSvmProblem(SaddleProblem):
 
     def phi_value(self, x, y):
         x = np.asarray(x, float)
-        if abs(float(np.sum(x)) - 1.0) > _FEAS_TOL or float(np.min(x)) < -_FEAS_TOL:
+        if not on_simplex(x):
             return np.inf
         my = self.m_stack @ y
         return (

@@ -22,6 +22,7 @@ __all__ = [
     "PolytopeSet",
     "PolytopeProjector",
     "project_simplex",
+    "on_simplex",
     "project_box_hyperplane",
     "project_polytope",
     "solve_polytope_dual",
@@ -60,6 +61,12 @@ def project_simplex(v) -> np.ndarray:
     rho = rho_candidates[-1]
     threshold = cumulative[rho] / (rho + 1.0)
     return np.maximum(x - threshold, 0.0)
+
+
+def on_simplex(v) -> bool:
+    """Whether ``v`` lies on the unit simplex up to ``1e-8`` in its sum and
+    its least entry (NaN entries are not flagged)."""
+    return not (abs(float(np.sum(v)) - 1.0) > 1e-8 or float(np.min(v)) < -1e-8)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ Three parameter laws are supported, one per convexity regime:
   ``sigma = (1-theta)/(nu*theta)``.
 
 Violated conditions raise :class:`StepSizeViolationError` naming the
-inequality.  A :class:`ScheduleState` holds what the law sets for the next
-step; the run's totals ``K`` and ``T_K`` are the solver state's.  The weight
+inequality; :func:`adaptive_rates` gives the adaptive law's rate constants.
+A :class:`ScheduleState` holds what the law sets for the next step; the
+run's totals ``K`` and ``T_K`` are the solver state's.  The weight
 ``t_k`` follows ``t_{k+1} = t_k / theta_{k+1}`` (1 for the constant law,
 ``tau_k / tau_0`` up to roundoff for the adaptive one, and ``theta**-k``
 for the linear one, where the ratio identity would be wrong).
@@ -39,6 +40,7 @@ __all__ = [
     "theta_threshold",
     "balanced_alpha",
     "sigma_tilde",
+    "adaptive_rates",
     "default_c_alpha",
     "default_constant",
     "default_adaptive",
@@ -271,3 +273,15 @@ def sigma_tilde(state: ScheduleState, kind: LinearSchedule) -> float:
     if not isinstance(kind, LinearSchedule):
         raise TypeError("sigma_tilde is defined for the linear law")
     return state.sigma / state.delta
+
+
+def adaptive_rates(state: ScheduleState, kind: AdaptiveSchedule,
+                   constants: ProblemConstants) -> tuple[float, float]:
+    """The adaptive law's a-priori constants ``(c2, c1)``: after ``K`` steps
+    the ergodic gap is at most ``c2*d0/K**2`` and ``||y_K - y*||`` at most
+    ``c1*sqrt(d0)/K``, with ``c2 = 12/(nu*sigma0)`` and
+    ``c1 = sqrt(18/(nu^2*sigma0*delta))``."""
+    if not isinstance(kind, AdaptiveSchedule):
+        raise TypeError("adaptive_rates is defined for the adaptive law")
+    nu, sigma0 = constants.nu, state.sigma0
+    return 12.0 / (nu * sigma0), math.sqrt(18.0 / (nu**2 * sigma0 * state.delta))

@@ -10,9 +10,9 @@ when it has one.  The state also holds the run's totals: the count ``k``
 and the iterate sums weighted by ``t_k`` with their total ``T_k``, which
 are normalized only on read, so a common rescale of the weights (applied
 before they overflow on linear schedules) leaves the averages unchanged.
+:func:`gap_certificate` measures the ergodic gap against its law's bound.
 """
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
@@ -21,8 +21,6 @@ import numpy as np
 from .problem import MissingSaddlePointError, SaddleProblem
 from .report import MetricRecord, RunReport
 from .schedule import (
-    AdaptiveSchedule,
-    ConstantSchedule,
     LinearSchedule,
     ScheduleKind,
     ScheduleState,
@@ -40,9 +38,6 @@ __all__ = [
     "initial_distance",
     "GapCertificate",
     "gap_certificate",
-    "CertificateKind",
-    "RateCertificate",
-    "rate_certificates",
 ]
 
 # rescale ergodic weights before they overflow (linear schedules only)
@@ -204,12 +199,7 @@ class GapCertificate:
 
     gap: float
     bound: float
-    d0: float
     lhs: float | None = None
-
-    def satisfied(self, slack: float = 1e-9) -> bool:
-        value = self.gap if self.lhs is None else self.lhs
-        return value <= self.bound + slack
 
 
 def gap_certificate(
@@ -221,12 +211,11 @@ def gap_certificate(
     x0,
     y0,
 ) -> GapCertificate:
-    """Evaluate the ergodic gap after ``K = state.k`` iterations and the
-    bound the schedule guarantees; ``sched`` is the schedule after them."""
+    """Evaluate the ergodic gap after ``K = state.k >= 1`` iterations and
+    the bound the schedule guarantees; ``sched`` is the schedule after them.
+    Before the first step ``state.ergodic()`` raises ``ValueError``."""
     if saddle is None:
         raise MissingSaddlePointError("gap certificate needs a known saddle point")
-    if state.k <= 0:
-        raise ValueError("gap certificate needs at least one completed iteration")
     gap = problem.gap_value(saddle, state.ergodic())
     d0 = initial_distance(saddle, x0, y0, sched.tau0, sched.sigma0)
     if isinstance(kind, LinearSchedule):
@@ -235,67 +224,5 @@ def gap_certificate(
         lhs += float(np.linalg.norm(x_star - state.x)) ** 2 / (2.0 * sched.tau)
         lhs += float(np.linalg.norm(y_star - state.y)) ** 2 / (2.0 * sigma_tilde(sched, kind))
         bound = math.exp(state.k * math.log(kind.theta)) * d0
-        return GapCertificate(gap=gap, bound=bound, d0=d0, lhs=lhs)
-    return GapCertificate(gap=gap, bound=d0 / state.t_sum, d0=d0)
-
-
-class CertificateKind(enum.Enum):
-    GAP_O1K = "GapO1K"
-    GAP_O1K2 = "GapO1K2"
-    ITERATE_O1K = "IterateO1K"
-    LINEAR = "Linear"
-
-
-@dataclass(frozen=True)
-class RateCertificate:
-    """A guaranteed decay law with its problem-derived constant.
-
-    ``bound(K)`` gives: ``d0/K`` (gap, constant law), ``c2*d0/K**2`` (gap)
-    and ``c1*sqrt(d0)/K`` (distance of ``y_K``) for the adaptive law, and
-    ``theta**K * d0`` for the linear law.
-    """
-
-    kind: CertificateKind
-    constant: float
-    d0: float
-    theta: float | None = None
-
-    def bound(self, K: int) -> float:
-        if K < 1:
-            raise ValueError("K must be at least 1")
-        if self.kind is CertificateKind.GAP_O1K:
-            return self.constant * self.d0 / K
-        if self.kind is CertificateKind.GAP_O1K2:
-            return self.constant * self.d0 / K**2
-        if self.kind is CertificateKind.ITERATE_O1K:
-            return self.constant * math.sqrt(self.d0) / K
-        return math.exp(K * math.log(self.theta)) * self.d0
-
-
-def rate_certificates(
-    kind: ScheduleKind,
-    constants,
-    sched0: ScheduleState,
-    saddle,
-    x0,
-    y0,
-) -> list[RateCertificate]:
-    """Certificates applicable to a run with the given schedule.
-
-    Adaptive-law constants: ``c2 = 12/(nu*sigma0)`` for the gap and
-    ``c1 = sqrt(18/(nu^2*sigma0*delta))`` for ``||y_K - y*||``.
-    """
-    d0 = initial_distance(saddle, x0, y0, sched0.tau0, sched0.sigma0)
-    if isinstance(kind, ConstantSchedule):
-        return [RateCertificate(CertificateKind.GAP_O1K, 1.0, d0)]
-    if isinstance(kind, AdaptiveSchedule):
-        nu = constants.nu
-        c2 = 12.0 / (nu * sched0.sigma0)
-        c1 = math.sqrt(18.0 / (nu**2 * sched0.sigma0 * sched0.delta))
-        return [
-            RateCertificate(CertificateKind.GAP_O1K2, c2, d0),
-            RateCertificate(CertificateKind.ITERATE_O1K, c1, d0),
-        ]
-    if isinstance(kind, LinearSchedule):
-        return [RateCertificate(CertificateKind.LINEAR, 1.0, d0, theta=kind.theta)]
-    raise TypeError(f"unknown schedule kind {type(kind).__name__}")
+        return GapCertificate(gap=gap, bound=bound, lhs=lhs)
+    return GapCertificate(gap=gap, bound=d0 / state.t_sum)

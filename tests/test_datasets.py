@@ -111,6 +111,15 @@ def test_missing_file_raises(tmp_path):
         load_dataset(DatasetSpec(name="sonar", path=str(tmp_path / "none.data")))
 
 
+@pytest.mark.parametrize("text", ["", ",".join(f"f{i}" for i in range(34)) + ",label\n"],
+                         ids=["empty", "header-only"])
+def test_file_without_data_rows_rejected(tmp_path, text):
+    path = tmp_path / "ionosphere.data"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="ionosphere.data has no complete data rows"):
+        load_dataset(DatasetSpec(name="ionosphere", path=str(path)))
+
+
 def test_ionosphere_format_and_header_skip(tmp_path):
     rng = make_rng(93, 0)
     path = tmp_path / "ionosphere.data"

@@ -138,6 +138,16 @@ def test_mksvm_linear_variant_rejects_step_sizes(steps):
         mksvm_experiment(data, variant="c2", runs=1, checkpoints=(10,), **steps)
 
 
+def test_repeated_checkpoints_are_reported_once():
+    data = _separable_dataset(make_rng(96, 2), rows=40, dim=3, with_groups=True)
+    svm = mksvm_experiment(data, variant="c1", seed=2, runs=1, checkpoints=(5, 5))
+    fair = fairness_experiment(data, grouping="sex", seed=2, partitions=1,
+                               checkpoints=(5, 5))
+    for report in (svm.report, fair.report):
+        assert [rec.k for rec in report.records] == [5]
+        assert list(report.config["checkpoints"]) == [5]
+
+
 def test_mksvm_aggregation_uses_twelve_minus_extremes():
     rng = make_rng(97, 0)
     data = _separable_dataset(rng, rows=40, dim=3, noise=0.3)

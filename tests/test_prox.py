@@ -9,6 +9,7 @@ from ogaprox.prox import (
     PolytopeProjector,
     PolytopeSet,
     RankDeficientError,
+    on_simplex,
     project_box_hyperplane,
     project_polytope,
     project_simplex,
@@ -53,6 +54,14 @@ def test_simplex_rejects_bad_input():
         project_simplex([])
     with pytest.raises(ValueError):
         project_simplex([1.0, np.nan])
+
+
+def test_on_simplex_tolerance():
+    assert on_simplex([0.5, 0.5 + 0.9e-8])
+    assert on_simplex([1.0 + 0.5e-8, -0.5e-8])
+    assert not on_simplex([0.5, 0.5 + 1.1e-8])
+    assert not on_simplex([1.0 + 2e-8, -2e-8])
+    assert on_simplex(project_simplex(make_rng(12, 0).standard_normal(50)))
 
 
 # -- box and hyperplane ----------------------------------------------------

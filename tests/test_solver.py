@@ -14,17 +14,19 @@ from ogaprox.schedule import (
     AdaptiveSchedule,
     ConstantSchedule,
     LinearSchedule,
+    adaptive_rates,
     advance_schedule,
     balanced_alpha,
     default_adaptive,
     default_constant,
+    default_linear,
     make_schedule,
 )
 from ogaprox.solver import (
     NonFiniteIterateError,
     SolverState,
     gap_certificate,
-    rate_certificates,
+    initial_distance,
     run,
     step,
 )
@@ -262,12 +264,12 @@ def test_gap_bound_adaptive_schedule_on_quadratic():
     result = run(p, kind, x0, y0, max_iter=300)
     cert = gap_certificate(p, saddle, result.state, result.schedule, kind, x0, y0)
     assert 0.0 <= cert.gap <= cert.bound + 1e-9
-    certs = rate_certificates(kind, p.constants, make_schedule(kind, p.constants),
-                              saddle, x0, y0)
-    by_kind = {c.kind.value: c for c in certs}
-    assert cert.gap <= by_kind["GapO1K2"].bound(300) + 1e-9
+    sched0 = make_schedule(kind, p.constants)
+    c2, c1 = adaptive_rates(sched0, kind, p.constants)
+    d0 = initial_distance(saddle, x0, y0, sched0.tau0, sched0.sigma0)
+    assert cert.gap <= c2 * d0 / 300**2 + 1e-9
     dist_y = float(np.linalg.norm(result.state.y - saddle[1]))
-    assert dist_y <= by_kind["IterateO1K"].bound(300) + 1e-9
+    assert dist_y <= c1 * math.sqrt(d0) / 300 + 1e-9
 
 
 def test_linear_certificate_full_inequality_short_horizon():
@@ -342,22 +344,36 @@ def test_gap_certificate_requires_saddle_point():
                         np.zeros(4), np.zeros(6))
 
 
-def test_rate_certificate_constants_match_formulas():
+def test_adaptive_rate_constants_match_formulas():
     constants = ProblemConstants(l_yx=0.5, l_yy=0.0, nu=0.8)
     kind = AdaptiveSchedule(tau0=1.0, sigma0=0.9, c_alpha=1.0)
     sched0 = make_schedule(kind, constants)
     saddle = (np.zeros(2), np.zeros(3))
     x0 = np.ones(2)
     y0 = np.ones(3)
-    certs = {c.kind.value: c for c in rate_certificates(kind, constants, sched0,
-                                                        saddle, x0, y0)}
+    c2, c1 = adaptive_rates(sched0, kind, constants)
     d0 = 2.0 / (2 * 1.0) + 3.0 / (2 * 0.9)
-    assert certs["GapO1K2"].constant == pytest.approx(12.0 / (0.8 * 0.9))
-    assert certs["IterateO1K"].constant == pytest.approx(
-        math.sqrt(18.0 / (0.8**2 * 0.9 * sched0.delta)))
-    assert certs["GapO1K2"].d0 == pytest.approx(d0)
-    assert certs["GapO1K2"].bound(10) == pytest.approx(
-        12.0 / (0.8 * 0.9) * d0 / 100.0)
+    assert c2 == pytest.approx(12.0 / (0.8 * 0.9))
+    assert c1 == pytest.approx(math.sqrt(18.0 / (0.8**2 * 0.9 * sched0.delta)))
+    assert initial_distance(saddle, x0, y0, sched0.tau0, sched0.sigma0) == pytest.approx(d0)
+    assert c2 * d0 / 10**2 == pytest.approx(12.0 / (0.8 * 0.9) * d0 / 100.0)
+
+
+def test_adaptive_rates_reject_other_laws():
+    constants = ProblemConstants(l_yx=0.5, l_yy=0.0, mu=1.0, nu=0.8)
+    for kind in (default_constant(constants), default_linear(constants)):
+        sched0 = make_schedule(kind, constants)
+        with pytest.raises(TypeError):
+            adaptive_rates(sched0, kind, constants)
+
+
+def test_gap_certificate_needs_a_completed_step():
+    p = QuadraticSaddleProblem(np.eye(2), np.ones(2), np.ones(2), mu=1.0, nu=1.0)
+    kind = _constant_for(p)
+    x0, y0 = np.zeros(2), np.zeros(2)
+    result = run(p, kind, x0, y0, max_iter=0)
+    with pytest.raises(ValueError):
+        gap_certificate(p, p.saddle_point(), result.state, result.schedule, kind, x0, y0)
 
 
 def test_quadratic_saddle_inequalities_direct_psi():
