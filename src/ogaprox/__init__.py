@@ -11,7 +11,6 @@ from .problem import (
 from .report import MetricRecord, RunReport
 from .schedule import (
     AdaptiveSchedule,
-    ConstantSchedule,
     LinearSchedule,
     ScheduleKind,
     ScheduleState,
@@ -19,7 +18,6 @@ from .schedule import (
     advance_schedule,
     balanced_alpha,
     default_adaptive,
-    default_constant,
     default_linear,
     make_schedule,
     theta_threshold,
@@ -36,7 +34,6 @@ from .solver import (
 
 __all__ = [
     "AdaptiveSchedule",
-    "ConstantSchedule",
     "GapCertificate",
     "LinearSchedule",
     "MetricRecord",
@@ -55,7 +52,6 @@ __all__ = [
     "advance_schedule",
     "balanced_alpha",
     "default_adaptive",
-    "default_constant",
     "default_linear",
     "gap_certificate",
     "make_schedule",

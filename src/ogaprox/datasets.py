@@ -149,19 +149,15 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
             if index == 0:
                 continue  # header row
             raise ParseError(f"unknown label {label_token!r}", index, fmt.label_column)
-        feature_tokens = [
-            tok for col, tok in enumerate(tokens)
-            if col != fmt.label_column and col not in fmt.drop_columns
-        ]
-        try:
-            raw_rows.append([float(tok) for tok in feature_tokens])
-        except ValueError:
-            bad = next(
-                col for col, tok in enumerate(feature_tokens)
-                if not _is_float(tok)
-            )
-            raise ParseError(f"non-numeric feature {feature_tokens[bad]!r}",
-                             index, bad) from None
+        row = []
+        for col, tok in enumerate(tokens):
+            if col == fmt.label_column or col in fmt.drop_columns:
+                continue
+            try:
+                row.append(float(tok))
+            except ValueError:
+                raise ParseError(f"non-numeric feature {tok!r}", index, col) from None
+        raw_rows.append(row)
         labels.append(fmt.label_map[label_token])
     if not raw_rows:
         raise ValueError(f"dataset file {path} has no complete data rows")
@@ -183,14 +179,6 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
         n_dropped_rows=dropped,
         dropped_columns=dropped_cols,
     )
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def train_test_split(n_rows: int, fraction: float,

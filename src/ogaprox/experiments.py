@@ -37,11 +37,8 @@ from .report import MetricRecord, RunReport
 from .rng import experiment_rng, make_rng
 from .schedule import (
     ADAPTIVE_SIGMA0_FACTOR,
-    LinearSchedule,
-    balanced_alpha,
     default_adaptive,
     default_c_alpha,
-    default_constant,
     default_linear,
     make_schedule,
     sigma_tilde,
@@ -112,7 +109,8 @@ def toy_experiment(
     tau0: float | None = None,
     sigma0: float | None = None,
 ) -> ToyOutcome:
-    """Cone problem run: constant schedule for ``nu = 0``, adaptive otherwise.
+    """Cone problem run under the adaptive law, whose steps stay constant
+    at ``nu = 0``.
 
     The matrix has entries uniform on [-3, 3]; starting points are uniform
     on [-5, 5], with ``y0`` projected onto the cone to make it feasible.
@@ -127,27 +125,23 @@ def toy_experiment(
     problem = random_toy_problem(d, n, nu, rng)
     x0 = rng.uniform(-5.0, 5.0, d)
     y0 = problem.prox_g(1.0, rng.uniform(-5.0, 5.0, n))
-    saddle = problem.saddle_point()
+    consts = problem.constants
     if nu > 0:
         # the generic sigma0 default (0.9-product at tau0 = 1/l_yx) keeps
         # nu*sigma0 so small here that the adaptive contraction only shows
         # beyond the measurement window; put sigma0 at a quarter of its
         # admissible cap and let tau0 absorb the product condition instead
-        consts = problem.constants
         if sigma0 is None:
             sigma0 = 0.25 * ADAPTIVE_SIGMA0_FACTOR / nu
-        if tau0 is None:
-            c_alpha = default_c_alpha(consts)
+        if tau0 is None and sigma0 > 0:  # make_schedule rejects sigma0 <= 0
             room = 0.9 / sigma0 - 2.0 * consts.l_yy
             if room <= 0 or consts.l_yx <= 0:
                 raise ValueError("sigma0 leaves no room for a positive tau0")
-            tau0 = room / (c_alpha * consts.l_yx)
-        kind = default_adaptive(problem.constants, tau0=tau0, sigma0=sigma0)
-        sched0 = (kind.tau0, kind.sigma0)
-    else:
-        kind = default_constant(problem.constants, tau0=tau0, sigma0=sigma0)
-        sched0 = (kind.tau, kind.sigma)
-    d0 = initial_distance(saddle, x0, y0, *sched0)
+            tau0 = room / (default_c_alpha(consts) * consts.l_yx)
+    kind = default_adaptive(consts, tau0=tau0, sigma0=sigma0)
+    sched0 = make_schedule(kind, consts)
+    saddle = problem.saddle_point()
+    d0 = initial_distance(saddle, x0, y0, sched0.tau0, sched0.sigma0)
 
     def metrics(k, state, sched):
         if k not in marks:
@@ -164,7 +158,7 @@ def toy_experiment(
     report = result.report
     report.config = {
         "experiment": "toy", "seed": seed, "d": d, "n": n, "nu": nu,
-        "max_iter": max_iter, "tau0": sched0[0], "sigma0": sched0[1],
+        "max_iter": max_iter, "tau0": sched0.tau0, "sigma0": sched0.sigma0,
         "d0": d0,
     }
     return ToyOutcome(report=report, problem=problem, saddle=saddle, x0=x0,
@@ -178,7 +172,7 @@ class SyntheticOutcome:
     report: RunReport
     problem: QuadraticSaddleProblem
     saddle: tuple[np.ndarray, np.ndarray]
-    kind: LinearSchedule
+    kind: object
     x0: np.ndarray
     y0: np.ndarray
     d0: float
@@ -212,7 +206,7 @@ def synthetic_experiment(
         a, rng.standard_normal(dim), rng.standard_normal(dim), mu=1.0, nu=1.0
     )
     saddle = problem.saddle_point()
-    kind = LinearSchedule(theta=theta, alpha=balanced_alpha(problem.constants))
+    kind = default_linear(problem.constants, theta=theta)
     x0 = rng.standard_normal(dim)
     y0 = rng.standard_normal(dim)
 
@@ -317,12 +311,10 @@ def mksvm_experiment(
         labels_test = data.labels[test_idx]
         mats = conjugated_kernels(kernels, train_idx, labels_train)
         problem = MkSvmProblem(mats, labels_train, box_c=box_c, mu=mu, nu=nu)
-        if variant == "c1":
-            kind = default_constant(problem.constants, tau0=tau0, sigma0=sigma0)
-        elif variant == "a":
-            kind = default_adaptive(problem.constants, tau0=tau0, sigma0=sigma0)
-        else:
+        if variant == "c2":
             kind = default_linear(problem.constants)
+        else:
+            kind = default_adaptive(problem.constants, tau0=tau0, sigma0=sigma0)
         x0 = np.full(problem.dim_x, 1.0 / problem.dim_x)
         y0 = np.zeros(problem.dim_y)
         scores: dict[int, float] = {}
@@ -397,7 +389,8 @@ def fairness_experiment(
 ) -> FairnessOutcome:
     """Worst-group-fair classifier versus plain average-loss training.
 
-    Both classifiers are trained per partition with the constant schedule;
+    Both classifiers are trained per partition with the adaptive law at
+    ``nu = 0``, whose steps stay constant;
     accuracies (overall and per group of the held-out rows) are averaged
     over the partitions.
     """
@@ -423,7 +416,7 @@ def fairness_experiment(
             ("without", plain_group, sums_without),
         ):
             problem = FairnessProblem(groups)
-            kind = default_constant(problem.constants)
+            kind = default_adaptive(problem.constants)
             x0 = np.zeros(problem.dim_x)
             y0 = np.full(problem.dim_y, 1.0 / problem.dim_y)
 

@@ -1,7 +1,7 @@
 """Proximal operators and Euclidean projections used by the model problems.
 
-The closed-form operators (simplex, box-and-hyperplane, scaled positive
-part) are exact finite algorithms.  Projections onto polyhedra
+The closed-form projections (simplex, box-and-hyperplane) are exact
+finite algorithms.  Projections onto polyhedra
 ``{y : A y >= h}`` with full-row-rank ``A`` (the cone projector, and the
 cone toy problem's saddle point) go through one dual active-set kernel,
 :func:`solve_polytope_dual`, which is finite on such data.  The dense QP
@@ -26,7 +26,6 @@ __all__ = [
     "project_box_hyperplane",
     "project_polytope",
     "solve_polytope_dual",
-    "prox_positive_part_scaled",
     "prox_oracle",
 ]
 
@@ -269,23 +268,6 @@ class PolytopeProjector:
         if np.all(c >= 0.0):
             return w.copy()
         return w + self.a.T @ solve_polytope_dual(self.gram, c)
-
-
-def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
-    """Prox of ``u -> tau * w * max(0, u)`` at ``x`` for ``w >= 0``.
-
-    Cases follow the closed intervals of the defining formula: the
-    identity branch wins at ``x = 0`` and the zero branch at ``x = tau*w``.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if w < 0:
-        raise ValueError("weight w must be nonnegative")
-    if x <= 0.0:
-        return x
-    if x <= tau * w:
-        return 0.0
-    return x - tau * w
 
 
 def prox_oracle(

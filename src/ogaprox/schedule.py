@@ -1,13 +1,16 @@
 """Step-size and momentum schedules with their validity conditions.
 
-Three parameter laws are supported, one per convexity regime:
+Two parameter laws cover the three convexity regimes:
 
-* :class:`ConstantSchedule` -- merely convex-concave; fixed ``(tau, sigma)``
-  with momentum 1, valid when ``(c_alpha*l_yx*tau + 2*l_yy) * sigma < 1``
-  and ``c_alpha > l_yx``.
-* :class:`AdaptiveSchedule` -- strongly concave in ``y`` (``nu > 0``);
-  ``theta_{k+1} = 1/sqrt(1 + nu*sigma_k)``, ``tau`` grows, ``sigma``
-  shrinks, with the product ``tau_k * sigma_k`` invariant.
+* :class:`AdaptiveSchedule` -- ``theta_{k+1} = 1/sqrt(1 + nu*sigma_k)``,
+  ``tau_{k+1} = tau_k/theta_{k+1}``, ``sigma_{k+1} = theta_{k+1}*sigma_k``
+  from ``(tau0, sigma0)``, valid when ``c_alpha > l_yx``,
+  ``(c_alpha*l_yx*tau0 + 2*l_yy) * sigma0 < 1`` and, for ``nu > 0``,
+  ``nu*sigma0 <= (9 + 3*sqrt(13))/2``.  At ``nu = 0`` (merely
+  convex-concave) it is the constant law: ``theta = 1`` and fixed
+  ``(tau, sigma)``.  For ``nu > 0`` (strongly concave in ``y``) ``tau``
+  grows and ``sigma`` shrinks, with the product ``tau_k * sigma_k``
+  invariant.
 * :class:`LinearSchedule` -- strongly convex-strongly concave; constant
   ``theta`` strictly between the critical value ``theta_threshold(alpha)``
   and 1, with ``tau = (1-theta)/(mu*theta)`` and
@@ -17,9 +20,9 @@ Violated conditions raise :class:`StepSizeViolationError` naming the
 inequality; :func:`adaptive_rates` gives the adaptive law's rate constants.
 A :class:`ScheduleState` holds what the law sets for the next step; the
 run's totals ``K`` and ``T_K`` are the solver state's.  The weight
-``t_k`` follows ``t_{k+1} = t_k / theta_{k+1}`` (1 for the constant law,
-``tau_k / tau_0`` up to roundoff for the adaptive one, and ``theta**-k``
-for the linear one, where the ratio identity would be wrong).
+``t_k`` follows ``t_{k+1} = t_k / theta_{k+1}`` (1 at ``nu = 0``,
+``tau_k / tau_0`` up to roundoff for ``nu > 0``, and ``theta**-k``
+for the linear law, where the ratio identity would be wrong).
 """
 
 import math
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from .problem import ProblemConstants
 
 __all__ = [
-    "ConstantSchedule",
     "AdaptiveSchedule",
     "LinearSchedule",
     "ScheduleKind",
@@ -42,7 +44,6 @@ __all__ = [
     "sigma_tilde",
     "adaptive_rates",
     "default_c_alpha",
-    "default_constant",
     "default_adaptive",
     "default_linear",
     "ADAPTIVE_SIGMA0_FACTOR",
@@ -54,13 +55,6 @@ ADAPTIVE_SIGMA0_FACTOR = (9.0 + 3.0 * math.sqrt(13.0)) / 2.0
 
 class StepSizeViolationError(ValueError):
     """A schedule hypothesis fails; the message names the inequality."""
-
-
-@dataclass(frozen=True)
-class ConstantSchedule:
-    tau: float
-    sigma: float
-    c_alpha: float
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,7 @@ class LinearSchedule:
     alpha: float
 
 
-ScheduleKind = ConstantSchedule | AdaptiveSchedule | LinearSchedule
+ScheduleKind = AdaptiveSchedule | LinearSchedule
 
 
 @dataclass(frozen=True)
@@ -104,29 +98,18 @@ def default_c_alpha(constants: ProblemConstants) -> float:
     return 2.0 * constants.l_yx if constants.l_yx > 0 else 1.0
 
 
-def _product_sigma(constants: ProblemConstants, c_alpha: float, tau0: float) -> float:
-    denom = c_alpha * constants.l_yx * tau0 + 2.0 * constants.l_yy
-    return 0.9 / denom if denom > 0 else 1.0
-
-
-def default_constant(constants: ProblemConstants, tau0: float | None = None,
-                     sigma0: float | None = None) -> ConstantSchedule:
-    """Constant law with the step-size product at 90% of its cap."""
-    c_alpha = default_c_alpha(constants)
-    tau = tau0 if tau0 is not None else 1.0 / max(constants.l_yx, 1.0)
-    sigma = sigma0 if sigma0 is not None else _product_sigma(constants, c_alpha, tau)
-    return ConstantSchedule(tau=tau, sigma=sigma, c_alpha=c_alpha)
-
-
 def default_adaptive(constants: ProblemConstants, tau0: float | None = None,
                      sigma0: float | None = None) -> AdaptiveSchedule:
-    """Adaptive law defaults; ``sigma0`` additionally capped for ``nu > 0``."""
+    """Adaptive law with the step-size product at 90% of its cap; for
+    ``nu > 0`` the default ``sigma0`` is also capped at its admissible bound."""
     c_alpha = default_c_alpha(constants)
     tau = tau0 if tau0 is not None else 1.0 / max(constants.l_yx, 1.0)
-    sigma = sigma0 if sigma0 is not None else _product_sigma(constants, c_alpha, tau)
-    if sigma0 is None and constants.nu > 0:
-        sigma = min(sigma, ADAPTIVE_SIGMA0_FACTOR / constants.nu)
-    return AdaptiveSchedule(tau0=tau, sigma0=sigma, c_alpha=c_alpha)
+    if sigma0 is None:
+        denom = c_alpha * constants.l_yx * tau + 2.0 * constants.l_yy
+        sigma0 = 0.9 / denom if denom > 0 else 1.0
+        if constants.nu > 0:
+            sigma0 = min(sigma0, ADAPTIVE_SIGMA0_FACTOR / constants.nu)
+    return AdaptiveSchedule(tau0=tau, sigma0=sigma0, c_alpha=c_alpha)
 
 
 def theta_threshold(alpha: float, constants: ProblemConstants) -> float:
@@ -155,50 +138,36 @@ def balanced_alpha(constants: ProblemConstants) -> float:
     return (-mu * l_yy + math.sqrt(disc)) / (mu * l_yx)
 
 
-def default_linear(constants: ProblemConstants, theta: float | None = None,
-                   alpha: float | None = None) -> LinearSchedule:
+def default_linear(constants: ProblemConstants, theta: float | None = None) -> LinearSchedule:
     """Linear law with balanced ``alpha``; ``theta`` halfway to 1 by default."""
-    a = alpha if alpha is not None else balanced_alpha(constants)
+    alpha = balanced_alpha(constants)
     if theta is None:
-        theta = 0.5 * (1.0 + theta_threshold(a, constants))
-    return LinearSchedule(theta=theta, alpha=a)
-
-
-def _delta_product(kind, constants: ProblemConstants) -> tuple[float, float]:
-    if isinstance(kind, ConstantSchedule):
-        tau0, sigma0 = kind.tau, kind.sigma
-    else:
-        tau0, sigma0 = kind.tau0, kind.sigma0
-    product = (kind.c_alpha * constants.l_yx * tau0 + 2.0 * constants.l_yy) * sigma0
-    delta = min(1.0 - constants.l_yx / kind.c_alpha, 1.0 - product)
-    return delta, product
+        theta = 0.5 * (1.0 + theta_threshold(alpha, constants))
+    return LinearSchedule(theta=theta, alpha=alpha)
 
 
 def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleState:
     """Validated initial :class:`ScheduleState` for iteration 0."""
-    if isinstance(kind, (ConstantSchedule, AdaptiveSchedule)):
-        tau0 = kind.tau if isinstance(kind, ConstantSchedule) else kind.tau0
-        sigma0 = kind.sigma if isinstance(kind, ConstantSchedule) else kind.sigma0
+    if isinstance(kind, AdaptiveSchedule):
+        tau0, sigma0 = kind.tau0, kind.sigma0
         if tau0 <= 0 or sigma0 <= 0:
             raise StepSizeViolationError("step sizes must be positive")
         if kind.c_alpha <= constants.l_yx:
             raise StepSizeViolationError(
                 f"c_alpha > l_yx required: {kind.c_alpha} <= {constants.l_yx}"
             )
-        delta, product = _delta_product(kind, constants)
+        product = (kind.c_alpha * constants.l_yx * tau0 + 2.0 * constants.l_yy) * sigma0
         if product >= 1.0:
             raise StepSizeViolationError(
                 "(c_alpha*l_yx*tau0 + 2*l_yy)*sigma0 < 1 required, "
                 f"got {product}"
             )
-        if isinstance(kind, AdaptiveSchedule):
-            if constants.nu <= 0:
-                raise StepSizeViolationError("adaptive schedule requires nu > 0")
-            cap = ADAPTIVE_SIGMA0_FACTOR / constants.nu
-            if sigma0 > cap:
-                raise StepSizeViolationError(
-                    f"sigma0 <= (9+3*sqrt(13))/(2*nu) required: {sigma0} > {cap}"
-                )
+        cap = ADAPTIVE_SIGMA0_FACTOR / constants.nu if constants.nu > 0 else math.inf
+        if sigma0 > cap:
+            raise StepSizeViolationError(
+                f"sigma0 <= (9+3*sqrt(13))/(2*nu) required: {sigma0} > {cap}"
+            )
+        delta = min(1.0 - constants.l_yx / kind.c_alpha, 1.0 - product)
         return ScheduleState(
             theta=1.0, tau=tau0, sigma=sigma0, t=1.0, alpha=kind.c_alpha * tau0,
             delta=delta, tau0=tau0, sigma0=sigma0,
@@ -231,8 +200,9 @@ def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleSt
 
 def advance_schedule(state: ScheduleState, kind: ScheduleKind,
                      constants: ProblemConstants) -> ScheduleState:
-    """State for the step after ``state``'s; the constant law's is ``state``."""
-    if isinstance(kind, ConstantSchedule):
+    """State for the step after ``state``'s; at ``nu = 0`` it is ``state``
+    (the linear law needs ``nu > 0``, so only the adaptive law gets here)."""
+    if constants.nu == 0:
         return state
     # built positionally: dataclasses.replace costs several times more per iteration
     if isinstance(kind, AdaptiveSchedule):
@@ -255,10 +225,10 @@ def assumption_slacks(state: ScheduleState, kind: ScheduleKind,
 
     Returns ``((1-delta)/tau_k - l_yx/alpha_{k+1},
     (1-delta)/sigma_k - l_yx*alpha_k*theta_k - l_yy*(1+theta_k))``; both
-    must be nonnegative.  Defined for the constant and adaptive laws.
+    must be nonnegative.  Defined for the adaptive law.
     """
     if isinstance(kind, LinearSchedule):
-        raise TypeError("assumption slacks apply to the constant/adaptive laws")
+        raise TypeError("assumption slacks apply to the adaptive law")
     alpha_next = kind.c_alpha * state.tau
     slack_tau = (1.0 - state.delta) / state.tau - constants.l_yx / alpha_next
     slack_sigma = (1.0 - state.delta) / state.sigma - (
@@ -280,8 +250,10 @@ def adaptive_rates(state: ScheduleState, kind: AdaptiveSchedule,
     """The adaptive law's a-priori constants ``(c2, c1)``: after ``K`` steps
     the ergodic gap is at most ``c2*d0/K**2`` and ``||y_K - y*||`` at most
     ``c1*sqrt(d0)/K``, with ``c2 = 12/(nu*sigma0)`` and
-    ``c1 = sqrt(18/(nu^2*sigma0*delta))``."""
+    ``c1 = sqrt(18/(nu^2*sigma0*delta))``, which need ``nu > 0``."""
     if not isinstance(kind, AdaptiveSchedule):
         raise TypeError("adaptive_rates is defined for the adaptive law")
+    if constants.nu <= 0:
+        raise StepSizeViolationError("adaptive rate constants require nu > 0")
     nu, sigma0 = constants.nu, state.sigma0
     return 12.0 / (nu * sigma0), math.sqrt(18.0 / (nu**2 * sigma0 * state.delta))

@@ -191,7 +191,7 @@ def initial_distance(saddle, x0, y0, tau0: float, sigma0: float) -> float:
 class GapCertificate:
     """Measured minimax gap against its guaranteed bound at iteration K.
 
-    For the constant/adaptive laws the bound is ``d0 / T_K``.  For the
+    For the adaptive law the bound is ``d0 / T_K`` (``d0 / K`` at ``nu = 0``).  For the
     linear law ``lhs`` carries the full certificate quantity
     ``theta*gap + ||x*-x_K||^2/(2 tau) + ||y*-y_K||^2/(2 sigma_tilde)``
     and the bound is ``theta**K * d0``.

@@ -1,0 +1,22 @@
+"""Reference implementations that only the tests call.
+
+They check the fast paths of ``ogaprox`` against a slower or more literal
+form of the same operator; nothing in the library imports them.
+"""
+
+
+def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
+    """Prox of ``u -> tau * w * max(0, u)`` at ``x`` for ``w >= 0``.
+
+    Cases follow the closed intervals of the defining formula: the
+    identity branch wins at ``x = 0`` and the zero branch at ``x = tau*w``.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if w < 0:
+        raise ValueError("weight w must be nonnegative")
+    if x <= 0.0:
+        return x
+    if x <= tau * w:
+        return 0.0
+    return x - tau * w

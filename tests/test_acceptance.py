@@ -45,21 +45,21 @@ from ogaprox.prox import (
     project_polytope,
     project_simplex,
     prox_oracle,
-    prox_positive_part_scaled,
 )
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 from ogaprox.schedule import (
     AdaptiveSchedule,
-    ConstantSchedule,
     adaptive_rates,
     advance_schedule,
     assumption_slacks,
-    default_constant,
+    default_adaptive,
     make_schedule,
     sigma_tilde,
 )
 from ogaprox.solver import SolverState, run, step
+
+from _oracles import prox_positive_part_scaled
 
 SEED = 9001
 
@@ -144,7 +144,7 @@ def test_criterion_4_pdhg_reduction():
     norm_a = problem.constants.l_yx
     tau = 0.5 / norm_a
     sigma = 0.5 / norm_a
-    kind = ConstantSchedule(tau=tau, sigma=sigma, c_alpha=2.0 * norm_a)
+    kind = AdaptiveSchedule(tau0=tau, sigma0=sigma, c_alpha=2.0 * norm_a)
     x0 = rng.standard_normal(n)
     y0 = np.clip(rng.standard_normal(n), -1.0, 1.0)
     result = run(problem, kind, x0, y0, max_iter=100)
@@ -353,7 +353,7 @@ def test_criterion_9_fixed_point_residual():
     worst = 0.0
     for prob in (toy, quad):
         saddle = prob.saddle_point()
-        kind = default_constant(prob.constants)
+        kind = default_adaptive(prob.constants)
         sched = make_schedule(kind, prob.constants)
         state = SolverState.initial(prob, *saddle)
         new = step(prob, state, sched)

@@ -17,13 +17,13 @@ from ogaprox.problems import (
 )
 from ogaprox.problems.mksvm import conjugated_kernels
 from ogaprox.rng import make_rng
-from ogaprox.schedule import default_constant
+from ogaprox.schedule import default_adaptive
 from ogaprox.solver import run
 
 
 def test_shared_problem_concurrent_runs_match_sequential():
     problem = random_toy_problem(10, 14, 0.0, make_rng(120, 0))
-    kind = default_constant(problem.constants)
+    kind = default_adaptive(problem.constants)
     starts = []
     for i in range(6):
         rng = make_rng(120, 1, i)
@@ -73,5 +73,5 @@ def test_run_leaves_problem_unchanged(name):
     problem = _small_problem(name, make_rng(122, 0))
     x0, y0 = problem.sample_point(make_rng(122, 1))
     before = pickle.dumps(problem)
-    run(problem, default_constant(problem.constants), x0, y0, max_iter=40)
+    run(problem, default_adaptive(problem.constants), x0, y0, max_iter=40)
     assert pickle.dumps(problem) == before

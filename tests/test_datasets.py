@@ -95,6 +95,15 @@ def test_parse_error_reports_row(tmp_path):
         load_dataset(DatasetSpec(name="sonar", path=str(path)))
 
 
+def test_parse_error_names_the_file_column(tmp_path):
+    # the id column 0 is dropped, so the 'x' in file column 4 is feature 3
+    path = tmp_path / "breast-cancer-wisconsin.data"
+    path.write_text("1000025,5,1,1,1,2,1,3,1,1,2\n1015425,3,1,1,x,2,2,3,1,1,2\n")
+    with pytest.raises(ParseError, match=r"'x' \(row 1, column 4\)") as info:
+        load_dataset(DatasetSpec(name="breast-cancer", path=str(path)))
+    assert info.value.column == 4
+
+
 def test_unknown_dataset_rejected(tmp_path):
     with pytest.raises(UnknownDatasetError):
         DatasetSpec(name="mystery", path="x.csv")

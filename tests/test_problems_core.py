@@ -303,7 +303,7 @@ def test_validator_detects_wrong_prox():
 
 
 def test_toy_prox_x_componentwise_matches_scalar_prox():
-    from ogaprox.prox import prox_positive_part_scaled
+    from _oracles import prox_positive_part_scaled
 
     p = _toy(make_rng(41, 0))
     rng = make_rng(41, 1)

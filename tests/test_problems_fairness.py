@@ -6,7 +6,7 @@ from ogaprox.problems import FairnessProblem, Group
 from ogaprox.prox import prox_oracle
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
-from ogaprox.schedule import default_constant
+from ogaprox.schedule import default_adaptive
 from ogaprox.solver import run
 
 
@@ -174,13 +174,13 @@ def test_prox_x_matches_slack_qp_oracle():
 def test_single_group_run_reduces_to_proximal_point():
     rng = make_rng(85, 0)
     p = FairnessProblem(_random_groups(rng, sizes=(15,), dim=4))
-    kind = default_constant(p.constants)
+    kind = default_adaptive(p.constants)
     x0 = np.zeros(4)
     y0 = np.array([1.0])
     result = run(p, kind, x0, y0, max_iter=20)
     x_manual = x0.copy()
     for _ in range(20):
-        x_manual = p.prox_phi_x(kind.tau, y0, x_manual)
+        x_manual = p.prox_phi_x(kind.tau0, y0, x_manual)
     np.testing.assert_allclose(result.state.x, x_manual, atol=1e-8)
     np.testing.assert_allclose(result.state.y, y0, atol=1e-12)
 

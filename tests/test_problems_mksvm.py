@@ -12,7 +12,7 @@ from ogaprox.problems.mksvm import (
 )
 from ogaprox.prox import project_box_hyperplane, project_simplex, prox_oracle
 from ogaprox.rng import make_rng
-from ogaprox.schedule import default_adaptive, default_constant, default_linear
+from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
 
 
@@ -47,7 +47,7 @@ class _TwoCallMkSvm(MkSvmProblem):
 
 
 # (mu, nu) and schedule law of the three MKSVM variants c1, a and c2
-_VARIANTS = [(0.0, 0.0, default_constant), (0.0, 0.5, default_adaptive),
+_VARIANTS = [(0.0, 0.0, default_adaptive), (0.0, 0.5, default_adaptive),
              (1.0, 0.5, default_linear)]
 
 
@@ -167,7 +167,7 @@ def test_fused_run_evaluates_grad_y_only_at_the_start():
         return grad_y(x, y)
 
     p.grad_y = counting
-    run(p, default_constant(p.constants), x0, y0, max_iter=30)
+    run(p, default_adaptive(p.constants), x0, y0, max_iter=30)
     assert len(calls) == 1
 
 

@@ -14,11 +14,12 @@ from ogaprox.prox import (
     project_polytope,
     project_simplex,
     prox_oracle,
-    prox_positive_part_scaled,
     solve_polytope_dual,
 )
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
+
+from _oracles import prox_positive_part_scaled
 
 
 # -- simplex ---------------------------------------------------------------

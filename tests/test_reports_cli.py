@@ -209,6 +209,15 @@ def test_cli_bad_size_is_validation_error_naming_the_key(tmp_path, capsys, verb,
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("nu", ["0.0", "0.3"])
+@pytest.mark.parametrize("key", ["tau0", "sigma0"])
+def test_cli_toy_zero_step_is_validation_error(tmp_path, capsys, nu, key):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(f"d = 5\nn = 8\niters = 10\nnu = {nu}\n{key} = 0\n")
+    assert main(["toy", "--config", str(cfg)]) == 2
+    assert "step sizes must be positive" in capsys.readouterr().err
+
+
 def test_cli_passes_only_the_keys_that_are_set(tmp_path, monkeypatch):
     """With no driver key in the config, every driver runs on its own defaults."""
     calls = []

@@ -6,14 +6,12 @@ from ogaprox.problem import ProblemConstants
 from ogaprox.schedule import (
     ADAPTIVE_SIGMA0_FACTOR,
     AdaptiveSchedule,
-    ConstantSchedule,
     LinearSchedule,
     StepSizeViolationError,
     advance_schedule,
     assumption_slacks,
     balanced_alpha,
     default_adaptive,
-    default_constant,
     default_linear,
     make_schedule,
     sigma_tilde,
@@ -25,7 +23,7 @@ def test_constant_schedule_frozen_example():
     # (c_alpha*l_yx*tau + 2*l_yy)*sigma = (2*1*0.3)*0.5 = 0.3 < 1
     # delta = min(1 - 1/2, 1 - 0.3) = 0.5
     constants = ProblemConstants(l_yx=1.0, l_yy=0.0)
-    state = make_schedule(ConstantSchedule(tau=0.3, sigma=0.5, c_alpha=2.0), constants)
+    state = make_schedule(AdaptiveSchedule(tau0=0.3, sigma0=0.5, c_alpha=2.0), constants)
     assert state.theta == 1.0
     assert state.delta == pytest.approx(0.5, abs=1e-15)
     assert state.t == 1.0
@@ -34,7 +32,7 @@ def test_constant_schedule_frozen_example():
 
 def test_constant_advance_only_counts():
     constants = ProblemConstants(l_yx=1.0, l_yy=0.0)
-    kind = ConstantSchedule(tau=0.3, sigma=0.5, c_alpha=2.0)
+    kind = AdaptiveSchedule(tau0=0.3, sigma0=0.5, c_alpha=2.0)
     state = make_schedule(kind, constants)
     nxt = advance_schedule(state, kind, constants)
     assert (nxt.theta, nxt.tau, nxt.sigma, nxt.t) == (1.0, 0.3, 0.5, 1.0)
@@ -56,10 +54,13 @@ def test_adaptive_first_step_frozen_example():
     assert nxt.alpha == pytest.approx(0.7 * 1.0)
 
 
-def test_adaptive_requires_strong_concavity():
+def test_adaptive_at_nu_zero_keeps_constant_steps():
+    # theta_1 = 1/sqrt(1 + 0*sigma0) = 1: the law never leaves (tau0, sigma0)
     constants = ProblemConstants(l_yx=0.5, l_yy=0.0, nu=0.0)
-    with pytest.raises(StepSizeViolationError, match="nu > 0"):
-        make_schedule(AdaptiveSchedule(tau0=1.0, sigma0=1.0, c_alpha=0.7), constants)
+    kind = AdaptiveSchedule(tau0=1.0, sigma0=1.0, c_alpha=0.7)
+    state = make_schedule(kind, constants)
+    assert (state.theta, state.tau, state.sigma, state.t) == (1.0, 1.0, 1.0, 1.0)
+    assert advance_schedule(state, kind, constants) is state
 
 
 def test_adaptive_sigma0_cap():
@@ -73,9 +74,9 @@ def test_adaptive_sigma0_cap():
 def test_product_condition_enforced():
     constants = ProblemConstants(l_yx=1.0, l_yy=0.0)
     with pytest.raises(StepSizeViolationError, match="sigma0"):
-        make_schedule(ConstantSchedule(tau=1.0, sigma=0.5, c_alpha=2.0), constants)
+        make_schedule(AdaptiveSchedule(tau0=1.0, sigma0=0.5, c_alpha=2.0), constants)
     with pytest.raises(StepSizeViolationError, match="c_alpha"):
-        make_schedule(ConstantSchedule(tau=0.1, sigma=0.1, c_alpha=0.9), constants)
+        make_schedule(AdaptiveSchedule(tau0=0.1, sigma0=0.1, c_alpha=0.9), constants)
 
 
 def test_adaptive_invariants_over_horizon():
@@ -103,7 +104,7 @@ def test_adaptive_invariants_over_horizon():
 
 def test_constant_slacks_nonnegative():
     constants = ProblemConstants(l_yx=1.0, l_yy=0.3)
-    kind = default_constant(constants)
+    kind = default_adaptive(constants)
     state = make_schedule(kind, constants)
     for _ in range(50):
         slack_tau, slack_sigma = assumption_slacks(state, kind, constants)
@@ -155,9 +156,7 @@ def test_default_builders_satisfy_conditions():
         ProblemConstants(l_yx=0.0, l_yy=0.0),
         ProblemConstants(l_yx=37.0, l_yy=5.0, nu=0.5),
     ):
-        make_schedule(default_constant(constants), constants)
-        if constants.nu > 0:
-            make_schedule(default_adaptive(constants), constants)
+        make_schedule(default_adaptive(constants), constants)
     sc_consts = ProblemConstants(l_yx=3.0, l_yy=0.5, mu=2.0, nu=0.7)
     kind = default_linear(sc_consts)
     state = make_schedule(kind, sc_consts)
@@ -167,7 +166,7 @@ def test_default_builders_satisfy_conditions():
 
 def test_default_constant_delta_margin():
     constants = ProblemConstants(l_yx=2.0, l_yy=0.0)
-    kind = default_constant(constants)
+    kind = default_adaptive(constants)
     state = make_schedule(kind, constants)
     # sigma0 targets a 0.9 product, leaving delta = 0.1
     assert state.delta == pytest.approx(0.1, rel=1e-9)

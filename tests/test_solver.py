@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,12 @@ from ogaprox.problems import (
 from ogaprox.rng import make_rng
 from ogaprox.schedule import (
     AdaptiveSchedule,
-    ConstantSchedule,
     LinearSchedule,
+    StepSizeViolationError,
     adaptive_rates,
     advance_schedule,
     balanced_alpha,
     default_adaptive,
-    default_constant,
     default_linear,
     make_schedule,
 )
@@ -32,17 +33,13 @@ from ogaprox.solver import (
 )
 
 
-def _constant_for(problem, tau=None):
-    return default_constant(problem.constants, tau0=tau)
-
-
 def test_first_step_uses_plain_gradient():
     # with x_-1 = x_0, y_-1 = y_0 the extrapolation cancels: the dual
     # update sees exactly grad_y(x_0, y_0)
     rng = make_rng(40, 0)
     a = rng.standard_normal((4, 4))
     p = BilinearProblem(a, box=(-1.0, 1.0))
-    kind = _constant_for(p)
+    kind = default_adaptive(p.constants)
     sched = make_schedule(kind, p.constants)
     x0 = rng.standard_normal(4)
     y0 = np.clip(rng.standard_normal(4), -1, 1)
@@ -63,7 +60,7 @@ def test_run_evaluates_grad_y_once_per_step_plus_the_start():
         return grad_y(x, y)
 
     p.grad_y = counting
-    result = run(p, _constant_for(p), x0, y0, max_iter=25)
+    result = run(p, default_adaptive(p.constants), x0, y0, max_iter=25)
     assert len(seen) == 26
     np.testing.assert_array_equal(seen[-1][0], result.state.x)
     np.testing.assert_array_equal(seen[-1][1], result.state.y)
@@ -79,7 +76,7 @@ def test_pdhg_equivalence_on_bilinear():
     norm_a = p.constants.l_yx
     tau = 0.5 / norm_a
     sigma = 0.5 / norm_a
-    kind = ConstantSchedule(tau=tau, sigma=sigma, c_alpha=2.0 * norm_a)
+    kind = AdaptiveSchedule(tau0=tau, sigma0=sigma, c_alpha=2.0 * norm_a)
     x0 = rng.standard_normal(n)
     y0 = np.clip(rng.standard_normal(n), -1, 1)
 
@@ -99,7 +96,7 @@ def test_pdhg_equivalence_on_bilinear():
 def test_fixed_point_at_toy_saddle():
     p = random_toy_problem(5, 8, 0.4, make_rng(42, 0))
     x_star, y_star = p.saddle_point()
-    kind = _constant_for(p)
+    kind = default_adaptive(p.constants)
     sched = make_schedule(kind, p.constants)
     state = SolverState.initial(p, x_star, y_star)
     new = step(p, state, sched)
@@ -113,7 +110,7 @@ def test_fixed_point_at_quadratic_saddle():
     p = QuadraticSaddleProblem(a, rng.standard_normal(5), rng.standard_normal(5),
                                mu=1.0, nu=1.0)
     saddle = p.saddle_point()
-    kind = _constant_for(p)
+    kind = default_adaptive(p.constants)
     sched = make_schedule(kind, p.constants)
     state = SolverState.initial(p, *saddle)
     new = step(p, state, sched)
@@ -125,7 +122,7 @@ def test_run_zero_iterations_returns_initial_state():
     p = random_toy_problem(4, 6, 0.0, make_rng(44, 0))
     x0 = np.zeros(4)
     y0 = np.zeros(6)
-    result = run(p, _constant_for(p), x0, y0, max_iter=0)
+    result = run(p, default_adaptive(p.constants), x0, y0, max_iter=0)
     np.testing.assert_array_equal(result.state.x, x0)
     np.testing.assert_array_equal(result.state.y, y0)
     assert result.report.records == [] and result.report.step_dx == []
@@ -136,10 +133,11 @@ def test_run_rejects_infeasible_start():
     y_bad = make_rng(45, 1).standard_normal(6) * 10
     if p.g_value(y_bad) == np.inf:
         with pytest.raises(ValueError):
-            run(p, _constant_for(p), np.zeros(4), y_bad, max_iter=1)
+            run(p, default_adaptive(p.constants), np.zeros(4), y_bad, max_iter=1)
     boxed = BilinearProblem(np.eye(3), box=(-1.0, 1.0))
     with pytest.raises(ValueError, match="dom g"):
-        run(boxed, _constant_for(boxed), np.zeros(3), np.full(3, 5.0), max_iter=1)
+        run(boxed, default_adaptive(boxed.constants), np.zeros(3), np.full(3, 5.0),
+            max_iter=1)
 
 
 class _PoisonedProblem(SaddleProblem):
@@ -167,7 +165,7 @@ class _PoisonedProblem(SaddleProblem):
 def test_non_finite_iterate_carries_partial_report():
     p = _PoisonedProblem()
     with pytest.raises(NonFiniteIterateError) as info:
-        run(p, ConstantSchedule(tau=0.1, sigma=0.1, c_alpha=2.0), np.ones(2),
+        run(p, AdaptiveSchedule(tau0=0.1, sigma0=0.1, c_alpha=2.0), np.ones(2),
             np.ones(2), max_iter=10)
     assert info.value.k == 3
     assert len(info.value.report.step_dx) == 2
@@ -187,7 +185,7 @@ def test_callbacks_record_metrics():
             return {"dist_x": float(np.linalg.norm(state.x))}
         return None
 
-    result = run(p, _constant_for(p), np.zeros(4), np.zeros(6), max_iter=6,
+    result = run(p, default_adaptive(p.constants), np.zeros(4), np.zeros(6), max_iter=6,
                  callbacks=(watch,))
     assert seen == [1, 2, 3, 4, 5, 6]
     assert [r.k for r in result.report.records] == [2, 4, 6]
@@ -212,7 +210,7 @@ def test_ergodic_is_plain_average_for_constant_schedule():
     rng = make_rng(47, 0)
     a = rng.standard_normal((3, 3))
     p = BilinearProblem(a, box=(-1.0, 1.0))
-    kind = _constant_for(p)
+    kind = default_adaptive(p.constants)
     iterates = []
 
     def collect(k, state, sched):
@@ -230,21 +228,20 @@ def test_iterate_differences_decay_on_toy():
     rng = make_rng(48, 1)
     x0 = rng.uniform(-5, 5, 10)
     y0 = p.prox_g(1.0, rng.uniform(-5, 5, 14))
-    result = run(p, _constant_for(p), x0, y0, max_iter=3000)
+    result = run(p, default_adaptive(p.constants), x0, y0, max_iter=3000)
     head = np.mean(result.report.step_dx[:50]) + np.mean(result.report.step_dy[:50])
     tail = np.mean(result.report.step_dx[-50:]) + np.mean(result.report.step_dy[-50:])
     assert tail <= 1e-6 * max(1.0, head)
 
 
-def test_gap_bound_constant_schedule_on_quadratic():
+def test_gap_bound_constant_schedule_on_toy():
+    # at nu = 0 the adaptive law keeps (tau0, sigma0) and the bound is d0 / K
     rng = make_rng(49, 0)
-    a = rng.standard_normal((6, 6)) * 0.3
-    p = QuadraticSaddleProblem(a, rng.standard_normal(6), rng.standard_normal(6),
-                               mu=0.7, nu=0.9)
+    p = random_toy_problem(6, 9, 0.0, rng)
     saddle = p.saddle_point()
-    kind = _constant_for(p)
-    x0 = rng.standard_normal(6)
-    y0 = rng.standard_normal(6)
+    kind = default_adaptive(p.constants)
+    x0 = rng.uniform(-5.0, 5.0, 6)
+    y0 = p.prox_g(1.0, rng.uniform(-5.0, 5.0, 9))
     for max_iter in (1, 5, 40, 200):
         result = run(p, kind, x0, y0, max_iter=max_iter)
         cert = gap_certificate(p, saddle, result.state, result.schedule, kind, x0, y0)
@@ -299,8 +296,12 @@ def test_state_counts_steps_and_sums_weights(law):
     a = rng.standard_normal((4, 4)) * 0.5
     p = QuadraticSaddleProblem(a, rng.standard_normal(4), rng.standard_normal(4),
                                mu=1.0, nu=1.0)
-    kind = {"constant": _constant_for(p), "adaptive": default_adaptive(p.constants),
-            "linear": LinearSchedule(theta=0.9, alpha=balanced_alpha(p.constants))}[law]
+    if law == "constant":
+        p = BilinearProblem(a)  # nu = 0: the adaptive law keeps its steps
+    if law == "linear":
+        kind = LinearSchedule(theta=0.9, alpha=balanced_alpha(p.constants))
+    else:
+        kind = default_adaptive(p.constants)
     x0, y0 = rng.standard_normal(4), rng.standard_normal(4)
     state = SolverState.initial(p, x0, y0)
     sched = make_schedule(kind, p.constants)
@@ -337,7 +338,7 @@ def test_gap_certificate_requires_saddle_point():
     from ogaprox.problem import MissingSaddlePointError
 
     p = random_toy_problem(4, 6, 0.0, make_rng(53, 0))
-    kind = _constant_for(p)
+    kind = default_adaptive(p.constants)
     result = run(p, kind, np.zeros(4), np.zeros(6), max_iter=3)
     with pytest.raises(MissingSaddlePointError):
         gap_certificate(p, None, result.state, result.schedule, kind,
@@ -361,15 +362,19 @@ def test_adaptive_rate_constants_match_formulas():
 
 def test_adaptive_rates_reject_other_laws():
     constants = ProblemConstants(l_yx=0.5, l_yy=0.0, mu=1.0, nu=0.8)
-    for kind in (default_constant(constants), default_linear(constants)):
-        sched0 = make_schedule(kind, constants)
-        with pytest.raises(TypeError):
-            adaptive_rates(sched0, kind, constants)
+    kind = default_linear(constants)
+    with pytest.raises(TypeError):
+        adaptive_rates(make_schedule(kind, constants), kind, constants)
+    # at nu = 0 the law runs constant steps, and c2 = 12/(nu*sigma0) is undefined
+    flat = ProblemConstants(l_yx=0.5, l_yy=0.0)
+    kind = default_adaptive(flat)
+    with pytest.raises(StepSizeViolationError, match="nu > 0"):
+        adaptive_rates(make_schedule(kind, flat), kind, flat)
 
 
 def test_gap_certificate_needs_a_completed_step():
     p = QuadraticSaddleProblem(np.eye(2), np.ones(2), np.ones(2), mu=1.0, nu=1.0)
-    kind = _constant_for(p)
+    kind = default_adaptive(p.constants)
     x0, y0 = np.zeros(2), np.zeros(2)
     result = run(p, kind, x0, y0, max_iter=0)
     with pytest.raises(ValueError):
@@ -390,29 +395,12 @@ def test_quadratic_saddle_inequalities_direct_psi():
 
 
 def test_readme_custom_problem_example():
-    # mirrors the README "Library usage" snippet
-    from ogaprox import ProblemConstants, SaddleProblem, default_adaptive
-
-    class RidgeGame(SaddleProblem):
-        def __init__(self, a, nu):
-            self.a, self.nu = a, nu
-            self.dim_y, self.dim_x = a.shape
-            self.constants = ProblemConstants(
-                l_yx=np.linalg.norm(a, 2), l_yy=0.0, mu=0.0, nu=nu)
-
-        def grad_y(self, x, y):
-            return self.a @ x
-
-        def prox_phi_x(self, tau, y, x):
-            return x - tau * (self.a.T @ y)
-
-        def prox_g(self, sigma, v):
-            return v / (1.0 + self.nu * sigma)
-
-    problem = RidgeGame(np.random.default_rng(0).standard_normal((5, 4)), nu=0.5)
-    result = run(problem, default_adaptive(problem.constants),
-                 x0=np.ones(4), y0=np.zeros(5), max_iter=2000)
-    x_bar, y_bar = result.ergodic()
+    # runs the first python block of the README ("Library usage") as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    scope = {"__name__": "readme_snippet"}
+    exec(compile(snippet, "README.md", "exec"), scope)
+    result, x_bar, y_bar = scope["result"], scope["x_bar"], scope["y_bar"]
     # saddle point of <y, Ax> - nu/2||y||^2 is (0, 0) for injective A'
     assert np.linalg.norm(result.state.y) <= 1e-3
     assert np.linalg.norm(y_bar) <= 1e-2
