@@ -10,11 +10,12 @@ One verb per experiment plus a library self-check::
 
 Config files are flat ``key = value`` text ('#' starts a comment).  Each
 key a handler below reads is a keyword of its experiment driver (``iters``
-is ``max_iter``); a key that is not set takes the driver's default, and
-the driver checks every value.  The CLI's own keys are ``dataset``,
-``path`` and ``data_dir`` (default ``data``); toy runs both nu = 0 and 0.3
-unless ``nu`` is set.  Exit codes: 0 on success, 2 when validation fails
-or a config value is rejected, 1 on runtime errors.
+is ``max_iter``); a key that is not set takes the driver's default, a
+key the verb does not read is rejected, and the driver checks every value.
+The CLI's own keys, read by mksvm and fairness, are ``dataset``, ``path``
+and ``data_dir`` (default ``data``); toy runs both nu = 0 and 0.3 unless
+``nu`` is set.  Exit codes: 0 on success, 2 when validation fails or a
+config value is rejected, 1 on runtime errors.
 """
 
 import argparse
@@ -54,14 +55,22 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-def _options(cfg, casts) -> dict:
+def _options(cfg, casts, own=()) -> dict:
     """Driver keywords for the config keys that are set; ``casts`` maps a key
-    to its cast, or to ``(keyword, cast)`` where the names differ."""
+    to its cast, or to ``(keyword, cast)`` where the names differ.  A key
+    that is neither in ``casts`` nor one of the verb's ``own`` keys, or a
+    value its cast rejects, is a ``ValueError`` naming the key."""
+    unread = sorted(set(cfg) - set(casts) - set(own))
+    if unread:
+        raise ValueError(f"config key(s) not read by this command: {', '.join(unread)}")
     options = {}
     for key, spec in casts.items():
         if key in cfg:
             keyword, cast = spec if isinstance(spec, tuple) else (key, spec)
-            options[keyword] = cast(cfg[key])
+            try:
+                options[keyword] = cast(cfg[key])
+            except ValueError as err:
+                raise ValueError(f"{key}: {err}") from None
     return options
 
 
@@ -84,9 +93,9 @@ def _cmd_validate(cfg, seed, out_dir) -> int:
 
 
 def _cmd_toy(cfg, seed, out_dir) -> int:
-    options = _options(cfg, {"d": int, "n": int, "iters": ("max_iter", int),
+    options = _options(cfg, {"d": int, "n": int, "iters": ("max_iter", int), "nu": float,
                              "checkpoints": _int_list, "tau0": float, "sigma0": float})
-    nus = [float(cfg["nu"])] if "nu" in cfg else [0.0, 0.3]
+    nus = [options.pop("nu")] if "nu" in options else [0.0, 0.3]
     reports = {}
     for value in nus:
         outcome = toy_experiment(seed=seed, nu=value, **options)
@@ -110,6 +119,9 @@ def _cmd_synthetic(cfg, seed, out_dir) -> int:
     return 0 if outcome.certificate_ok else 2
 
 
+_DATA_KEYS = ("dataset", "path", "data_dir")
+
+
 def _dataset_from_cfg(cfg, default_name=None):
     name = cfg.get("dataset", default_name)
     if name is None:
@@ -123,10 +135,11 @@ def _dataset_from_cfg(cfg, default_name=None):
 
 
 def _cmd_mksvm(cfg, seed, out_dir) -> int:
-    data = _dataset_from_cfg(cfg)
-    outcome = mksvm_experiment(data, seed=seed, **_options(cfg, {
+    options = _options(cfg, {
         "variant": str, "runs": int, "checkpoints": _int_list, "box_c": float,
-        "split_fraction": float, "tau0": float, "sigma0": float}))
+        "split_fraction": float, "tau0": float, "sigma0": float}, _DATA_KEYS)
+    data = _dataset_from_cfg(cfg)
+    outcome = mksvm_experiment(data, seed=seed, **options)
     variant = outcome.report.config["variant"]
     for k, tsa in outcome.aggregated.items():
         print(f"{data.name} {variant} k={k}: TSA {tsa:.2f}")
@@ -136,10 +149,10 @@ def _cmd_mksvm(cfg, seed, out_dir) -> int:
 
 
 def _cmd_fairness(cfg, seed, out_dir) -> int:
+    options = _options(cfg, {"grouping": str, "partitions": int, "checkpoints": _int_list,
+                             "split_fraction": float}, _DATA_KEYS)
     data = _dataset_from_cfg(cfg, default_name="heart-disease")
-    outcome = fairness_experiment(data, seed=seed, **_options(cfg, {
-        "grouping": str, "partitions": int, "checkpoints": _int_list,
-        "split_fraction": float}))
+    outcome = fairness_experiment(data, seed=seed, **options)
     for k in sorted(outcome.with_fairness):
         cell = outcome.with_fairness[k]
         plain = outcome.without_fairness[k]

@@ -9,6 +9,7 @@ yields group labels by sex and by age band (<50, 50-59, >=60), computed
 from the raw values before normalization.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,9 +46,9 @@ class DatasetFormat:
     filename: str  # name of the file as distributed by the UCI repository
     label_column: int
     label_map: dict
+    n_columns: int
     drop_columns: tuple[int, ...] = ()
     missing_marker: str | None = None
-    n_columns: int | None = None
 
 
 DATASET_FORMATS = {
@@ -135,7 +136,7 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
         lines = [line for line in handle if line.strip()]
     for index, line in enumerate(lines):
         tokens = _tokenize(line)
-        if fmt.n_columns is not None and len(tokens) != fmt.n_columns:
+        if len(tokens) != fmt.n_columns:
             if index == 0:
                 continue  # header row
             raise ParseError(
@@ -157,6 +158,8 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
                 row.append(float(tok))
             except ValueError:
                 raise ParseError(f"non-numeric feature {tok!r}", index, col) from None
+            if not math.isfinite(row[-1]):
+                raise ParseError(f"non-finite feature {tok!r}", index, col)
         raw_rows.append(row)
         labels.append(fmt.label_map[label_token])
     if not raw_rows:

@@ -17,7 +17,6 @@ import numpy as np
 from .datasets import LoadedDataset, train_test_split
 from .problem import SaddleProblem, validate_problem
 from .problems import (
-    BilinearProblem,
     FairnessProblem,
     Group,
     MkSvmProblem,
@@ -466,8 +465,8 @@ def validation_experiment(seed: int = 0, trials: int = 1000) -> tuple[bool, list
     cases: list[tuple[str, SaddleProblem]] = []
     cases.append(("toy nu=0", random_toy_problem(15, 22, 0.0, rng)))
     cases.append(("toy nu=0.3", random_toy_problem(15, 22, 0.3, rng)))
-    cases.append(("bilinear", BilinearProblem(rng.standard_normal((8, 8)),
-                                              box=(-1.0, 1.0))))
+    cases.append(("bilinear", QuadraticSaddleProblem(rng.standard_normal((8, 8)),
+                                                     box=(-1.0, 1.0))))
     cases.append(("quadratic", QuadraticSaddleProblem(
         rng.standard_normal((7, 6)), rng.standard_normal(6),
         rng.standard_normal(7), mu=1.0, nu=1.0)))

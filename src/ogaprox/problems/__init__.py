@@ -1,6 +1,5 @@
 """Concrete saddle-point problems."""
 
-from .bilinear import BilinearProblem
 from .fairness import FairnessProblem, Group
 from .mksvm import (
     MkSvmPrediction,
@@ -15,7 +14,6 @@ from .quadratic import QuadraticSaddleProblem
 from .toy import ToyProblem, random_toy_problem
 
 __all__ = [
-    "BilinearProblem",
     "FairnessProblem",
     "Group",
     "MkSvmPrediction",

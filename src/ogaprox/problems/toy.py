@@ -18,6 +18,12 @@ __all__ = ["ToyProblem", "random_toy_problem"]
 _FEAS_TOL = 1e-8
 
 
+def _outside_cone(slack: np.ndarray) -> bool:
+    """``A y >= 0`` fails by more than ``_FEAS_TOL`` relative to the largest
+    ``|A y|`` (a NaN slack is not flagged; the solver's finiteness check is)."""
+    return np.min(slack) < -_FEAS_TOL * max(1.0, float(np.max(np.abs(slack))))
+
+
 class ToyProblem(SaddleProblem):
     def __init__(self, a_matrix, nu: float = 0.0):
         if nu < 0:
@@ -34,7 +40,7 @@ class ToyProblem(SaddleProblem):
 
     def prox_phi_x(self, tau, y, x):
         w = self.a @ y
-        if np.min(w) < -1e-10 * max(1.0, float(np.max(np.abs(w)))):
+        if _outside_cone(w):
             raise ValueError("prox_phi_x needs feasible y (A y >= 0)")
         w = np.maximum(w, 0.0)
         x = np.asarray(x, dtype=float)
@@ -48,8 +54,7 @@ class ToyProblem(SaddleProblem):
         return float(np.maximum(x, 0.0) @ (self.a @ y))
 
     def g_value(self, y):
-        slack = self.a @ y
-        if np.min(slack) < -_FEAS_TOL * max(1.0, float(np.max(np.abs(slack)))):
+        if _outside_cone(self.a @ y):
             return np.inf
         return 0.5 * self.nu * float(y @ y)
 

@@ -23,7 +23,6 @@ from ogaprox.experiments import (
 )
 from ogaprox.problem import validate_problem
 from ogaprox.problems import (
-    BilinearProblem,
     FairnessProblem,
     Group,
     MkSvmProblem,
@@ -140,7 +139,7 @@ def test_criterion_4_pdhg_reduction():
     rng = make_rng(SEED, 41)
     n = 30
     a = rng.standard_normal((n, n)) / math.sqrt(n)
-    problem = BilinearProblem(a, box=(-1.0, 1.0))
+    problem = QuadraticSaddleProblem(a, box=(-1.0, 1.0))
     norm_a = problem.constants.l_yx
     tau = 0.5 / norm_a
     sigma = 0.5 / norm_a

@@ -8,7 +8,6 @@ import pytest
 
 from ogaprox.experiments import _build_kernels, mksvm_experiment
 from ogaprox.problems import (
-    BilinearProblem,
     FairnessProblem,
     Group,
     MkSvmProblem,
@@ -54,7 +53,7 @@ def _small_problem(name, rng):
     if name.startswith("toy"):
         return random_toy_problem(6, 9, 0.3 if name == "toy nu=0.3" else 0.0, rng)
     if name == "bilinear":
-        return BilinearProblem(rng.standard_normal((5, 5)), box=(-1.0, 1.0))
+        return QuadraticSaddleProblem(rng.standard_normal((5, 5)), box=(-1.0, 1.0))
     if name == "quadratic":
         return QuadraticSaddleProblem(rng.standard_normal((5, 4)), rng.standard_normal(4),
                                       rng.standard_normal(5), mu=1.0, nu=1.0)

@@ -104,6 +104,19 @@ def test_parse_error_names_the_file_column(tmp_path):
     assert info.value.column == 4
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_non_finite_feature_is_a_parse_error(tmp_path, token):
+    path = tmp_path / "heart.dat"
+    _write_heart(path, make_rng(93, 0), rows=20)
+    lines = path.read_text().splitlines()
+    cells = lines[5].split()
+    cells[3] = token
+    lines[5] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=rf"non-finite feature '{token}' \(row 5, column 3\)"):
+        load_dataset(DatasetSpec(name="heart-disease", path=str(path)))
+
+
 def test_unknown_dataset_rejected(tmp_path):
     with pytest.raises(UnknownDatasetError):
         DatasetSpec(name="mystery", path="x.csv")

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from ogaprox.problem import ProblemConstants, PsiUndefinedError, validate_problem
+from ogaprox.problem import (
+    MissingSaddlePointError,
+    ProblemConstants,
+    PsiUndefinedError,
+    validate_problem,
+)
 from ogaprox.problems import (
-    BilinearProblem,
     QuadraticSaddleProblem,
     ToyProblem,
     random_toy_problem,
@@ -87,6 +91,23 @@ def test_toy_prox_x_rejects_infeasible_y():
     if np.min(p.a @ y_bad) < -1e-6:
         with pytest.raises(ValueError):
             p.prox_phi_x(1.0, y_bad, np.zeros(p.dim_x))
+
+
+@pytest.mark.parametrize("last, feasible", [(-5e-9, True), (-5e-7, False)])
+def test_toy_prox_x_and_g_value_share_one_cone_test(last, feasible):
+    p = random_toy_problem(4, 6, 0.3, make_rng(1, 0))
+    y = np.linalg.pinv(p.a) @ np.array([1.0, 0.5, 0.2, last])
+    x = make_rng(1, 1).standard_normal(4)
+    assert (p.g_value(y) < np.inf) is feasible
+    if feasible:
+        p.check_start(x, y)
+        w = np.maximum(p.a @ y, 0.0)
+        np.testing.assert_array_equal(
+            p.prox_phi_x(0.1, y, x),
+            np.where(x <= 0.0, x, np.where(x <= 0.1 * w, 0.0, x - 0.1 * w)))
+    else:
+        with pytest.raises(ValueError, match="feasible y"):
+            p.prox_phi_x(0.1, y, x)
 
 
 # -- toy saddle points -------------------------------------------------------
@@ -174,7 +195,7 @@ def test_toy_benchmark_instance_declares_an_upper_bound():
 
 
 @pytest.mark.parametrize("make", [
-    BilinearProblem,
+    pytest.param(QuadraticSaddleProblem, id="bilinear"),
     lambda a: QuadraticSaddleProblem(a, np.zeros(30), np.zeros(30), mu=1.0, nu=1.0),
 ])
 def test_square_coupling_declares_an_upper_bound(make):
@@ -191,7 +212,7 @@ def test_square_coupling_declares_an_upper_bound(make):
 def test_bilinear_prox_identity_exact():
     rng = make_rng(32, 0)
     a = rng.standard_normal((5, 4))
-    p = BilinearProblem(a)
+    p = QuadraticSaddleProblem(a)
     x = rng.standard_normal(4)
     y = rng.standard_normal(5)
     tau = 0.37
@@ -245,12 +266,41 @@ def test_quadratic_proxes_match_oracle():
                        trials=500, seed=9) <= 1e-8
 
 
+def _boxed_quadratic(seed):
+    rng = make_rng(seed, 0)
+    return QuadraticSaddleProblem(rng.standard_normal((5, 4)), rng.standard_normal(4),
+                                  rng.standard_normal(5), mu=0.6, nu=0.4, box=(-1.0, 1.0))
+
+
+def test_quadratic_with_box_has_no_closed_form_saddle():
+    with pytest.raises(MissingSaddlePointError):
+        _boxed_quadratic(42).saddle_point()
+
+
+def test_quadratic_with_box_gap_is_the_objective_difference():
+    # the distance identity needs the unconstrained saddle point; with a box
+    # the gap is Psi(x, y*) - Psi(x*, y) at any feasible reference pair
+    p = _boxed_quadratic(43)
+    rng = make_rng(43, 1)
+    saddle, pair = p.sample_point(rng), p.sample_point(rng)
+    direct = p.psi_value(pair[0], saddle[1]) - p.psi_value(saddle[0], pair[1])
+    assert p.gap_value(saddle, pair) == direct
+    dx, dy = pair[0] - saddle[0], pair[1] - saddle[1]
+    assert direct != 0.5 * p.mu * (dx @ dx) + 0.5 * p.nu * (dy @ dy)  # the unboxed identity
+
+
+@pytest.mark.parametrize("mu, nu", [(-0.1, 1.0), (1.0, -0.1), (np.inf, 1.0)])
+def test_quadratic_rejects_negative_or_infinite_moduli(mu, nu):
+    with pytest.raises(ValueError, match="nonnegative finite"):
+        QuadraticSaddleProblem(np.eye(2), mu=mu, nu=nu)
+
+
 # -- interface validation ----------------------------------------------------
 
 @pytest.mark.parametrize("make", [
     lambda: _toy(make_rng(36, 0), nu=0.0),
     lambda: _toy(make_rng(36, 1), nu=0.5),
-    lambda: BilinearProblem(make_rng(36, 2).standard_normal((4, 4)), box=(-1.0, 1.0)),
+    lambda: QuadraticSaddleProblem(make_rng(36, 2).standard_normal((4, 4)), box=(-1.0, 1.0)),
     lambda: QuadraticSaddleProblem(
         make_rng(36, 3).standard_normal((4, 3)),
         make_rng(36, 4).standard_normal(3),

@@ -201,10 +201,21 @@ def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
     ("synthetic", "record_every = 0", "record_every"),
     ("toy", "d = 0", "d"),
     ("toy", "d = 5\nn = 8\niters = 50\ncheckpoints = 100", "checkpoints"),
+    ("toy", "iters = ten", "iters"),
+    ("toy", "nu = abc", "nu"),
+    ("toy", "iter = 50", "iter"),
+    ("toy", "dataset = heart-disease", "dataset"),
+    ("synthetic", "checkpoints = 5, x", "checkpoints"),
+    ("validate", "trials = many", "trials"),
+    ("mksvm", "runs = two", "runs"),
+    ("mksvm", "partitions = 2", "partitions"),
+    ("fairness", "split_fraction = half", "split_fraction"),
+    ("fairness", "variant = c1", "variant"),
 ])
 def test_cli_bad_size_is_validation_error_naming_the_key(tmp_path, capsys, verb, line, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"dataset = heart-disease\npath = {_heart_file(tmp_path)}\n{line}\n")
+    data = f"dataset = heart-disease\npath = {_heart_file(tmp_path)}\n"
+    cfg.write_text((data if verb in ("mksvm", "fairness") else "") + f"{line}\n")
     assert main([verb, "--config", str(cfg)]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 

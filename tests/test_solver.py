@@ -7,7 +7,6 @@ import pytest
 
 from ogaprox.problem import ProblemConstants, SaddleProblem
 from ogaprox.problems import (
-    BilinearProblem,
     QuadraticSaddleProblem,
     random_toy_problem,
 )
@@ -38,7 +37,7 @@ def test_first_step_uses_plain_gradient():
     # update sees exactly grad_y(x_0, y_0)
     rng = make_rng(40, 0)
     a = rng.standard_normal((4, 4))
-    p = BilinearProblem(a, box=(-1.0, 1.0))
+    p = QuadraticSaddleProblem(a, box=(-1.0, 1.0))
     kind = default_adaptive(p.constants)
     sched = make_schedule(kind, p.constants)
     x0 = rng.standard_normal(4)
@@ -72,7 +71,7 @@ def test_pdhg_equivalence_on_bilinear():
     rng = make_rng(41, 0)
     n = 30
     a = rng.standard_normal((n, n)) / math.sqrt(n)
-    p = BilinearProblem(a, box=(-1.0, 1.0))
+    p = QuadraticSaddleProblem(a, box=(-1.0, 1.0))
     norm_a = p.constants.l_yx
     tau = 0.5 / norm_a
     sigma = 0.5 / norm_a
@@ -134,7 +133,7 @@ def test_run_rejects_infeasible_start():
     if p.g_value(y_bad) == np.inf:
         with pytest.raises(ValueError):
             run(p, default_adaptive(p.constants), np.zeros(4), y_bad, max_iter=1)
-    boxed = BilinearProblem(np.eye(3), box=(-1.0, 1.0))
+    boxed = QuadraticSaddleProblem(np.eye(3), box=(-1.0, 1.0))
     with pytest.raises(ValueError, match="dom g"):
         run(boxed, default_adaptive(boxed.constants), np.zeros(3), np.full(3, 5.0),
             max_iter=1)
@@ -209,7 +208,7 @@ def test_callbacks_record_metrics():
 def test_ergodic_is_plain_average_for_constant_schedule():
     rng = make_rng(47, 0)
     a = rng.standard_normal((3, 3))
-    p = BilinearProblem(a, box=(-1.0, 1.0))
+    p = QuadraticSaddleProblem(a, box=(-1.0, 1.0))
     kind = default_adaptive(p.constants)
     iterates = []
 
@@ -297,7 +296,7 @@ def test_state_counts_steps_and_sums_weights(law):
     p = QuadraticSaddleProblem(a, rng.standard_normal(4), rng.standard_normal(4),
                                mu=1.0, nu=1.0)
     if law == "constant":
-        p = BilinearProblem(a)  # nu = 0: the adaptive law keeps its steps
+        p = QuadraticSaddleProblem(a)  # nu = 0: the adaptive law keeps its steps
     if law == "linear":
         kind = LinearSchedule(theta=0.9, alpha=balanced_alpha(p.constants))
     else:
