@@ -64,7 +64,9 @@ class SaddleProblem(abc.ABC):
     Required: :meth:`grad_y`, :meth:`prox_phi_x`, :meth:`prox_g` plus the
     ``dim_x``/``dim_y``/``constants`` attributes.  Optional capabilities
     (objective values, feasible-point sampling, saddle points) unlock
-    validation, gap certificates and fixed-point tests.
+    validation, gap certificates and fixed-point tests.  The solver calls an
+    optional fused ``prox_step(sigma, v, tau, x)`` in place of ``prox_g``,
+    ``prox_phi_x`` and ``grad_y``; it must return their ``(y, x, grad)`` bit for bit.
     """
 
     dim_x: int

@@ -141,9 +141,9 @@ class MkSvmProblem(SaddleProblem):
         return 1.0 - x @ my
 
     def prox_phi_x(self, tau, y, x):
-        return self.prox_phi_x_grad(tau, y, x)[0]
+        return self._prox_x_grad(tau, y, x)[0]
 
-    def prox_phi_x_grad(self, tau, y, x):
+    def _prox_x_grad(self, tau, y, x):
         """``prox_phi_x`` and ``grad_y`` at the new pair from one stacked matvec."""
         my = self.m_stack @ y
         xi = 0.5 * (my @ y)
@@ -152,6 +152,11 @@ class MkSvmProblem(SaddleProblem):
 
     def prox_g(self, sigma, v):
         return project_box_hyperplane(self.y_set, np.asarray(v, float) / (1.0 + self.nu * sigma))
+
+    def prox_step(self, sigma, v, tau, x):
+        """``prox_g``, then ``prox_phi_x`` and ``grad_y`` sharing one stacked matvec."""
+        y = self.prox_g(sigma, v)
+        return (y, *self._prox_x_grad(tau, y, x))
 
     def phi_value(self, x, y):
         x = np.asarray(x, float)

@@ -58,13 +58,17 @@ class QuadraticSaddleProblem(SaddleProblem):
         return x, (y if self.box is None else np.clip(y, *self.box))
 
     def saddle_point(self) -> tuple[np.ndarray, np.ndarray]:
-        """Solve the defining linear system; residual checked to 1e-10."""
+        """Solve the defining linear system; residual checked to 1e-10.  A
+        singular system raises :class:`MissingSaddlePointError`."""
         if self.box is not None:
             raise MissingSaddlePointError("no closed-form saddle point with a box on y")
         d, n = self.dim_x, self.dim_y
         system = np.block([[self.mu * np.eye(d), self.a.T], [self.a, -self.nu * np.eye(n)]])
         rhs = np.concatenate([-self.b, self.c])
-        solution = np.linalg.solve(system, rhs)
+        try:
+            solution = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as err:
+            raise MissingSaddlePointError(f"singular saddle system: {err}") from err
         residual = float(np.max(np.abs(system @ solution - rhs)))
         if residual > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
             raise RuntimeError(f"saddle system residual {residual} too large")

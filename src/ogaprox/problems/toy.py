@@ -5,7 +5,9 @@
 The x-prox is a componentwise scaled positive-part prox, the y-prox a
 scaled projection onto ``C``.  For full-row-rank ``A`` the saddle points
 are exactly ``x* <= 0`` with ``y* = 0`` when ``nu > 0`` (any ``y*`` in
-``C`` when ``nu = 0``).
+``C`` when ``nu = 0``).  The fused ``prox_step`` takes both proxes from one
+cone image ``A y``; at ``x <= 0`` the x-prox is the identity and ``grad_y``
+is exactly zero, so neither multiplies by ``A``.
 """
 
 import numpy as np
@@ -36,19 +38,30 @@ class ToyProblem(SaddleProblem):
         self.constants = ProblemConstants(l_yx=1.001 * self._projector.norm, l_yy=0.0, nu=self.nu)
 
     def grad_y(self, x, y):
+        if np.all(np.asarray(x) <= 0.0):  # [x]_+ = 0 exactly; a NaN entry fails the test
+            return np.zeros(self.dim_y)
         return self.a.T @ np.maximum(x, 0.0)
 
     def prox_phi_x(self, tau, y, x):
-        w = self.a @ y
+        return self._prox_x(tau, self.a @ y, x)
+
+    def _prox_x(self, tau, w, x):  # prox_phi_x given the cone image w = A y
         if _outside_cone(w):
             raise ValueError("prox_phi_x needs feasible y (A y >= 0)")
-        w = np.maximum(w, 0.0)
         x = np.asarray(x, dtype=float)
-        out = np.where(x <= 0.0, x, np.where(x <= tau * w, 0.0, x - tau * w))
-        return out
+        if np.all(x <= 0.0):  # the formula below is the identity here
+            return x.copy()
+        w = np.maximum(w, 0.0)
+        return np.where(x <= 0.0, x, np.where(x <= tau * w, 0.0, x - tau * w))
 
     def prox_g(self, sigma, v):
         return self._projector.project(np.asarray(v, float) / (1.0 + self.nu * sigma))
+
+    def prox_step(self, sigma, v, tau, x):
+        """The three oracles at once, the x-prox reading the projection's ``A y``."""
+        y, w = self._projector.project_with_image(np.asarray(v, float) / (1.0 + self.nu * sigma))
+        x_next = self._prox_x(tau, w, x)
+        return y, x_next, self.grad_y(x_next, y)
 
     def phi_value(self, x, y):
         return float(np.maximum(x, 0.0) @ (self.a @ y))

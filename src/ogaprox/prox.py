@@ -263,11 +263,16 @@ class PolytopeProjector:
         self.gram = a @ a.T
 
     def project(self, v) -> np.ndarray:
+        return self.project_with_image(v)[0]
+
+    def project_with_image(self, v) -> tuple[np.ndarray, np.ndarray]:
+        """``(y, A y)``: the cone test's ``A v`` is ``A y`` when ``v`` is inside."""
         w = np.asarray(v, dtype=float)
         c = self.a @ w
         if np.all(c >= 0.0):
-            return w.copy()
-        return w + self.a.T @ solve_polytope_dual(self.gram, c)
+            return w.copy(), c
+        y = w + self.a.T @ solve_polytope_dual(self.gram, c)
+        return y, self.a @ y
 
 
 def prox_oracle(

@@ -4,12 +4,13 @@ One iteration extrapolates the y-gradient with the previous one,
 ``(1 + theta_k) * grad_y(x_k, y_k) - theta_k * grad_y(x_{k-1}, y_{k-1})``,
 takes a prox step of ``g`` in ``y`` and a pure prox step of
 ``Phi(., y_{k+1})`` in ``x``.  The state carries both gradients: a step
-ends with ``grad_y(x_{k+1}, y_{k+1})``, taken from the problem's optional
-fused oracle ``prox_phi_x_grad`` (x-prox and gradient sharing their work)
-when it has one.  The state also holds the run's totals: the count ``k``
-and the iterate sums weighted by ``t_k`` with their total ``T_k``, which
-are normalized only on read, so a common rescale of the weights (applied
-before they overflow on linear schedules) leaves the averages unchanged.
+ends with ``grad_y(x_{k+1}, y_{k+1})``.  The proxes and that gradient come
+from the problem's optional fused oracle ``prox_step`` when it has one,
+else from ``prox_g``, ``prox_phi_x`` and ``grad_y`` in turn.  The state
+also holds the run's totals: the count ``k`` and the iterate sums weighted
+by ``t_k`` with their total ``T_k``, which are normalized only on read, so
+a common rescale of the weights (applied before they overflow on linear
+schedules) leaves the averages unchanged.
 :func:`gap_certificate` measures the ergodic gap against its law's bound.
 """
 
@@ -93,12 +94,12 @@ def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> So
     v = state.y + sched.sigma * (
         (1.0 + sched.theta) * state.grad - sched.theta * state.grad_prev
     )
-    y_next = problem.prox_g(sched.sigma, v)
-    fused = getattr(problem, "prox_phi_x_grad", None)
+    fused = getattr(problem, "prox_step", None)
     if fused is None:
+        y_next = problem.prox_g(sched.sigma, v)
         x_next, grad = problem.prox_phi_x(sched.tau, y_next, state.x), None
     else:
-        x_next, grad = fused(sched.tau, y_next, state.x)
+        y_next, x_next, grad = fused(sched.sigma, v, sched.tau, state.x)
     if not (_finite(x_next) and _finite(y_next)):
         raise NonFiniteIterateError(state.k + 1)
     if grad is None:

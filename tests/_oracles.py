@@ -20,3 +20,16 @@ def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
     if x <= tau * w:
         return 0.0
     return x - tau * w
+
+
+class ThreeCalls:
+    """A problem with its fused ``prox_step`` hidden, so ``step`` calls
+    ``prox_g``, ``prox_phi_x`` and ``grad_y`` in turn."""
+
+    prox_step = None
+
+    def __init__(self, problem):
+        self._problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)

@@ -17,6 +17,8 @@ from ogaprox.problems import (
 from ogaprox.prox import RankDeficientError, prox_oracle
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import experiment_rng, make_rng
+from ogaprox.schedule import default_adaptive
+from ogaprox.solver import run
 
 
 def _toy(rng, d=6, n=9, nu=0.0):
@@ -108,6 +110,51 @@ def test_toy_prox_x_and_g_value_share_one_cone_test(last, feasible):
     else:
         with pytest.raises(ValueError, match="feasible y"):
             p.prox_phi_x(0.1, y, x)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3])
+def test_toy_fused_run_matches_the_three_call_run(nu):
+    from _oracles import ThreeCalls
+
+    p = random_toy_problem(20, 30, nu, make_rng(26, 0))
+    x0, y0 = p.sample_point(make_rng(26, 1))
+    kind = default_adaptive(p.constants)
+    a = run(p, kind, x0, y0, max_iter=150)
+    b = run(ThreeCalls(p), kind, x0, y0, max_iter=150)
+    for u, v in zip((a.state.x, a.state.y, *a.ergodic()), (b.state.x, b.state.y, *b.ergodic())):
+        np.testing.assert_array_equal(u, v)
+    assert a.report.step_dx == b.report.step_dx
+    assert a.report.step_dy == b.report.step_dy
+
+
+def test_toy_empty_positive_part_is_exact():
+    # at x <= 0 the oracles skip A: the results are those of the formulas
+    p = _toy(make_rng(27, 0))
+    rng = make_rng(27, 1)
+    _, y = p.sample_point(rng)
+    x = -np.abs(rng.standard_normal(p.dim_x))
+    x[:2] = 0.0, -0.0
+    np.testing.assert_array_equal(p.grad_y(x, y), p.a.T @ np.maximum(x, 0.0))
+    out = p.prox_phi_x(0.7, y, x)
+    np.testing.assert_array_equal(out, x)
+    assert not np.shares_memory(out, x)
+    y_next, x_next, grad = p.prox_step(0.5, y, 0.7, x)
+    np.testing.assert_array_equal(x_next, x)
+    np.testing.assert_array_equal(grad, np.zeros(p.dim_y))
+    # a NaN entry is not an empty positive part
+    x[2] = np.nan
+    assert np.isnan(p.grad_y(x, y)).all()
+
+
+def test_toy_prox_x_and_prox_step_reject_an_infeasible_image():
+    p = random_toy_problem(4, 6, 0.3, make_rng(28, 0))
+    y_bad = np.linalg.pinv(p.a) @ np.array([1.0, 0.5, 0.2, -1.0])
+    p._projector.project_with_image = lambda v: (y_bad, p.a @ y_bad)
+    for x in (-np.ones(4), make_rng(28, 1).standard_normal(4)):
+        with pytest.raises(ValueError, match="feasible y"):
+            p.prox_phi_x(0.1, y_bad, x)
+        with pytest.raises(ValueError, match="feasible y"):
+            p.prox_step(0.1, y_bad, 0.1, x)
 
 
 # -- toy saddle points -------------------------------------------------------
@@ -275,6 +322,16 @@ def _boxed_quadratic(seed):
 def test_quadratic_with_box_has_no_closed_form_saddle():
     with pytest.raises(MissingSaddlePointError):
         _boxed_quadratic(42).saddle_point()
+
+
+@pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones((3, 2)), np.array([[1.0, 2.0],
+                                                                          [2.0, 4.0]])],
+                         ids=["wide", "tall", "singular-square"])
+def test_quadratic_singular_system_has_no_saddle_point(a):
+    # at mu = nu = 0 the saddle system is singular unless A is square and invertible
+    with pytest.raises(MissingSaddlePointError) as info:
+        QuadraticSaddleProblem(a).saddle_point()
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_quadratic_with_box_gap_is_the_objective_difference():

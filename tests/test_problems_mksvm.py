@@ -38,12 +38,10 @@ def _problem(rng, mu=0.0, nu=0.0, cls=MkSvmProblem):
 
 
 class _TwoCallMkSvm(MkSvmProblem):
-    """Hides the fused oracle, so ``run`` calls ``prox_phi_x`` and then ``grad_y``."""
+    """Hides the fused oracle, so ``run`` calls ``prox_g``, ``prox_phi_x``
+    and then ``grad_y``."""
 
-    prox_phi_x_grad = None
-
-    def prox_phi_x(self, tau, y, x):
-        return MkSvmProblem.prox_phi_x_grad(self, tau, y, x)[0]
+    prox_step = None
 
 
 # (mu, nu) and schedule law of the three MKSVM variants c1, a and c2
@@ -138,9 +136,11 @@ def test_fused_prox_x_grad_equals_the_two_oracles(mu, nu):
     rng = make_rng(72, 1)
     for tau in (0.0, 0.04, 3.0):
         x, y = p.sample_point(rng)
-        x_next, grad = p.prox_phi_x_grad(tau, y, x)
-        np.testing.assert_array_equal(x_next, p.prox_phi_x(tau, y, x))
-        np.testing.assert_array_equal(grad, p.grad_y(x_next, y))
+        sigma, v = 2.0 * tau, 3.0 * y - 1.0  # v leaves the box: the projection acts
+        y_next, x_next, grad = p.prox_step(sigma, v, tau, x)
+        np.testing.assert_array_equal(y_next, p.prox_g(sigma, v))
+        np.testing.assert_array_equal(x_next, p.prox_phi_x(tau, y_next, x))
+        np.testing.assert_array_equal(grad, p.grad_y(x_next, y_next))
 
 
 @pytest.mark.parametrize("mu, nu, law", _VARIANTS)

@@ -5,8 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import ThreeCalls
+
+from ogaprox import problems, prox
 from ogaprox.problem import ProblemConstants, SaddleProblem
 from ogaprox.problems import (
+    MkSvmProblem,
     QuadraticSaddleProblem,
     random_toy_problem,
 )
@@ -50,7 +54,7 @@ def test_first_step_uses_plain_gradient():
 
 def test_run_evaluates_grad_y_once_per_step_plus_the_start():
     # without a fused oracle, each step ends with grad_y at the new pair
-    p = random_toy_problem(4, 6, 0.3, make_rng(40, 1))
+    p = QuadraticSaddleProblem(make_rng(40, 1).standard_normal((6, 4)), nu=0.3)
     x0, y0 = p.sample_point(make_rng(40, 2))
     seen, grad_y = [], p.grad_y
 
@@ -63,6 +67,59 @@ def test_run_evaluates_grad_y_once_per_step_plus_the_start():
     assert len(seen) == 26
     np.testing.assert_array_equal(seen[-1][0], result.state.x)
     np.testing.assert_array_equal(seen[-1][1], result.state.y)
+
+
+def _toy_start(nu):
+    # the toy experiment's start, smaller: the first steps project and
+    # have [x]_+ != 0, the later ones find x <= 0
+    rng = make_rng(90, 0)
+    p = random_toy_problem(20, 30, nu, rng)
+    x0 = rng.uniform(-5.0, 5.0, p.dim_x)
+    return p, x0, p.prox_g(1.0, rng.uniform(-5.0, 5.0, p.dim_y))
+
+
+def _mksvm_start(mu, nu):
+    rng = make_rng(91, 0)
+    labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    factors = [rng.standard_normal((12, 5)) for _ in range(3)]
+    p = MkSvmProblem([f @ f.T for f in factors], labels, box_c=1.0, mu=mu, nu=nu)
+    return (p, *p.sample_point(rng))
+
+
+_FUSED = {
+    "toy-nu0": lambda: _toy_start(0.0),
+    "toy-nu0.3": lambda: _toy_start(0.3),
+    "mksvm-c1": lambda: _mksvm_start(0.0, 0.0),
+    "mksvm-c2": lambda: _mksvm_start(1.0, 0.5),
+}
+
+
+def test_every_built_in_fused_problem_is_checked():
+    fused = {name for name in problems.__all__ if hasattr(getattr(problems, name), "prox_step")}
+    assert fused == {"ToyProblem", "MkSvmProblem"}
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_step_equals_the_three_call_step(name, monkeypatch):
+    p, x0, y0 = _FUSED[name]()
+    kind = default_adaptive(p.constants)
+    sched = make_schedule(kind, p.constants)
+    state = SolverState.initial(p, x0, y0)
+    projections = []
+    dual = prox.solve_polytope_dual
+    monkeypatch.setattr(prox, "solve_polytope_dual",
+                        lambda *args: projections.append(state.k) or dual(*args))
+    positive = []
+    for _ in range(60):
+        fused, plain = step(p, state, sched), step(ThreeCalls(p), state, sched)
+        for u, v in zip((fused.x, fused.y, fused.grad), (plain.x, plain.y, plain.grad)):
+            np.testing.assert_array_equal(u, v)
+        positive.append(bool(np.any(fused.x > 0.0)))
+        state, sched = fused, advance_schedule(sched, kind, p.constants)
+    if name.startswith("toy"):
+        # both branches of the projection and of the positive part were taken
+        assert projections[0] == 0 and len(set(projections)) < 60
+        assert positive[0] and not all(positive)
 
 
 def test_pdhg_equivalence_on_bilinear():
