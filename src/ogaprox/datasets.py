@@ -123,6 +123,16 @@ def zscore(features: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return out, tuple(int(c) for c in constant)
 
 
+def _is_header(tokens: list[str], fmt: DatasetFormat) -> bool:
+    """Row 0 is a header when a token is no number, label or missing marker."""
+    for tok in set(tokens) - {*fmt.label_map, fmt.missing_marker}:
+        try:
+            float(tok)
+        except ValueError:
+            return True
+    return False
+
+
 def load_dataset(spec: DatasetSpec) -> LoadedDataset:
     fmt = DATASET_FORMATS[spec.name]
     path = Path(spec.path)
@@ -136,9 +146,9 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
         lines = [line for line in handle if line.strip()]
     for index, line in enumerate(lines):
         tokens = _tokenize(line)
+        if index == 0 and _is_header(tokens, fmt):
+            continue
         if len(tokens) != fmt.n_columns:
-            if index == 0:
-                continue  # header row
             raise ParseError(
                 f"expected {fmt.n_columns} columns, found {len(tokens)}", index
             )
@@ -147,8 +157,6 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
             continue
         label_token = tokens[fmt.label_column]
         if label_token not in fmt.label_map:
-            if index == 0:
-                continue  # header row
             raise ParseError(f"unknown label {label_token!r}", index, fmt.label_column)
         row = []
         for col, tok in enumerate(tokens):

@@ -18,8 +18,9 @@ Two parameter laws cover the three convexity regimes:
 
 Violated conditions raise :class:`StepSizeViolationError` naming the
 inequality; :func:`adaptive_rates` gives the adaptive law's rate constants.
-A :class:`ScheduleState` holds what the law sets for the next step; the
-run's totals ``K`` and ``T_K`` are the solver state's.  The weight
+A :class:`ScheduleState` holds only what the law sets for the next step: the
+start is the kind's (:func:`make_schedule` returns it as ``tau`` and ``sigma``)
+and the run's totals ``K`` and ``T_K`` are the solver state's.  The weight
 ``t_k`` follows ``t_{k+1} = t_k / theta_{k+1}`` (1 at ``nu = 0``,
 ``tau_k / tau_0`` up to roundoff for ``nu > 0``, and ``theta**-k``
 for the linear law, where the ratio identity would be wrong).
@@ -43,7 +44,6 @@ __all__ = [
     "balanced_alpha",
     "sigma_tilde",
     "adaptive_rates",
-    "default_c_alpha",
     "default_adaptive",
     "default_linear",
     "ADAPTIVE_SIGMA0_FACTOR",
@@ -89,20 +89,20 @@ class ScheduleState:
     t: float
     alpha: float
     delta: float
-    tau0: float
-    sigma0: float
-
-
-def default_c_alpha(constants: ProblemConstants) -> float:
-    """Margin factor above ``l_yx``: twice it, or 1 when ``l_yx == 0``."""
-    return 2.0 * constants.l_yx if constants.l_yx > 0 else 1.0
 
 
 def default_adaptive(constants: ProblemConstants, tau0: float | None = None,
                      sigma0: float | None = None) -> AdaptiveSchedule:
-    """Adaptive law with the step-size product at 90% of its cap; for
-    ``nu > 0`` the default ``sigma0`` is also capped at its admissible bound."""
-    c_alpha = default_c_alpha(constants)
+    """Adaptive law with ``c_alpha = 2*l_yx`` (1 at ``l_yx = 0``) whose unset
+    steps put ``(c_alpha*l_yx*tau0 + 2*l_yy)*sigma0`` at 0.9: ``sigma0`` from
+    ``tau0`` (default ``1/max(l_yx, 1)``), capped at its bound for ``nu > 0``,
+    or ``tau0`` from a given ``sigma0``, which must leave it room."""
+    c_alpha = 2.0 * constants.l_yx if constants.l_yx > 0 else 1.0
+    if tau0 is None and sigma0 is not None and sigma0 > 0 and constants.l_yx > 0:
+        room = 0.9 / sigma0 - 2.0 * constants.l_yy
+        if room <= 0:
+            raise StepSizeViolationError("sigma0 leaves no room for a positive tau0")
+        tau0 = room / (c_alpha * constants.l_yx)
     tau = tau0 if tau0 is not None else 1.0 / max(constants.l_yx, 1.0)
     if sigma0 is None:
         denom = c_alpha * constants.l_yx * tau + 2.0 * constants.l_yy
@@ -168,10 +168,8 @@ def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleSt
                 f"sigma0 <= (9+3*sqrt(13))/(2*nu) required: {sigma0} > {cap}"
             )
         delta = min(1.0 - constants.l_yx / kind.c_alpha, 1.0 - product)
-        return ScheduleState(
-            theta=1.0, tau=tau0, sigma=sigma0, t=1.0, alpha=kind.c_alpha * tau0,
-            delta=delta, tau0=tau0, sigma0=sigma0,
-        )
+        return ScheduleState(theta=1.0, tau=tau0, sigma=sigma0, t=1.0,
+                             alpha=kind.c_alpha * tau0, delta=delta)
 
     if isinstance(kind, LinearSchedule):
         if constants.mu <= 0 or constants.nu <= 0:
@@ -190,10 +188,8 @@ def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleSt
             raise StepSizeViolationError(
                 f"1 - theta*sigma*(alpha*l_yx + l_yy) must be positive, got {margin}"
             )
-        return ScheduleState(
-            theta=kind.theta, tau=tau, sigma=sigma, t=1.0, alpha=kind.alpha,
-            delta=margin, tau0=tau, sigma0=sigma,
-        )
+        return ScheduleState(theta=kind.theta, tau=tau, sigma=sigma, t=1.0,
+                             alpha=kind.alpha, delta=margin)
 
     raise TypeError(f"unknown schedule kind {type(kind).__name__}")
 
@@ -210,12 +206,12 @@ def advance_schedule(state: ScheduleState, kind: ScheduleKind,
         tau = state.tau / theta
         # deriving sigma from the invariant tau_k*sigma_k = tau0*sigma0
         # keeps the product exact to one ulp over any horizon
-        sigma = (state.tau0 * state.sigma0) / tau
+        sigma = (kind.tau0 * kind.sigma0) / tau
         return ScheduleState(theta, tau, sigma, state.t / theta, kind.c_alpha * state.tau,
-                             state.delta, state.tau0, state.sigma0)
+                             state.delta)
     if isinstance(kind, LinearSchedule):
         return ScheduleState(state.theta, state.tau, state.sigma, state.t / state.theta,
-                             state.alpha, state.delta, state.tau0, state.sigma0)
+                             state.alpha, state.delta)
     raise TypeError(f"unknown schedule kind {type(kind).__name__}")
 
 
@@ -255,5 +251,5 @@ def adaptive_rates(state: ScheduleState, kind: AdaptiveSchedule,
         raise TypeError("adaptive_rates is defined for the adaptive law")
     if constants.nu <= 0:
         raise StepSizeViolationError("adaptive rate constants require nu > 0")
-    nu, sigma0 = constants.nu, state.sigma0
+    nu, sigma0 = constants.nu, kind.sigma0
     return 12.0 / (nu * sigma0), math.sqrt(18.0 / (nu**2 * sigma0 * state.delta))

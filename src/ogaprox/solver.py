@@ -209,16 +209,14 @@ def gap_certificate(
     state: SolverState,
     sched: ScheduleState,
     kind: ScheduleKind,
-    x0,
-    y0,
+    d0: float,
 ) -> GapCertificate:
-    """Evaluate the ergodic gap after ``K = state.k >= 1`` iterations and
-    the bound the schedule guarantees; ``sched`` is the schedule after them.
-    Before the first step ``state.ergodic()`` raises ``ValueError``."""
+    """Ergodic gap after ``K = state.k >= 1`` iterations and the law's bound
+    from ``d0``, the start's :func:`initial_distance`; ``sched`` is the schedule
+    after them.  Before the first step ``state.ergodic()`` raises ``ValueError``."""
     if saddle is None:
         raise MissingSaddlePointError("gap certificate needs a known saddle point")
     gap = problem.gap_value(saddle, state.ergodic())
-    d0 = initial_distance(saddle, x0, y0, sched.tau0, sched.sigma0)
     if isinstance(kind, LinearSchedule):
         x_star, y_star = saddle
         lhs = kind.theta * gap

@@ -173,7 +173,7 @@ def test_criterion_5_adaptive_schedule_invariants():
     for k in range(1, 10_001):
         state = advance_schedule(state, kind, constants)
         prod_err = abs(state.tau * state.sigma - product0) / product0
-        t_err = abs(state.t - state.tau / state.tau0) / state.t
+        t_err = abs(state.t - state.tau / kind.tau0) / state.t
         worst = max(worst, prod_err, t_err)
         ok = ok and prod_err <= 1e-12 and t_err <= 1e-12
         ok = ok and state.sigma <= 3.0 / (constants.nu * k) * (1 + 1e-12)

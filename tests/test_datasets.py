@@ -142,6 +142,24 @@ def test_file_without_data_rows_rejected(tmp_path, text):
         load_dataset(DatasetSpec(name="ionosphere", path=str(path)))
 
 
+@pytest.mark.parametrize("row", [0, 1])
+@pytest.mark.parametrize("fault, message", [
+    ("short", r"expected 14 columns, found 13 \(row {row}\)"),
+    ("label", r"unknown label '3' \(row {row}, column 13\)"),
+], ids=["short", "label"])
+def test_malformed_row_is_a_parse_error(tmp_path, row, fault, message):
+    # a first row of numbers and labels is data, never a silently skipped header
+    path = tmp_path / "heart.dat"
+    _write_heart(path, make_rng(95, 0), rows=6)
+    lines = path.read_text().splitlines()
+    cells = lines[row].split()
+    lines[row] = " ".join(cells[1:] if fault == "short" else cells[:-1] + ["3"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message.format(row=row)) as info:
+        load_dataset(DatasetSpec(name="heart-disease", path=str(path)))
+    assert info.value.row == row
+
+
 def test_ionosphere_format_and_header_skip(tmp_path):
     rng = make_rng(93, 0)
     path = tmp_path / "ionosphere.data"

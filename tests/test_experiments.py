@@ -42,6 +42,9 @@ def test_trimmed_mean_drops_one_min_one_max():
     assert _trimmed_mean(values) == pytest.approx(5.0)
     # duplicated extremes: only one copy of each is removed
     assert _trimmed_mean([1.0, 1.0, 9.0, 9.0]) == pytest.approx(5.0)
+    # two or fewer values: nothing is dropped, the aggregate is the plain mean
+    assert _trimmed_mean([7.0]) == 7.0
+    assert _trimmed_mean([2.0, 6.0]) == 4.0
 
 
 def test_toy_experiment_deterministic_replay():
@@ -89,6 +92,15 @@ def test_toy_gap_column_positive_and_bounded():
     for rec in out.report.records:
         assert rec.gap > 0.0
         assert rec.gap <= out.d0 / rec.k + 1e-9
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3])
+def test_toy_sigma0_alone_fills_tau0(nu):
+    out = toy_experiment(seed=7, nu=nu, d=12, n=18, max_iter=20, sigma0=0.01)
+    c = out.problem.constants
+    tau0, sigma0 = out.report.config["tau0"], out.report.config["sigma0"]
+    assert sigma0 == 0.01
+    assert (2.0 * c.l_yx * c.l_yx * tau0 + 2.0 * c.l_yy) * sigma0 == pytest.approx(0.9, rel=1e-12)
 
 
 def test_synthetic_experiment_certificate():

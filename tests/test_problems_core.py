@@ -388,6 +388,16 @@ def test_constants_reject_negative():
         ProblemConstants(l_yx=-1.0, l_yy=0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"a_matrix": np.ones(3)}, "a_matrix must be 2-d"),
+    ({"a_matrix": np.ones((2, 3)), "b_lin": np.ones(2)}, "inconsistent dimensions"),
+    ({"a_matrix": np.eye(2), "box": (1.0, 1.0)}, "lower < upper"),
+], ids=["1-d", "b_lin", "box"])
+def test_quadratic_rejects_bad_inputs(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        QuadraticSaddleProblem(**kwargs)
+
+
 def test_validator_detects_understated_lipschitz_constant():
     p = _toy(make_rng(39, 0))
     true_l = p.constants.l_yx

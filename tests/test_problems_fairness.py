@@ -205,3 +205,16 @@ def test_group_validation():
         Group(np.zeros((2, 3)), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         FairnessProblem([])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FairnessProblem([Group(np.ones((2, 2)), np.ones(2)),
+                              Group(np.ones((2, 3)), np.ones(2))]),
+     "all groups must share the feature dimension"),
+    (lambda: FairnessProblem([Group(np.ones((2, 2)), np.ones(2))]).prox_phi_x(
+        -1.0, np.ones(1), np.zeros(2)),
+     "tau must be nonnegative"),
+], ids=["dimensions", "negative-tau"])
+def test_rejects_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

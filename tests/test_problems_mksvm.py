@@ -215,6 +215,17 @@ def test_rejects_non_psd_kernel():
         MkSvmProblem([bad], np.array([1.0, -1.0]), box_c=1.0)
 
 
+@pytest.mark.parametrize("kernel, labels, box_c, message", [
+    (np.eye(2), [1.0, 2.0], 1.0, r"labels must be \+-1"),
+    (np.eye(2), [1.0, -1.0], 0.0, "box_c must be positive"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), [1.0, -1.0], 1.0,
+     "kernel matrix 0 must be symmetric 2x2"),
+], ids=["labels", "box_c", "asymmetric"])
+def test_rejects_bad_inputs(kernel, labels, box_c, message):
+    with pytest.raises(ValueError, match=message):
+        MkSvmProblem([kernel], np.array(labels), box_c=box_c)
+
+
 # -- prediction rule ---------------------------------------------------------
 
 def test_predict_two_point_separable_instance():

@@ -229,6 +229,19 @@ def test_cli_toy_zero_step_is_validation_error(tmp_path, capsys, nu, key):
     assert "step sizes must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma0, code", [("0.002", 0), ("0.01", 2)])
+def test_cli_mksvm_sigma0_alone_fills_tau0(tmp_path, capsys, sigma0, code):
+    # on this file l_yx is about 930 and l_yy about 67: with tau0 = 1/l_yx
+    # sigma0 = 0.002 breaks the product condition, while a filled tau0 meets
+    # it; sigma0 = 0.01 leaves no room, since 2*l_yy*sigma0 > 0.9
+    cfg = tmp_path / "mksvm.cfg"
+    cfg.write_text(f"dataset = heart-disease\npath = {_heart_file(tmp_path)}\n"
+                   f"runs = 1\ncheckpoints = 20\nsigma0 = {sigma0}\n")
+    assert main(["mksvm", "--config", str(cfg)]) == code
+    if code:
+        assert "sigma0 leaves no room" in capsys.readouterr().err
+
+
 def test_cli_passes_only_the_keys_that_are_set(tmp_path, monkeypatch):
     """With no driver key in the config, every driver runs on its own defaults."""
     calls = []

@@ -95,7 +95,7 @@ def test_adaptive_invariants_over_horizon():
         assert state.sigma <= 3.0 / (constants.nu * k) * (1 + 1e-12)
         assert state.tau >= constants.nu * kind.tau0 * kind.sigma0 * k / 3.0 * (1 - 1e-12)
         # t_k tracked by recurrence equals tau_k/tau0 and the theta product
-        assert abs(state.t - state.tau / state.tau0) <= 1e-12 * state.t
+        assert abs(state.t - state.tau / kind.tau0) <= 1e-12 * state.t
         assert abs(state.t - math.exp(-theta_log)) <= 1e-10 * state.t
         slack_tau, slack_sigma = assumption_slacks(state, kind, constants)
         assert slack_tau >= -1e-12
@@ -170,3 +170,27 @@ def test_default_constant_delta_margin():
     state = make_schedule(kind, constants)
     # sigma0 targets a 0.9 product, leaving delta = 0.1
     assert state.delta == pytest.approx(0.1, rel=1e-9)
+
+
+@pytest.mark.parametrize("constants, sigma0", [
+    (ProblemConstants(l_yx=1.0, l_yy=0.0), 0.01),
+    (ProblemConstants(l_yx=0.5, l_yy=0.1, nu=1.0), 0.2),
+    (ProblemConstants(l_yx=12.3, l_yy=4.0, mu=0.5, nu=0.3), 0.05),
+    # MKSVM-like: l_yx = C*sqrt(m*n)*max||M_i|| on an ionosphere-sized split
+    (ProblemConstants(l_yx=7.2e3, l_yy=250.0), 1e-4),
+], ids=["unit", "nu", "mu-nu", "mksvm"])
+def test_default_adaptive_fills_tau0_from_sigma0(constants, sigma0):
+    kind = default_adaptive(constants, sigma0=sigma0)
+    assert kind.sigma0 == sigma0
+    assert kind.c_alpha == 2.0 * constants.l_yx
+    product = (kind.c_alpha * constants.l_yx * kind.tau0 + 2.0 * constants.l_yy) * sigma0
+    assert abs(product - 0.9) <= 1e-12 * 0.9
+    assert make_schedule(kind, constants).delta == pytest.approx(0.1, rel=1e-9)
+    # a set tau0 is kept as given
+    assert default_adaptive(constants, tau0=0.5 * kind.tau0, sigma0=sigma0).tau0 == 0.5 * kind.tau0
+
+
+def test_default_adaptive_rejects_a_sigma0_without_room():
+    # 2*l_yy*sigma0 = 0.9 leaves no positive tau0 for a 0.9 product
+    with pytest.raises(StepSizeViolationError, match="sigma0 leaves no room"):
+        default_adaptive(ProblemConstants(l_yx=1.0, l_yy=0.5), sigma0=0.9)

@@ -196,6 +196,12 @@ def test_run_rejects_infeasible_start():
             max_iter=1)
 
 
+def test_run_rejects_negative_max_iter():
+    p = QuadraticSaddleProblem(np.eye(2))
+    with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+        run(p, default_adaptive(p.constants), np.zeros(2), np.zeros(2), max_iter=-1)
+
+
 class _PoisonedProblem(SaddleProblem):
     """Returns NaN from the x-prox after a few iterations."""
 
@@ -298,9 +304,11 @@ def test_gap_bound_constant_schedule_on_toy():
     kind = default_adaptive(p.constants)
     x0 = rng.uniform(-5.0, 5.0, 6)
     y0 = p.prox_g(1.0, rng.uniform(-5.0, 5.0, 9))
+    sched0 = make_schedule(kind, p.constants)
+    d0 = initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma)
     for max_iter in (1, 5, 40, 200):
         result = run(p, kind, x0, y0, max_iter=max_iter)
-        cert = gap_certificate(p, saddle, result.state, result.schedule, kind, x0, y0)
+        cert = gap_certificate(p, saddle, result.state, result.schedule, kind, d0)
         assert cert.gap >= -1e-10
         assert cert.gap <= cert.bound + 1e-9
 
@@ -314,12 +322,12 @@ def test_gap_bound_adaptive_schedule_on_quadratic():
     kind = default_adaptive(p.constants)
     x0 = rng.standard_normal(6)
     y0 = rng.standard_normal(6)
-    result = run(p, kind, x0, y0, max_iter=300)
-    cert = gap_certificate(p, saddle, result.state, result.schedule, kind, x0, y0)
-    assert 0.0 <= cert.gap <= cert.bound + 1e-9
     sched0 = make_schedule(kind, p.constants)
+    d0 = initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma)
+    result = run(p, kind, x0, y0, max_iter=300)
+    cert = gap_certificate(p, saddle, result.state, result.schedule, kind, d0)
+    assert 0.0 <= cert.gap <= cert.bound + 1e-9
     c2, c1 = adaptive_rates(sched0, kind, p.constants)
-    d0 = initial_distance(saddle, x0, y0, sched0.tau0, sched0.sigma0)
     assert cert.gap <= c2 * d0 / 300**2 + 1e-9
     dist_y = float(np.linalg.norm(result.state.y - saddle[1]))
     assert dist_y <= c1 * math.sqrt(d0) / 300 + 1e-9
@@ -338,10 +346,11 @@ def test_linear_certificate_full_inequality_short_horizon():
     y0 = rng.standard_normal(5)
     state = SolverState.initial(p, x0, y0)
     sched = make_schedule(kind, p.constants)
+    d0 = initial_distance(saddle, x0, y0, sched.tau, sched.sigma)
     for k in range(1, 101):
         state = step(p, state, sched)
         sched = advance_schedule(sched, kind, p.constants)
-        cert = gap_certificate(p, saddle, state, sched, kind, x0, y0)
+        cert = gap_certificate(p, saddle, state, sched, kind, d0)
         assert cert.lhs >= -1e-12
         assert cert.lhs <= cert.bound * (1 + 1e-8) + 1e-12, k
 
@@ -397,8 +406,7 @@ def test_gap_certificate_requires_saddle_point():
     kind = default_adaptive(p.constants)
     result = run(p, kind, np.zeros(4), np.zeros(6), max_iter=3)
     with pytest.raises(MissingSaddlePointError):
-        gap_certificate(p, None, result.state, result.schedule, kind,
-                        np.zeros(4), np.zeros(6))
+        gap_certificate(p, None, result.state, result.schedule, kind, d0=1.0)
 
 
 def test_adaptive_rate_constants_match_formulas():
@@ -412,7 +420,7 @@ def test_adaptive_rate_constants_match_formulas():
     d0 = 2.0 / (2 * 1.0) + 3.0 / (2 * 0.9)
     assert c2 == pytest.approx(12.0 / (0.8 * 0.9))
     assert c1 == pytest.approx(math.sqrt(18.0 / (0.8**2 * 0.9 * sched0.delta)))
-    assert initial_distance(saddle, x0, y0, sched0.tau0, sched0.sigma0) == pytest.approx(d0)
+    assert initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma) == pytest.approx(d0)
     assert c2 * d0 / 10**2 == pytest.approx(12.0 / (0.8 * 0.9) * d0 / 100.0)
 
 
@@ -433,8 +441,10 @@ def test_gap_certificate_needs_a_completed_step():
     kind = default_adaptive(p.constants)
     x0, y0 = np.zeros(2), np.zeros(2)
     result = run(p, kind, x0, y0, max_iter=0)
+    saddle = p.saddle_point()
+    d0 = initial_distance(saddle, x0, y0, result.schedule.tau, result.schedule.sigma)
     with pytest.raises(ValueError):
-        gap_certificate(p, p.saddle_point(), result.state, result.schedule, kind, x0, y0)
+        gap_certificate(p, saddle, result.state, result.schedule, kind, d0)
 
 
 def test_quadratic_saddle_inequalities_direct_psi():
