@@ -124,13 +124,16 @@ def zscore(features: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _is_header(tokens: list[str], fmt: DatasetFormat) -> bool:
-    """Row 0 is a header when a token is no number, label or missing marker."""
-    for tok in set(tokens) - {*fmt.label_map, fmt.missing_marker}:
+    """Row 0 is a header when most of its tokens, labels and missing markers
+    left out, are no numbers; otherwise it is checked as a data row."""
+    counted = [tok for tok in tokens if tok not in fmt.label_map and tok != fmt.missing_marker]
+    words = 0
+    for tok in counted:
         try:
             float(tok)
         except ValueError:
-            return True
-    return False
+            words += 1
+    return 2 * words > len(counted)
 
 
 def load_dataset(spec: DatasetSpec) -> LoadedDataset:

@@ -118,13 +118,13 @@ class MkSvmProblem(SaddleProblem):
                 raise ValueError(f"kernel matrix {i} is not positive semidefinite") from None
             mats.append(m)
         self.m_stack = np.stack(mats)
-        self.labels = labels
         self.box_c = float(box_c)
         self.mu = float(mu)
         self.nu = float(nu)
         self.dim_x = len(mats)
         self.dim_y = n
         self.y_set = BoxHyperplaneSet(lower=0.0, upper=self.box_c, normal=labels, offset=0.0)
+        self.labels = self.y_set.normal  # the set's read-only copy, so the two never disagree
         top = max(spectral_norm(m) for m in mats)
         self.constants = ProblemConstants(
             l_yx=self.box_c * np.sqrt(self.dim_x * n) * top,
@@ -147,11 +147,13 @@ class MkSvmProblem(SaddleProblem):
         """``prox_phi_x`` and ``grad_y`` at the new pair from one stacked matvec."""
         my = self.m_stack @ y
         xi = 0.5 * (my @ y)
-        x_next = project_simplex((np.asarray(x, float) + tau * xi) / (1.0 + self.mu * tau))
+        z = np.asarray(x, float) + tau * xi
+        x_next = project_simplex(z / (1.0 + self.mu * tau) if self.mu else z)
         return x_next, 1.0 - x_next @ my
 
     def prox_g(self, sigma, v):
-        return project_box_hyperplane(self.y_set, np.asarray(v, float) / (1.0 + self.nu * sigma))
+        v = np.asarray(v, float)  # v / 1.0 == v: at nu = 0 the division is skipped
+        return project_box_hyperplane(self.y_set, v / (1.0 + self.nu * sigma) if self.nu else v)
 
     def prox_step(self, sigma, v, tau, x):
         """``prox_g``, then ``prox_phi_x`` and ``grad_y`` sharing one stacked matvec."""

@@ -7,7 +7,7 @@ scaled projection onto ``C``.  For full-row-rank ``A`` the saddle points
 are exactly ``x* <= 0`` with ``y* = 0`` when ``nu > 0`` (any ``y*`` in
 ``C`` when ``nu = 0``).  The fused ``prox_step`` takes both proxes from one
 cone image ``A y``; at ``x <= 0`` the x-prox is the identity and ``grad_y``
-is exactly zero, so neither multiplies by ``A``.
+is exactly zero, so neither multiplies by ``A`` and the step tests ``x <= 0`` once.
 """
 
 import numpy as np
@@ -22,8 +22,10 @@ _FEAS_TOL = 1e-8
 
 def _outside_cone(slack: np.ndarray) -> bool:
     """``A y >= 0`` fails by more than ``_FEAS_TOL`` relative to the largest
-    ``|A y|`` (a NaN slack is not flagged; the solver's finiteness check is)."""
-    return np.min(slack) < -_FEAS_TOL * max(1.0, float(np.max(np.abs(slack))))
+    ``|A y|`` (a NaN slack is not flagged; the solver's finiteness check is).
+    The largest ``|A y|`` is taken only when some slack is negative."""
+    low = slack.min()
+    return low < 0.0 and low < -_FEAS_TOL * max(1.0, float(np.abs(slack).max()))
 
 
 class ToyProblem(SaddleProblem):
@@ -38,30 +40,34 @@ class ToyProblem(SaddleProblem):
         self.constants = ProblemConstants(l_yx=1.001 * self._projector.norm, l_yy=0.0, nu=self.nu)
 
     def grad_y(self, x, y):
-        if np.all(np.asarray(x) <= 0.0):  # [x]_+ = 0 exactly; a NaN entry fails the test
+        if (np.asarray(x) <= 0.0).all():  # [x]_+ = 0 exactly; a NaN entry fails the test
             return np.zeros(self.dim_y)
         return self.a.T @ np.maximum(x, 0.0)
 
     def prox_phi_x(self, tau, y, x):
-        return self._prox_x(tau, self.a @ y, x)
+        return self._prox_x(tau, self.a @ y, x)[0]
 
-    def _prox_x(self, tau, w, x):  # prox_phi_x given the cone image w = A y
+    def _prox_x(self, tau, w, x):  # prox_phi_x given w = A y, and whether x <= 0 (the identity)
         if _outside_cone(w):
             raise ValueError("prox_phi_x needs feasible y (A y >= 0)")
         x = np.asarray(x, dtype=float)
-        if np.all(x <= 0.0):  # the formula below is the identity here
-            return x.copy()
+        if (x <= 0.0).all():  # the formula below is the identity here
+            return x.copy(), True
         w = np.maximum(w, 0.0)
-        return np.where(x <= 0.0, x, np.where(x <= tau * w, 0.0, x - tau * w))
+        return np.where(x <= 0.0, x, np.where(x <= tau * w, 0.0, x - tau * w)), False
+
+    def _scaled(self, sigma, v):  # v / (1 + nu sigma); at nu = 0 that is v, bit for bit
+        v = np.asarray(v, float)
+        return v / (1.0 + self.nu * sigma) if self.nu else v
 
     def prox_g(self, sigma, v):
-        return self._projector.project(np.asarray(v, float) / (1.0 + self.nu * sigma))
+        return self._projector.project(self._scaled(sigma, v))
 
     def prox_step(self, sigma, v, tau, x):
         """The three oracles at once, the x-prox reading the projection's ``A y``."""
-        y, w = self._projector.project_with_image(np.asarray(v, float) / (1.0 + self.nu * sigma))
-        x_next = self._prox_x(tau, w, x)
-        return y, x_next, self.grad_y(x_next, y)
+        y, w = self._projector.project_with_image(self._scaled(sigma, v))
+        x_next, inactive = self._prox_x(tau, w, x)
+        return y, x_next, np.zeros(self.dim_y) if inactive else self.grad_y(x_next, y)
 
     def phi_value(self, x, y):
         return float(np.maximum(x, 0.0) @ (self.a @ y))

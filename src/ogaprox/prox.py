@@ -42,7 +42,7 @@ def _as_vector(v, name: str = "v") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -74,7 +74,9 @@ class BoxHyperplaneSet:
 
     ``lower`` must be finite; ``upper`` may be ``+inf``.  Nonemptiness is
     checked at construction via the exact interval condition on
-    ``<y, normal>`` over the box.
+    ``<y, normal>`` over the box.  ``normal`` is a read-only copy; built from it
+    once are the projection's constants: the mask of its nonzero entries, those
+    entries, and the knots' slope changes ``(-normal_i**2, +normal_i**2)``.
     """
 
     lower: float
@@ -83,10 +85,14 @@ class BoxHyperplaneSet:
     offset: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
+        normal = np.array(self.normal, dtype=float)
+        normal.flags.writeable = False
+        nz = normal != 0.0
+        self.__dict__.update(normal=normal, _nz=nz, _n_nz=normal[nz],
+                             _change=np.concatenate((-normal[nz] ** 2, normal[nz] ** 2)))
         if self.normal.ndim != 1 or self.normal.size == 0:
             raise ValueError("normal must be a nonempty vector")
-        if not np.any(self.normal != 0.0):
+        if not nz.any():
             raise ValueError("normal must be nonzero")
         if not np.isfinite(self.lower):
             raise ValueError(f"lower bound must be finite, got {self.lower}")
@@ -125,17 +131,19 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     w = _as_vector(v)
     if w.size != s.dim:
         raise ValueError("dimension mismatch with set normal")
-    n, lower, upper = s.normal, s.lower, s.upper
-    nz = n != 0.0
-    a, b = (w[nz] - lower) / n[nz], (w[nz] - upper) / n[nz]
+    n, lower, upper, change = s.normal, s.lower, s.upper, s._change
+    wz, n_nz = w[s._nz], s._n_nz
+    a, b = (wz - lower) / n_nz, (wz - upper) / n_nz
     knots = np.concatenate((np.minimum(a, b), np.maximum(a, b)))
-    change = np.concatenate((-n[nz] ** 2, n[nz] ** 2))
-    # an infinite bound has no knot: its coordinates are free from t = -inf
-    # (the running slope starts with them) or up to t = +inf
-    slope0 = float(change[knots == -np.inf].sum())
-    finite = np.isfinite(knots)
-    order = np.argsort(knots[finite])
-    knots, change = knots[finite][order], change[finite][order]
+    slope0 = 0.0
+    if upper == np.inf:
+        # an infinite bound has no knot: its coordinates are free from t = -inf
+        # (the running slope starts with them) or up to t = +inf
+        slope0 = float(change[knots == -np.inf].sum())
+        finite = np.isfinite(knots)
+        knots, change = knots[finite], change[finite]
+    order = np.argsort(knots)
+    knots, change = knots[order], change[order]
 
     def y_at(t: float) -> np.ndarray:
         return np.minimum(np.maximum(w - t * n, lower), upper)
@@ -242,11 +250,12 @@ class PolytopeProjector:
     """Projection onto the cone ``{y : A y >= 0}`` for hot loops:
     :func:`solve_polytope_dual` with the Gram matrix formed once.  ``A``
     must have full row rank, which is checked here; ``norm`` is the spectral
-    norm of ``A``.  The projector holds no state between calls, so one
-    projector is safe to share."""
+    norm of ``A``.  ``a`` and ``gram`` are read-only and ``a`` is a copy, so
+    no later write to the argument reaches them, and the projector holds no
+    state between calls: one projector is safe to share."""
 
     def __init__(self, a_matrix):
-        a = np.asarray(a_matrix, dtype=float)
+        a = np.array(a_matrix, dtype=float)
         if a.ndim != 2:
             raise ValueError("a_matrix must be 2-d")
         d, n = a.shape
@@ -261,6 +270,7 @@ class PolytopeProjector:
         self.a = a
         self.norm = float(singular[0])
         self.gram = a @ a.T
+        a.flags.writeable = self.gram.flags.writeable = False
 
     def project(self, v) -> np.ndarray:
         return self.project_with_image(v)[0]
@@ -269,7 +279,7 @@ class PolytopeProjector:
         """``(y, A y)``: the cone test's ``A v`` is ``A y`` when ``v`` is inside."""
         w = np.asarray(v, dtype=float)
         c = self.a @ w
-        if np.all(c >= 0.0):
+        if (c >= 0.0).all():
             return w.copy(), c
         y = w + self.a.T @ solve_polytope_dual(self.gram, c)
         return y, self.a @ y

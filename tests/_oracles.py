@@ -4,6 +4,8 @@ They check the fast paths of ``ogaprox`` against a slower or more literal
 form of the same operator; nothing in the library imports them.
 """
 
+import numpy as np
+
 
 def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
     """Prox of ``u -> tau * w * max(0, u)`` at ``x`` for ``w >= 0``.
@@ -20,6 +22,12 @@ def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
     if x <= tau * w:
         return 0.0
     return x - tau * w
+
+
+def outside_cone_formula(slack, tol: float = 1e-8) -> bool:
+    """The toy problem's cone test as one expression: ``min(A y)`` below
+    ``-tol`` times the larger of 1 and ``max|A y|``."""
+    return bool(np.min(slack) < -tol * max(1.0, float(np.max(np.abs(slack)))))
 
 
 class ThreeCalls:

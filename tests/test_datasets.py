@@ -146,18 +146,33 @@ def test_file_without_data_rows_rejected(tmp_path, text):
 @pytest.mark.parametrize("fault, message", [
     ("short", r"expected 14 columns, found 13 \(row {row}\)"),
     ("label", r"unknown label '3' \(row {row}, column 13\)"),
-], ids=["short", "label"])
+    ("typo", r"non-numeric feature '1\.2O' \(row {row}, column 3\)"),
+], ids=["short", "label", "typo"])
 def test_malformed_row_is_a_parse_error(tmp_path, row, fault, message):
-    # a first row of numbers and labels is data, never a silently skipped header
+    # a first row of numbers and labels, or with one typo among its numbers,
+    # is data, never a silently skipped header
     path = tmp_path / "heart.dat"
     _write_heart(path, make_rng(95, 0), rows=6)
     lines = path.read_text().splitlines()
     cells = lines[row].split()
-    lines[row] = " ".join(cells[1:] if fault == "short" else cells[:-1] + ["3"])
+    lines[row] = " ".join({"short": cells[1:], "label": cells[:-1] + ["3"],
+                           "typo": cells[:3] + ["1.2O"] + cells[4:]}[fault])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=message.format(row=row)) as info:
         load_dataset(DatasetSpec(name="heart-disease", path=str(path)))
     assert info.value.row == row
+
+
+@pytest.mark.parametrize("header", [
+    "age sex cp trestbps chol fbs restecg thalach exang oldpeak slope ca thal class",
+    "age sex cp trestbps chol fbs restecg thalach exang oldpeak slope 0 1 2",
+], ids=["words", "mostly-words"])
+def test_heart_header_row_is_skipped(tmp_path, header):
+    path = tmp_path / "heart.dat"
+    _write_heart(path, make_rng(95, 0), rows=6)
+    path.write_text(header + "\n" + path.read_text())
+    data = load_dataset(DatasetSpec(name="heart-disease", path=str(path)))
+    assert data.n_rows == 6 and data.n_dropped_rows == 0
 
 
 def test_ionosphere_format_and_header_skip(tmp_path):

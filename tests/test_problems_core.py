@@ -14,6 +14,7 @@ from ogaprox.problems import (
     ToyProblem,
     random_toy_problem,
 )
+from ogaprox.problems.toy import _FEAS_TOL, _outside_cone
 from ogaprox.prox import RankDeficientError, prox_oracle
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import experiment_rng, make_rng
@@ -155,6 +156,48 @@ def test_toy_prox_x_and_prox_step_reject_an_infeasible_image():
             p.prox_phi_x(0.1, y_bad, x)
         with pytest.raises(ValueError, match="feasible y"):
             p.prox_step(0.1, y_bad, 0.1, x)
+
+
+def _slack_cases():
+    cases = {"nan-positive": [np.nan, 1.0], "nan-negative": [-1.0, np.nan, 2.0],
+             "zeros": [0.0, 0.0], "negative-zero": [-0.0, 1.0, -0.0], "positive": [3.0, 1e-300]}
+    for scale in (1e-3, 1.0, 1e6):
+        # the tolerance is relative to max(1, max|A y|)
+        tol = _FEAS_TOL * max(1.0, scale)
+        for factor in (0.5, 1.0, 2.0):
+            cases[f"scale{scale:g}-{factor:g}tol"] = [scale, -factor * tol, 0.5 * scale]
+        cases[f"scale{scale:g}-random"] = scale * make_rng(29, 0).standard_normal(40)
+    return cases
+
+
+_SLACKS = _slack_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_SLACKS))
+def test_cone_test_matches_the_one_expression_formula(name):
+    from _oracles import outside_cone_formula
+
+    slack = np.asarray(_SLACKS[name], dtype=float)
+    assert bool(_outside_cone(slack)) is outside_cone_formula(slack, _FEAS_TOL)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ["nan", "negative-zero", "mixed"])
+def test_toy_prox_step_is_the_three_calls_bit_for_bit(kind, nu):
+    from _oracles import ThreeCalls
+
+    p = random_toy_problem(6, 9, nu, make_rng(30, 0))
+    rng = make_rng(30, 1)
+    x = {"nan": np.array([-1.0, np.nan, -2.0, 0.0, -0.5, -3.0]),
+         "negative-zero": np.full(p.dim_x, -0.0),
+         "mixed": rng.standard_normal(p.dim_x)}[kind]
+    plain = ThreeCalls(p)
+    for v in (3.0 * rng.standard_normal(p.dim_y), np.linalg.pinv(p.a) @ np.ones(p.dim_x)):
+        y = plain.prox_g(0.4, v)
+        x_next = plain.prox_phi_x(0.6, y, x)
+        fused = p.prox_step(0.4, v, 0.6, x)
+        for got, want in zip(fused, (y, x_next, plain.grad_y(x_next, y))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- toy saddle points -------------------------------------------------------

@@ -273,3 +273,18 @@ def test_predict_all_zero_alpha_falls_back():
                          np.zeros(train_idx.size), np.ones(3), nu=0.0, box_c=1.0)
     assert pred.fallback and pred.j0 == 0
     assert np.all(pred.labels == np.sign(pred.gamma))
+
+
+def test_a_later_write_to_the_labels_changes_no_projection_or_value():
+    # the problem and its box-hyperplane set share one read-only copy
+    _, train_idx, _, labels, mats = _synthetic_instance(make_rng(67, 0))
+    labels = labels[: len(train_idx)].copy()
+    p = MkSvmProblem(mats, labels, box_c=1.0)
+    _, y = p.sample_point(make_rng(67, 1))
+    v = y + 0.3 * make_rng(67, 2).standard_normal(y.size)
+    before = p.prox_g(0.1, v)
+    labels[:2] *= -1.0
+    after = p.prox_g(0.1, v)
+    np.testing.assert_array_equal(after, before)
+    assert p.g_value(after) < np.inf
+    assert p.labels is p.y_set.normal

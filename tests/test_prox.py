@@ -287,6 +287,25 @@ def test_polytope_kernel_raises_at_its_pivot_cap():
         solve_polytope_dual(gram, np.array([-1.0, -1.0]))
 
 
+def test_set_and_projector_hold_read_only_copies():
+    # a later write to the caller's array reaches neither the set nor the projector
+    rng = make_rng(17, 0)
+    a = rng.standard_normal((4, 6))
+    labels = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+    projector = PolytopeProjector(a)
+    s = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=labels)
+    v, u = 3.0 * rng.standard_normal(6), rng.standard_normal(8)
+    assert (a @ v < 0.0).any()  # the projection runs the kernel on the Gram matrix
+    before = projector.project(v), project_box_hyperplane(s, u)
+    a *= 2.0
+    labels[:4] *= -3.0
+    for got, want in zip((projector.project(v), project_box_hyperplane(s, u)), before):
+        np.testing.assert_array_equal(got, want)
+    for held in (projector.a, projector.gram, s.normal):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 1.0
+
+
 def test_projector_rejects_a_without_full_row_rank():
     a = make_rng(19, 0).uniform(-3, 3, (4, 7))
     with pytest.raises(RankDeficientError):

@@ -122,6 +122,27 @@ def test_fused_step_equals_the_three_call_step(name, monkeypatch):
         assert positive[0] and not all(positive)
 
 
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_no_oracle_output_aliases_its_input(name):
+    # at nu = 0 the y-prox input is not divided, so only the projection copies
+    p, x0, y0 = _FUSED[name]()
+    toy = name.startswith("toy")
+    # a point strictly inside the set, which the projection returns unmoved
+    inside = np.linalg.pinv(p.a) @ np.ones(p.dim_x) if toy else y0.copy()
+    if toy:
+        assert (p.a @ inside > 0.0).all()
+    for v in (inside, y0 + make_rng(92, 0).standard_normal(p.dim_y)):
+        out = p.prox_g(0.5, v)
+        assert not np.shares_memory(out, v)
+        if p.constants.nu == 0.0:
+            project = (prox.PolytopeProjector(p.a).project if toy
+                       else lambda u: prox.project_box_hyperplane(p.y_set, u))
+            np.testing.assert_array_equal(out, project(v / 1.0))
+        for x in ((x0, -np.abs(x0)) if toy else (x0,)):
+            for got in p.prox_step(0.5, v, 0.5, x):
+                assert not np.shares_memory(got, v) and not np.shares_memory(got, x)
+
+
 def test_pdhg_equivalence_on_bilinear():
     # independent primal-dual loop: x_bar = 2 x_k - x_{k-1},
     # y_{k+1} = clip(y_k + sigma A x_bar), x_{k+1} = x_k - tau A' y_{k+1}
