@@ -15,11 +15,14 @@ key the verb does not read is rejected, and the driver checks every value.
 The CLI's own keys, read by mksvm and fairness, are ``dataset``, ``path``
 and ``data_dir`` (default ``data``); toy runs both nu = 0 and 0.3 unless
 ``nu`` is set.  Exit codes: 0 on success, 2 when validation fails or a
-config value is rejected, 1 on runtime errors.
+config value is rejected, 1 on runtime errors.  Each verb prints from the
+report it writes; toy, synthetic and mksvm print the wall time of the
+whole driver call, which the drivers leave to their caller.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .datasets import DATASET_FORMATS, DatasetSpec, UnknownDatasetError, load_dataset
@@ -98,25 +101,29 @@ def _cmd_toy(cfg, seed, out_dir) -> int:
     nus = [options.pop("nu")] if "nu" in options else [0.0, 0.3]
     reports = {}
     for value in nus:
-        outcome = toy_experiment(seed=seed, nu=value, **options)
+        started = time.perf_counter()
+        report = toy_experiment(seed=seed, nu=value, **options).report
+        elapsed = time.perf_counter() - started
         tag = f"toy_nu{str(value).replace('.', '-')}"
-        reports[tag] = outcome.report
-        final = outcome.report.records[-1] if outcome.report.records else None
-        gap = f"{final.gap:.3e}" if final else "n/a"
-        print(f"{tag}: {outcome.report.config['max_iter']} iterations in "
-              f"{outcome.elapsed:.1f}s, final gap {gap}")
+        reports[tag] = report
+        gap = f"{report.records[-1].gap:.3e}" if report.records else "n/a"
+        print(f"{tag}: {report.config['max_iter']} iterations in "
+              f"{elapsed:.1f}s, final gap {gap}")
     _write_reports(out_dir, reports)
     return 0
 
 
 def _cmd_synthetic(cfg, seed, out_dir) -> int:
-    outcome = synthetic_experiment(seed=seed, **_options(
-        cfg, {"dim": int, "iters": ("max_iter", int), "theta": float, "record_every": int}))
-    status = "holds" if outcome.certificate_ok else "VIOLATED"
-    print(f"synthetic: linear certificate {status} "
-          f"(max lhs/bound {outcome.max_ratio:.3f}) in {outcome.elapsed:.2f}s")
-    _write_reports(out_dir, {"synthetic": outcome.report})
-    return 0 if outcome.certificate_ok else 2
+    options = _options(
+        cfg, {"dim": int, "iters": ("max_iter", int), "theta": float, "record_every": int})
+    started = time.perf_counter()
+    report = synthetic_experiment(seed=seed, **options).report
+    elapsed = time.perf_counter() - started
+    ok = report.config["certificate_ok"]
+    print(f"synthetic: linear certificate {'holds' if ok else 'VIOLATED'} "
+          f"(max lhs/bound {report.config['max_certificate_ratio']:.3f}) in {elapsed:.2f}s")
+    _write_reports(out_dir, {"synthetic": report})
+    return 0 if ok else 2
 
 
 _DATA_KEYS = ("dataset", "path", "data_dir")
@@ -139,12 +146,14 @@ def _cmd_mksvm(cfg, seed, out_dir) -> int:
         "variant": str, "runs": int, "checkpoints": _int_list, "box_c": float,
         "split_fraction": float, "tau0": float, "sigma0": float}, _DATA_KEYS)
     data = _dataset_from_cfg(cfg)
-    outcome = mksvm_experiment(data, seed=seed, **options)
-    variant = outcome.report.config["variant"]
-    for k, tsa in outcome.aggregated.items():
-        print(f"{data.name} {variant} k={k}: TSA {tsa:.2f}")
-    print(f"({outcome.elapsed:.1f}s over {len(outcome.per_run)} runs)")
-    _write_reports(out_dir, {f"mksvm_{data.name}_{variant}": outcome.report})
+    started = time.perf_counter()
+    report = mksvm_experiment(data, seed=seed, **options)
+    elapsed = time.perf_counter() - started
+    variant = report.config["variant"]
+    for rec in report.records:
+        print(f"{data.name} {variant} k={rec.k}: TSA {rec.tsa:.2f}")
+    print(f"({elapsed:.1f}s over {report.config['runs']} runs)")
+    _write_reports(out_dir, {f"mksvm_{data.name}_{variant}": report})
     return 0
 
 
@@ -152,12 +161,13 @@ def _cmd_fairness(cfg, seed, out_dir) -> int:
     options = _options(cfg, {"grouping": str, "partitions": int, "checkpoints": _int_list,
                              "split_fraction": float}, _DATA_KEYS)
     data = _dataset_from_cfg(cfg, default_name="heart-disease")
-    outcome = fairness_experiment(data, seed=seed, **options)
-    for k in sorted(outcome.with_fairness):
-        cell = outcome.with_fairness[k]
-        plain = outcome.without_fairness[k]
+    report = fairness_experiment(data, seed=seed, **options)
+    config = report.config
+    for k in config["checkpoints"]:
+        cell = config["with_fairness"][str(k)]
+        plain = config["without_fairness"][str(k)]
         print(f"k={k}: overall with {cell['overall']:.2f} / without {plain['overall']:.2f}")
-    _write_reports(out_dir, {f"fairness_{outcome.report.config['grouping']}": outcome.report})
+    _write_reports(out_dir, {f"fairness_{config['grouping']}": report})
     return 0
 
 

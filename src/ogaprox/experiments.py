@@ -1,16 +1,19 @@
 """Experiment drivers: cone toy problem, synthetic linear-rate study,
 multi-kernel SVM training and minimax-fair classification.
 
-Each driver is a pure function of (data, options, seed) returning
-:class:`~ogaprox.report.RunReport` objects.  The drivers own their
-defaults and check their options; the CLI is a thin wrapper that maps
-config keys to driver keywords and writes the reports out.  All
-randomness is drawn from per-(experiment, run) Philox streams, so a seed
-reproduces every output bit-exactly.
+Each driver is a pure function of (data, options, seed): its result is
+its :class:`~ogaprox.report.RunReport`, whose ``config`` holds every
+summary value (``d0``, the certificate verdict, per-run and per-group
+accuracies).  An outcome class exists only to carry live objects a
+report cannot hold (the problem, the starting point, the step law), and
+drivers do not time themselves: wall time belongs to the caller.  The
+drivers own their defaults and check their options; the CLI is a thin
+wrapper that maps config keys to driver keywords, times the calls whose
+seconds it prints and writes the reports out.  All randomness is drawn from per-(experiment,
+run) Philox streams, so a seed reproduces every output bit-exactly.
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +56,6 @@ __all__ = [
     "MKSVM_VARIANTS",
     "ToyOutcome",
     "SyntheticOutcome",
-    "MksvmOutcome",
-    "FairnessOutcome",
 ]
 
 
@@ -89,12 +90,8 @@ def _sorted_checkpoints(checkpoints) -> tuple[int, ...]:
 class ToyOutcome:
     report: RunReport
     problem: ToyProblem
-    saddle: tuple[np.ndarray, np.ndarray]
     x0: np.ndarray
-    y0: np.ndarray
-    d0: float
     kind: object
-    elapsed: float
 
 
 def toy_experiment(
@@ -141,17 +138,13 @@ def toy_experiment(
             out["dist_y"] = float(np.linalg.norm(state.y - saddle[1]))
         return out
 
-    started = time.perf_counter()
-    result = run(problem, kind, x0, y0, max_iter, callbacks=(metrics,))
-    elapsed = time.perf_counter() - started
-    report = result.report
+    report = run(problem, kind, x0, y0, max_iter, callbacks=(metrics,)).report
     report.config = {
         "experiment": "toy", "seed": seed, "d": d, "n": n, "nu": nu,
         "max_iter": max_iter, "tau0": sched0.tau, "sigma0": sched0.sigma,
         "d0": d0,
     }
-    return ToyOutcome(report=report, problem=problem, saddle=saddle, x0=x0,
-                      y0=y0, d0=d0, kind=kind, elapsed=elapsed)
+    return ToyOutcome(report=report, problem=problem, x0=x0, kind=kind)
 
 
 # -- synthetic strongly convex-strongly concave ------------------------------
@@ -160,14 +153,7 @@ def toy_experiment(
 class SyntheticOutcome:
     report: RunReport
     problem: QuadraticSaddleProblem
-    saddle: tuple[np.ndarray, np.ndarray]
     kind: object
-    x0: np.ndarray
-    y0: np.ndarray
-    d0: float
-    certificate_ok: bool
-    max_ratio: float
-    elapsed: float
 
 
 def synthetic_experiment(
@@ -185,7 +171,8 @@ def synthetic_experiment(
     quantities stay above double-precision noise through 500 iterations;
     past that, the certificate is checked against a roundoff floor, its
     own value at a point 16 ulps from the saddle point, once the bound
-    falls below it.
+    falls below it.  The report's config holds the verdict
+    (``certificate_ok``) and the largest lhs/bound ratio (``max_certificate_ratio``).
     """
     _at_least_one(dim=dim, record_every=record_every)
     rng = experiment_rng(seed, "synthetic", 0)
@@ -198,8 +185,6 @@ def synthetic_experiment(
     kind = default_linear(problem.constants, theta=theta)
     x0 = rng.standard_normal(dim)
     y0 = rng.standard_normal(dim)
-
-    started = time.perf_counter()
     sched0 = make_schedule(kind, problem.constants)
     d0 = initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma)
     ok = True
@@ -224,15 +209,12 @@ def synthetic_experiment(
         return None
 
     report = run(problem, kind, x0, y0, max_iter, callbacks=(certify,)).report
-    elapsed = time.perf_counter() - started
     report.config = {
         "experiment": "synthetic", "seed": seed, "dim": dim,
         "max_iter": max_iter, "theta": theta, "alpha": kind.alpha,
         "d0": d0, "certificate_ok": ok, "max_certificate_ratio": max_ratio,
     }
-    return SyntheticOutcome(report=report, problem=problem, saddle=saddle,
-                            kind=kind, x0=x0, y0=y0, d0=d0, certificate_ok=ok,
-                            max_ratio=max_ratio, elapsed=elapsed)
+    return SyntheticOutcome(report=report, problem=problem, kind=kind)
 
 
 # -- multi-kernel SVM --------------------------------------------------------
@@ -242,14 +224,6 @@ MKSVM_VARIANTS = {
     "a": {"mu": 0.0, "nu": 0.5},
     "c2": {"mu": 1.0, "nu": 0.5},
 }
-
-
-@dataclass
-class MksvmOutcome:
-    report: RunReport
-    per_run: list[dict[int, float]]
-    aggregated: dict[int, float]
-    elapsed: float
 
 
 def _build_kernels(features: np.ndarray) -> list[np.ndarray]:
@@ -270,7 +244,7 @@ def mksvm_experiment(
     split_fraction: float = 0.8,
     tau0: float | None = None,
     sigma0: float | None = None,
-) -> MksvmOutcome:
+) -> RunReport:
     """Multi-kernel SVM accuracy study on one dataset.
 
     Per run: fresh 80/20 split, polynomial/Gaussian/linear kernels built
@@ -278,6 +252,8 @@ def mksvm_experiment(
     at zero and the kernel weights at the simplex center.  Test-set
     accuracy is measured at the checkpoints; the aggregate over three or more
     runs drops one minimum and one maximum, over one or two it is their mean.
+    The report has one ``tsa`` record per checkpoint, the aggregate, and
+    ``config["per_run"]`` holds each run's scores keyed by checkpoint string.
     """
     if variant not in MKSVM_VARIANTS:
         raise ValueError(f"variant must be one of {sorted(MKSVM_VARIANTS)}")
@@ -290,8 +266,6 @@ def mksvm_experiment(
     kernels = _build_kernels(data.features)
     traces = np.array([np.trace(k) for k in kernels])
     c_total = float(np.sum(traces))
-
-    started = time.perf_counter()
     per_run: list[dict[int, float]] = []
     for run_index in range(runs):
         rng = experiment_rng(seed, "mksvm", run_index)
@@ -321,13 +295,9 @@ def mksvm_experiment(
         run(problem, kind, x0, y0, max_iter, callbacks=(accuracy,))
         per_run.append(scores)
 
-    aggregated = {
-        k: _trimmed_mean([s[k] for s in per_run]) for k in checkpoints
-    }
-    elapsed = time.perf_counter() - started
     report = RunReport()
     for k in checkpoints:
-        report.add(MetricRecord(k=k, tsa=aggregated[k]))
+        report.add(MetricRecord(k=k, tsa=_trimmed_mean([s[k] for s in per_run])))
     report.config = {
         "experiment": "mksvm", "dataset": data.name, "variant": variant,
         "seed": seed, "runs": runs, "mu": mu, "nu": nu, "box_c": box_c,
@@ -335,8 +305,7 @@ def mksvm_experiment(
             {str(k): v for k, v in s.items()} for s in per_run
         ],
     }
-    return MksvmOutcome(report=report, per_run=per_run, aggregated=aggregated,
-                        elapsed=elapsed)
+    return report
 
 
 def _trimmed_mean(values: list[float]) -> float:
@@ -348,15 +317,6 @@ def _trimmed_mean(values: list[float]) -> float:
 
 
 # -- minimax-fair classification ---------------------------------------------
-
-@dataclass
-class FairnessOutcome:
-    report: RunReport
-    with_fairness: dict[int, dict[str, float]]
-    without_fairness: dict[int, dict[str, float]]
-    elapsed: float
-    group_ids: list[int] = field(default_factory=list)
-
 
 def _groups_from_rows(features, labels, group_vector, row_idx) -> list[Group]:
     groups = []
@@ -375,13 +335,15 @@ def fairness_experiment(
     partitions: int = 5,
     checkpoints: tuple[int, ...] = (100, 500, 1000),
     split_fraction: float = 0.8,
-) -> FairnessOutcome:
+) -> RunReport:
     """Worst-group-fair classifier versus plain average-loss training.
 
     Both classifiers are trained per partition with the adaptive law at
-    ``nu = 0``, whose steps stay constant;
-    accuracies (overall and per group of the held-out rows) are averaged
-    over the partitions.
+    ``nu = 0``, whose steps stay constant; accuracies (overall and per
+    group of the held-out rows) are averaged over the partitions.  The
+    report's ``tsa`` records are the fair classifier's overall accuracy;
+    ``config["with_fairness"]`` and ``config["without_fairness"]`` map each
+    checkpoint, as a string, to its accuracy cells.
     """
     if grouping not in data.groups:
         raise ValueError(f"dataset has no grouping {grouping!r}")
@@ -390,8 +352,6 @@ def fairness_experiment(
     _at_least_one(partitions=partitions)
     checkpoints = _sorted_checkpoints(checkpoints)
     max_iter = checkpoints[-1]
-
-    started = time.perf_counter()
     sums_with: dict[int, dict[str, list[float]]] = {k: {} for k in checkpoints}
     sums_without: dict[int, dict[str, list[float]]] = {k: {} for k in checkpoints}
     for part in range(partitions):
@@ -400,10 +360,7 @@ def fairness_experiment(
         fair_groups = _groups_from_rows(data.features, data.labels,
                                         group_vector, train_idx)
         plain_group = [Group(data.features[train_idx], data.labels[train_idx])]
-        for tag, groups, sums in (
-            ("with", fair_groups, sums_with),
-            ("without", plain_group, sums_without),
-        ):
+        for groups, sums in ((fair_groups, sums_with), (plain_group, sums_without)):
             problem = FairnessProblem(groups)
             kind = default_adaptive(problem.constants)
             x0 = np.zeros(problem.dim_x)
@@ -432,7 +389,6 @@ def fairness_experiment(
                 for k, cell in sums_with.items()}
     without_avg = {k: {key: float(np.mean(vals)) for key, vals in cell.items()}
                    for k, cell in sums_without.items()}
-    elapsed = time.perf_counter() - started
     report = RunReport()
     for k in checkpoints:
         report.add(MetricRecord(k=k, tsa=with_avg[k]["overall"]))
@@ -442,9 +398,7 @@ def fairness_experiment(
         "with_fairness": {str(k): v for k, v in with_avg.items()},
         "without_fairness": {str(k): v for k, v in without_avg.items()},
     }
-    return FairnessOutcome(report=report, with_fairness=with_avg,
-                           without_fairness=without_avg, elapsed=elapsed,
-                           group_ids=group_ids)
+    return report
 
 
 # -- library self-check -------------------------------------------------------

@@ -6,6 +6,8 @@ plus the indicator of ``box``, with ``b = c = 0`` by default and
 At ``mu = 0``, ``b = c = 0`` the x-prox is ``x - tau A'y`` and the iteration
 is the primal-dual hybrid gradient method, as the tests check.  Without a
 box the saddle point solves ``[[mu I, A'], [A, -nu I]] (x; y) = (-b; c)``.
+``a``, ``b`` and ``c`` are read-only copies of the arguments, so no later
+write to them can outdate ``l_yx``, which is computed from ``A`` once.
 """
 
 import numpy as np
@@ -18,12 +20,13 @@ __all__ = ["QuadraticSaddleProblem"]
 class QuadraticSaddleProblem(SaddleProblem):
     def __init__(self, a_matrix, b_lin=None, c_lin=None, mu: float = 0.0, nu: float = 0.0,
                  box: tuple[float, float] | None = None):
-        self.a = np.asarray(a_matrix, dtype=float)
+        self.a = np.array(a_matrix, dtype=float)
         if self.a.ndim != 2:
             raise ValueError("a_matrix must be 2-d")
         self.dim_y, self.dim_x = self.a.shape
-        self.b = np.zeros(self.dim_x) if b_lin is None else np.asarray(b_lin, dtype=float)
-        self.c = np.zeros(self.dim_y) if c_lin is None else np.asarray(c_lin, dtype=float)
+        self.b = np.zeros(self.dim_x) if b_lin is None else np.array(b_lin, dtype=float)
+        self.c = np.zeros(self.dim_y) if c_lin is None else np.array(c_lin, dtype=float)
+        self.a.flags.writeable = self.b.flags.writeable = self.c.flags.writeable = False
         if self.b.shape != (self.dim_x,) or self.c.shape != (self.dim_y,):
             raise ValueError("inconsistent dimensions")
         if box is not None and not box[0] < box[1]:

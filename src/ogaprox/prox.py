@@ -19,7 +19,6 @@ from .rng import make_rng
 
 __all__ = [
     "BoxHyperplaneSet",
-    "PolytopeSet",
     "PolytopeProjector",
     "project_simplex",
     "on_simplex",
@@ -171,34 +170,22 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     return y_at(t)
 
 
-@dataclass(frozen=True)
-class PolytopeSet:
-    """Cone ``{y : A y >= 0}``."""
-
-    a_matrix: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a_matrix, dtype=float)
-        if a.ndim != 2 or a.size == 0:
-            raise ValueError("a_matrix must be a nonempty 2-d array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("a_matrix must be finite")
-        object.__setattr__(self, "a_matrix", a)
-
-    @property
-    def dim(self) -> int:
-        return self.a_matrix.shape[1]
-
-
-def project_polytope(s: PolytopeSet, v) -> np.ndarray:
-    """Projection onto the cone ``{y : A y >= 0}`` through the dense QP
-    solver, started at the origin: the test oracle for the cone projector."""
+def project_polytope(a_matrix, v) -> np.ndarray:
+    """Projection onto the cone ``{y : A y >= 0}``, ``A`` a nonempty finite
+    2-d array, through the dense QP solver started at the origin: the test
+    oracle for the cone projector."""
+    a = np.asarray(a_matrix, dtype=float)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError("a_matrix must be a nonempty 2-d array")
+    if not np.isfinite(a).all():
+        raise ValueError("a_matrix must be finite")
     w = _as_vector(v)
-    if w.size != s.dim:
+    dim = a.shape[1]
+    if w.size != dim:
         raise ValueError("dimension mismatch with polytope")
-    problem = QpProblem(q_matrix=np.eye(s.dim), q_vector=-w, ineq_matrix=s.a_matrix,
-                        ineq_vector=np.zeros(s.a_matrix.shape[0]))
-    result = solve_qp(problem, tol=1e-10, start=np.zeros(s.dim))
+    problem = QpProblem(q_matrix=np.eye(dim), q_vector=-w, ineq_matrix=a,
+                        ineq_vector=np.zeros(a.shape[0]))
+    result = solve_qp(problem, tol=1e-10, start=np.zeros(dim))
     if result.status is not QpStatus.OPTIMAL:
         raise RuntimeError(f"polytope projection QP ended with status {result.status}")
     return result.x

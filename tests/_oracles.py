@@ -24,6 +24,19 @@ def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
     return x - tau * w
 
 
+def prox_inequality_gap(f, x, p, points) -> float:
+    """``max_u <x - p, u - p> - (f(u) - f(p))`` over ``points``, all in dom f.
+
+    The second prox theorem (Beck 2017, Thm 6.39): ``p = prox_f(x)`` exactly
+    when this is at most 0 for every ``u``, so a positive value over any
+    feasible points proves ``p`` wrong.  Unlike random perturbations of
+    ``p``, feasible points exist on sets with empty interior too.
+    """
+    x, p = np.asarray(x, float), np.asarray(p, float)
+    f_p = f(p)
+    return max(float((x - p) @ (u - p)) - (f(u) - f_p) for u in points)
+
+
 def outside_cone_formula(slack, tol: float = 1e-8) -> bool:
     """The toy problem's cone test as one expression: ``min(A y)`` below
     ``-tol`` times the larger of 1 and ``max|A y|``."""

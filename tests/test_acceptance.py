@@ -39,7 +39,6 @@ from ogaprox.problems.mksvm import (
 from ogaprox.prox import (
     BoxHyperplaneSet,
     PolytopeProjector,
-    PolytopeSet,
     project_box_hyperplane,
     project_polytope,
     project_simplex,
@@ -93,7 +92,8 @@ def test_criterion_1_gap_rate_merely_convex():
     out = toy_experiment(seed=SEED, nu=0.0, d=250, n=350, max_iter=10_000)
     elapsed = time.perf_counter() - started
     slope = _slope(out.report.records)
-    bound_ok = all(r.gap <= out.d0 / r.k + 1e-9 for r in out.report.records)
+    d0 = out.report.config["d0"]
+    bound_ok = all(r.gap <= d0 / r.k + 1e-9 for r in out.report.records)
     detail = f"slope {slope:.3f}, bound ok {bound_ok}, {elapsed:.1f}s"
     _report(1, "O(1/K) gap, nu=0", slope <= -0.9 and bound_ok and elapsed <= 60.0, detail)
 
@@ -105,9 +105,10 @@ def test_criterion_2_gap_rate_strongly_concave():
     slope = _slope(out.report.records)
     sched0 = make_schedule(out.kind, out.problem.constants)
     c2, c1 = adaptive_rates(sched0, out.kind, out.problem.constants)
-    gap_ok = all(r.gap <= c2 * out.d0 / r.k**2 + 1e-9
+    d0 = out.report.config["d0"]
+    gap_ok = all(r.gap <= c2 * d0 / r.k**2 + 1e-9
                  for r in out.report.records if r.k >= 2)
-    dist_ok = all(r.dist_y <= c1 * math.sqrt(out.d0) / r.k + 1e-9
+    dist_ok = all(r.dist_y <= c1 * math.sqrt(d0) / r.k + 1e-9
                   for r in out.report.records if r.k >= 2)
     detail = f"slope {slope:.3f}, c2 ok {gap_ok}, c1 ok {dist_ok}, {elapsed:.1f}s"
     _report(2, "O(1/K^2) gap and O(1/K) iterate, nu=0.3",
@@ -123,14 +124,14 @@ def test_criterion_3_linear_rate_certificate():
     tau = sched0.tau
     sig_tilde = sigma_tilde(sched0, out.kind)
     dist_ok = True
-    full_ok = out.certificate_ok
+    full_ok = out.report.config["certificate_ok"]
     for rec in out.report.records:
-        bound = math.exp(rec.k * math.log(theta)) * out.d0
+        bound = math.exp(rec.k * math.log(theta)) * out.report.config["d0"]
         dist_term = rec.dist_x**2 / (2 * tau) + rec.dist_y**2 / (2 * sig_tilde)
         dist_ok = dist_ok and dist_term <= bound * (1 + 1e-8)
         lhs = theta * rec.gap + dist_term
         full_ok = full_ok and lhs <= bound * (1 + 1e-8)
-    detail = f"max lhs/bound {out.max_ratio:.3f}, {elapsed:.2f}s"
+    detail = f"max lhs/bound {out.report.config['max_certificate_ratio']:.3f}, {elapsed:.2f}s"
     _report(3, "linear rate, full certificate to K=500",
             full_ok and dist_ok and elapsed <= 5.0, detail)
 
@@ -196,10 +197,9 @@ def test_criterion_6_prox_and_qp_correctness():
     box_set = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=labels, offset=0.0)
     cone_a = rng.uniform(-3.0, 3.0, (5, 12))
     projector = PolytopeProjector(cone_a)
-    cone_set = PolytopeSet(cone_a)
     cases.append(("project_simplex", 12, project_simplex))
     cases.append(("project_box_hyperplane", 12, lambda v: project_box_hyperplane(box_set, v)))
-    cases.append(("project_polytope(qp)", 12, lambda v: project_polytope(cone_set, v)))
+    cases.append(("project_polytope(qp)", 12, lambda v: project_polytope(cone_a, v)))
     cases.append(("cone projector(dual)", 12, projector.project))
 
     # indicator-style oracle for projections, plus metric properties
@@ -309,9 +309,9 @@ def test_criterion_7_mksvm_accuracy():
     details = []
     for name, target in TABLE_TSA.items():
         data = _dataset(name)
-        out = mksvm_experiment(data, variant="c1", seed=SEED, runs=12,
-                               checkpoints=(250, 500, 1000, 1500, 2000))
-        tsa = out.aggregated[2000]
+        report = mksvm_experiment(data, variant="c1", seed=SEED, runs=12,
+                                  checkpoints=(250, 500, 1000, 1500, 2000))
+        tsa = report.records[-1].tsa
         details.append(f"{name} {tsa:.2f} (target {target})")
         ok = ok and abs(tsa - target) <= 4.0
     elapsed = time.perf_counter() - started
@@ -326,13 +326,14 @@ def test_criterion_8_fairness_accuracy():
     details = []
     targets = {"sex": 85.93, "age": 86.67}
     for grouping, target in targets.items():
-        out = fairness_experiment(data, grouping=grouping, seed=SEED,
-                                  partitions=5, checkpoints=(100, 500, 1000))
-        overall = out.with_fairness[1000]["overall"]
+        config = fairness_experiment(data, grouping=grouping, seed=SEED, partitions=5,
+                                     checkpoints=(100, 500, 1000)).config
+        cell, plain = config["with_fairness"]["1000"], config["without_fairness"]["1000"]
+        overall = cell["overall"]
         ok = ok and abs(overall - target) <= 4.0
-        group_keys = [key for key in out.with_fairness[1000] if key.startswith("group")]
-        min_with = min(out.with_fairness[1000][key] for key in group_keys)
-        min_without = min(out.without_fairness[1000][key] for key in group_keys)
+        group_keys = [key for key in cell if key.startswith("group")]
+        min_with = min(cell[key] for key in group_keys)
+        min_without = min(plain[key] for key in group_keys)
         ok = ok and min_with >= min_without - 1.0
         details.append(
             f"{grouping}: overall {overall:.2f} (target {target}), "

@@ -46,7 +46,7 @@ def test_mksvm_experiment_bitwise_replay():
     data = LoadedDataset(name="sonar", features=feats, labels=labels)
     first = mksvm_experiment(data, variant="c1", seed=11, runs=3, checkpoints=(20, 50))
     second = mksvm_experiment(data, variant="c1", seed=11, runs=3, checkpoints=(20, 50))
-    assert first.report.to_json_text() == second.report.to_json_text()
+    assert first.to_json_text() == second.to_json_text()
 
 
 def _small_problem(name, rng):

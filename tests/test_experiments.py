@@ -68,8 +68,8 @@ def _toy_run(nu):
 
 def _fairness_run():
     data = _separable_dataset(make_rng(98, 2), rows=70, dim=5, noise=0.5, with_groups=True)
-    out = fairness_experiment(data, grouping="sex", seed=3, partitions=1, checkpoints=(40,))
-    assert 0.0 <= out.with_fairness[40]["overall"] <= 100.0
+    report = fairness_experiment(data, grouping="sex", seed=3, partitions=1, checkpoints=(40,))
+    assert 0.0 <= report.config["with_fairness"]["40"]["overall"] <= 100.0
 
 
 @pytest.mark.parametrize("experiment", [
@@ -91,7 +91,7 @@ def test_toy_gap_column_positive_and_bounded():
     out = toy_experiment(seed=7, nu=0.0, d=20, n=30, max_iter=500)
     for rec in out.report.records:
         assert rec.gap > 0.0
-        assert rec.gap <= out.d0 / rec.k + 1e-9
+        assert rec.gap <= out.report.config["d0"] / rec.k + 1e-9
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3])
@@ -105,8 +105,8 @@ def test_toy_sigma0_alone_fills_tau0(nu):
 
 def test_synthetic_experiment_certificate():
     out = synthetic_experiment(seed=3, dim=10, max_iter=200)
-    assert out.certificate_ok
-    assert out.max_ratio <= 1.0 + 1e-8
+    assert out.report.config["certificate_ok"]
+    assert out.report.config["max_certificate_ratio"] <= 1.0 + 1e-8
     assert len(out.report.records) == 200
 
 
@@ -119,28 +119,28 @@ def test_synthetic_long_horizon_gaps_stay_finite():
     gaps = out.report.column("gap")
     assert [r.k for r in out.report.records] == list(range(1000, 7001, 1000)) + [7100]
     assert np.all(np.isfinite(gaps))
-    assert out.certificate_ok
-    assert np.isfinite(out.max_ratio)
+    assert out.report.config["certificate_ok"]
+    assert np.isfinite(out.report.config["max_certificate_ratio"])
     assert "Infinity" not in out.report.to_json_text()
 
 
 def test_mksvm_experiment_learns_separable_data():
     rng = make_rng(95, 0)
     data = _separable_dataset(rng, rows=50, dim=4, noise=0.25)
-    out = mksvm_experiment(data, variant="c1", seed=1, runs=4,
-                           checkpoints=(50, 150), split_fraction=0.8)
-    assert set(out.aggregated) == {50, 150}
-    assert out.aggregated[150] >= 80.0
-    assert all(len(scores) == 2 for scores in out.per_run)
+    report = mksvm_experiment(data, variant="c1", seed=1, runs=4,
+                              checkpoints=(50, 150), split_fraction=0.8)
+    assert [rec.k for rec in report.records] == [50, 150]
+    assert report.records[-1].tsa >= 80.0
+    assert all(len(scores) == 2 for scores in report.config["per_run"])
 
 
 @pytest.mark.parametrize("variant", ["a", "c2"])
 def test_mksvm_other_variants_run(variant):
     rng = make_rng(96, 0)
     data = _separable_dataset(rng, rows=40, dim=3, noise=0.25)
-    out = mksvm_experiment(data, variant=variant, seed=2, runs=3,
-                           checkpoints=(40, 120))
-    assert out.aggregated[120] >= 70.0
+    report = mksvm_experiment(data, variant=variant, seed=2, runs=3,
+                              checkpoints=(40, 120))
+    assert report.records[-1].k == 120 and report.records[-1].tsa >= 70.0
 
 
 @pytest.mark.parametrize("steps", [{"tau0": 0.5}, {"sigma0": 0.5}])
@@ -155,7 +155,7 @@ def test_repeated_checkpoints_are_reported_once():
     svm = mksvm_experiment(data, variant="c1", seed=2, runs=1, checkpoints=(5, 5))
     fair = fairness_experiment(data, grouping="sex", seed=2, partitions=1,
                                checkpoints=(5, 5))
-    for report in (svm.report, fair.report):
+    for report in (svm, fair):
         assert [rec.k for rec in report.records] == [5]
         assert list(report.config["checkpoints"]) == [5]
 
@@ -163,19 +163,19 @@ def test_repeated_checkpoints_are_reported_once():
 def test_mksvm_aggregation_uses_twelve_minus_extremes():
     rng = make_rng(97, 0)
     data = _separable_dataset(rng, rows=40, dim=3, noise=0.3)
-    out = mksvm_experiment(data, variant="c1", seed=3, runs=12, checkpoints=(30,))
-    values = [s[30] for s in out.per_run]
-    assert out.aggregated[30] == pytest.approx(_trimmed_mean(values))
+    report = mksvm_experiment(data, variant="c1", seed=3, runs=12, checkpoints=(30,))
+    values = [s["30"] for s in report.config["per_run"]]
+    assert report.records[0].tsa == pytest.approx(_trimmed_mean(values))
     assert len(values) == 12
 
 
 def test_fairness_experiment_structure_and_fairness_property():
     rng = make_rng(98, 0)
     data = _separable_dataset(rng, rows=80, dim=4, noise=0.4, with_groups=True)
-    out = fairness_experiment(data, grouping="sex", seed=4, partitions=2,
-                              checkpoints=(20, 60))
-    for k in (20, 60):
-        cell = out.with_fairness[k]
+    report = fairness_experiment(data, grouping="sex", seed=4, partitions=2,
+                                 checkpoints=(20, 60))
+    for k in ("20", "60"):
+        cell = report.config["with_fairness"][k]
         assert "overall" in cell and any(key.startswith("group") for key in cell)
         assert 0.0 <= cell["overall"] <= 100.0
     # one-group grouping makes 'with' and 'without' the same problem
@@ -183,8 +183,8 @@ def test_fairness_experiment_structure_and_fairness_property():
     data_one.groups = {"sex": np.zeros(60, dtype=int)}
     same = fairness_experiment(data_one, grouping="sex", seed=4, partitions=2,
                                checkpoints=(15,))
-    assert same.with_fairness[15]["overall"] == pytest.approx(
-        same.without_fairness[15]["overall"], abs=1e-12
+    assert same.config["with_fairness"]["15"]["overall"] == pytest.approx(
+        same.config["without_fairness"]["15"]["overall"], abs=1e-12
     )
 
 
@@ -211,12 +211,11 @@ def test_fairness_three_group_banding():
     bands = rng.integers(0, 3, size=rows)
     data = LoadedDataset(name="heart-disease", features=feats, labels=labels,
                          groups={"age": bands})
-    out = fairness_experiment(data, grouping="age", seed=5, partitions=2,
-                              checkpoints=(25,))
-    cell = out.with_fairness[25]
+    report = fairness_experiment(data, grouping="age", seed=5, partitions=2,
+                                 checkpoints=(25,))
+    cell = report.config["with_fairness"]["25"]
     group_keys = sorted(k for k in cell if k.startswith("group"))
     assert group_keys == ["group0", "group1", "group2"]
-    assert out.group_ids == [0, 1, 2]
     for key in group_keys + ["overall"]:
         assert 0.0 <= cell[key] <= 100.0
 
@@ -227,4 +226,4 @@ def test_toy_adaptive_gap_bounded_by_ergodic_total():
     taus = np.array(out.report.schedule_trace["tau"])
     totals = np.cumsum(taus / taus[0])
     for rec in out.report.records:
-        assert rec.gap <= out.d0 / totals[rec.k - 1] + 1e-9
+        assert rec.gap <= out.report.config["d0"] / totals[rec.k - 1] + 1e-9

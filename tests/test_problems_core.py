@@ -7,6 +7,7 @@ from ogaprox.problem import (
     MissingSaddlePointError,
     ProblemConstants,
     PsiUndefinedError,
+    SaddleProblem,
     validate_problem,
 )
 from ogaprox.problems import (
@@ -395,6 +396,28 @@ def test_quadratic_rejects_negative_or_infinite_moduli(mu, nu):
         QuadraticSaddleProblem(np.eye(2), mu=mu, nu=nu)
 
 
+def test_quadratic_later_writes_to_the_arguments_change_no_oracle_output():
+    # a scaled caller's A once left grad_y 10x larger than the declared l_yx
+    rng = make_rng(44, 0)
+    a, b, c = rng.standard_normal((4, 3)), rng.standard_normal(3), rng.standard_normal(4)
+    p = QuadraticSaddleProblem(a, b, c, mu=0.7, nu=0.4)
+    x, y = rng.standard_normal(3), rng.standard_normal(4)
+
+    def outputs():
+        return [p.grad_y(x, y), p.prox_phi_x(0.3, y, x), p.prox_g(0.5, y),
+                p.phi_value(x, y), p.g_value(y), *p.saddle_point()]
+
+    before = outputs()
+    for arr in (a, b, c):
+        arr *= 10.0
+    for old, new in zip(before, outputs()):
+        np.testing.assert_array_equal(old, new)
+    assert float(np.linalg.norm(p.a, 2)) <= p.constants.l_yx
+    for arr in (p.a, p.b, p.c, QuadraticSaddleProblem(np.eye(2)).b):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 # -- interface validation ----------------------------------------------------
 
 @pytest.mark.parametrize("make", [
@@ -448,6 +471,36 @@ def test_validator_detects_understated_lipschitz_constant():
     report = validate_problem(p, trials=200, seed=2)
     assert report.lipschitz_violation > 1e-8
     assert not report.ok
+
+
+class _NoValues(SaddleProblem):
+    """The README's ridge game with a sampler and no objective values."""
+
+    def __init__(self, a, l_yx):
+        self.a = a
+        self.dim_y, self.dim_x = a.shape
+        self.constants = ProblemConstants(l_yx=l_yx, l_yy=0.0, nu=0.5)
+
+    def grad_y(self, x, y):
+        return self.a @ x
+
+    def prox_phi_x(self, tau, y, x):
+        return x - tau * (self.a.T @ y)
+
+    def prox_g(self, sigma, v):
+        return v / (1.0 + 0.5 * sigma)
+
+    def sample_point(self, rng):
+        return rng.standard_normal(self.dim_x), rng.standard_normal(self.dim_y)
+
+
+@pytest.mark.parametrize("scale, ok", [(1.001, True), (0.5, False)])
+def test_validate_problem_without_values_checks_lipschitz_only(scale, ok):
+    a = make_rng(45, 0).standard_normal((5, 4))
+    report = validate_problem(_NoValues(a, scale * np.linalg.norm(a, 2)), trials=200, seed=1)
+    assert report.prox_violation is None
+    assert report.ok == ok
+    assert (report.lipschitz_violation <= report.tolerance) == ok
 
 
 def test_validator_detects_wrong_prox():

@@ -3,11 +3,18 @@ import bisect
 import numpy as np
 import pytest
 
+from ogaprox.problems import FairnessProblem, Group, MkSvmProblem
+from ogaprox.problems.mksvm import (
+    conjugated_kernels,
+    gaussian_kernel,
+    linear_kernel,
+    normalize_kernel,
+    polynomial_kernel,
+)
 from ogaprox.prox import (
     BoxHyperplaneSet,
     InfeasibleSetError,
     PolytopeProjector,
-    PolytopeSet,
     RankDeficientError,
     on_simplex,
     project_box_hyperplane,
@@ -19,7 +26,7 @@ from ogaprox.prox import (
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 
-from _oracles import prox_positive_part_scaled
+from _oracles import prox_inequality_gap, prox_positive_part_scaled
 
 
 # -- simplex ---------------------------------------------------------------
@@ -156,18 +163,16 @@ def _feasible_cone_points(a, rng, count):
 def test_polytope_fixes_feasible_and_zero():
     rng = make_rng(6, 15)
     a = rng.standard_normal((3, 6))
-    s = PolytopeSet(a)
     y_feas = _feasible_cone_points(a, rng, 1)[0]
-    np.testing.assert_allclose(project_polytope(s, y_feas), y_feas, atol=1e-9)
-    np.testing.assert_allclose(project_polytope(s, np.zeros(6)), np.zeros(6), atol=1e-12)
+    np.testing.assert_allclose(project_polytope(a, y_feas), y_feas, atol=1e-9)
+    np.testing.assert_allclose(project_polytope(a, np.zeros(6)), np.zeros(6), atol=1e-12)
 
 
 def test_polytope_beats_random_feasible_points():
     rng = make_rng(7, 16)
     a = rng.uniform(-3, 3, (5, 7))
-    s = PolytopeSet(a)
     v = rng.standard_normal(7) * 3
-    proj = project_polytope(s, v)
+    proj = project_polytope(a, v)
     assert np.min(a @ proj) >= -1e-9
     samples = _feasible_cone_points(a, rng, 10_000)
     best = float(np.min(np.sum((samples - v) ** 2, axis=1)))
@@ -177,14 +182,24 @@ def test_polytope_beats_random_feasible_points():
 def test_fast_projector_matches_qp_route():
     rng = make_rng(8, 17)
     a = rng.uniform(-3, 3, (6, 9))
-    s = PolytopeSet(a)
     projector = PolytopeProjector(a)
     for _ in range(25):
         v = rng.standard_normal(9) * rng.uniform(0.5, 8.0)
         fast = projector.project(v)
-        slow = project_polytope(s, v)
+        slow = project_polytope(a, v)
         np.testing.assert_allclose(fast, slow, atol=1e-8)
         assert np.min(a @ fast) >= -1e-9
+
+
+@pytest.mark.parametrize("a, v, message", [
+    (np.ones(3), np.zeros(3), "nonempty 2-d"),
+    (np.zeros((0, 3)), np.zeros(3), "nonempty 2-d"),
+    (np.array([[1.0, np.nan]]), np.zeros(2), "finite"),
+    (np.eye(2), np.zeros(3), "dimension mismatch"),
+], ids=["1-d", "no-rows", "nan", "mismatch"])
+def test_polytope_qp_route_rejects_bad_input(a, v, message):
+    with pytest.raises(ValueError, match=message):
+        project_polytope(a, v)
 
 
 @pytest.mark.parametrize("scale", [1e3, 1e6])
@@ -196,7 +211,7 @@ def test_polytope_qp_route_at_large_scale(scale):
         a = rng.standard_normal((20, 30))
         v = rng.standard_normal(30)
         v *= scale / np.max(np.abs(v))
-        slow = project_polytope(PolytopeSet(a), v)
+        slow = project_polytope(a, v)
         np.testing.assert_allclose(slow, _kernel_projection(a, 0.0, v), rtol=0, atol=1e-12 * scale)
         assert np.min(a @ slow) >= -1e-12 * scale
 
@@ -371,6 +386,55 @@ def test_oracle_rejects_minus_inf():
     x = np.zeros(2)
     with pytest.raises(ValueError):
         prox_oracle(lambda u: -np.inf, x, x, trials=10, seed=4)
+
+
+def _mksvm(mu, nu):
+    rng = make_rng(61, 7)
+    feats = rng.standard_normal((18, 3))
+    labels = np.where(rng.uniform(size=18) < 0.5, -1.0, 1.0)
+    labels[:2] = (1.0, -1.0)
+    kernels = [normalize_kernel(kernel(feats))
+               for kernel in (polynomial_kernel, gaussian_kernel, linear_kernel)]
+    mats = conjugated_kernels(kernels, np.arange(18), labels)
+    return MkSvmProblem(mats, labels, box_c=1.0, mu=mu, nu=nu)
+
+
+def _fairness():
+    rng = make_rng(62, 7)
+    return FairnessProblem([
+        Group(rng.standard_normal((size, 4)), np.where(rng.uniform(size=size) < 0.5, -1.0, 1.0))
+        for size in (6, 9, 12)
+    ])
+
+
+@pytest.mark.parametrize("make, simplex_x, simplex_y", [
+    pytest.param(lambda: _mksvm(0.0, 0.0), True, False, id="mksvm-0"),
+    pytest.param(lambda: _mksvm(0.5, 0.5), True, False, id="mksvm-0.5"),
+    pytest.param(_fairness, False, True, id="fairness"),
+])
+def test_problem_proxes_satisfy_the_prox_inequality(make, simplex_x, simplex_y):
+    # feasible test points: the simplex vertices, and points from p toward
+    # sampled feasible points; prox_oracle's perturbations cannot reach the
+    # simplex or the box-hyperplane set, which have empty interior
+    problem = make()
+    rng = make_rng(63, 0)
+
+    def relative_gap(f, x, p, samples, vertices):
+        points = [*vertices, *(p + t * (u - p) for u in samples for t in (1e-3, 0.1, 1.0))]
+        return prox_inequality_gap(f, x, p, points) / (1.0 + abs(f(p)) + float((x - p) @ (x - p)))
+
+    for _ in range(20):
+        x_ref, y_ref = problem.sample_point(rng)
+        samples = [problem.sample_point(rng) for _ in range(4)]
+        tau, sigma = 10.0 ** rng.uniform(-2, 0.5, 2)
+        x = x_ref + rng.standard_normal(problem.dim_x)
+        assert relative_gap(
+            lambda u: tau * problem.phi_value(u, y_ref), x, problem.prox_phi_x(tau, y_ref, x),
+            [s[0] for s in samples], np.eye(problem.dim_x) if simplex_x else ()) <= 1e-10
+        v = y_ref + rng.standard_normal(problem.dim_y)
+        assert relative_gap(
+            lambda w: sigma * problem.g_value(w), v, problem.prox_g(sigma, v),
+            [s[1] for s in samples], np.eye(problem.dim_y) if simplex_y else ()) <= 1e-10
 
 
 # -- shared projection properties (oracle ~1e-8, firm nonexpansiveness, idempotence)

@@ -252,13 +252,13 @@ def test_cli_passes_only_the_keys_that_are_set(tmp_path, monkeypatch):
             return result
         return driver
 
-    outcome = SimpleNamespace(
-        report=RunReport(config={"max_iter": 1, "variant": "c1", "grouping": "sex"}),
-        elapsed=0.0, certificate_ok=True, max_ratio=0.0, aggregated={}, per_run=[],
-        with_fairness={}, without_fairness={})
-    for name in ("toy_experiment", "synthetic_experiment", "mksvm_experiment",
-                 "fairness_experiment"):
-        monkeypatch.setattr(cli, name, fake(name, outcome))
+    report = RunReport(config={
+        "max_iter": 1, "variant": "c1", "grouping": "sex", "runs": 0, "checkpoints": [],
+        "certificate_ok": True, "max_certificate_ratio": 0.0})
+    for name in ("toy_experiment", "synthetic_experiment"):
+        monkeypatch.setattr(cli, name, fake(name, SimpleNamespace(report=report)))
+    for name in ("mksvm_experiment", "fairness_experiment"):
+        monkeypatch.setattr(cli, name, fake(name, report))
     monkeypatch.setattr(cli, "validation_experiment", fake("validation_experiment", (True, [])))
     data = SimpleNamespace(name="ionosphere")
     monkeypatch.setattr(cli, "load_dataset", lambda spec: data)
