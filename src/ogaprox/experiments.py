@@ -10,7 +10,7 @@ drivers do not time themselves: wall time belongs to the caller.  The
 drivers own their defaults and check their options; the CLI is a thin
 wrapper that maps config keys to driver keywords, times the calls whose
 seconds it prints and writes the reports out.  All randomness is drawn from per-(experiment,
-run) Philox streams, so a seed reproduces every output bit-exactly.
+run) Philox streams, so a seed reproduces every output bit-exactly under one BLAS thread count.
 """
 
 from dataclasses import dataclass

@@ -1,7 +1,7 @@
 """Deterministic random-number streams for experiments and tests.
 
 All randomness in the package flows through Philox, a counter-based
-generator, so that a (seed, stream, run index) triple reproduces results
+generator, so that a (seed, stream, run index) triple reproduces its draws
 bit-exactly across processes and platforms.
 """
 

@@ -3,7 +3,9 @@ import bisect
 import numpy as np
 import pytest
 
+from ogaprox import prox
 from ogaprox.problems import FairnessProblem, Group, MkSvmProblem
+from ogaprox.problems import mksvm as mksvm_module
 from ogaprox.problems.mksvm import (
     conjugated_kernels,
     gaussian_kernel,
@@ -25,6 +27,8 @@ from ogaprox.prox import (
 )
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
+from ogaprox.schedule import default_adaptive, default_linear
+from ogaprox.solver import run
 
 from _oracles import prox_inequality_gap, prox_positive_part_scaled
 
@@ -55,6 +59,12 @@ def test_simplex_output_feasible_and_matches_qp_oracle():
     result = solve_qp(problem, tol=1e-10)
     assert result.status is QpStatus.OPTIMAL
     np.testing.assert_allclose(out, result.x, atol=1e-8)
+
+
+def test_simplex_at_and_past_2_to_the_53():
+    # u1 > u1 - 1 fails in floats there, so the input is shifted by its maximum
+    np.testing.assert_array_equal(project_simplex([1e16, 0.0, 0.0]), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(project_simplex([1e300, 1e300, 0.0]), [0.5, 0.5, 0.0])
 
 
 def test_simplex_rejects_bad_input():
@@ -626,6 +636,92 @@ def test_box_hyperplane_matches_the_bisection_search():
     for i, (s, v) in enumerate(cases):
         np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v),
                                       err_msg=str(i))
+
+
+def _count_searches(monkeypatch):
+    """Counts calls of the breakpoint search behind the one-step fast path."""
+    calls = []
+    search = prox._box_hyperplane_search
+    monkeypatch.setattr(prox, "_box_hyperplane_search",
+                        lambda s, w: calls.append(1) or search(s, w))
+    return calls
+
+
+def _near_feasible_cases(rng):
+    """The projection ``y`` of a random point, moved by ``a |normal_i|``
+    outward at the bounds (``a`` where ``normal_i = 0``) and by ``1e-4 a``
+    inside, for +-1, Gaussian and zero-entry normals, finite and infinite
+    ``upper``, offset 0 and not.  ``y`` is its own projection, and the move ``p``
+    has ``|t0| <= ||p|| / ||normal|| < a``; so with ``a = 1e-2 margin /
+    max |normal_i|``, ``margin`` the least distance of a moving free
+    coordinate to a bound, the pattern at ``t0`` is ``y``'s."""
+    cases = []
+    for kind in ("pm1", "gauss", "zeros"):
+        for upper in (1.0, 5.0, np.inf):
+            for offset in (0.0, 2.5):
+                normal = (np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0) if kind == "pm1"
+                          else rng.standard_normal(40))
+                if kind == "zeros":
+                    normal[::5] = 0.0
+                s = BoxHyperplaneSet(lower=0.0, upper=upper, normal=normal, offset=offset)
+                y = _box_hyperplane_bisect(s, rng.uniform(-0.5, 1.5, 40) * min(upper, 2.0))
+                at_bound = (y == 0.0) | (y == upper)
+                margin = np.minimum(y, upper - y)[~at_bound & (normal != 0.0)].min()
+                a = 1e-2 * margin / np.abs(normal).max()
+                outward = np.where(y == 0.0, -a, a) * np.where(normal != 0.0, np.abs(normal), 1.0)
+                cases.append((s, y + np.where(at_bound, outward, 1e-4 * a * rng.standard_normal(40))))
+    return cases
+
+
+def test_box_hyperplane_one_step_near_the_set(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    for i, (s, v) in enumerate(_near_feasible_cases(make_rng(16, 26))):
+        np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v),
+                                      err_msg=str(i))
+        assert not calls, i
+
+
+@pytest.mark.parametrize("normal, offset, v", [
+    # the root t = 0.25 is the knot of the third coordinate, exactly and within rounding
+    ([1.0, 1.0, 1.0], 0.5, [0.5, 0.5, 0.25]),
+    ([1.0, 1.0, 1.0], 0.5, [0.5, 0.5, 0.25 + 1e-15]),
+    # every coordinate is at a bound at t0 = 0: the Newton piece has slope 0
+    ([1.0, -1.0], 0.0, [3.0, 3.0]),
+    ([1.0, 1.0], 1.0, [5.0, -5.0]),
+    # a zero-normal coordinate sits exactly on its lower bound
+    ([1.0, -1.0, 0.0], 0.0, [0.3, 0.2, 0.0]),
+], ids=["on-knot", "near-knot", "slope-0", "slope-0-offset", "zero-normal-on-bound"])
+def test_box_hyperplane_falls_back_to_the_search(monkeypatch, normal, offset, v):
+    calls = _count_searches(monkeypatch)
+    s = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=normal, offset=offset)
+    np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mu, nu, law", [(0.0, 0.0, default_adaptive), (1.0, 0.5, default_linear)],
+                         ids=["c1", "c2"])
+def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
+    # the traffic the fast path serves: every y-prox of a run, checked
+    # against the bisection search, falls back on at most 5% of the steps
+    rng = make_rng(64, 0)
+    rows = 120
+    labels = np.where(rng.uniform(size=rows) < 0.6, 1.0, -1.0)
+    feats = labels[:, None] * rng.uniform(0.1, 0.4, 6) + rng.normal(0.0, 0.5, (rows, 6))
+    kernels = [normalize_kernel(kernel(feats))
+               for kernel in (polynomial_kernel, gaussian_kernel, linear_kernel)]
+    problem = MkSvmProblem(conjugated_kernels(kernels, np.arange(rows), labels), labels,
+                           box_c=1.0, mu=mu, nu=nu)
+    calls, outputs = _count_searches(monkeypatch), []
+
+    def checked(s, v):
+        outputs.append(project_box_hyperplane(s, v))
+        np.testing.assert_array_equal(outputs[-1], _box_hyperplane_bisect(s, v))
+        return outputs[-1]
+
+    monkeypatch.setattr(mksvm_module, "project_box_hyperplane", checked)
+    run(problem, law(problem.constants), np.full(3, 1.0 / 3.0), np.zeros(rows), 600)
+    assert len(outputs) == 600
+    assert len(calls) <= 0.05 * len(outputs)
 
 
 def test_oracle_flags_wrong_projection():

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -150,10 +154,10 @@ def test_cli_split_fraction_out_of_range_is_validation_error(tmp_path):
     assert main(["mksvm", "--config", str(cfg)]) == 2
 
 
-def _heart_file(tmp_path):
+def _heart_file(tmp_path, count=80):
     rng = make_rng(101, 0)
     rows = []
-    for _ in range(80):
+    for _ in range(count):
         age = float(rng.integers(30, 75))
         sex = float(rng.integers(0, 2))
         label = 1 if rng.uniform() < 0.5 else 2
@@ -185,6 +189,33 @@ def test_cli_mksvm_and_fairness_on_synthetic_files(tmp_path):
                  "--out", str(tmp_path / "fair")]) == 0
     report = RunReport.from_json((tmp_path / "fair" / "fairness_sex.json").read_text())
     assert "with_fairness" in report.config
+
+
+def test_mksvm_and_fairness_reports_do_not_depend_on_blas_threads(tmp_path):
+    # README's determinism claim across BLAS thread counts. The toy is the
+    # known exception: its Gram matrix A A' and the SVD of A move in the last
+    # digits with the thread count, and so do the toy reports.
+    data_path = _heart_file(tmp_path, count=150)
+    configs = {
+        "mksvm": f"dataset = heart-disease\npath = {data_path}\nruns = 2\ncheckpoints = 20, 60\n",
+        "fairness": f"dataset = heart-disease\npath = {data_path}\npartitions = 2\n"
+                    "checkpoints = 10, 30\ngrouping = sex\n",
+    }
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for verb, text in configs.items():
+            cfg, out = tmp_path / f"{verb}.cfg", tmp_path / f"{verb}-{threads}"
+            cfg.write_text(text)
+            subprocess.run([sys.executable, "-m", "ogaprox.cli", verb, "--config", str(cfg),
+                            "--seed", "3", "--out", str(out)], env=env, check=True,
+                           capture_output=True)
+            outputs[threads, verb] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    for verb in configs:
+        assert len(outputs["1", verb]) == 2
+        assert outputs["1", verb] == outputs["2", verb], verb
 
 
 @pytest.mark.parametrize("verb, line, key", [
