@@ -10,12 +10,10 @@ oracle for the cone projector.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .qp import QpProblem, QpStatus, solve_qp
-from .rng import make_rng
 
 __all__ = [
     "BoxHyperplaneSet",
@@ -25,7 +23,6 @@ __all__ = [
     "project_box_hyperplane",
     "project_polytope",
     "solve_polytope_dual",
-    "prox_oracle",
 ]
 
 
@@ -54,13 +51,15 @@ def project_simplex(v) -> np.ndarray:
     """
     x = _as_vector(v)
     u = np.sort(x)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    rho_candidates = np.nonzero(u * np.arange(1, x.size + 1) > cumulative)[0]
-    if rho_candidates.size == 0:  # u[0] >= 2**53 rounds u[0] > u[0] - 1 away: shift
-        return project_simplex(x - u[0])
-    rho = rho_candidates[-1]
-    threshold = cumulative[rho] / (rho + 1.0)
-    return np.maximum(x - threshold, 0.0)
+    if max(u[0], -u[-1]) < 2.0**1000:  # the sums below stay finite
+        cumulative = np.cumsum(u) - 1.0
+        rho_candidates = np.nonzero(u * np.arange(1, x.size + 1) > cumulative)[0]
+        if rho_candidates.size:  # empty when |u[0]| >= 2**53 rounds u[0] - 1 to u[0]
+            rho = rho_candidates[-1]
+            threshold = cumulative[rho] / (rho + 1.0)
+            return np.maximum(x - threshold, 0.0)
+    with np.errstate(over="ignore"):  # entries below max(x) - 1 project to 0
+        return project_simplex(np.maximum(x - u[0], -1.0))
 
 
 def on_simplex(v) -> bool:
@@ -295,42 +294,3 @@ class PolytopeProjector:
             return w.copy(), c
         y = w + self.a.T @ solve_polytope_dual(self.gram, c)
         return y, self.a @ y
-
-
-def prox_oracle(
-    f: Callable[[np.ndarray], float],
-    x,
-    candidate,
-    trials: int = 1000,
-    seed: int = 0,
-) -> float:
-    """Brute-force optimality check for a claimed proximal point.
-
-    Samples Gaussian perturbations of ``candidate`` at scales 1e-3, 0.1
-    and 1 in turn and returns the largest amount by which a sample beats
-    the candidate on ``f(u) + 0.5 ||u - x||^2``.  A correct prox keeps this at roundoff
-    level; values above ``1e-8`` indicate a wrong operator.
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    base = _as_vector(x, "x")
-    cand = _as_vector(candidate, "candidate")
-    if cand.size != base.size:
-        raise ValueError("candidate dimension mismatch")
-
-    def objective(u: np.ndarray) -> float:
-        val = float(f(u))
-        if val == -np.inf:
-            raise ValueError("f takes -inf; prox undefined")
-        diff = u - base
-        return val + 0.5 * float(diff @ diff)
-
-    f_cand = objective(cand)
-    if f_cand == np.inf:
-        return np.inf
-    rng = make_rng(seed, 97)
-    worst = -np.inf
-    for j in range(trials):
-        u = cand + (1e-3, 1e-1, 1.0)[j % 3] * rng.standard_normal(cand.size)
-        worst = max(worst, f_cand - objective(u))
-    return worst

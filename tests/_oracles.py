@@ -2,9 +2,17 @@
 
 They check the fast paths of ``ogaprox`` against a slower or more literal
 form of the same operator; nothing in the library imports them.
+:func:`prox_oracle` samples perturbations of a claimed prox, so it sees
+nothing on a set with empty interior; the library's own prox check,
+``ogaprox.problem.prox_inequality_gap``, does.
 """
 
+from typing import Callable
+
 import numpy as np
+
+from ogaprox.prox import _as_vector
+from ogaprox.rng import make_rng
 
 
 def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
@@ -24,17 +32,43 @@ def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
     return x - tau * w
 
 
-def prox_inequality_gap(f, x, p, points) -> float:
-    """``max_u <x - p, u - p> - (f(u) - f(p))`` over ``points``, all in dom f.
+def prox_oracle(
+    f: Callable[[np.ndarray], float],
+    x,
+    candidate,
+    trials: int = 1000,
+    seed: int = 0,
+) -> float:
+    """Brute-force optimality check for a claimed proximal point.
 
-    The second prox theorem (Beck 2017, Thm 6.39): ``p = prox_f(x)`` exactly
-    when this is at most 0 for every ``u``, so a positive value over any
-    feasible points proves ``p`` wrong.  Unlike random perturbations of
-    ``p``, feasible points exist on sets with empty interior too.
+    Samples Gaussian perturbations of ``candidate`` at scales 1e-3, 0.1
+    and 1 in turn and returns the largest amount by which a sample beats
+    the candidate on ``f(u) + 0.5 ||u - x||^2``.  A correct prox keeps this at roundoff
+    level; values above ``1e-8`` indicate a wrong operator.
     """
-    x, p = np.asarray(x, float), np.asarray(p, float)
-    f_p = f(p)
-    return max(float((x - p) @ (u - p)) - (f(u) - f_p) for u in points)
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    base = _as_vector(x, "x")
+    cand = _as_vector(candidate, "candidate")
+    if cand.size != base.size:
+        raise ValueError("candidate dimension mismatch")
+
+    def objective(u: np.ndarray) -> float:
+        val = float(f(u))
+        if val == -np.inf:
+            raise ValueError("f takes -inf; prox undefined")
+        diff = u - base
+        return val + 0.5 * float(diff @ diff)
+
+    f_cand = objective(cand)
+    if f_cand == np.inf:
+        return np.inf
+    rng = make_rng(seed, 97)
+    worst = -np.inf
+    for j in range(trials):
+        u = cand + (1e-3, 1e-1, 1.0)[j % 3] * rng.standard_normal(cand.size)
+        worst = max(worst, f_cand - objective(u))
+    return worst
 
 
 def outside_cone_formula(slack, tol: float = 1e-8) -> bool:

@@ -21,7 +21,7 @@ from ogaprox.experiments import (
     synthetic_experiment,
     toy_experiment,
 )
-from ogaprox.problem import validate_problem
+from ogaprox.problem import prox_inequality_gap, validate_problem
 from ogaprox.problems import (
     FairnessProblem,
     Group,
@@ -42,7 +42,6 @@ from ogaprox.prox import (
     project_box_hyperplane,
     project_polytope,
     project_simplex,
-    prox_oracle,
 )
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
@@ -57,7 +56,7 @@ from ogaprox.schedule import (
 )
 from ogaprox.solver import SolverState, run, step
 
-from _oracles import prox_positive_part_scaled
+from _oracles import prox_oracle, prox_positive_part_scaled
 
 SEED = 9001
 
@@ -255,6 +254,7 @@ def test_criterion_6_prox_and_qp_correctness():
         ("mksvm", mksvm, mksvm.sample_point(make_rng(SEED, 70))[1], 0.05),
         ("fairness", fairness, fair_y, 0.6),
     ]
+    worst_gap = -np.inf
     for name, prob, y_ref, tau_val in problem_cases:
         rng_p = make_rng(SEED, 71)
         x_query = rng_p.standard_normal(prob.dim_x)
@@ -263,6 +263,13 @@ def test_criterion_6_prox_and_qp_correctness():
                                 x_query, cand, trials=1000, seed=SEED + 2)
         worst_oracle = max(worst_oracle, violation)
         ok = ok and violation <= 1e-8
+        # the library's check, on points from cand toward feasible samples
+        rng_s = make_rng(SEED, 73)
+        targets = [prob.sample_point(rng_s)[0] for _ in range(4)]
+        gap = prox_inequality_gap(lambda u: tau_val * prob.phi_value(u, y_ref), x_query, cand,
+                                  [cand + t * (s - cand) for s in targets for t in (1e-3, 0.1, 1.0)])
+        worst_gap = max(worst_gap, gap)
+        ok = ok and gap <= 1e-10
         v_query = y_ref + 0.5 * rng_p.standard_normal(prob.dim_y)
         cand = prob.prox_g(0.8, v_query)
         violation = prox_oracle(lambda w: 0.8 * prob.g_value(w),
@@ -292,7 +299,8 @@ def test_criterion_6_prox_and_qp_correctness():
         ok = ok and report.ok
 
     _report(6, "prox oracles, metric properties, QP KKT residuals", ok,
-            f"worst oracle violation {worst_oracle:.2e}, worst KKT {kkt_worst:.2e}")
+            f"worst oracle violation {worst_oracle:.2e}, worst prox inequality {worst_gap:.2e}, "
+            f"worst KKT {kkt_worst:.2e}")
 
 
 TABLE_TSA = {

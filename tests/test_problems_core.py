@@ -16,11 +16,13 @@ from ogaprox.problems import (
     random_toy_problem,
 )
 from ogaprox.problems.toy import _FEAS_TOL, _outside_cone
-from ogaprox.prox import RankDeficientError, prox_oracle
+from ogaprox.prox import RankDeficientError
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import experiment_rng, make_rng
 from ogaprox.schedule import default_adaptive
 from ogaprox.solver import run
+
+from _oracles import prox_oracle
 
 
 def _toy(rng, d=6, n=9, nu=0.0):
@@ -501,6 +503,17 @@ def test_validate_problem_without_values_checks_lipschitz_only(scale, ok):
     assert report.prox_violation is None
     assert report.ok == ok
     assert (report.lipschitz_violation <= report.tolerance) == ok
+
+
+def test_validate_problem_with_phi_value_only_skips_the_prox_check():
+    class PhiOnly(_NoValues):
+        def phi_value(self, x, y):
+            return float(y @ (self.a @ x))
+
+    a = make_rng(45, 1).standard_normal((3, 3))
+    report = validate_problem(PhiOnly(a, 1.001 * np.linalg.norm(a, 2)), trials=20, seed=1)
+    assert report.prox_violation is None
+    assert report.ok
 
 
 def test_validator_detects_wrong_prox():

@@ -3,11 +3,12 @@ import pytest
 
 from ogaprox.problem import validate_problem
 from ogaprox.problems import FairnessProblem, Group
-from ogaprox.prox import prox_oracle
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive
 from ogaprox.solver import run
+
+from _oracles import prox_oracle
 
 
 def _random_groups(rng, sizes=(8, 12), dim=5):

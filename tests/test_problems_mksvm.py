@@ -10,10 +10,12 @@ from ogaprox.problems.mksvm import (
     normalize_kernel,
     polynomial_kernel,
 )
-from ogaprox.prox import project_box_hyperplane, project_simplex, prox_oracle
+from ogaprox.prox import project_box_hyperplane, project_simplex
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
+
+from _oracles import prox_oracle
 
 
 def _synthetic_instance(rng, n_train=14, n_test=5, m_feat=3):

@@ -6,10 +6,12 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ogaprox import cli
 from ogaprox.cli import main, parse_config
+from ogaprox.problems import MkSvmProblem
 from ogaprox.report import CSV_COLUMNS, MetricRecord, RunReport
 from ogaprox.rng import make_rng
 
@@ -115,6 +117,17 @@ def test_cli_validate_quick(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("trials = 10\n")
     assert main(["validate", "--config", str(cfg), "--seed", "1"]) == 0
+
+
+def test_cli_validate_fails_constant_mksvm_proxes(tmp_path, monkeypatch, capsys):
+    # both answers are feasible, so only an optimality check can reject them
+    monkeypatch.setattr(MkSvmProblem, "prox_g", lambda self, sigma, v: np.zeros(self.dim_y))
+    monkeypatch.setattr(MkSvmProblem, "prox_phi_x",
+                        lambda self, tau, y, x: np.full(self.dim_x, 1.0 / self.dim_x))
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("trials = 10\n")
+    assert main(["validate", "--config", str(cfg), "--seed", "1"]) == 2
+    assert "FAIL mksvm" in capsys.readouterr().out
 
 
 def test_cli_missing_dataset_is_runtime_error(tmp_path):
