@@ -153,7 +153,7 @@ class ValidationReport:
 
 def prox_inequality_gap(f, x, p, points) -> float:
     """``max_u (<x - p, u - p> - (f(u) - f(p))) / (1 + |f(p)| + ||x - p||^2)``
-    over ``points`` in dom f, and ``inf`` if ``f(p) = inf``.
+    over ``points`` in dom f, and ``inf`` if ``f(p) = inf``; a NaN term gives NaN.
 
     ``p = prox_f(x)`` exactly when the numerator is at most 0 for every ``u``
     (Beck 2017, Thm 6.39), so a positive value proves ``p`` wrong.
@@ -162,8 +162,8 @@ def prox_inequality_gap(f, x, p, points) -> float:
     f_p = f(p)
     if f_p == np.inf:
         return np.inf
-    worst = max(float((x - p) @ (u - p)) - (f(u) - f_p) for u in points)
-    return worst / (1.0 + abs(f_p) + float((x - p) @ (x - p)))
+    worst = np.max([float((x - p) @ (u - p)) - (f(u) - f_p) for u in points])
+    return float(worst / (1.0 + abs(f_p) + float((x - p) @ (x - p))))
 
 
 def validate_problem(problem: SaddleProblem, trials: int, seed: int) -> ValidationReport:
@@ -173,7 +173,8 @@ def validate_problem(problem: SaddleProblem, trials: int, seed: int) -> Validati
     defines ``phi_value`` and ``g_value``, each prox also answers ``trials`` random
     queries, judged by :func:`prox_inequality_gap` on the feasible points
     ``p + t (s - p)``, ``t`` in {1e-3, 0.1, 1}, toward four ``sample_point`` outputs
-    ``s``; else ``prox_violation`` is ``None``.  Violations are reported, not raised.
+    ``s``; else ``prox_violation`` is ``None``.  Violations are reported, not
+    raised; a NaN one (``np.max`` keeps it, the builtin ``max`` drops it) fails.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -182,19 +183,18 @@ def validate_problem(problem: SaddleProblem, trials: int, seed: int) -> Validati
     rng = make_rng(seed, 11)
     consts = problem.constants
 
-    lip_worst = 0.0
+    lip = [0.0]
     for _ in range(trials):
         x_a, y_a = problem.sample_point(rng)
         x_b, y_b = problem.sample_point(rng)
         lhs = float(np.linalg.norm(problem.grad_y(x_a, y_a) - problem.grad_y(x_b, y_b)))
         bound = consts.l_yx * float(np.linalg.norm(x_a - x_b))
         bound += consts.l_yy * float(np.linalg.norm(y_a - y_b))
-        lip_worst = max(lip_worst, (lhs - bound) / max(1.0, bound))
+        lip.append((lhs - bound) / max(1.0, bound))
 
-    prox_worst: float | None = None
+    prox: list[float] = []
     if all(getattr(type(problem), name, None) is not getattr(SaddleProblem, name)
            for name in ("phi_value", "g_value")):
-        prox_worst = -np.inf
         for _ in range(trials):
             x_ref, y_ref = problem.sample_point(rng)
             xs, ys = zip(*(problem.sample_point(rng) for _ in range(4)))
@@ -207,6 +207,6 @@ def validate_problem(problem: SaddleProblem, trials: int, seed: int) -> Validati
                        problem.prox_g(sigma, v_query), ys))
             for f, query, p, ends in checks:
                 points = [p + t * (s - p) for s in ends for t in (1e-3, 0.1, 1.0)]
-                prox_worst = max(prox_worst, prox_inequality_gap(f, query, p, points))
+                prox.append(prox_inequality_gap(f, query, p, points))
 
-    return ValidationReport(trials, lip_worst, prox_worst)
+    return ValidationReport(trials, float(np.max(lip)), float(np.max(prox)) if prox else None)

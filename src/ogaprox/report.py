@@ -60,9 +60,6 @@ class RunReport:
     def add(self, record: MetricRecord) -> None:
         self.records.append(record)
 
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.records]
-
     def to_csv_text(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer)

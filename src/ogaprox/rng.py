@@ -7,6 +7,8 @@ bit-exactly across processes and platforms.
 
 import numpy as np
 
+__all__ = ["STREAMS", "make_rng", "experiment_rng"]
+
 # Stream constants keep experiment verbs statistically independent even
 # when the user passes the same base seed to each of them.
 STREAMS = {
@@ -15,7 +17,6 @@ STREAMS = {
     "fairness": 3,
     "synthetic": 4,
     "validate": 5,
-    "test": 6,
 }
 
 

@@ -17,10 +17,10 @@ Two parameter laws cover the three convexity regimes:
   ``sigma = (1-theta)/(nu*theta)``.
 
 Violated conditions raise :class:`StepSizeViolationError` naming the
-inequality; :func:`adaptive_rates` gives the adaptive law's rate constants.
-A :class:`ScheduleState` holds only what the law sets for the next step: the
-start is the kind's (:func:`make_schedule` returns it as ``tau`` and ``sigma``)
-and the run's totals ``K`` and ``T_K`` are the solver state's.  The weight
+inequality.  A run's constants come from the kind and the problem constants:
+:func:`schedule_margin` (``delta``), :func:`sigma_tilde` and :func:`adaptive_rates`.
+A :class:`ScheduleState` holds only what one step reads, ``(theta, tau, sigma,
+t)``; the run's totals ``K`` and ``T_K`` are the solver state's.  The weight
 ``t_k`` follows ``t_{k+1} = t_k / theta_{k+1}`` (1 at ``nu = 0``,
 ``tau_k / tau_0`` up to roundoff for ``nu > 0``, and ``theta**-k``
 for the linear law, where the ratio identity would be wrong).
@@ -39,7 +39,7 @@ __all__ = [
     "StepSizeViolationError",
     "make_schedule",
     "advance_schedule",
-    "assumption_slacks",
+    "schedule_margin",
     "theta_threshold",
     "balanced_alpha",
     "sigma_tilde",
@@ -75,20 +75,13 @@ ScheduleKind = AdaptiveSchedule | LinearSchedule
 
 @dataclass(frozen=True)
 class ScheduleState:
-    """Parameters the law sets for the next step.
-
-    ``t`` is that step's ergodic weight ``t_k``.  ``alpha`` is the
-    Young-inequality weight of the validity conditions; ``delta`` the
-    positive margin (for the linear law it is ``1 - theta*sigma*
-    (alpha*l_yx + l_yy)``, the denominator of ``sigma_tilde``).
-    """
+    """Parameters the law sets for the next step; ``t`` is that step's
+    ergodic weight ``t_k``."""
 
     theta: float
     tau: float
     sigma: float
     t: float
-    alpha: float
-    delta: float
 
 
 def default_adaptive(constants: ProblemConstants, tau0: float | None = None,
@@ -146,50 +139,64 @@ def default_linear(constants: ProblemConstants, theta: float | None = None) -> L
     return LinearSchedule(theta=theta, alpha=alpha)
 
 
-def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleState:
-    """Validated initial :class:`ScheduleState` for iteration 0."""
+def _linear_steps(kind: LinearSchedule, constants: ProblemConstants) -> tuple[float, float]:
+    return ((1.0 - kind.theta) / (constants.mu * kind.theta),
+            (1.0 - kind.theta) / (constants.nu * kind.theta))
+
+
+def schedule_margin(kind: ScheduleKind, constants: ProblemConstants) -> float:
+    """The law's margin ``delta``, positive for a kind :func:`make_schedule`
+    accepts: ``min(1 - (c_alpha*l_yx*tau0 + 2*l_yy)*sigma0, 1 - l_yx/c_alpha)``
+    for the adaptive law, ``1 - theta*sigma*(alpha*l_yx + l_yy)`` for the
+    linear law.  A NaN in the kind gives NaN."""
     if isinstance(kind, AdaptiveSchedule):
-        tau0, sigma0 = kind.tau0, kind.sigma0
-        if tau0 <= 0 or sigma0 <= 0:
+        product = (kind.c_alpha * constants.l_yx * kind.tau0 + 2.0 * constants.l_yy) * kind.sigma0
+        # min keeps its first argument when the other is NaN, so NaN goes first
+        return min(1.0 - product, 1.0 - constants.l_yx / kind.c_alpha)
+    if isinstance(kind, LinearSchedule):
+        sigma = _linear_steps(kind, constants)[1]
+        return 1.0 - kind.theta * sigma * (kind.alpha * constants.l_yx + constants.l_yy)
+    raise TypeError(f"unknown schedule kind {type(kind).__name__}")
+
+
+def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleState:
+    """Validated initial :class:`ScheduleState` for iteration 0.  Each check
+    is written so that a NaN fails it."""
+    if isinstance(kind, AdaptiveSchedule):
+        if not (kind.tau0 > 0 and kind.sigma0 > 0):
             raise StepSizeViolationError("step sizes must be positive")
-        if kind.c_alpha <= constants.l_yx:
+        if not kind.c_alpha > constants.l_yx:
             raise StepSizeViolationError(
-                f"c_alpha > l_yx required: {kind.c_alpha} <= {constants.l_yx}"
+                f"c_alpha > l_yx required, got {kind.c_alpha} and {constants.l_yx}"
             )
-        product = (kind.c_alpha * constants.l_yx * tau0 + 2.0 * constants.l_yy) * sigma0
-        if product >= 1.0:
+        margin = schedule_margin(kind, constants)
+        if not margin > 0.0:
             raise StepSizeViolationError(
-                "(c_alpha*l_yx*tau0 + 2*l_yy)*sigma0 < 1 required, "
-                f"got {product}"
+                f"(c_alpha*l_yx*tau0 + 2*l_yy)*sigma0 < 1 required, margin {margin}"
             )
         cap = ADAPTIVE_SIGMA0_FACTOR / constants.nu if constants.nu > 0 else math.inf
-        if sigma0 > cap:
+        if not kind.sigma0 <= cap:
             raise StepSizeViolationError(
-                f"sigma0 <= (9+3*sqrt(13))/(2*nu) required: {sigma0} > {cap}"
+                f"sigma0 <= (9+3*sqrt(13))/(2*nu) required: {kind.sigma0} > {cap}"
             )
-        delta = min(1.0 - constants.l_yx / kind.c_alpha, 1.0 - product)
-        return ScheduleState(theta=1.0, tau=tau0, sigma=sigma0, t=1.0,
-                             alpha=kind.c_alpha * tau0, delta=delta)
+        return ScheduleState(theta=1.0, tau=kind.tau0, sigma=kind.sigma0, t=1.0)
 
     if isinstance(kind, LinearSchedule):
         if constants.mu <= 0 or constants.nu <= 0:
             raise StepSizeViolationError("linear schedule requires mu > 0 and nu > 0")
-        if kind.alpha <= 0:
+        if not kind.alpha > 0:
             raise StepSizeViolationError("alpha must be positive")
         threshold = theta_threshold(kind.alpha, constants)
         if not (threshold < kind.theta < 1.0):
             raise StepSizeViolationError(
                 f"theta must lie strictly in ({threshold}, 1), got {kind.theta}"
             )
-        tau = (1.0 - kind.theta) / (constants.mu * kind.theta)
-        sigma = (1.0 - kind.theta) / (constants.nu * kind.theta)
-        margin = 1.0 - kind.theta * sigma * (kind.alpha * constants.l_yx + constants.l_yy)
-        if margin <= 0.0:
+        margin = schedule_margin(kind, constants)
+        if not margin > 0.0:
             raise StepSizeViolationError(
                 f"1 - theta*sigma*(alpha*l_yx + l_yy) must be positive, got {margin}"
             )
-        return ScheduleState(theta=kind.theta, tau=tau, sigma=sigma, t=1.0,
-                             alpha=kind.alpha, delta=margin)
+        return ScheduleState(kind.theta, *_linear_steps(kind, constants), t=1.0)
 
     raise TypeError(f"unknown schedule kind {type(kind).__name__}")
 
@@ -207,42 +214,20 @@ def advance_schedule(state: ScheduleState, kind: ScheduleKind,
         # deriving sigma from the invariant tau_k*sigma_k = tau0*sigma0
         # keeps the product exact to one ulp over any horizon
         sigma = (kind.tau0 * kind.sigma0) / tau
-        return ScheduleState(theta, tau, sigma, state.t / theta, kind.c_alpha * state.tau,
-                             state.delta)
+        return ScheduleState(theta, tau, sigma, state.t / theta)
     if isinstance(kind, LinearSchedule):
-        return ScheduleState(state.theta, state.tau, state.sigma, state.t / state.theta,
-                             state.alpha, state.delta)
+        return ScheduleState(state.theta, state.tau, state.sigma, state.t / state.theta)
     raise TypeError(f"unknown schedule kind {type(kind).__name__}")
 
 
-def assumption_slacks(state: ScheduleState, kind: ScheduleKind,
-                      constants: ProblemConstants) -> tuple[float, float]:
-    """Slacks of the two step-size inequalities at the current iteration.
-
-    Returns ``((1-delta)/tau_k - l_yx/alpha_{k+1},
-    (1-delta)/sigma_k - l_yx*alpha_k*theta_k - l_yy*(1+theta_k))``; both
-    must be nonnegative.  Defined for the adaptive law.
-    """
-    if isinstance(kind, LinearSchedule):
-        raise TypeError("assumption slacks apply to the adaptive law")
-    alpha_next = kind.c_alpha * state.tau
-    slack_tau = (1.0 - state.delta) / state.tau - constants.l_yx / alpha_next
-    slack_sigma = (1.0 - state.delta) / state.sigma - (
-        constants.l_yx * state.alpha * state.theta
-        + constants.l_yy * (1.0 + state.theta)
-    )
-    return slack_tau, slack_sigma
-
-
-def sigma_tilde(state: ScheduleState, kind: LinearSchedule) -> float:
+def sigma_tilde(kind: LinearSchedule, constants: ProblemConstants) -> float:
     """Effective dual step ``sigma / (1 - theta*sigma*(alpha*l_yx + l_yy))``."""
     if not isinstance(kind, LinearSchedule):
         raise TypeError("sigma_tilde is defined for the linear law")
-    return state.sigma / state.delta
+    return make_schedule(kind, constants).sigma / schedule_margin(kind, constants)
 
 
-def adaptive_rates(state: ScheduleState, kind: AdaptiveSchedule,
-                   constants: ProblemConstants) -> tuple[float, float]:
+def adaptive_rates(kind: AdaptiveSchedule, constants: ProblemConstants) -> tuple[float, float]:
     """The adaptive law's a-priori constants ``(c2, c1)``: after ``K`` steps
     the ergodic gap is at most ``c2*d0/K**2`` and ``||y_K - y*||`` at most
     ``c1*sqrt(d0)/K``, with ``c2 = 12/(nu*sigma0)`` and
@@ -251,5 +236,6 @@ def adaptive_rates(state: ScheduleState, kind: AdaptiveSchedule,
         raise TypeError("adaptive_rates is defined for the adaptive law")
     if constants.nu <= 0:
         raise StepSizeViolationError("adaptive rate constants require nu > 0")
-    nu, sigma0 = constants.nu, kind.sigma0
-    return 12.0 / (nu * sigma0), math.sqrt(18.0 / (nu**2 * sigma0 * state.delta))
+    make_schedule(kind, constants)  # the rates hold only for a kind that passes its checks
+    nu, sigma0, delta = constants.nu, kind.sigma0, schedule_margin(kind, constants)
+    return 12.0 / (nu * sigma0), math.sqrt(18.0 / (nu**2 * sigma0 * delta))

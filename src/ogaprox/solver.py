@@ -10,8 +10,8 @@ else from ``prox_g``, ``prox_phi_x`` and ``grad_y`` in turn.  The state
 also holds the run's totals: the count ``k`` and the iterate sums weighted
 by ``t_k`` with their total ``T_k``, which are normalized only on read, so
 a common rescale of the weights (applied before they overflow on linear
-schedules) leaves the averages unchanged.
-:func:`gap_certificate` measures the ergodic gap against its law's bound.
+schedules) leaves the averages unchanged.  :func:`gap_certificate` measures
+the ergodic gap of a solver state against the bound of its law's kind.
 """
 
 import math
@@ -110,10 +110,9 @@ def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> So
 
 @dataclass
 class RunResult:
-    """Final state and schedule of a run plus its metric report."""
+    """Final state of a run plus its metric report."""
 
     state: SolverState
-    schedule: ScheduleState
     report: RunReport
 
     def ergodic(self) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +132,7 @@ def run(
     Each callback is invoked once per iteration as
     ``callback(k, state, sched)`` with the state after step ``k``
     (``state.k == k``, and ``state.ergodic()`` is the ergodic pair of the
-    first ``k`` steps) and the schedule for the step after it, the
-    convention of :class:`RunResult` and :func:`gap_certificate`.  A callback may
+    first ``k`` steps) and the schedule for the step after it.  A callback may
     return a dict of metric fields (``gap``, ``dist_x``, ``dist_y``,
     ``tsa``) to log, and must not mutate the state.  Logged records and the
     schedule trace carry the theta/tau/sigma used by step ``k``; step norms
@@ -176,7 +174,7 @@ def run(
             state.t_sum *= factor
             state.erg_x *= factor
             state.erg_y *= factor
-    return RunResult(state=state, schedule=sched, report=report)
+    return RunResult(state=state, report=report)
 
 
 def initial_distance(saddle, x0, y0, tau0: float, sigma0: float) -> float:
@@ -207,21 +205,22 @@ def gap_certificate(
     problem: SaddleProblem,
     saddle: tuple[np.ndarray, np.ndarray] | None,
     state: SolverState,
-    sched: ScheduleState,
     kind: ScheduleKind,
     d0: float,
 ) -> GapCertificate:
     """Ergodic gap after ``K = state.k >= 1`` iterations and the law's bound
-    from ``d0``, the start's :func:`initial_distance`; ``sched`` is the schedule
-    after them.  Before the first step ``state.ergodic()`` raises ``ValueError``."""
+    from ``d0``, the start's :func:`initial_distance`; the linear law's
+    constant ``tau`` and ``sigma_tilde`` come from ``kind``.  Before the first
+    step ``state.ergodic()`` raises ``ValueError``."""
     if saddle is None:
         raise MissingSaddlePointError("gap certificate needs a known saddle point")
     gap = problem.gap_value(saddle, state.ergodic())
     if isinstance(kind, LinearSchedule):
         x_star, y_star = saddle
+        tau, tilde = make_schedule(kind, problem.constants).tau, sigma_tilde(kind, problem.constants)
         lhs = kind.theta * gap
-        lhs += float(np.linalg.norm(x_star - state.x)) ** 2 / (2.0 * sched.tau)
-        lhs += float(np.linalg.norm(y_star - state.y)) ** 2 / (2.0 * sigma_tilde(sched, kind))
+        lhs += float(np.linalg.norm(x_star - state.x)) ** 2 / (2.0 * tau)
+        lhs += float(np.linalg.norm(y_star - state.y)) ** 2 / (2.0 * tilde)
         bound = math.exp(state.k * math.log(kind.theta)) * d0
         return GapCertificate(gap=gap, bound=bound, lhs=lhs)
     return GapCertificate(gap=gap, bound=d0 / state.t_sum)

@@ -13,6 +13,7 @@ import numpy as np
 
 from ogaprox.prox import _as_vector
 from ogaprox.rng import make_rng
+from ogaprox.schedule import AdaptiveSchedule, schedule_margin
 
 
 def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
@@ -69,6 +70,26 @@ def prox_oracle(
         u = cand + (1e-3, 1e-1, 1.0)[j % 3] * rng.standard_normal(cand.size)
         worst = max(worst, f_cand - objective(u))
     return worst
+
+
+def assumption_slacks(state, prev_tau: float, kind: AdaptiveSchedule,
+                      constants) -> tuple[float, float]:
+    """Slacks of the adaptive law's two step-size inequalities at ``state``,
+    whose predecessor stepped with ``prev_tau`` (``tau0`` for the start).
+
+    Returns ``((1-delta)/tau_k - l_yx/alpha_{k+1},
+    (1-delta)/sigma_k - l_yx*alpha_k*theta_k - l_yy*(1+theta_k))`` with
+    ``alpha_k = c_alpha*tau_{k-1}``; both must be nonnegative.
+    """
+    if not isinstance(kind, AdaptiveSchedule):
+        raise TypeError("assumption slacks apply to the adaptive law")
+    delta = schedule_margin(kind, constants)
+    slack_tau = (1.0 - delta) / state.tau - constants.l_yx / (kind.c_alpha * state.tau)
+    slack_sigma = (1.0 - delta) / state.sigma - (
+        constants.l_yx * (kind.c_alpha * prev_tau) * state.theta
+        + constants.l_yy * (1.0 + state.theta)
+    )
+    return slack_tau, slack_sigma
 
 
 def outside_cone_formula(slack, tol: float = 1e-8) -> bool:

@@ -116,7 +116,7 @@ def test_synthetic_long_horizon_gaps_stay_finite():
     # bound falls below roundoff near k = 650 and underflows to 0 past
     # k = 7,070, so the check must hold against the roundoff floor
     out = synthetic_experiment(seed=3, dim=10, max_iter=7100, record_every=1000)
-    gaps = out.report.column("gap")
+    gaps = [r.gap for r in out.report.records]
     assert [r.k for r in out.report.records] == list(range(1000, 7001, 1000)) + [7100]
     assert np.all(np.isfinite(gaps))
     assert out.report.config["certificate_ok"]

@@ -516,6 +516,21 @@ def test_validate_problem_with_phi_value_only_skips_the_prox_check():
     assert report.ok
 
 
+@pytest.mark.parametrize("oracle", ["grad_y", "prox_g", "prox_phi_x"])
+def test_validate_problem_fails_an_oracle_that_returns_nan(oracle):
+    # the builtin max drops a NaN, which once let these reports read ok
+    base = QuadraticSaddleProblem
+    nan_out = {"grad_y": lambda self, x, y: np.full(self.dim_y, np.nan),
+               "prox_g": lambda self, sigma, v: np.full(self.dim_y, np.nan),
+               "prox_phi_x": lambda self, tau, y, x: np.full(self.dim_x, np.nan)}
+    broken = type("Broken", (base,), {oracle: nan_out[oracle]})
+    rng = make_rng(46, 0)
+    problem = broken(rng.standard_normal((4, 3)), rng.standard_normal(3),
+                     rng.standard_normal(4), mu=1.0, nu=1.0)
+    report = validate_problem(problem, trials=20, seed=1)
+    assert not report.ok
+
+
 def test_validator_detects_wrong_prox():
     class Crooked(type(_toy(make_rng(39, 1)))):
         def prox_phi_x(self, tau, y, x):

@@ -273,6 +273,14 @@ def test_cli_toy_zero_step_is_validation_error(tmp_path, capsys, nu, key):
     assert "step sizes must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["tau0", "sigma0"])
+def test_cli_toy_nan_step_is_validation_error(tmp_path, capsys, key):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(f"d = 5\nn = 8\niters = 10\n{key} = nan\n")
+    assert main(["toy", "--config", str(cfg)]) == 2
+    assert "step sizes must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sigma0, code", [("0.002", 0), ("0.01", 2)])
 def test_cli_mksvm_sigma0_alone_fills_tau0(tmp_path, capsys, sigma0, code):
     # on this file l_yx is about 930 and l_yy about 67: with tau0 = 1/l_yx

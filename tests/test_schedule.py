@@ -1,19 +1,23 @@
+import dataclasses
 import math
 
 import pytest
+
+from _oracles import assumption_slacks
 
 from ogaprox.problem import ProblemConstants
 from ogaprox.schedule import (
     ADAPTIVE_SIGMA0_FACTOR,
     AdaptiveSchedule,
     LinearSchedule,
+    ScheduleState,
     StepSizeViolationError,
     advance_schedule,
-    assumption_slacks,
     balanced_alpha,
     default_adaptive,
     default_linear,
     make_schedule,
+    schedule_margin,
     sigma_tilde,
     theta_threshold,
 )
@@ -23,11 +27,11 @@ def test_constant_schedule_frozen_example():
     # (c_alpha*l_yx*tau + 2*l_yy)*sigma = (2*1*0.3)*0.5 = 0.3 < 1
     # delta = min(1 - 1/2, 1 - 0.3) = 0.5
     constants = ProblemConstants(l_yx=1.0, l_yy=0.0)
-    state = make_schedule(AdaptiveSchedule(tau0=0.3, sigma0=0.5, c_alpha=2.0), constants)
+    kind = AdaptiveSchedule(tau0=0.3, sigma0=0.5, c_alpha=2.0)
+    state = make_schedule(kind, constants)
     assert state.theta == 1.0
-    assert state.delta == pytest.approx(0.5, abs=1e-15)
+    assert schedule_margin(kind, constants) == pytest.approx(0.5, abs=1e-15)
     assert state.t == 1.0
-    assert state.alpha == pytest.approx(2.0 * 0.3)
 
 
 def test_constant_advance_only_counts():
@@ -51,7 +55,6 @@ def test_adaptive_first_step_frozen_example():
     assert nxt.tau == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert nxt.sigma == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
     assert nxt.t == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert nxt.alpha == pytest.approx(0.7 * 1.0)
 
 
 def test_adaptive_at_nu_zero_keeps_constant_steps():
@@ -97,7 +100,7 @@ def test_adaptive_invariants_over_horizon():
         # t_k tracked by recurrence equals tau_k/tau0 and the theta product
         assert abs(state.t - state.tau / kind.tau0) <= 1e-12 * state.t
         assert abs(state.t - math.exp(-theta_log)) <= 1e-10 * state.t
-        slack_tau, slack_sigma = assumption_slacks(state, kind, constants)
+        slack_tau, slack_sigma = assumption_slacks(state, prev.tau, kind, constants)
         assert slack_tau >= -1e-12
         assert slack_sigma >= -1e-12
 
@@ -106,10 +109,11 @@ def test_constant_slacks_nonnegative():
     constants = ProblemConstants(l_yx=1.0, l_yy=0.3)
     kind = default_adaptive(constants)
     state = make_schedule(kind, constants)
+    prev_tau = state.tau
     for _ in range(50):
-        slack_tau, slack_sigma = assumption_slacks(state, kind, constants)
+        slack_tau, slack_sigma = assumption_slacks(state, prev_tau, kind, constants)
         assert slack_tau >= -1e-12 and slack_sigma >= -1e-12
-        state = advance_schedule(state, kind, constants)
+        prev_tau, state = state.tau, advance_schedule(state, kind, constants)
 
 
 def test_linear_threshold_balanced_alpha():
@@ -145,7 +149,7 @@ def test_linear_t_growth_and_sigma_tilde():
     for k in range(1, 30):
         state = advance_schedule(state, kind, constants)
         assert state.t == pytest.approx(0.8 ** -k, rel=1e-12)
-    tilde = sigma_tilde(state, kind)
+    tilde = sigma_tilde(kind, constants)
     expected = state.sigma / (1 - 0.8 * state.sigma * (1.0 * 1.0 + 0.0))
     assert tilde == pytest.approx(expected, rel=1e-12)
 
@@ -159,17 +163,16 @@ def test_default_builders_satisfy_conditions():
         make_schedule(default_adaptive(constants), constants)
     sc_consts = ProblemConstants(l_yx=3.0, l_yy=0.5, mu=2.0, nu=0.7)
     kind = default_linear(sc_consts)
-    state = make_schedule(kind, sc_consts)
+    make_schedule(kind, sc_consts)
     assert 0 < kind.theta < 1
-    assert state.delta > 0
+    assert schedule_margin(kind, sc_consts) > 0
 
 
 def test_default_constant_delta_margin():
     constants = ProblemConstants(l_yx=2.0, l_yy=0.0)
     kind = default_adaptive(constants)
-    state = make_schedule(kind, constants)
     # sigma0 targets a 0.9 product, leaving delta = 0.1
-    assert state.delta == pytest.approx(0.1, rel=1e-9)
+    assert schedule_margin(kind, constants) == pytest.approx(0.1, rel=1e-9)
 
 
 @pytest.mark.parametrize("constants, sigma0", [
@@ -185,7 +188,8 @@ def test_default_adaptive_fills_tau0_from_sigma0(constants, sigma0):
     assert kind.c_alpha == 2.0 * constants.l_yx
     product = (kind.c_alpha * constants.l_yx * kind.tau0 + 2.0 * constants.l_yy) * sigma0
     assert abs(product - 0.9) <= 1e-12 * 0.9
-    assert make_schedule(kind, constants).delta == pytest.approx(0.1, rel=1e-9)
+    make_schedule(kind, constants)
+    assert schedule_margin(kind, constants) == pytest.approx(0.1, rel=1e-9)
     # a set tau0 is kept as given
     assert default_adaptive(constants, tau0=0.5 * kind.tau0, sigma0=sigma0).tau0 == 0.5 * kind.tau0
 
@@ -194,3 +198,19 @@ def test_default_adaptive_rejects_a_sigma0_without_room():
     # 2*l_yy*sigma0 = 0.9 leaves no positive tau0 for a 0.9 product
     with pytest.raises(StepSizeViolationError, match="sigma0 leaves no room"):
         default_adaptive(ProblemConstants(l_yx=1.0, l_yy=0.5), sigma0=0.9)
+
+
+def test_schedule_state_holds_only_what_a_step_reads():
+    assert [f.name for f in dataclasses.fields(ScheduleState)] == ["theta", "tau", "sigma", "t"]
+
+
+@pytest.mark.parametrize("kind", [
+    AdaptiveSchedule(tau0=math.nan, sigma0=0.1, c_alpha=2.0),
+    AdaptiveSchedule(tau0=0.1, sigma0=math.nan, c_alpha=2.0),
+    AdaptiveSchedule(tau0=0.1, sigma0=0.1, c_alpha=math.nan),
+    LinearSchedule(theta=math.nan, alpha=1.0),
+    LinearSchedule(theta=0.9, alpha=math.nan),
+], ids=["tau0", "sigma0", "c_alpha", "theta", "alpha"])
+def test_nan_parameters_are_rejected(kind):
+    with pytest.raises(StepSizeViolationError):
+        make_schedule(kind, ProblemConstants(l_yx=1.0, l_yy=0.0, mu=1.0, nu=1.0))

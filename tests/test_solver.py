@@ -25,6 +25,7 @@ from ogaprox.schedule import (
     default_adaptive,
     default_linear,
     make_schedule,
+    schedule_margin,
 )
 from ogaprox.solver import (
     NonFiniteIterateError,
@@ -329,7 +330,7 @@ def test_gap_bound_constant_schedule_on_toy():
     d0 = initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma)
     for max_iter in (1, 5, 40, 200):
         result = run(p, kind, x0, y0, max_iter=max_iter)
-        cert = gap_certificate(p, saddle, result.state, result.schedule, kind, d0)
+        cert = gap_certificate(p, saddle, result.state, kind, d0)
         assert cert.gap >= -1e-10
         assert cert.gap <= cert.bound + 1e-9
 
@@ -346,9 +347,9 @@ def test_gap_bound_adaptive_schedule_on_quadratic():
     sched0 = make_schedule(kind, p.constants)
     d0 = initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma)
     result = run(p, kind, x0, y0, max_iter=300)
-    cert = gap_certificate(p, saddle, result.state, result.schedule, kind, d0)
+    cert = gap_certificate(p, saddle, result.state, kind, d0)
     assert 0.0 <= cert.gap <= cert.bound + 1e-9
-    c2, c1 = adaptive_rates(sched0, kind, p.constants)
+    c2, c1 = adaptive_rates(kind, p.constants)
     assert cert.gap <= c2 * d0 / 300**2 + 1e-9
     dist_y = float(np.linalg.norm(result.state.y - saddle[1]))
     assert dist_y <= c1 * math.sqrt(d0) / 300 + 1e-9
@@ -371,7 +372,7 @@ def test_linear_certificate_full_inequality_short_horizon():
     for k in range(1, 101):
         state = step(p, state, sched)
         sched = advance_schedule(sched, kind, p.constants)
-        cert = gap_certificate(p, saddle, state, sched, kind, d0)
+        cert = gap_certificate(p, saddle, state, kind, d0)
         assert cert.lhs >= -1e-12
         assert cert.lhs <= cert.bound * (1 + 1e-8) + 1e-12, k
 
@@ -427,7 +428,7 @@ def test_gap_certificate_requires_saddle_point():
     kind = default_adaptive(p.constants)
     result = run(p, kind, np.zeros(4), np.zeros(6), max_iter=3)
     with pytest.raises(MissingSaddlePointError):
-        gap_certificate(p, None, result.state, result.schedule, kind, d0=1.0)
+        gap_certificate(p, None, result.state, kind, d0=1.0)
 
 
 def test_adaptive_rate_constants_match_formulas():
@@ -437,10 +438,11 @@ def test_adaptive_rate_constants_match_formulas():
     saddle = (np.zeros(2), np.zeros(3))
     x0 = np.ones(2)
     y0 = np.ones(3)
-    c2, c1 = adaptive_rates(sched0, kind, constants)
+    c2, c1 = adaptive_rates(kind, constants)
     d0 = 2.0 / (2 * 1.0) + 3.0 / (2 * 0.9)
     assert c2 == pytest.approx(12.0 / (0.8 * 0.9))
-    assert c1 == pytest.approx(math.sqrt(18.0 / (0.8**2 * 0.9 * sched0.delta)))
+    delta = schedule_margin(kind, constants)
+    assert c1 == pytest.approx(math.sqrt(18.0 / (0.8**2 * 0.9 * delta)))
     assert initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma) == pytest.approx(d0)
     assert c2 * d0 / 10**2 == pytest.approx(12.0 / (0.8 * 0.9) * d0 / 100.0)
 
@@ -449,12 +451,16 @@ def test_adaptive_rates_reject_other_laws():
     constants = ProblemConstants(l_yx=0.5, l_yy=0.0, mu=1.0, nu=0.8)
     kind = default_linear(constants)
     with pytest.raises(TypeError):
-        adaptive_rates(make_schedule(kind, constants), kind, constants)
+        adaptive_rates(kind, constants)
     # at nu = 0 the law runs constant steps, and c2 = 12/(nu*sigma0) is undefined
     flat = ProblemConstants(l_yx=0.5, l_yy=0.0)
     kind = default_adaptive(flat)
     with pytest.raises(StepSizeViolationError, match="nu > 0"):
-        adaptive_rates(make_schedule(kind, flat), kind, flat)
+        adaptive_rates(kind, flat)
+    # a kind that make_schedule rejects has no rates: here the product is 10
+    with pytest.raises(StepSizeViolationError, match="sigma0"):
+        adaptive_rates(AdaptiveSchedule(tau0=1.0, sigma0=5.0, c_alpha=2.0),
+                       ProblemConstants(l_yx=1.0, l_yy=0.0, nu=1.0))
 
 
 def test_gap_certificate_needs_a_completed_step():
@@ -463,9 +469,9 @@ def test_gap_certificate_needs_a_completed_step():
     x0, y0 = np.zeros(2), np.zeros(2)
     result = run(p, kind, x0, y0, max_iter=0)
     saddle = p.saddle_point()
-    d0 = initial_distance(saddle, x0, y0, result.schedule.tau, result.schedule.sigma)
+    d0 = initial_distance(saddle, x0, y0, kind.tau0, kind.sigma0)
     with pytest.raises(ValueError):
-        gap_certificate(p, saddle, result.state, result.schedule, kind, d0)
+        gap_certificate(p, saddle, result.state, kind, d0)
 
 
 def test_quadratic_saddle_inequalities_direct_psi():
