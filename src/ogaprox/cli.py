@@ -102,7 +102,7 @@ def _cmd_toy(cfg, seed, out_dir) -> int:
     reports = {}
     for value in nus:
         started = time.perf_counter()
-        report = toy_experiment(seed=seed, nu=value, **options).report
+        report = toy_experiment(seed=seed, nu=value, **options)
         elapsed = time.perf_counter() - started
         tag = f"toy_nu{str(value).replace('.', '-')}"
         reports[tag] = report
@@ -117,7 +117,7 @@ def _cmd_synthetic(cfg, seed, out_dir) -> int:
     options = _options(
         cfg, {"dim": int, "iters": ("max_iter", int), "theta": float, "record_every": int})
     started = time.perf_counter()
-    report = synthetic_experiment(seed=seed, **options).report
+    report = synthetic_experiment(seed=seed, **options)
     elapsed = time.perf_counter() - started
     ok = report.config["certificate_ok"]
     print(f"synthetic: linear certificate {'holds' if ok else 'VIOLATED'} "

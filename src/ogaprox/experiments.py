@@ -1,19 +1,17 @@
 """Experiment drivers: cone toy problem, synthetic linear-rate study,
 multi-kernel SVM training and minimax-fair classification.
 
-Each driver is a pure function of (data, options, seed): its result is
-its :class:`~ogaprox.report.RunReport`, whose ``config`` holds every
-summary value (``d0``, the certificate verdict, per-run and per-group
-accuracies).  An outcome class exists only to carry live objects a
-report cannot hold (the problem, the starting point, the step law), and
-drivers do not time themselves: wall time belongs to the caller.  The
-drivers own their defaults and check their options; the CLI is a thin
-wrapper that maps config keys to driver keywords, times the calls whose
-seconds it prints and writes the reports out.  All randomness is drawn from per-(experiment,
-run) Philox streams, so a seed reproduces every output bit-exactly under one BLAS thread count.
+Each experiment driver is a pure function of (data, options, seed) that
+returns its :class:`~ogaprox.report.RunReport`, whose ``config`` holds
+every summary value (``d0``, the certificate verdict, per-run and
+per-group accuracies); the library self-check returns its verdict and
+lines.  Drivers do not time themselves: wall time belongs to the
+caller.  The drivers own their defaults and check their options; the CLI
+is a thin wrapper that maps config keys to driver keywords, times the
+calls whose seconds it prints and writes the reports out.  All randomness
+is drawn from per-(experiment, run) Philox streams, so a seed reproduces
+every output bit-exactly under one BLAS thread count.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .problems import (
     Group,
     MkSvmProblem,
     QuadraticSaddleProblem,
-    ToyProblem,
     mksvm_predict,
     random_toy_problem,
 )
@@ -54,8 +51,6 @@ __all__ = [
     "fairness_experiment",
     "validation_experiment",
     "MKSVM_VARIANTS",
-    "ToyOutcome",
-    "SyntheticOutcome",
 ]
 
 
@@ -86,14 +81,6 @@ def _sorted_checkpoints(checkpoints) -> tuple[int, ...]:
 
 # -- toy problem -------------------------------------------------------------
 
-@dataclass
-class ToyOutcome:
-    report: RunReport
-    problem: ToyProblem
-    x0: np.ndarray
-    kind: object
-
-
 def toy_experiment(
     seed: int,
     nu: float,
@@ -103,7 +90,7 @@ def toy_experiment(
     checkpoints: list[int] | None = None,
     tau0: float | None = None,
     sigma0: float | None = None,
-) -> ToyOutcome:
+) -> RunReport:
     """Cone problem run under the adaptive law, whose steps stay constant
     at ``nu = 0``.
 
@@ -112,8 +99,9 @@ def toy_experiment(
     Two calls with the same seed but different ``nu`` share the instance
     and the starting points (the draws come first in the stream).
     """
+    _at_least_one(max_iter=max_iter)
     marks = log_checkpoints(max_iter) if checkpoints is None else _sorted_checkpoints(checkpoints)
-    if marks and marks[-1] > max_iter:
+    if marks[-1] > max_iter:
         raise ValueError(f"checkpoints must not exceed max_iter = {max_iter}, got {marks[-1]}")
     marks = set(marks)
     rng = experiment_rng(seed, "toy", 0)
@@ -144,17 +132,10 @@ def toy_experiment(
         "max_iter": max_iter, "tau0": sched0.tau, "sigma0": sched0.sigma,
         "d0": d0,
     }
-    return ToyOutcome(report=report, problem=problem, x0=x0, kind=kind)
+    return report
 
 
 # -- synthetic strongly convex-strongly concave ------------------------------
-
-@dataclass
-class SyntheticOutcome:
-    report: RunReport
-    problem: QuadraticSaddleProblem
-    kind: object
-
 
 def synthetic_experiment(
     seed: int,
@@ -162,7 +143,7 @@ def synthetic_experiment(
     max_iter: int = 500,
     theta: float = 0.9,
     record_every: int = 1,
-) -> SyntheticOutcome:
+) -> RunReport:
     """Quadratic instance with unit coupling norm, mu = nu = 1.
 
     Runs the linear-rate schedule with the balanced Young weight and
@@ -174,7 +155,7 @@ def synthetic_experiment(
     falls below it.  The report's config holds the verdict
     (``certificate_ok``) and the largest lhs/bound ratio (``max_certificate_ratio``).
     """
-    _at_least_one(dim=dim, record_every=record_every)
+    _at_least_one(dim=dim, max_iter=max_iter, record_every=record_every)
     rng = experiment_rng(seed, "synthetic", 0)
     a = rng.standard_normal((dim, dim))
     a /= np.linalg.svd(a, compute_uv=False)[0]
@@ -214,7 +195,7 @@ def synthetic_experiment(
         "max_iter": max_iter, "theta": theta, "alpha": kind.alpha,
         "d0": d0, "certificate_ok": ok, "max_certificate_ratio": max_ratio,
     }
-    return SyntheticOutcome(report=report, problem=problem, kind=kind)
+    return report
 
 
 # -- multi-kernel SVM --------------------------------------------------------

@@ -103,8 +103,8 @@ class MkSvmProblem(SaddleProblem):
         labels = np.asarray(labels, dtype=float)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be +-1")
-        if box_c <= 0:
-            raise ValueError("box_c must be positive")
+        if not 0 < box_c < np.inf:
+            raise ValueError(f"box_c must be positive and finite, got {box_c}")
         n = labels.size
         mats = []
         for i, m in enumerate(m_list):

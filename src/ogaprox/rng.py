@@ -21,7 +21,9 @@ STREAMS = {
 
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator keyed by ``seed`` plus integer sub-stream path."""
+    """Philox generator keyed by a nonnegative ``seed`` plus integer sub-stream path."""
+    if int(seed) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     seq = np.random.SeedSequence([int(seed), *[int(p) for p in path]])
     return np.random.Generator(np.random.Philox(seq))
 

@@ -4,13 +4,16 @@ They check the fast paths of ``ogaprox`` against a slower or more literal
 form of the same operator; nothing in the library imports them.
 :func:`prox_oracle` samples perturbations of a claimed prox, so it sees
 nothing on a set with empty interior; the library's own prox check,
-``ogaprox.problem.prox_inequality_gap``, does.
+``ogaprox.problem.prox_inequality_gap``, does.  :func:`spy_on_run` hands
+tests the live objects an experiment driver runs on, since a driver
+returns only its report.
 """
 
 from typing import Callable
 
 import numpy as np
 
+from ogaprox import experiments
 from ogaprox.prox import _as_vector
 from ogaprox.rng import make_rng
 from ogaprox.schedule import AdaptiveSchedule, schedule_margin
@@ -90,6 +93,21 @@ def assumption_slacks(state, prev_tau: float, kind: AdaptiveSchedule,
         + constants.l_yy * (1.0 + state.theta)
     )
     return slack_tau, slack_sigma
+
+
+def spy_on_run(monkeypatch) -> list[tuple]:
+    """Wrap ``ogaprox.experiments.run`` so that each driver call of it
+    appends its ``(problem, kind, x0, y0)`` to the returned list, then runs
+    the real iteration."""
+    calls = []
+    real_run = experiments.run
+
+    def spy(problem, kind, x0, y0, *args, **kwargs):
+        calls.append((problem, kind, x0, y0))
+        return real_run(problem, kind, x0, y0, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", spy)
+    return calls
 
 
 def outside_cone_formula(slack, tol: float = 1e-8) -> bool:

@@ -55,7 +55,7 @@ from ogaprox.schedule import (
 )
 from ogaprox.solver import SolverState, run, step
 
-from _oracles import assumption_slacks, prox_oracle, prox_positive_part_scaled
+from _oracles import assumption_slacks, prox_oracle, prox_positive_part_scaled, spy_on_run
 
 SEED = 9001
 
@@ -87,47 +87,51 @@ def _dataset(name: str):
 
 def test_criterion_1_gap_rate_merely_convex():
     started = time.perf_counter()
-    out = toy_experiment(seed=SEED, nu=0.0, d=250, n=350, max_iter=10_000)
+    report = toy_experiment(seed=SEED, nu=0.0, d=250, n=350, max_iter=10_000)
     elapsed = time.perf_counter() - started
-    slope = _slope(out.report.records)
-    d0 = out.report.config["d0"]
-    bound_ok = all(r.gap <= d0 / r.k + 1e-9 for r in out.report.records)
+    slope = _slope(report.records)
+    d0 = report.config["d0"]
+    bound_ok = all(r.gap <= d0 / r.k + 1e-9 for r in report.records)
     detail = f"slope {slope:.3f}, bound ok {bound_ok}, {elapsed:.1f}s"
     _report(1, "O(1/K) gap, nu=0", slope <= -0.9 and bound_ok and elapsed <= 60.0, detail)
 
 
-def test_criterion_2_gap_rate_strongly_concave():
+def test_criterion_2_gap_rate_strongly_concave(monkeypatch):
+    calls = spy_on_run(monkeypatch)
     started = time.perf_counter()
-    out = toy_experiment(seed=SEED, nu=0.3, d=250, n=350, max_iter=10_000)
+    report = toy_experiment(seed=SEED, nu=0.3, d=250, n=350, max_iter=10_000)
     elapsed = time.perf_counter() - started
-    slope = _slope(out.report.records)
-    c2, c1 = adaptive_rates(out.kind, out.problem.constants)
-    d0 = out.report.config["d0"]
+    [(problem, kind, _, _)] = calls
+    slope = _slope(report.records)
+    c2, c1 = adaptive_rates(kind, problem.constants)
+    d0 = report.config["d0"]
     gap_ok = all(r.gap <= c2 * d0 / r.k**2 + 1e-9
-                 for r in out.report.records if r.k >= 2)
+                 for r in report.records if r.k >= 2)
     dist_ok = all(r.dist_y <= c1 * math.sqrt(d0) / r.k + 1e-9
-                  for r in out.report.records if r.k >= 2)
+                  for r in report.records if r.k >= 2)
     detail = f"slope {slope:.3f}, c2 ok {gap_ok}, c1 ok {dist_ok}, {elapsed:.1f}s"
     _report(2, "O(1/K^2) gap and O(1/K) iterate, nu=0.3",
             slope <= -1.8 and gap_ok and dist_ok and elapsed <= 60.0, detail)
 
 
-def test_criterion_3_linear_rate_certificate():
+def test_criterion_3_linear_rate_certificate(monkeypatch):
+    calls = spy_on_run(monkeypatch)
     started = time.perf_counter()
-    out = synthetic_experiment(seed=SEED, dim=40, max_iter=500, theta=0.9)
+    report = synthetic_experiment(seed=SEED, dim=40, max_iter=500, theta=0.9)
     elapsed = time.perf_counter() - started
-    theta = out.kind.theta
-    tau = make_schedule(out.kind, out.problem.constants).tau
-    sig_tilde = sigma_tilde(out.kind, out.problem.constants)
+    [(problem, kind, _, _)] = calls
+    theta = kind.theta
+    tau = make_schedule(kind, problem.constants).tau
+    sig_tilde = sigma_tilde(kind, problem.constants)
     dist_ok = True
-    full_ok = out.report.config["certificate_ok"]
-    for rec in out.report.records:
-        bound = math.exp(rec.k * math.log(theta)) * out.report.config["d0"]
+    full_ok = report.config["certificate_ok"]
+    for rec in report.records:
+        bound = math.exp(rec.k * math.log(theta)) * report.config["d0"]
         dist_term = rec.dist_x**2 / (2 * tau) + rec.dist_y**2 / (2 * sig_tilde)
         dist_ok = dist_ok and dist_term <= bound * (1 + 1e-8)
         lhs = theta * rec.gap + dist_term
         full_ok = full_ok and lhs <= bound * (1 + 1e-8)
-    detail = f"max lhs/bound {out.report.config['max_certificate_ratio']:.3f}, {elapsed:.2f}s"
+    detail = f"max lhs/bound {report.config['max_certificate_ratio']:.3f}, {elapsed:.2f}s"
     _report(3, "linear rate, full certificate to K=500",
             full_ok and dist_ok and elapsed <= 5.0, detail)
 

@@ -15,7 +15,10 @@ from ogaprox.experiments import (
     validation_experiment,
     _trimmed_mean,
 )
+from ogaprox.report import RunReport
 from ogaprox.rng import make_rng
+
+from _oracles import spy_on_run
 
 
 def _separable_dataset(rng, rows=60, dim=4, noise=0.3, with_groups=False):
@@ -47,23 +50,38 @@ def test_trimmed_mean_drops_one_min_one_max():
     assert _trimmed_mean([2.0, 6.0]) == 4.0
 
 
+@pytest.mark.parametrize("driver", [
+    pytest.param(lambda: toy_experiment(seed=1, nu=0.3, d=6, n=9, max_iter=5), id="toy"),
+    pytest.param(lambda: synthetic_experiment(seed=1, dim=4, max_iter=5), id="synthetic"),
+    pytest.param(lambda: mksvm_experiment(_separable_dataset(make_rng(99, 0), rows=30),
+                                          runs=1, checkpoints=(5,)), id="mksvm"),
+    pytest.param(lambda: fairness_experiment(
+        _separable_dataset(make_rng(99, 1), rows=30, with_groups=True),
+        partitions=1, checkpoints=(5,)), id="fairness"),
+])
+def test_every_report_driver_returns_its_run_report(driver):
+    assert isinstance(driver(), RunReport)
+
+
 def test_toy_experiment_deterministic_replay():
     a = toy_experiment(seed=5, nu=0.0, d=12, n=18, max_iter=200)
     b = toy_experiment(seed=5, nu=0.0, d=12, n=18, max_iter=200)
-    assert a.report.to_json_text() == b.report.to_json_text()
-    assert a.report.to_csv_text() == b.report.to_csv_text()
+    assert a.to_json_text() == b.to_json_text()
+    assert a.to_csv_text() == b.to_csv_text()
 
 
-def test_toy_experiment_shares_instance_across_nu():
-    a = toy_experiment(seed=6, nu=0.0, d=10, n=15, max_iter=10)
-    b = toy_experiment(seed=6, nu=0.3, d=10, n=15, max_iter=10)
-    np.testing.assert_array_equal(a.problem.a, b.problem.a)
-    np.testing.assert_array_equal(a.x0, b.x0)
+def test_toy_experiment_shares_instance_across_nu(monkeypatch):
+    calls = spy_on_run(monkeypatch)
+    toy_experiment(seed=6, nu=0.0, d=10, n=15, max_iter=10)
+    toy_experiment(seed=6, nu=0.3, d=10, n=15, max_iter=10)
+    (problem_a, _, x0_a, _), (problem_b, _, x0_b, _) = calls
+    np.testing.assert_array_equal(problem_a.a, problem_b.a)
+    np.testing.assert_array_equal(x0_a, x0_b)
 
 
 def _toy_run(nu):
-    out = toy_experiment(seed=8, nu=nu, d=60, n=80, max_iter=300)
-    assert len(out.report.step_dx) == 300
+    report = toy_experiment(seed=8, nu=nu, d=60, n=80, max_iter=300)
+    assert len(report.step_dx) == 300
 
 
 def _fairness_run():
@@ -88,26 +106,28 @@ def test_toy_experiment_never_reaches_dense_qp(experiment, monkeypatch):
 
 
 def test_toy_gap_column_positive_and_bounded():
-    out = toy_experiment(seed=7, nu=0.0, d=20, n=30, max_iter=500)
-    for rec in out.report.records:
+    report = toy_experiment(seed=7, nu=0.0, d=20, n=30, max_iter=500)
+    for rec in report.records:
         assert rec.gap > 0.0
-        assert rec.gap <= out.report.config["d0"] / rec.k + 1e-9
+        assert rec.gap <= report.config["d0"] / rec.k + 1e-9
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3])
-def test_toy_sigma0_alone_fills_tau0(nu):
-    out = toy_experiment(seed=7, nu=nu, d=12, n=18, max_iter=20, sigma0=0.01)
-    c = out.problem.constants
-    tau0, sigma0 = out.report.config["tau0"], out.report.config["sigma0"]
+def test_toy_sigma0_alone_fills_tau0(nu, monkeypatch):
+    calls = spy_on_run(monkeypatch)
+    report = toy_experiment(seed=7, nu=nu, d=12, n=18, max_iter=20, sigma0=0.01)
+    [(problem, _, _, _)] = calls
+    c = problem.constants
+    tau0, sigma0 = report.config["tau0"], report.config["sigma0"]
     assert sigma0 == 0.01
     assert (2.0 * c.l_yx * c.l_yx * tau0 + 2.0 * c.l_yy) * sigma0 == pytest.approx(0.9, rel=1e-12)
 
 
 def test_synthetic_experiment_certificate():
-    out = synthetic_experiment(seed=3, dim=10, max_iter=200)
-    assert out.report.config["certificate_ok"]
-    assert out.report.config["max_certificate_ratio"] <= 1.0 + 1e-8
-    assert len(out.report.records) == 200
+    report = synthetic_experiment(seed=3, dim=10, max_iter=200)
+    assert report.config["certificate_ok"]
+    assert report.config["max_certificate_ratio"] <= 1.0 + 1e-8
+    assert len(report.records) == 200
 
 
 def test_synthetic_long_horizon_gaps_stay_finite():
@@ -115,13 +135,13 @@ def test_synthetic_long_horizon_gaps_stay_finite():
     # weights must be rescaled as in every other run; the certificate's
     # bound falls below roundoff near k = 650 and underflows to 0 past
     # k = 7,070, so the check must hold against the roundoff floor
-    out = synthetic_experiment(seed=3, dim=10, max_iter=7100, record_every=1000)
-    gaps = [r.gap for r in out.report.records]
-    assert [r.k for r in out.report.records] == list(range(1000, 7001, 1000)) + [7100]
+    report = synthetic_experiment(seed=3, dim=10, max_iter=7100, record_every=1000)
+    gaps = [r.gap for r in report.records]
+    assert [r.k for r in report.records] == list(range(1000, 7001, 1000)) + [7100]
     assert np.all(np.isfinite(gaps))
-    assert out.report.config["certificate_ok"]
-    assert np.isfinite(out.report.config["max_certificate_ratio"])
-    assert "Infinity" not in out.report.to_json_text()
+    assert report.config["certificate_ok"]
+    assert np.isfinite(report.config["max_certificate_ratio"])
+    assert "Infinity" not in report.to_json_text()
 
 
 def test_mksvm_experiment_learns_separable_data():
@@ -222,8 +242,8 @@ def test_fairness_three_group_banding():
 
 def test_toy_adaptive_gap_bounded_by_ergodic_total():
     # gap <= d0 / T_K with T_K = sum of t_k = tau_k / tau0
-    out = toy_experiment(seed=9, nu=0.3, d=15, n=22, max_iter=400)
-    taus = np.array(out.report.schedule_trace["tau"])
+    report = toy_experiment(seed=9, nu=0.3, d=15, n=22, max_iter=400)
+    taus = np.array(report.schedule_trace["tau"])
     totals = np.cumsum(taus / taus[0])
-    for rec in out.report.records:
-        assert rec.gap <= out.report.config["d0"] / totals[rec.k - 1] + 1e-9
+    for rec in report.records:
+        assert rec.gap <= report.config["d0"] / totals[rec.k - 1] + 1e-9

@@ -244,6 +244,10 @@ def test_mksvm_and_fairness_reports_do_not_depend_on_blas_threads(tmp_path):
     ("synthetic", "dim = 0", "dim"),
     ("synthetic", "record_every = 0", "record_every"),
     ("toy", "d = 0", "d"),
+    ("toy", "iters = 0", "max_iter"),
+    ("synthetic", "iters = 0", "max_iter"),
+    ("mksvm", "box_c = nan", "box_c"),
+    ("mksvm", "box_c = inf", "box_c"),
     ("toy", "d = 5\nn = 8\niters = 50\ncheckpoints = 100", "checkpoints"),
     ("toy", "iters = ten", "iters"),
     ("toy", "nu = abc", "nu"),
@@ -262,6 +266,15 @@ def test_cli_bad_size_is_validation_error_naming_the_key(tmp_path, capsys, verb,
     cfg.write_text((data if verb in ("mksvm", "fairness") else "") + f"{line}\n")
     assert main([verb, "--config", str(cfg)]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("verb", ["validate", "toy", "synthetic", "mksvm", "fairness"])
+def test_cli_negative_seed_is_validation_error_naming_the_seed(tmp_path, capsys, verb):
+    cfg = tmp_path / "seed.cfg"
+    data = f"dataset = heart-disease\npath = {_heart_file(tmp_path)}\n"
+    cfg.write_text(data if verb in ("mksvm", "fairness") else "")
+    assert main([verb, "--config", str(cfg), "--seed", "-1"]) == 2
+    assert re.search(r"\bseed\b.*-1", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("nu", ["0.0", "0.3"])
@@ -307,9 +320,8 @@ def test_cli_passes_only_the_keys_that_are_set(tmp_path, monkeypatch):
     report = RunReport(config={
         "max_iter": 1, "variant": "c1", "grouping": "sex", "runs": 0, "checkpoints": [],
         "certificate_ok": True, "max_certificate_ratio": 0.0})
-    for name in ("toy_experiment", "synthetic_experiment"):
-        monkeypatch.setattr(cli, name, fake(name, SimpleNamespace(report=report)))
-    for name in ("mksvm_experiment", "fairness_experiment"):
+    for name in ("toy_experiment", "synthetic_experiment", "mksvm_experiment",
+                 "fairness_experiment"):
         monkeypatch.setattr(cli, name, fake(name, report))
     monkeypatch.setattr(cli, "validation_experiment", fake("validation_experiment", (True, [])))
     data = SimpleNamespace(name="ionosphere")
@@ -332,10 +344,10 @@ def test_cli_passes_only_the_keys_that_are_set(tmp_path, monkeypatch):
 def test_run_report_carries_schedule_trace():
     from ogaprox.experiments import toy_experiment
 
-    out = toy_experiment(seed=8, nu=0.3, d=8, n=12, max_iter=25)
-    trace = out.report.schedule_trace
+    report = toy_experiment(seed=8, nu=0.3, d=8, n=12, max_iter=25)
+    trace = report.schedule_trace
     assert len(trace["theta"]) == len(trace["tau"]) == len(trace["sigma"]) == 25
     assert trace["theta"][0] == 1.0 and trace["theta"][1] < 1.0
     assert trace["tau"][5] > trace["tau"][0]
-    loaded = RunReport.from_json(out.report.to_json_text())
+    loaded = RunReport.from_json(report.to_json_text())
     assert loaded.schedule_trace == trace

@@ -10,6 +10,8 @@ from _oracles import ThreeCalls
 from ogaprox import problems, prox
 from ogaprox.problem import ProblemConstants, SaddleProblem
 from ogaprox.problems import (
+    FairnessProblem,
+    Group,
     MkSvmProblem,
     QuadraticSaddleProblem,
     random_toy_problem,
@@ -216,6 +218,33 @@ def test_run_rejects_infeasible_start():
     with pytest.raises(ValueError, match="dom g"):
         run(boxed, default_adaptive(boxed.constants), np.zeros(3), np.full(3, 5.0),
             max_iter=1)
+
+
+def _fairness_start():
+    rng = make_rng(92, 0)
+    labels = np.where(np.arange(6) % 2 == 0, 1.0, -1.0)
+    p = FairnessProblem([Group(rng.standard_normal((6, 3)), labels) for _ in range(2)])
+    return p, np.zeros(p.dim_x), np.full(p.dim_y, 1.0 / p.dim_y)
+
+
+_STARTS = {
+    "toy": lambda: _toy_start(0.0),
+    "quadratic": lambda: (QuadraticSaddleProblem(np.eye(3), np.ones(3), np.ones(3),
+                                                 mu=1.0, nu=1.0), np.zeros(3), np.zeros(3)),
+    "fairness": _fairness_start,
+    "mksvm": lambda: _mksvm_start(0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["x0", "y0"])
+@pytest.mark.parametrize("name", sorted(_STARTS))
+def test_run_rejects_a_non_finite_start(name, which, value):
+    p, x0, y0 = _STARTS[name]()
+    start = {"x0": x0.copy(), "y0": y0.copy()}
+    start[which][0] = value
+    with pytest.raises(ValueError, match=f"{which} must be finite"):
+        run(p, default_adaptive(p.constants), start["x0"], start["y0"], max_iter=3)
 
 
 def test_run_rejects_negative_max_iter():
