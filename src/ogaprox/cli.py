@@ -106,9 +106,8 @@ def _cmd_toy(cfg, seed, out_dir) -> int:
         elapsed = time.perf_counter() - started
         tag = f"toy_nu{str(value).replace('.', '-')}"
         reports[tag] = report
-        gap = f"{report.records[-1].gap:.3e}" if report.records else "n/a"
         print(f"{tag}: {report.config['max_iter']} iterations in "
-              f"{elapsed:.1f}s, final gap {gap}")
+              f"{elapsed:.1f}s, final gap {report.records[-1].gap:.3e}")
     _write_reports(out_dir, reports)
     return 0
 

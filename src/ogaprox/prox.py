@@ -10,6 +10,7 @@ oracle for the cone projector.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,17 +48,28 @@ def project_simplex(v) -> np.ndarray:
     """Euclidean projection onto the unit simplex.
 
     Uses the sort-and-threshold method, an exact finite algorithm: the
-    output is nonnegative and sums to one up to roundoff.
+    output is nonnegative and sums to one up to roundoff.  Up to 8 entries
+    the same steps run on Python floats (the same floats, without numpy's
+    per-call cost) unless an entry reaches ``2**1000`` or no candidate passes.
     """
     x = _as_vector(v)
+    if x.size <= 8:
+        u = sorted(x.tolist(), reverse=True)
+        passing = [(total - 1.0) / (j + 1.0) for j, total in enumerate(accumulate(u))
+                   if u[j] * (j + 1) > total - 1.0]  # running sums in np.cumsum's order
+        if passing and max(u[0], -u[-1]) < 2.0**1000:
+            return np.maximum(x - passing[-1], 0.0)
+    return _simplex_sort(x)
+
+
+def _simplex_sort(x: np.ndarray) -> np.ndarray:
     u = np.sort(x)[::-1]
     if max(u[0], -u[-1]) < 2.0**1000:  # the sums below stay finite
         cumulative = np.cumsum(u) - 1.0
         rho_candidates = np.nonzero(u * np.arange(1, x.size + 1) > cumulative)[0]
         if rho_candidates.size:  # empty when |u[0]| >= 2**53 rounds u[0] - 1 to u[0]
             rho = rho_candidates[-1]
-            threshold = cumulative[rho] / (rho + 1.0)
-            return np.maximum(x - threshold, 0.0)
+            return np.maximum(x - cumulative[rho] / (rho + 1.0), 0.0)
     with np.errstate(over="ignore"):  # entries below max(x) - 1 project to 0
         return project_simplex(np.maximum(x - u[0], -1.0))
 
@@ -124,13 +136,14 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     first (one Newton step; Cominetti, Mascarenhas and Silva 2014).  Its root
     ``t`` is kept if (a) ``z = v - t * normal`` has that pattern and (b)
     ``|z_i - bound| > 1e-10 |normal_i| scale / slope``, ``scale = sum
-    |normal_i| (|v_i| + |z_i| + |y0_i|) + |offset|``, ``y0 = y(t0)``.  By (b)
-    each knot has ``|r| > 1e-10 scale`` (slope times distance next to ``t``,
-    more beyond, as each term of ``r`` moves one way).  Direct residuals and
-    ``t`` carry about ``dim 2**-53 scale`` of rounding, and ``scale / slope >=
-    |t|`` covers the knots'.  So for ``dim < 10**5`` the breakpoint search
-    reads each knot's sign exactly, brackets ``t`` by the same knots and
-    solves the same pattern: the same floats.  Otherwise the search runs.
+    |normal_i| (|v_i| + |z_i| + |y0_i|) + |offset|``, ``y0 = y(t0)``; this
+    margin is computed only once (a) holds.  By (b) each knot has ``|r| >
+    1e-10 scale`` (slope times distance next to ``t``, more beyond, as each
+    term of ``r`` moves one way).  Direct residuals and ``t`` carry about
+    ``dim 2**-53 scale`` of rounding, and ``scale / slope >= |t|`` covers the
+    knots'.  So for ``dim < 10**5`` the breakpoint search reads each knot's
+    sign exactly, brackets ``t`` by the same knots and solves the same
+    pattern: the same floats.  Otherwise the search runs.
     """
     w = _as_vector(v)
     if w.size != s.dim:
@@ -138,15 +151,17 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     n, lower, upper, abs_n = s.normal, s.lower, s.upper, s._abs_n
     y0 = np.minimum(np.maximum(w - (float(n @ w) - s.offset) / s._nn * n, lower), upper)
     free = (y0 > lower) & (y0 < upper)
-    slope = float(n[free] @ n[free])
+    n_free = n[free]
+    slope = float(n_free @ n_free)
     if slope > 0.0:
         t = (float(n @ np.where(free, w, y0)) - s.offset) / slope
         z = w - t * n
         y = np.minimum(np.maximum(z, lower), upper)
-        scale = float(abs_n @ (np.abs(w) + np.abs(z) + np.abs(y0))) + abs(s.offset)
-        if (np.array_equal(y, np.where(free, z, y0)) and (np.minimum(
-                np.abs(z - lower), np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all()):
-            return y
+        if (y == np.where(free, z, y0)).all():
+            scale = float(abs_n @ (np.abs(w) + np.abs(z) + np.abs(y0))) + abs(s.offset)
+            if (np.minimum(np.abs(z - lower), np.abs(z - upper))
+                    > 1e-10 * scale / slope * abs_n).all():
+                return y
     return _box_hyperplane_search(s, w)
 
 

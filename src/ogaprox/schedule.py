@@ -163,8 +163,9 @@ def make_schedule(kind: ScheduleKind, constants: ProblemConstants) -> ScheduleSt
     """Validated initial :class:`ScheduleState` for iteration 0.  Each check
     is written so that a NaN fails it."""
     if isinstance(kind, AdaptiveSchedule):
-        if not (kind.tau0 > 0 and kind.sigma0 > 0):
-            raise StepSizeViolationError("step sizes must be positive")
+        if not (0 < kind.tau0 < math.inf and 0 < kind.sigma0 < math.inf):
+            raise StepSizeViolationError("step sizes must be positive and finite, got "
+                                         f"tau0 = {kind.tau0}, sigma0 = {kind.sigma0}")
         if not kind.c_alpha > constants.l_yx:
             raise StepSizeViolationError(
                 f"c_alpha > l_yx required, got {kind.c_alpha} and {constants.l_yx}"

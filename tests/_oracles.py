@@ -75,6 +75,41 @@ def prox_oracle(
     return worst
 
 
+def project_simplex_numpy(v) -> np.ndarray:
+    """``ogaprox.prox.project_simplex`` with numpy array operations at every
+    size: the reference its scalar path must match bit for bit."""
+    x = _as_vector(v)
+    u = np.sort(x)[::-1]
+    if max(u[0], -u[-1]) < 2.0**1000:  # the sums below stay finite
+        cumulative = np.cumsum(u) - 1.0
+        rho_candidates = np.nonzero(u * np.arange(1, x.size + 1) > cumulative)[0]
+        if rho_candidates.size:  # empty when |u[0]| >= 2**53 rounds u[0] - 1 to u[0]
+            rho = rho_candidates[-1]
+            threshold = cumulative[rho] / (rho + 1.0)
+            return np.maximum(x - threshold, 0.0)
+    with np.errstate(over="ignore"):  # entries below max(x) - 1 project to 0
+        return project_simplex_numpy(np.maximum(x - u[0], -1.0))
+
+
+def one_step_accepts(s, v) -> bool:
+    """Whether ``ogaprox.prox.project_box_hyperplane`` keeps the root of its
+    one Newton step, by the pattern-and-margin test written in one
+    expression: the breakpoint search must run exactly when this is false."""
+    w = _as_vector(v)
+    n, lower, upper, abs_n = s.normal, s.lower, s.upper, s._abs_n
+    y0 = np.minimum(np.maximum(w - (float(n @ w) - s.offset) / s._nn * n, lower), upper)
+    free = (y0 > lower) & (y0 < upper)
+    slope = float(n[free] @ n[free])
+    if not slope > 0.0:
+        return False
+    t = (float(n @ np.where(free, w, y0)) - s.offset) / slope
+    z = w - t * n
+    y = np.minimum(np.maximum(z, lower), upper)
+    scale = float(abs_n @ (np.abs(w) + np.abs(z) + np.abs(y0))) + abs(s.offset)
+    return bool(np.array_equal(y, np.where(free, z, y0)) and (np.minimum(
+        np.abs(z - lower), np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all())
+
+
 def assumption_slacks(state, prev_tau: float, kind: AdaptiveSchedule,
                       constants) -> tuple[float, float]:
     """Slacks of the adaptive law's two step-size inequalities at ``state``,

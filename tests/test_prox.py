@@ -6,6 +6,7 @@ import pytest
 from ogaprox import prox
 from ogaprox.problem import prox_inequality_gap
 from ogaprox.problems import FairnessProblem, Group, MkSvmProblem
+from ogaprox.problems import fairness as fairness_module
 from ogaprox.problems import mksvm as mksvm_module
 from ogaprox.problems.mksvm import (
     conjugated_kernels,
@@ -30,7 +31,8 @@ from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
 
-from _oracles import prox_oracle, prox_positive_part_scaled
+from _oracles import (one_step_accepts, project_simplex_numpy, prox_oracle,
+                      prox_positive_part_scaled)
 
 
 # -- simplex ---------------------------------------------------------------
@@ -75,6 +77,35 @@ def test_simplex_rejects_bad_input():
         project_simplex([])
     with pytest.raises(ValueError):
         project_simplex([1.0, np.nan])
+
+
+def _simplex_inputs(rng, count):
+    """Inputs of 1 to 9 entries at scales from 1e-300 to 1e200 or near 1,
+    with ties, zeros of both signs, and entries at 2**53 or past 2**1000."""
+    inputs = [np.array(v) for v in ([-0.0], [0.0, -0.0], [1.0, -0.0], [0.5, -0.0, 0.5, 0.0],
+                                    [2.0**53, 2.0**53, -0.0], [1.7e308, -1.7e308, 2.0**1000])]
+    for trial in range(count):
+        size = trial % 9 + 1
+        scale = 10.0 ** (rng.uniform(-300.0, 200.0) if trial % 2 else rng.uniform(-3.0, 3.0))
+        v = rng.standard_normal(size) * scale
+        kind = trial // 9 % 5
+        if kind == 1:
+            v = rng.choice(v[:(size + 1) // 2], size)
+        elif kind == 2:
+            v[rng.uniform(size=size) < 0.5] = rng.choice([0.0, -0.0])
+        elif kind == 3:
+            v[rng.integers(size)] = rng.choice([1.0, -1.0]) * 2.0**53 + rng.integers(-2, 3)
+        elif kind == 4:
+            v[rng.integers(size)] = rng.choice([1.0, -1.0]) * 2.0**1000 * rng.uniform(1.0, 1.6e7)
+        inputs.append(v)
+    return inputs
+
+
+def test_simplex_scalar_path_gives_the_numpy_floats():
+    # sizes up to 8 take the scalar path and 9 the numpy one; both must give
+    # the numpy path's floats, sign of zero included
+    for i, v in enumerate(_simplex_inputs(make_rng(17, 0), 20000)):
+        assert project_simplex(v).tobytes() == project_simplex_numpy(v).tobytes(), (i, v)
 
 
 def test_on_simplex_tolerance():
@@ -412,11 +443,11 @@ def _mksvm(mu, nu):
     return MkSvmProblem(mats, labels, box_c=1.0, mu=mu, nu=nu)
 
 
-def _fairness():
+def _fairness(sizes=(6, 9, 12)):
     rng = make_rng(62, 7)
     return FairnessProblem([
         Group(rng.standard_normal((size, 4)), np.where(rng.uniform(size=size) < 0.5, -1.0, 1.0))
-        for size in (6, 9, 12)
+        for size in sizes
     ])
 
 
@@ -684,7 +715,7 @@ def test_box_hyperplane_one_step_near_the_set(monkeypatch):
         assert not calls, i
 
 
-@pytest.mark.parametrize("normal, offset, v", [
+_ONE_STEP_FALLBACKS = [
     # the root t = 0.25 is the knot of the third coordinate, exactly and within rounding
     ([1.0, 1.0, 1.0], 0.5, [0.5, 0.5, 0.25]),
     ([1.0, 1.0, 1.0], 0.5, [0.5, 0.5, 0.25 + 1e-15]),
@@ -693,12 +724,38 @@ def test_box_hyperplane_one_step_near_the_set(monkeypatch):
     ([1.0, 1.0], 1.0, [5.0, -5.0]),
     # a zero-normal coordinate sits exactly on its lower bound
     ([1.0, -1.0, 0.0], 0.0, [0.3, 0.2, 0.0]),
-], ids=["on-knot", "near-knot", "slope-0", "slope-0-offset", "zero-normal-on-bound"])
+]
+
+
+@pytest.mark.parametrize("normal, offset, v", _ONE_STEP_FALLBACKS,
+                         ids=["on-knot", "near-knot", "slope-0", "slope-0-offset",
+                              "zero-normal-on-bound"])
 def test_box_hyperplane_falls_back_to_the_search(monkeypatch, normal, offset, v):
     calls = _count_searches(monkeypatch)
     s = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=normal, offset=offset)
     np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v))
     assert len(calls) == 1
+
+
+def test_box_hyperplane_searches_exactly_when_the_one_step_test_fails(monkeypatch):
+    # the margin is computed only once the pattern holds; the decision must
+    # stay the pattern-and-margin test, so the search runs on the same calls
+    calls = _count_searches(monkeypatch)
+    cases = (_random_box_hyperplane_cases(600, make_rng(16, 27))
+             + _near_feasible_cases(make_rng(16, 28)) + _degenerate_box_hyperplane_cases()
+             + [(BoxHyperplaneSet(lower=0.0, upper=1.0, normal=normal, offset=offset),
+                 np.asarray(v, float)) for normal, offset, v in _ONE_STEP_FALLBACKS])
+    # the third coordinate from 1e-8 to 1e-13 off its knot, across the margin
+    on_knot = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=np.ones(3), offset=0.5)
+    cases += [(on_knot, np.array([0.5, 0.5, 0.25 + sign * 10.0 ** -k]))
+              for sign in (1.0, -1.0) for k in np.arange(8.0, 13.0, 0.25)]
+    kept = 0
+    for i, (s, v) in enumerate(cases):
+        before = len(calls)
+        project_box_hyperplane(s, v)
+        assert (len(calls) == before) == one_step_accepts(s, v), i
+        kept += len(calls) == before
+    assert 0 < kept < len(cases)
 
 
 @pytest.mark.parametrize("mu, nu, law", [(0.0, 0.0, default_adaptive), (1.0, 0.5, default_linear)],
@@ -725,6 +782,27 @@ def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
     run(problem, law(problem.constants), np.full(3, 1.0 / 3.0), np.zeros(rows), 600)
     assert len(outputs) == 600
     assert len(calls) <= 0.05 * len(outputs)
+
+
+@pytest.mark.parametrize("fairness", [False, True], ids=["mksvm-c1", "fairness-2-groups"])
+def test_workload_simplex_projections_take_the_scalar_path(monkeypatch, fairness):
+    # MKSVM projects one entry per kernel, fairness one per group: every
+    # such call of a run stays off the numpy path
+    if fairness:
+        problem = _fairness((10, 14))
+        x0, y0 = np.zeros(problem.dim_x), np.full(2, 0.5)
+    else:
+        problem = _mksvm(0.0, 0.0)
+        x0, y0 = np.full(3, 1.0 / 3.0), np.zeros(problem.dim_y)
+    calls, numpy_calls = [], []
+    sort = prox._simplex_sort
+    monkeypatch.setattr(prox, "_simplex_sort", lambda x: numpy_calls.append(1) or sort(x))
+    for module in (mksvm_module, fairness_module):
+        monkeypatch.setattr(module, "project_simplex",
+                            lambda v: calls.append(1) or project_simplex(v))
+    run(problem, default_adaptive(problem.constants), x0, y0, 200)
+    assert len(calls) == 200
+    assert not numpy_calls
 
 
 def test_oracle_flags_wrong_projection():

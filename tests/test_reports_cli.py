@@ -248,6 +248,9 @@ def test_mksvm_and_fairness_reports_do_not_depend_on_blas_threads(tmp_path):
     ("synthetic", "iters = 0", "max_iter"),
     ("mksvm", "box_c = nan", "box_c"),
     ("mksvm", "box_c = inf", "box_c"),
+    ("toy", "d = 5\nn = 8\niters = 10\ntau0 = inf", "tau0"),
+    ("toy", "d = 5\nn = 8\niters = 10\nsigma0 = nan", "sigma0"),
+    ("mksvm", "tau0 = inf", "tau0"),
     ("toy", "d = 5\nn = 8\niters = 50\ncheckpoints = 100", "checkpoints"),
     ("toy", "iters = ten", "iters"),
     ("toy", "nu = abc", "nu"),
@@ -317,7 +320,7 @@ def test_cli_passes_only_the_keys_that_are_set(tmp_path, monkeypatch):
             return result
         return driver
 
-    report = RunReport(config={
+    report = RunReport(records=[MetricRecord(k=1, gap=0.0, tsa=50.0)], config={
         "max_iter": 1, "variant": "c1", "grouping": "sex", "runs": 0, "checkpoints": [],
         "certificate_ok": True, "max_certificate_ratio": 0.0})
     for name in ("toy_experiment", "synthetic_experiment", "mksvm_experiment",
