@@ -261,7 +261,6 @@ def mksvm_experiment(
             kind = default_adaptive(problem.constants, tau0=tau0, sigma0=sigma0)
         x0 = np.full(problem.dim_x, 1.0 / problem.dim_x)
         y0 = np.zeros(problem.dim_y)
-        scores: dict[int, float] = {}
 
         def accuracy(k, state, sched):
             if k not in checkpoints:
@@ -269,12 +268,10 @@ def mksvm_experiment(
             eta = c_total * state.x / traces
             pred = mksvm_predict(kernels, train_idx, test_idx, labels_train,
                                  state.y, eta, nu=nu, box_c=box_c)
-            tsa = 100.0 * float(np.mean(pred.labels == labels_test))
-            scores[k] = tsa
-            return {"tsa": tsa}
+            return {"tsa": 100.0 * float(np.mean(pred.labels == labels_test))}
 
-        run(problem, kind, x0, y0, max_iter, callbacks=(accuracy,))
-        per_run.append(scores)
+        records = run(problem, kind, x0, y0, max_iter, callbacks=(accuracy,)).report.records
+        per_run.append({rec.k: rec.tsa for rec in records})
 
     report = RunReport()
     for k in checkpoints:

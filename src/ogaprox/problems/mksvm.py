@@ -123,7 +123,7 @@ class MkSvmProblem(SaddleProblem):
         self.nu = float(nu)
         self.dim_x = len(mats)
         self.dim_y = n
-        self.y_set = BoxHyperplaneSet(lower=0.0, upper=self.box_c, normal=labels, offset=0.0)
+        self.y_set = BoxHyperplaneSet(upper=self.box_c, normal=labels)
         self.labels = self.y_set.normal  # the set's read-only copy, so the two never disagree
         top = max(spectral_norm(m) for m in mats)
         self.constants = ProblemConstants(

@@ -1,7 +1,8 @@
 """Proximal operators and Euclidean projections used by the model problems.
 
-The closed-form projections (simplex, box-and-hyperplane) are exact
-finite algorithms.  Projections onto polyhedra
+The closed-form projections are exact finite algorithms: onto the simplex,
+and onto the multi-kernel SVM dual set ``{0 <= y <= upper, <y, normal> = 0}``
+(a box and a hyperplane through 0).  Projections onto polyhedra
 ``{y : A y >= h}`` with full-row-rank ``A`` (the cone projector, and the
 cone toy problem's saddle point) go through one dual active-set kernel,
 :func:`solve_polytope_dual`, which is finite on such data.  The dense QP
@@ -25,10 +26,6 @@ __all__ = [
     "project_polytope",
     "solve_polytope_dual",
 ]
-
-
-class InfeasibleSetError(ValueError):
-    """The constraint set is empty."""
 
 
 class RankDeficientError(ValueError):
@@ -82,44 +79,29 @@ def on_simplex(v) -> bool:
 
 @dataclass(frozen=True)
 class BoxHyperplaneSet:
-    """Intersection ``{lower <= y <= upper, <y, normal> = offset}``.
+    """The multi-kernel SVM dual set ``{0 <= y <= upper, <y, normal> = 0}``.
 
-    ``lower`` must be finite; ``upper`` may be ``+inf``.  Nonemptiness is
-    checked at construction via the exact interval condition on
-    ``<y, normal>`` over the box.  ``normal`` is a read-only copy; built from it
-    once are the projection's constants: ``|normal|``, ``||normal||**2``, the
-    nonzero entries, their mask, and the knots' slope changes ``(-n_i**2, n_i**2)``.
+    ``0 < upper < inf`` and ``normal`` is finite with no zero entry, so
+    every coordinate has two knots; the set holds 0, so it is never empty.
+    ``normal`` is a read-only copy; built from it once are the projection's
+    constants: ``|normal|``, ``||normal||**2`` and the knots' slope changes
+    ``(-n_i**2, n_i**2)``.
     """
 
-    lower: float
     upper: float
     normal: np.ndarray
-    offset: float = 0.0
 
     def __post_init__(self):
         normal = np.array(self.normal, dtype=float)
         if normal.ndim != 1 or normal.size == 0:
-            raise ValueError("normal must be a nonempty vector")
+            raise ValueError("normal must be a nonempty 1-d vector")
+        if not (np.isfinite(normal) & (normal != 0.0)).all():
+            raise ValueError("normal must be finite with no zero entry")
+        if not 0.0 < self.upper < np.inf:
+            raise ValueError(f"upper must be positive and finite, got {self.upper}")
         normal.flags.writeable = False
-        nz = normal != 0.0
-        self.__dict__.update(normal=normal, _nz=nz, _n_nz=normal[nz], _abs_n=np.abs(normal),
-                             _nn=float(normal @ normal),
-                             _change=np.concatenate((-normal[nz] ** 2, normal[nz] ** 2)))
-        if not nz.any():
-            raise ValueError("normal must be nonzero")
-        if not np.isfinite(self.lower):
-            raise ValueError(f"lower bound must be finite, got {self.lower}")
-        if not self.lower < self.upper:
-            raise ValueError("lower bound must be below upper bound")
-        sum_pos = float(self.normal[self.normal > 0].sum())
-        sum_neg = float(self.normal[self.normal < 0].sum())
-        # guard inf * 0 when upper == +inf and one sign is absent
-        lo_val = self.lower * sum_pos + (self.upper * sum_neg if sum_neg else 0.0)
-        hi_val = (self.upper * sum_pos if sum_pos else 0.0) + self.lower * sum_neg
-        if not (lo_val <= self.offset <= hi_val):
-            raise InfeasibleSetError(
-                f"offset {self.offset} outside reachable range [{lo_val}, {hi_val}]"
-            )
+        self.__dict__.update(normal=normal, _abs_n=np.abs(normal), _nn=float(normal @ normal),
+                             _change=np.concatenate((-normal**2, normal**2)))
 
     @property
     def dim(self) -> int:
@@ -128,39 +110,38 @@ class BoxHyperplaneSet:
 
 def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     """Euclidean projection onto a box intersected with a hyperplane:
-    ``clip(v - t * normal, lower, upper)`` at the root of the nonincreasing
-    ``r(t) = <y(t), normal> - offset``.  Between the knots, where coordinates
-    meet bounds, the pattern (the free set, and the bound of each other
+    ``clip(v - t * normal, 0, upper)`` at the root of the nonincreasing
+    ``r(t) = <y(t), normal>``.  Between the knots, where coordinates meet
+    bounds, the pattern (the free set, and the bound of each other
     coordinate) is fixed and one division solves ``r = 0``.  The pattern at
-    the all-free root ``t0 = (<v, normal> - offset) / ||normal||**2`` is tried
-    first (one Newton step; Cominetti, Mascarenhas and Silva 2014).  Its root
+    the all-free root ``t0 = <v, normal> / ||normal||**2`` is tried first
+    (one Newton step; Cominetti, Mascarenhas and Silva 2014).  Its root
     ``t`` is kept if (a) ``z = v - t * normal`` has that pattern and (b)
     ``|z_i - bound| > 1e-10 |normal_i| scale / slope``, ``scale = sum
-    |normal_i| (|v_i| + |z_i| + |y0_i|) + |offset|``, ``y0 = y(t0)``; this
-    margin is computed only once (a) holds.  By (b) each knot has ``|r| >
-    1e-10 scale`` (slope times distance next to ``t``, more beyond, as each
-    term of ``r`` moves one way).  Direct residuals and ``t`` carry about
-    ``dim 2**-53 scale`` of rounding, and ``scale / slope >= |t|`` covers the
+    |normal_i| (|v_i| + |z_i| + |y0_i|)``, ``y0 = y(t0)``; this margin is
+    computed only once (a) holds.  By (b) each knot has ``|r| > 1e-10
+    scale`` (slope times distance next to ``t``, more beyond, as each term
+    of ``r`` moves one way).  Direct residuals and ``t`` carry about ``dim
+    2**-53 scale`` of rounding, and ``scale / slope >= |t|`` covers the
     knots'.  So for ``dim < 10**5`` the breakpoint search reads each knot's
     sign exactly, brackets ``t`` by the same knots and solves the same
-    pattern: the same floats.  Otherwise the search runs.
+    pattern: the same floats.  From ``10**5`` entries on the search always runs.
     """
     w = _as_vector(v)
     if w.size != s.dim:
         raise ValueError("dimension mismatch with set normal")
-    n, lower, upper, abs_n = s.normal, s.lower, s.upper, s._abs_n
-    y0 = np.minimum(np.maximum(w - (float(n @ w) - s.offset) / s._nn * n, lower), upper)
-    free = (y0 > lower) & (y0 < upper)
+    n, upper, abs_n = s.normal, s.upper, s._abs_n
+    y0 = np.minimum(np.maximum(w - float(n @ w) / s._nn * n, 0.0), upper)
+    free = (y0 > 0.0) & (y0 < upper)
     n_free = n[free]
     slope = float(n_free @ n_free)
-    if slope > 0.0:
-        t = (float(n @ np.where(free, w, y0)) - s.offset) / slope
+    if slope > 0.0 and s.dim < 10**5:
+        t = float(n @ np.where(free, w, y0)) / slope
         z = w - t * n
-        y = np.minimum(np.maximum(z, lower), upper)
+        y = np.minimum(np.maximum(z, 0.0), upper)
         if (y == np.where(free, z, y0)).all():
-            scale = float(abs_n @ (np.abs(w) + np.abs(z) + np.abs(y0))) + abs(s.offset)
-            if (np.minimum(np.abs(z - lower), np.abs(z - upper))
-                    > 1e-10 * scale / slope * abs_n).all():
+            scale = float(abs_n @ (np.abs(w) + np.abs(z) + np.abs(y0)))
+            if (np.minimum(np.abs(z), np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all():
                 return y
     return _box_hyperplane_search(s, w)
 
@@ -169,28 +150,20 @@ def _box_hyperplane_search(s: BoxHyperplaneSet, w: np.ndarray) -> np.ndarray:
     """Kiwiel's (2008) breakpoint search: cumulative slopes over the sorted
     knots bracket the root, direct residuals confirm the bracket (the sums
     lose digits on wide boxes), and its midpoint gives the pattern."""
-    n, lower, upper, change = s.normal, s.lower, s.upper, s._change
-    wz, n_nz = w[s._nz], s._n_nz
-    a, b = (wz - lower) / n_nz, (wz - upper) / n_nz
+    n, upper = s.normal, s.upper
+    a, b = w / n, (w - upper) / n
     knots = np.concatenate((np.minimum(a, b), np.maximum(a, b)))
-    slope0 = 0.0
-    if upper == np.inf:
-        # an infinite bound has no knot: its coordinates are free from t = -inf
-        # (the running slope starts with them) or up to t = +inf
-        slope0 = float(change[knots == -np.inf].sum())
-        finite = np.isfinite(knots)
-        knots, change = knots[finite], change[finite]
     order = np.argsort(knots)
-    knots, change = knots[order], change[order]
+    knots, change = knots[order], s._change[order]
 
     def y_at(t: float) -> np.ndarray:
-        return np.minimum(np.maximum(w - t * n, lower), upper)
+        return np.minimum(np.maximum(w - t * n, 0.0), upper)
 
     def negative(t: float) -> bool:
-        return float(n @ y_at(t)) < s.offset
+        return float(n @ y_at(t)) < 0.0
 
-    steps = (slope0 + np.cumsum(change[:-1])) * np.diff(knots)
-    r = float(n @ y_at(knots[0])) - s.offset + np.concatenate(([0.0], np.cumsum(steps)))
+    steps = np.cumsum(change[:-1]) * np.diff(knots)
+    r = float(n @ y_at(knots[0])) + np.concatenate(([0.0], np.cumsum(steps)))
     # first knot with r < 0; the root lies between it and the knot before,
     # or on an open end segment past the first or the last knot
     j = int(np.searchsorted(-r, 0.0, side="right"))
@@ -202,10 +175,10 @@ def _box_hyperplane_search(s: BoxHyperplaneSet, w: np.ndarray) -> np.ndarray:
     right = knots[j] if j < knots.size else knots[-1] + 1.0 + abs(knots[-1])
     t = 0.5 * (left + right)
     y = y_at(t)
-    free = (y > lower) & (y < upper)
+    free = (y > 0.0) & (y < upper)
     slope = float(n[free] @ n[free])
     if slope > 0.0:  # otherwise r is constant (zero) on the segment and any t in it is a root
-        t = (float(n @ np.where(free, w, y)) - s.offset) / slope
+        t = float(n @ np.where(free, w, y)) / slope
     return y_at(t)
 
 

@@ -93,21 +93,22 @@ def project_simplex_numpy(v) -> np.ndarray:
 
 def one_step_accepts(s, v) -> bool:
     """Whether ``ogaprox.prox.project_box_hyperplane`` keeps the root of its
-    one Newton step, by the pattern-and-margin test written in one
-    expression: the breakpoint search must run exactly when this is false."""
+    one Newton step on a set of fewer than ``10**5`` entries, by the
+    pattern-and-margin test written in one expression: below that size the
+    breakpoint search must run exactly when this is false."""
     w = _as_vector(v)
-    n, lower, upper, abs_n = s.normal, s.lower, s.upper, s._abs_n
-    y0 = np.minimum(np.maximum(w - (float(n @ w) - s.offset) / s._nn * n, lower), upper)
-    free = (y0 > lower) & (y0 < upper)
+    n, upper, abs_n = s.normal, s.upper, s._abs_n
+    y0 = np.minimum(np.maximum(w - float(n @ w) / s._nn * n, 0.0), upper)
+    free = (y0 > 0.0) & (y0 < upper)
     slope = float(n[free] @ n[free])
     if not slope > 0.0:
         return False
-    t = (float(n @ np.where(free, w, y0)) - s.offset) / slope
+    t = float(n @ np.where(free, w, y0)) / slope
     z = w - t * n
-    y = np.minimum(np.maximum(z, lower), upper)
-    scale = float(abs_n @ (np.abs(w) + np.abs(z) + np.abs(y0))) + abs(s.offset)
+    y = np.minimum(np.maximum(z, 0.0), upper)
+    scale = float(abs_n @ (np.abs(w) + np.abs(z) + np.abs(y0)))
     return bool(np.array_equal(y, np.where(free, z, y0)) and (np.minimum(
-        np.abs(z - lower), np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all())
+        np.abs(z), np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all())
 
 
 def assumption_slacks(state, prev_tau: float, kind: AdaptiveSchedule,

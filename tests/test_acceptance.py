@@ -194,7 +194,7 @@ def test_criterion_6_prox_and_qp_correctness():
     # projections and their sets
     labels = np.where(rng.uniform(size=12) < 0.5, -1.0, 1.0)
     labels[:2] = (1.0, -1.0)
-    box_set = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=labels, offset=0.0)
+    box_set = BoxHyperplaneSet(upper=1.0, normal=labels)
     cone_a = rng.uniform(-3.0, 3.0, (5, 12))
     projector = PolytopeProjector(cone_a)
     cases.append(("project_simplex", 12, project_simplex))

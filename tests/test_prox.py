@@ -17,7 +17,6 @@ from ogaprox.problems.mksvm import (
 )
 from ogaprox.prox import (
     BoxHyperplaneSet,
-    InfeasibleSetError,
     PolytopeProjector,
     RankDeficientError,
     on_simplex,
@@ -122,7 +121,7 @@ def _svm_box(n, rng, box_c=1.0):
     labels = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
     if np.all(labels == labels[0]):
         labels[0] = -labels[0]
-    return BoxHyperplaneSet(lower=0.0, upper=box_c, normal=labels, offset=0.0)
+    return BoxHyperplaneSet(upper=box_c, normal=labels)
 
 
 def test_box_hyperplane_fixes_feasible_point():
@@ -171,22 +170,21 @@ def test_box_hyperplane_residual_tolerance():
     assert y.min() >= -1e-14 and y.max() <= 1.0 + 1e-14
 
 
-def test_box_hyperplane_infinite_upper():
-    s = BoxHyperplaneSet(lower=0.0, upper=np.inf, normal=np.array([1.0, -1.0]))
-    y = project_box_hyperplane(s, np.array([3.0, 1.0]))
-    np.testing.assert_allclose(y, [2.0, 2.0], atol=1e-10)
-
-
-def test_box_hyperplane_rejects_infinite_lower():
-    # a knot-free set {<y, (1, -1)> = 0} would leave the projection with
-    # no finite breakpoint to search
-    with pytest.raises(ValueError, match="lower bound must be finite"):
-        BoxHyperplaneSet(lower=-np.inf, upper=np.inf, normal=np.array([1.0, -1.0]))
-
-
-def test_box_hyperplane_infeasible_construction():
-    with pytest.raises(InfeasibleSetError):
-        BoxHyperplaneSet(lower=0.0, upper=1.0, normal=np.array([1.0, 1.0]), offset=3.0)
+@pytest.mark.parametrize("upper, normal, field", [
+    (1.0, [1.0, 0.0, -1.0], "normal"),
+    (1.0, [1.0, np.nan], "normal"),
+    (1.0, [], "normal"),
+    (1.0, [[1.0, -1.0]], "normal"),
+    (0.0, [1.0, -1.0], "upper"),
+    (-1.0, [1.0, -1.0], "upper"),
+    (np.inf, [1.0, -1.0], "upper"),
+    (np.nan, [1.0, -1.0], "upper"),
+], ids=["zero-entry", "nan-entry", "empty", "2-d", "upper-0", "upper-negative", "upper-inf",
+        "upper-nan"])
+def test_box_hyperplane_set_rejects_bad_fields(upper, normal, field):
+    # every coordinate needs two finite knots, and the set always holds 0
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        BoxHyperplaneSet(upper=upper, normal=normal)
 
 
 # -- polytope cone ---------------------------------------------------------
@@ -352,7 +350,7 @@ def test_set_and_projector_hold_read_only_copies():
     a = rng.standard_normal((4, 6))
     labels = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
     projector = PolytopeProjector(a)
-    s = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=labels)
+    s = BoxHyperplaneSet(upper=1.0, normal=labels)
     v, u = 3.0 * rng.standard_normal(6), rng.standard_normal(8)
     assert (a @ v < 0.0).any()  # the projection runs the kernel on the Gram matrix
     before = projector.project(v), project_box_hyperplane(s, u)
@@ -487,7 +485,7 @@ def _projections(rng):
     labels = np.where(rng.uniform(size=10) < 0.5, -1.0, 1.0)
     labels[0] = 1.0
     labels[1] = -1.0
-    box = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=labels, offset=0.0)
+    box = BoxHyperplaneSet(upper=1.0, normal=labels)
     a = rng.uniform(-3, 3, (4, 10))
     projector = PolytopeProjector(a)
     return [
@@ -534,12 +532,11 @@ def test_projection_prox_oracle_1000_trials():
 
 def _box_hyperplane_qp(s, v):
     n = s.dim
-    rows = [np.eye(n)] + ([-np.eye(n)] if np.isfinite(s.upper) else [])
-    bounds = [np.full(n, s.lower)] + ([np.full(n, -s.upper)] if np.isfinite(s.upper) else [])
     problem = QpProblem(
         q_matrix=np.eye(n), q_vector=-np.asarray(v, dtype=float),
-        ineq_matrix=np.vstack(rows), ineq_vector=np.concatenate(bounds),
-        eq_matrix=s.normal[None, :], eq_vector=np.array([s.offset]),
+        ineq_matrix=np.vstack([np.eye(n), -np.eye(n)]),
+        ineq_vector=np.concatenate([np.zeros(n), np.full(n, -s.upper)]),
+        eq_matrix=s.normal[None, :], eq_vector=np.zeros(1),
     )
     result = solve_qp(problem, tol=1e-10)
     assert result.status is QpStatus.OPTIMAL
@@ -548,34 +545,37 @@ def _box_hyperplane_qp(s, v):
 
 def _degenerate_box_hyperplane_cases():
     """Inputs where the knots of the dual residual tie, the root sits on a
-    knot or on an open end segment, or the normal has zero entries."""
+    knot, on a segment where ``r`` vanishes or on an open end segment, or
+    coordinates sit on their bounds."""
     pm = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    inf = np.inf
+    one_sign = np.array([0.5, 2.0, 1.0, 3.0])
     cases = [
         # repeated entries: tied knots on both sides
-        (0.0, 1.0, pm, 0.0, [0.5, 0.5, 0.5, -0.2, -0.2, 0.5]),
-        (0.0, 1.0, np.ones(5), 1.0, np.full(5, 0.3)),
+        (1.0, pm, [0.5, 0.5, 0.5, -0.2, -0.2, 0.5]),
+        # the root t = 0.5 is a knot of all six coordinates
+        (1.0, np.repeat([1.0, -1.0], 3), np.repeat([0.5, -0.5], 3)),
         # r vanishes on the whole segment between the knots t = 0.5 and t = 1
-        (0.0, 1.0, np.array([1.0, 1.0]), 1.0, [2.0, 0.5]),
-        # zero normal entries: those coordinates are only clipped
-        (-1.0, 2.0, np.array([1.0, 0.0, -1.0, 0.0, 2.0]), 0.5, [3.0, -4.0, 0.1, 0.7, -2.0]),
-        # upper = inf with mixed signs
-        (0.0, inf, np.array([1.0, -1.0, 2.0, -0.5]), 0.3, [-1.0, 2.0, 0.4, -3.0]),
-        (0.0, inf, -np.ones(2), -3.0, [1.0, 2.5]),
-        # root on the open end segments before the first and after the last knot
-        (0.0, inf, np.ones(2), 10.0, [0.0, 0.0]),
-        (0.0, inf, -np.ones(2), -10.0, [0.0, 0.0]),
-        # the simplex as a box-hyperplane set, unbounded and boxed
-        (0.0, inf, np.ones(6), 1.0, [0.9, -0.3, 0.2, 0.9, 1.4, -2.0]),
-        (0.0, 1.0, np.ones(6), 1.0, [0.9, -0.3, 0.2, 0.9, 1.4, -2.0]),
-        # single-point sets: every coordinate pinned, no free coordinate left
-        (0.0, 1.0, np.ones(3), 3.0, [0.3, 2.0, -1.0]),
-        (0.0, 1.0, pm, -3.0, [0.7, 0.2, 0.1, 0.9, -0.4, 0.5]),
-        # feasible input comes back unchanged
-        (0.0, 1.0, pm, 0.0, [0.2, 0.3, 0.6, 0.1, 0.4, 0.8]),
+        (1.0, np.array([1.0, 1.0, -1.0]), [2.0, 0.5, 1.5]),
+        # normal entries of several magnitudes and both signs
+        (2.0, np.array([1.0, -3.0, -1.0, 0.5, 2.0]), [3.0, -4.0, 0.1, 0.7, -2.0]),
+        (5.0, np.array([1.0, -1.0, 2.0, -0.5]), [-1.0, 2.0, 0.4, -3.0]),
+        # the root t = 0.25 is the knot of the third coordinate
+        (1.0, np.array([1.0, 1.0, 1.0, -1.0]), [0.5, 0.5, 0.25, 0.25]),
+        # a one-sign normal leaves the single point {0}: the root lies on the
+        # open end segment after the last knot, or at the first knot, which
+        # for 0.75 / -0.7 rounds so that r < 0 there: the segment before it
+        (1.0, np.ones(3), [0.4, 2.0, -1.0]),
+        (1.0, -np.array([1.0, 2.0, 0.7]), [0.9, 0.9, 0.75]),
+        (1.0, one_sign, [0.2, 0.9, 0.5, 0.1]),
+        (1.0, -one_sign, [0.2, 0.9, 0.5, 0.1]),
+        # every coordinate at a bound at the root: no free coordinate left
+        (1.0, np.array([1.0, 1.0, -1.0]), [5.0, -5.0, 4.0]),
+        # feasible inputs come back unchanged, with coordinates on both bounds or inside
+        (1.0, pm, [1.0, 1.0, 0.0, 0.0, 0.3, 0.3]),
+        (1.0, pm, [0.2, 0.3, 0.6, 0.1, 0.4, 0.8]),
     ]
-    return [(BoxHyperplaneSet(lower=lo, upper=up, normal=normal, offset=off), np.asarray(v, float))
-            for lo, up, normal, off, v in cases]
+    return [(BoxHyperplaneSet(upper=upper, normal=normal), np.asarray(v, float))
+            for upper, normal, v in cases]
 
 
 def test_box_hyperplane_general_sets_match_qp_oracle():
@@ -583,15 +583,7 @@ def test_box_hyperplane_general_sets_match_qp_oracle():
     cases = []
     for trial in range(20):
         n = int(rng.integers(3, 12))
-        normal = rng.standard_normal(n)
-        while not np.any(normal != 0):
-            normal = rng.standard_normal(n)
-        lower = float(rng.uniform(-2.0, 0.0))
-        upper = float(rng.uniform(0.5, 3.0))
-        reach_lo = lower * normal[normal > 0].sum() + upper * normal[normal < 0].sum()
-        reach_hi = upper * normal[normal > 0].sum() + lower * normal[normal < 0].sum()
-        offset = float(rng.uniform(reach_lo, reach_hi))
-        s = BoxHyperplaneSet(lower=lower, upper=upper, normal=normal, offset=offset)
+        s = BoxHyperplaneSet(upper=float(rng.uniform(0.5, 3.0)), normal=rng.standard_normal(n))
         cases.append((s, rng.standard_normal(n) * 3))
     degenerate = _degenerate_box_hyperplane_cases()
     cases += degenerate
@@ -601,16 +593,18 @@ def test_box_hyperplane_general_sets_match_qp_oracle():
     for upper in (1e3, 1e6):
         for _ in range(5):
             normal = np.where(rng.uniform(size=6) < 0.5, -1.0, 1.0)
-            cases.append((BoxHyperplaneSet(lower=0.0, upper=upper, normal=normal),
+            cases.append((BoxHyperplaneSet(upper=upper, normal=normal),
                           rng.uniform(-3.0, 3.0, 6) * upper))
     for i, (s, v) in enumerate(cases):
         fast = project_box_hyperplane(s, v)
         np.testing.assert_allclose(fast, _box_hyperplane_qp(s, v), atol=1e-8, err_msg=str(i))
-        assert abs(s.normal @ fast - s.offset) <= 1e-12 * max(1.0, np.abs(s.normal) @ np.abs(v)), i
-    feasible, v = degenerate[-1]
-    np.testing.assert_allclose(project_box_hyperplane(feasible, v), v, rtol=0, atol=1e-15)
-    simplex, v = degenerate[8]
-    np.testing.assert_allclose(project_box_hyperplane(simplex, v), project_simplex(v), atol=1e-15)
+        assert abs(s.normal @ fast) <= 1e-12 * max(1.0, np.abs(s.normal) @ np.abs(v)), i
+    for s, v in degenerate[-2:]:
+        np.testing.assert_array_equal(project_box_hyperplane(s, v), v)
+    single_points = [(s, v) for s, v in degenerate if np.all(s.normal > 0) or np.all(s.normal < 0)]
+    assert len(single_points) == 4
+    for s, v in single_points:
+        np.testing.assert_array_equal(project_box_hyperplane(s, v), np.zeros(s.dim))
 
 
 def _box_hyperplane_bisect(s, v):
@@ -618,13 +612,11 @@ def _box_hyperplane_bisect(s, v):
     the bracketing knots by a binary search with one direct residual per
     probe instead of cumulative slopes."""
     w = np.asarray(v, dtype=float)
-    n, lower, upper = s.normal, s.lower, s.upper
-    nz = n != 0.0
-    knots = np.unique(np.concatenate(((w[nz] - lower) / n[nz], (w[nz] - upper) / n[nz])))
-    knots = knots[np.isfinite(knots)]  # upper = inf has no upper knots
+    n, upper = s.normal, s.upper
+    knots = np.unique(np.concatenate((w / n, (w - upper) / n)))
 
     def negative(t: float) -> bool:
-        return float(n @ np.clip(w - t * n, lower, upper)) < s.offset
+        return float(n @ np.clip(w - t * n, 0.0, upper)) < 0.0
 
     # first knot with r < 0; the root lies between it and the knot before,
     # or on an open end segment past the first or the last knot
@@ -632,34 +624,28 @@ def _box_hyperplane_bisect(s, v):
     left = knots[j - 1] if j > 0 else knots[0] - 1.0 - abs(knots[0])
     right = knots[j] if j < knots.size else knots[-1] + 1.0 + abs(knots[-1])
     t = 0.5 * (left + right)
-    y = np.clip(w - t * n, lower, upper)
-    free = (y > lower) & (y < upper)
+    y = np.clip(w - t * n, 0.0, upper)
+    free = (y > 0.0) & (y < upper)
     slope = float(n[free] @ n[free])
     if slope > 0.0:  # otherwise r is constant (zero) on the segment and any t in it is a root
-        t = (float(n @ np.where(free, w, y)) - s.offset) / slope
-    return np.clip(w - t * n, lower, upper)
+        t = float(n @ np.where(free, w, y)) / slope
+    return np.clip(w - t * n, 0.0, upper)
 
 
 def _random_box_hyperplane_cases(count, rng):
-    """Sets with +-1 or Gaussian normals (a fifth of their entries zero),
-    ``upper`` from 0.1 to 1e6 or infinite, and 2 to 300 coordinates."""
-    uppers = (0.1, 1.0, 10.0, 1e3, 1e6, np.inf)
+    """Sets with +-1 or Gaussian normals, ``upper`` from 0.1 to 1e6, and 2
+    to 300 coordinates."""
+    uppers = (0.1, 1.0, 10.0, 1e3, 1e6)
     cases = []
     for trial in range(count):
         n = int(rng.integers(2, 301))
         if trial % 2:
             normal = rng.standard_normal(n)
-            normal[rng.uniform(size=n) < 0.2] = 0.0
         else:
             normal = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-        normal[0] = normal[0] or 1.0
         upper = uppers[trial % len(uppers)]
-        # offset 0 as in the SVM dual, or <normal, y> at a random point of the box
-        inside = rng.uniform(0.0, min(upper, 1e3), n)
-        offset = 0.0 if trial % 4 < 2 else float(normal @ inside)
-        scale = min(upper, 1e6) * 10.0 ** rng.uniform(-1.0, 2.0)
-        cases.append((BoxHyperplaneSet(lower=0.0, upper=upper, normal=normal, offset=offset),
-                      rng.standard_normal(n) * scale))
+        scale = upper * 10.0 ** rng.uniform(-1.0, 2.0)
+        cases.append((BoxHyperplaneSet(upper=upper, normal=normal), rng.standard_normal(n) * scale))
     return cases
 
 
@@ -683,26 +669,23 @@ def _count_searches(monkeypatch):
 
 def _near_feasible_cases(rng):
     """The projection ``y`` of a random point, moved by ``a |normal_i|``
-    outward at the bounds (``a`` where ``normal_i = 0``) and by ``1e-4 a``
-    inside, for +-1, Gaussian and zero-entry normals, finite and infinite
-    ``upper``, offset 0 and not.  ``y`` is its own projection, and the move ``p``
-    has ``|t0| <= ||p|| / ||normal|| < a``; so with ``a = 1e-2 margin /
-    max |normal_i|``, ``margin`` the least distance of a moving free
+    outward at the bounds and by ``1e-4 a`` inside, for +-1 and Gaussian
+    normals and three values of ``upper``.  ``y`` is its own projection,
+    and the move ``p`` has ``|t0| <= ||p|| / ||normal|| < a``; so with ``a =
+    1e-2 margin / max |normal_i|``, ``margin`` the least distance of a free
     coordinate to a bound, the pattern at ``t0`` is ``y``'s."""
     cases = []
-    for kind in ("pm1", "gauss", "zeros"):
-        for upper in (1.0, 5.0, np.inf):
-            for offset in (0.0, 2.5):
+    for kind in ("pm1", "gauss"):
+        for upper in (0.5, 1.0, 5.0):
+            for _ in range(3):
                 normal = (np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0) if kind == "pm1"
                           else rng.standard_normal(40))
-                if kind == "zeros":
-                    normal[::5] = 0.0
-                s = BoxHyperplaneSet(lower=0.0, upper=upper, normal=normal, offset=offset)
+                s = BoxHyperplaneSet(upper=upper, normal=normal)
                 y = _box_hyperplane_bisect(s, rng.uniform(-0.5, 1.5, 40) * min(upper, 2.0))
                 at_bound = (y == 0.0) | (y == upper)
-                margin = np.minimum(y, upper - y)[~at_bound & (normal != 0.0)].min()
+                margin = np.minimum(y, upper - y)[~at_bound].min()
                 a = 1e-2 * margin / np.abs(normal).max()
-                outward = np.where(y == 0.0, -a, a) * np.where(normal != 0.0, np.abs(normal), 1.0)
+                outward = np.where(y == 0.0, -a, a) * np.abs(normal)
                 cases.append((s, y + np.where(at_bound, outward, 1e-4 * a * rng.standard_normal(40))))
     return cases
 
@@ -717,22 +700,35 @@ def test_box_hyperplane_one_step_near_the_set(monkeypatch):
 
 _ONE_STEP_FALLBACKS = [
     # the root t = 0.25 is the knot of the third coordinate, exactly and within rounding
-    ([1.0, 1.0, 1.0], 0.5, [0.5, 0.5, 0.25]),
-    ([1.0, 1.0, 1.0], 0.5, [0.5, 0.5, 0.25 + 1e-15]),
-    # every coordinate is at a bound at t0 = 0: the Newton piece has slope 0
-    ([1.0, -1.0], 0.0, [3.0, 3.0]),
-    ([1.0, 1.0], 1.0, [5.0, -5.0]),
-    # a zero-normal coordinate sits exactly on its lower bound
-    ([1.0, -1.0, 0.0], 0.0, [0.3, 0.2, 0.0]),
+    ([1.0, 1.0, 1.0, -1.0], [0.5, 0.5, 0.25, 0.25]),
+    ([1.0, 1.0, 1.0, -1.0], [0.5, 0.5, 0.25 + 1e-15, 0.25]),
+    # every coordinate is at a bound at t0: the Newton piece has slope 0,
+    # also for an input offset far from the set
+    ([1.0, -1.0], [3.0, 3.0]),
+    ([1.0, 1.0, -1.0], [5.0, -5.0, 4.0]),
+    # the root is t = 0, where a coordinate sits exactly on its lower bound,
+    # as one with a zero normal entry would
+    ([1.0, -1.0, 1.0], [0.3, 0.3, 0.0]),
 ]
 
 
-@pytest.mark.parametrize("normal, offset, v", _ONE_STEP_FALLBACKS,
+@pytest.mark.parametrize("normal, v", _ONE_STEP_FALLBACKS,
                          ids=["on-knot", "near-knot", "slope-0", "slope-0-offset",
                               "zero-normal-on-bound"])
-def test_box_hyperplane_falls_back_to_the_search(monkeypatch, normal, offset, v):
+def test_box_hyperplane_falls_back_to_the_search(monkeypatch, normal, v):
     calls = _count_searches(monkeypatch)
-    s = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=normal, offset=offset)
+    s = BoxHyperplaneSet(upper=1.0, normal=normal)
+    np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v))
+    assert len(calls) == 1
+
+
+def test_box_hyperplane_searches_from_10_to_the_5_entries(monkeypatch):
+    # the rounding certificate of the one-step path covers fewer entries only
+    rng = make_rng(16, 29)
+    s = BoxHyperplaneSet(upper=1.0, normal=np.where(rng.uniform(size=10**5) < 0.5, -1.0, 1.0))
+    v = rng.uniform(0.2, 0.8, s.dim)
+    assert one_step_accepts(s, v)
+    calls = _count_searches(monkeypatch)
     np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v))
     assert len(calls) == 1
 
@@ -743,11 +739,11 @@ def test_box_hyperplane_searches_exactly_when_the_one_step_test_fails(monkeypatc
     calls = _count_searches(monkeypatch)
     cases = (_random_box_hyperplane_cases(600, make_rng(16, 27))
              + _near_feasible_cases(make_rng(16, 28)) + _degenerate_box_hyperplane_cases()
-             + [(BoxHyperplaneSet(lower=0.0, upper=1.0, normal=normal, offset=offset),
-                 np.asarray(v, float)) for normal, offset, v in _ONE_STEP_FALLBACKS])
+             + [(BoxHyperplaneSet(upper=1.0, normal=normal), np.asarray(v, float))
+                for normal, v in _ONE_STEP_FALLBACKS])
     # the third coordinate from 1e-8 to 1e-13 off its knot, across the margin
-    on_knot = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=np.ones(3), offset=0.5)
-    cases += [(on_knot, np.array([0.5, 0.5, 0.25 + sign * 10.0 ** -k]))
+    on_knot = BoxHyperplaneSet(upper=1.0, normal=[1.0, 1.0, 1.0, -1.0])
+    cases += [(on_knot, np.array([0.5, 0.5, 0.25 + sign * 10.0 ** -k, 0.25]))
               for sign in (1.0, -1.0) for k in np.arange(8.0, 13.0, 0.25)]
     kept = 0
     for i, (s, v) in enumerate(cases):
@@ -811,7 +807,7 @@ def test_oracle_flags_wrong_projection():
     rng = make_rng(15, 24)
     labels = np.where(rng.uniform(size=8) < 0.5, -1.0, 1.0)
     labels[:2] = (1.0, -1.0)
-    s = BoxHyperplaneSet(lower=0.0, upper=1.0, normal=labels, offset=0.0)
+    s = BoxHyperplaneSet(upper=1.0, normal=labels)
     v = rng.standard_normal(8) * 2
     wrong = np.clip(v, 0.0, 1.0)
     if abs(s.normal @ wrong) > 1e-6:  # wrong candidate is infeasible
