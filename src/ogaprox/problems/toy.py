@@ -40,7 +40,7 @@ class ToyProblem(SaddleProblem):
         self.constants = ProblemConstants(l_yx=1.001 * self._projector.norm, l_yy=0.0, nu=self.nu)
 
     def grad_y(self, x, y):
-        if (np.asarray(x) <= 0.0).all():  # [x]_+ = 0 exactly; a NaN entry fails the test
+        if np.asarray(x).max() <= 0.0:  # [x]_+ = 0 exactly; a NaN entry fails the test
             return np.zeros(self.dim_y)
         return self.a.T @ np.maximum(x, 0.0)
 
@@ -51,7 +51,7 @@ class ToyProblem(SaddleProblem):
         if _outside_cone(w):
             raise ValueError("prox_phi_x needs feasible y (A y >= 0)")
         x = np.asarray(x, dtype=float)
-        if (x <= 0.0).all():  # the formula below is the identity here
+        if x.max() <= 0.0:  # the formula below is the identity here
             return x.copy(), True
         w = np.maximum(w, 0.0)
         return np.where(x <= 0.0, x, np.where(x <= tau * w, 0.0, x - tau * w)), False

@@ -10,6 +10,7 @@ route (:func:`project_polytope`) has no run-time caller: it is the test
 oracle for the cone projector.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -32,11 +33,16 @@ class RankDeficientError(ValueError):
     """The constraint matrix does not have full row rank."""
 
 
+def _finite(v: np.ndarray, square: float) -> bool:
+    # for a finite u, square = ||v - u||^2 is non-finite if v is; an overflow is checked exactly
+    return math.isfinite(square) or bool(np.isfinite(v).all())
+
+
 def _as_vector(v, name: str = "v") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if not np.isfinite(arr).all():
+    if not _finite(arr, float(np.vdot(arr, arr))):  # vdot, unlike @, gives no overflow warning
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -140,7 +146,7 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
         z = w - t * n
         y = np.minimum(np.maximum(z, 0.0), upper)
         if (y == np.where(free, z, y0)).all():
-            scale = float(abs_n @ (np.abs(w) + np.abs(z) + np.abs(y0)))
+            scale = float(abs_n @ (np.abs(w) + np.abs(z) + y0))  # y0 >= 0
             if (np.minimum(np.abs(z), np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all():
                 return y
     return _box_hyperplane_search(s, w)
@@ -251,7 +257,8 @@ class PolytopeProjector:
     must have full row rank, which is checked here; ``norm`` is the spectral
     norm of ``A``.  ``a`` and ``gram`` are read-only and ``a`` is a copy, so
     no later write to the argument reaches them, and the projector holds no
-    state between calls: one projector is safe to share."""
+    state between calls: one projector is safe to share.  A non-finite ``v``
+    raises ``ValueError``; it makes every entry of ``A v`` non-finite."""
 
     def __init__(self, a_matrix):
         a = np.array(a_matrix, dtype=float)
@@ -278,7 +285,9 @@ class PolytopeProjector:
         """``(y, A y)``: the cone test's ``A v`` is ``A y`` when ``v`` is inside."""
         w = np.asarray(v, dtype=float)
         c = self.a @ w
-        if (c >= 0.0).all():
+        if not math.isfinite(c[0]) and not np.isfinite(w).all():
+            raise ValueError("v must be finite")
+        if c.min() >= 0.0:
             return w.copy(), c
         y = w + self.a.T @ solve_polytope_dual(self.gram, c)
         return y, self.a @ y

@@ -3,15 +3,15 @@
 One iteration extrapolates the y-gradient with the previous one,
 ``(1 + theta_k) * grad_y(x_k, y_k) - theta_k * grad_y(x_{k-1}, y_{k-1})``,
 takes a prox step of ``g`` in ``y`` and a pure prox step of
-``Phi(., y_{k+1})`` in ``x``.  The state carries both gradients: a step
-ends with ``grad_y(x_{k+1}, y_{k+1})``.  The proxes and that gradient come
-from the problem's optional fused oracle ``prox_step`` when it has one,
-else from ``prox_g``, ``prox_phi_x`` and ``grad_y`` in turn.  The state
-also holds the run's totals: the count ``k`` and the iterate sums weighted
-by ``t_k`` with their total ``T_k``, which are normalized only on read, so
-a common rescale of the weights (applied before they overflow on linear
+``Phi(., y_{k+1})`` in ``x``; the proxes and ``grad_y(x_{k+1}, y_{k+1})``
+come from the problem's fused oracle ``prox_step`` when it has one, else
+from ``prox_g``, ``prox_phi_x`` and ``grad_y`` in turn.  The state carries
+both gradients, the step's norms (a non-finite iterate raises before
+``grad_y`` sees it) and the run's totals: the count ``k`` and the iterate
+sums weighted by ``t_k`` with their total ``T_k``, normalized only on read,
+so a common rescale of the weights (applied before they overflow on linear
 schedules) leaves the averages unchanged.  :func:`gap_certificate` measures
-the ergodic gap of a solver state against the bound of its law's kind.
+a state's ergodic gap against the bound of its law's kind.
 """
 
 import math
@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem import MissingSaddlePointError, SaddleProblem
+from .prox import _finite
 from .report import MetricRecord, RunReport
 from .schedule import (
     LinearSchedule,
@@ -58,7 +59,8 @@ class NonFiniteIterateError(RuntimeError):
 class SolverState:
     """Iterates, ``grad = grad_y(x_k, y_k)``, ``grad_prev =
     grad_y(x_{k-1}, y_{k-1})``, the weighted sums ``erg_x``, ``erg_y`` of
-    the iterates, their total weight ``t_sum = T_k`` and the count ``k``."""
+    the iterates, their total weight ``t_sum = T_k``, the count ``k`` and
+    the last step's norms ``step_dx = ||x_k - x_{k-1}||`` and ``step_dy``."""
 
     x: np.ndarray
     y: np.ndarray
@@ -68,6 +70,8 @@ class SolverState:
     erg_y: np.ndarray
     t_sum: float = 0.0
     k: int = 0
+    step_dx: float = 0.0
+    step_dy: float = 0.0
 
     @classmethod
     def initial(cls, problem: SaddleProblem, x0, y0) -> "SolverState":
@@ -84,28 +88,26 @@ class SolverState:
         return self.erg_x / self.t_sum, self.erg_y / self.t_sum
 
 
-def _finite(v: np.ndarray) -> bool:
-    # one dot product; a large finite vector can overflow it, so confirm exactly
-    return math.isfinite(float(v @ v)) or bool(np.isfinite(v).all())
-
-
 def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> SolverState:
     """One iteration at the parameters of ``sched``; returns a new state."""
-    v = state.y + sched.sigma * (
-        (1.0 + sched.theta) * state.grad - sched.theta * state.grad_prev
-    )
+    theta, t = sched.theta, sched.t  # a multiply by 1.0 is skipped: 1.0 * a == a
+    prev = state.grad_prev if theta == 1.0 else theta * state.grad_prev
+    v = state.y + sched.sigma * ((1.0 + theta) * state.grad - prev)
     fused = getattr(problem, "prox_step", None)
     if fused is None:
         y_next = problem.prox_g(sched.sigma, v)
         x_next, grad = problem.prox_phi_x(sched.tau, y_next, state.x), None
     else:
         y_next, x_next, grad = fused(sched.sigma, v, sched.tau, state.x)
-    if not (_finite(x_next) and _finite(y_next)):
+    dx, dy = x_next - state.x, y_next - state.y
+    sq_x, sq_y = float(dx @ dx), float(dy @ dy)
+    if not (_finite(x_next, sq_x) and _finite(y_next, sq_y)):
         raise NonFiniteIterateError(state.k + 1)
     if grad is None:
         grad = problem.grad_y(x_next, y_next)
-    return SolverState(x_next, y_next, grad, state.grad, state.erg_x + sched.t * x_next,
-                       state.erg_y + sched.t * y_next, state.t_sum + sched.t, state.k + 1)
+    tx, ty = (x_next, y_next) if t == 1.0 else (t * x_next, t * y_next)
+    return SolverState(x_next, y_next, grad, state.grad, state.erg_x + tx, state.erg_y + ty,
+                       state.t_sum + t, state.k + 1, math.sqrt(sq_x), math.sqrt(sq_y))
 
 
 @dataclass
@@ -150,9 +152,8 @@ def run(
         except NonFiniteIterateError as err:
             err.report = report
             raise
-        dx, dy = new_state.x - state.x, new_state.y - state.y
-        report.step_dx.append(math.sqrt(float(dx @ dx)))
-        report.step_dy.append(math.sqrt(float(dy @ dy)))
+        report.step_dx.append(new_state.step_dx)
+        report.step_dy.append(new_state.step_dy)
         report.schedule_trace["theta"].append(sched.theta)
         report.schedule_trace["tau"].append(sched.tau)
         report.schedule_trace["sigma"].append(sched.sigma)

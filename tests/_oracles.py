@@ -9,6 +9,7 @@ tests the live objects an experiment driver runs on, since a driver
 returns only its report.
 """
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -17,6 +18,7 @@ from ogaprox import experiments
 from ogaprox.prox import _as_vector
 from ogaprox.rng import make_rng
 from ogaprox.schedule import AdaptiveSchedule, schedule_margin
+from ogaprox.solver import SolverState
 
 
 def prox_positive_part_scaled(tau: float, w: float, x: float) -> float:
@@ -144,6 +146,26 @@ def spy_on_run(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(experiments, "run", spy)
     return calls
+
+
+def step_formula(problem, state, sched) -> SolverState:
+    """``ogaprox.solver.step`` on finite iterates, written out in full: it
+    multiplies by ``theta`` and ``t`` even when they are 1 and takes each
+    step norm from its own difference.  ``step`` must match it bit for bit."""
+    v = state.y + sched.sigma * (
+        (1.0 + sched.theta) * state.grad - sched.theta * state.grad_prev
+    )
+    fused = getattr(problem, "prox_step", None)
+    if fused is None:
+        y_next = problem.prox_g(sched.sigma, v)
+        x_next = problem.prox_phi_x(sched.tau, y_next, state.x)
+        grad = problem.grad_y(x_next, y_next)
+    else:
+        y_next, x_next, grad = fused(sched.sigma, v, sched.tau, state.x)
+    dx, dy = x_next - state.x, y_next - state.y
+    return SolverState(x_next, y_next, grad, state.grad, state.erg_x + sched.t * x_next,
+                       state.erg_y + sched.t * y_next, state.t_sum + sched.t, state.k + 1,
+                       math.sqrt(float(dx @ dx)), math.sqrt(float(dy @ dy)))
 
 
 def outside_cone_formula(slack, tol: float = 1e-8) -> bool:

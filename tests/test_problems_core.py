@@ -185,13 +185,14 @@ def test_cone_test_matches_the_one_expression_formula(name):
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3])
-@pytest.mark.parametrize("kind", ["nan", "negative-zero", "mixed"])
+@pytest.mark.parametrize("kind", ["nan", "nan-last", "negative-zero", "mixed"])
 def test_toy_prox_step_is_the_three_calls_bit_for_bit(kind, nu):
     from _oracles import ThreeCalls
 
     p = random_toy_problem(6, 9, nu, make_rng(30, 0))
     rng = make_rng(30, 1)
     x = {"nan": np.array([-1.0, np.nan, -2.0, 0.0, -0.5, -3.0]),
+         "nan-last": np.array([-1.0, -2.0, -0.0, 0.0, -0.5, np.nan]),
          "negative-zero": np.full(p.dim_x, -0.0),
          "mixed": rng.standard_normal(p.dim_x)}[kind]
     plain = ThreeCalls(p)
@@ -201,6 +202,24 @@ def test_toy_prox_step_is_the_three_calls_bit_for_bit(kind, nu):
         fused = p.prox_step(0.4, v, 0.6, x)
         for got, want in zip(fused, (y, x_next, plain.grad_y(x_next, y))):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["random", "positive"])
+def test_toy_y_prox_rejects_a_non_finite_point(column, value, nu):
+    # with a positive first column, v[0] = +inf makes every entry of A v
+    # +inf, which passes the cone's inside test
+    a = make_rng(31, 0).uniform(-3.0, 3.0, (6, 9))
+    if column == "positive":
+        a[:, 0] = np.abs(a[:, 0]) + 1.0
+    p = ToyProblem(a, nu)
+    v = np.linalg.pinv(a) @ np.ones(6)  # inside the cone
+    v[0] = value
+    with pytest.raises(ValueError, match="v must be finite"):
+        p.prox_g(0.4, v)
+    with pytest.raises(ValueError, match="v must be finite"):
+        p.prox_step(0.4, v, 0.6, np.full(6, -1.0))
 
 
 # -- toy saddle points -------------------------------------------------------

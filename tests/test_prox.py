@@ -363,6 +363,18 @@ def test_set_and_projector_hold_read_only_copies():
             held[0] = 1.0
 
 
+def test_projector_keeps_a_finite_point_whose_image_overflows():
+    # A v is +inf in every entry, yet v is finite: it is inside the cone
+    a = make_rng(19, 1).uniform(-3, 3, (4, 7))
+    a[:, 0] = np.abs(a[:, 0]) + 2.0
+    v = np.zeros(7)
+    v[0] = 1e308
+    with np.errstate(over="ignore"):
+        y, image = PolytopeProjector(a).project_with_image(v)
+    np.testing.assert_array_equal(y, v)
+    assert (image == np.inf).all()
+
+
 def test_projector_rejects_a_without_full_row_rank():
     a = make_rng(19, 0).uniform(-3, 3, (4, 7))
     with pytest.raises(RankDeficientError):

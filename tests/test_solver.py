@@ -20,6 +20,7 @@ from ogaprox.rng import make_rng
 from ogaprox.schedule import (
     AdaptiveSchedule,
     LinearSchedule,
+    ScheduleState,
     StepSizeViolationError,
     adaptive_rates,
     advance_schedule,
@@ -282,6 +283,115 @@ def test_non_finite_iterate_carries_partial_report():
             np.ones(2), max_iter=10)
     assert info.value.k == 3
     assert len(info.value.report.step_dx) == 2
+
+
+class _Poisoned(SaddleProblem):
+    """A contraction whose x- or y-prox (``which``) puts ``value`` in one
+    entry at the third step; its ``grad_y`` refuses a non-finite pair, and
+    its fused ``prox_step`` takes the gradient without that check."""
+
+    def __init__(self, value, which):
+        self.dim_x = self.dim_y = 2
+        self.constants = ProblemConstants(l_yx=1.0, l_yy=0.0)
+        self.value, self.which, self.calls = value, which, {"x": 0, "y": 0}
+
+    def _poison(self, which, u):
+        self.calls[which] += 1
+        if which == self.which and self.calls[which] == 3:
+            u[0] = self.value
+        return u
+
+    def grad_y(self, x, y):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise AssertionError("grad_y called at a non-finite pair")
+        return x - 0.5 * y
+
+    def prox_g(self, sigma, v):
+        return self._poison("y", 0.5 * v)
+
+    def prox_phi_x(self, tau, y, x):
+        return self._poison("x", 0.5 * (x - tau * y))
+
+    def prox_step(self, sigma, v, tau, x):
+        y = self.prox_g(sigma, v)
+        x_next = self.prox_phi_x(tau, y, x)
+        return y, x_next, x_next - 0.5 * y
+
+
+@pytest.mark.parametrize("which", ["x", "y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "three-calls"])
+def test_non_finite_iterate_raises_at_its_step_before_grad_y(fused, value, which):
+    # the non-fused step raises before grad_y sees the pair, and the partial
+    # report is the report of the run stopped one step earlier
+    def problem():
+        p = _Poisoned(value, which)
+        return p if fused else ThreeCalls(p)
+
+    kind = AdaptiveSchedule(tau0=0.1, sigma0=0.1, c_alpha=2.0)
+    with pytest.raises(NonFiniteIterateError) as info:
+        run(problem(), kind, np.ones(2), np.ones(2), max_iter=10)
+    assert info.value.k == 3
+    assert info.value.report == run(problem(), kind, np.ones(2), np.ones(2), max_iter=2).report
+
+
+class _Jump(SaddleProblem):
+    """Its first x-step moves each entry by 1e200: finite, though the
+    squared step norm overflows."""
+
+    def __init__(self):
+        self.dim_x = self.dim_y = 2
+        self.constants = ProblemConstants(l_yx=1.0, l_yy=0.0)
+        self.calls = 0
+
+    def grad_y(self, x, y):
+        return np.zeros(2)
+
+    def prox_g(self, sigma, v):
+        return v.copy()
+
+    def prox_phi_x(self, tau, y, x):
+        self.calls += 1
+        return x + 1e200 if self.calls == 1 else x.copy()
+
+
+def test_finite_step_whose_squared_norm_overflows_is_kept():
+    kind = AdaptiveSchedule(tau0=0.1, sigma0=0.1, c_alpha=2.0)
+    with np.errstate(over="ignore"):  # the step norm's dot product overflows
+        result = run(_Jump(), kind, np.zeros(2), np.zeros(2), max_iter=3)
+    assert result.report.step_dx == [np.inf, 0.0, 0.0]
+    np.testing.assert_array_equal(result.state.x, np.full(2, 1e200))
+
+
+def _bits(state: SolverState) -> list:
+    arrays = (state.x, state.y, state.grad, state.grad_prev, state.erg_x, state.erg_y)
+    scalars = np.array([state.t_sum, state.step_dx, state.step_dy])
+    return [a.tobytes() for a in arrays] + [scalars.tobytes(), state.k]
+
+
+@pytest.mark.parametrize("t", [1.0, 2.5])
+@pytest.mark.parametrize("theta", [1.0, 0.7])
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "three-calls"])
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_step_is_the_written_out_formula_bit_for_bit(name, fused, theta, t):
+    from _oracles import step_formula
+
+    p, x0, y0 = _FUSED[name]()
+    problem = p if fused else ThreeCalls(p)
+    kind = default_adaptive(p.constants)
+    sched = make_schedule(kind, p.constants)
+    state = SolverState.initial(p, x0, y0)
+    for _ in range(3):
+        state, sched = step(p, state, sched), advance_schedule(sched, kind, p.constants)
+    # -0.0 in every fourth entry of the iterates, the gradients and the sums
+    state = SolverState(*(np.where(np.arange(a.size) % 4 == 0, -0.0, a) for a in (
+        state.x, state.y, state.grad, state.grad_prev, state.erg_x, state.erg_y)),
+        state.t_sum, state.k)
+    sched = ScheduleState(theta, sched.tau, sched.sigma, t)
+    for _ in range(3):
+        new = step(problem, state, sched)
+        assert _bits(new) == _bits(step_formula(problem, state, sched))
+        state = new
 
 
 def test_callbacks_record_metrics():
