@@ -1,10 +1,16 @@
-"""Per-iteration metric records and CSV/JSON export."""
+"""Per-iteration metric records and CSV/JSON export.
+
+A JSON report is exactly ``json.dumps(payload, indent=2)``.  Its flat number
+lists (``step_dx``, ``step_dy``, each ``schedule_trace`` entry) are written by
+json's C encoder, which ``indent`` bypasses, and spliced into that layout.
+"""
 
 import csv
+import functools
 import importlib.metadata
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = ["MetricRecord", "RunReport", "package_version", "CSV_COLUMNS"]
@@ -12,6 +18,7 @@ __all__ = ["MetricRecord", "RunReport", "package_version", "CSV_COLUMNS"]
 CSV_COLUMNS = ("k", "gap", "dist_x", "dist_y", "tsa", "theta", "tau", "sigma")
 
 
+@functools.cache
 def package_version() -> str:
     try:
         return importlib.metadata.version("ogaprox")
@@ -44,6 +51,14 @@ def _cell(record: MetricRecord, column: str):
     return value if column == "k" else repr(float(value))
 
 
+def _number_list(values, level: int) -> str:
+    """A flat list laid out as ``indent=2`` lays it out at nesting ``level``."""
+    if not values:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + json.dumps(values, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "]"
+
+
 @dataclass
 class RunReport:
     """Metric records plus per-iteration step norms and schedule values."""
@@ -73,15 +88,14 @@ class RunReport:
         Path(path).write_text(self.to_csv_text())
 
     def to_json_text(self) -> str:
-        payload = {
-            "version": self.version,
-            "config": self.config,
-            "records": [asdict(r) for r in self.records],
-            "step_dx": self.step_dx,
-            "step_dy": self.step_dy,
-            "schedule_trace": self.schedule_trace,
-        }
-        return json.dumps(payload, indent=2)
+        head = json.dumps({"version": self.version, "config": self.config,
+                           "records": [vars(r) for r in self.records]}, indent=2)
+        trace = ",".join(f"\n    {json.dumps(key)}: {_number_list(values, 2)}"
+                         for key, values in self.schedule_trace.items())
+        trace = "{" + trace + "\n  }" if trace else "{}"
+        return (f'{head[:-2]},\n  "step_dx": {_number_list(self.step_dx, 1)},'
+                f'\n  "step_dy": {_number_list(self.step_dy, 1)},'
+                f'\n  "schedule_trace": {trace}\n}}')
 
     def to_json(self, path) -> None:
         Path(path).write_text(self.to_json_text())

@@ -100,7 +100,7 @@ def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> So
     else:
         y_next, x_next, grad = fused(sched.sigma, v, sched.tau, state.x)
     dx, dy = x_next - state.x, y_next - state.y
-    sq_x, sq_y = float(dx @ dx), float(dy @ dy)
+    sq_x, sq_y = float(np.vdot(dx, dx)), float(np.vdot(dy, dy))
     if not (_finite(x_next, sq_x) and _finite(y_next, sq_y)):
         raise NonFiniteIterateError(state.k + 1)
     if grad is None:

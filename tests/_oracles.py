@@ -9,6 +9,8 @@ tests the live objects an experiment driver runs on, since a driver
 returns only its report.
 """
 
+import dataclasses
+import json
 import math
 from typing import Callable
 
@@ -185,3 +187,18 @@ class ThreeCalls:
 
     def __getattr__(self, name):
         return getattr(self._problem, name)
+
+
+def report_json_formula(report) -> str:
+    """``RunReport.to_json_text`` as one ``json.dumps(payload, indent=2)``,
+    records copied by ``dataclasses.asdict``: every number goes through
+    json's pure-Python encoder.  The report's text must equal it."""
+    payload = {
+        "version": report.version,
+        "config": report.config,
+        "records": [dataclasses.asdict(r) for r in report.records],
+        "step_dx": report.step_dx,
+        "step_dy": report.step_dy,
+        "schedule_trace": report.schedule_trace,
+    }
+    return json.dumps(payload, indent=2)

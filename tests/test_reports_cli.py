@@ -9,8 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _oracles import report_json_formula
 from ogaprox import cli
 from ogaprox.cli import main, parse_config
+from ogaprox.datasets import DatasetSpec, load_dataset
+from ogaprox.experiments import mksvm_experiment, synthetic_experiment, toy_experiment
 from ogaprox.problems import MkSvmProblem
 from ogaprox.report import CSV_COLUMNS, MetricRecord, RunReport
 from ogaprox.rng import make_rng
@@ -63,6 +66,62 @@ def test_repr_float_cells_parse_back_exactly():
     report.add(MetricRecord(k=1, gap=value))
     cell = report.to_csv_text().strip().splitlines()[1].split(",")[1]
     assert float(cell) == value
+
+
+def _crafted_report(schedule_trace) -> RunReport:
+    report = RunReport(config={"experiment": "crafted", 7: "int key", "name": "λ-ü"},
+                       schedule_trace=schedule_trace)
+    report.add(MetricRecord(k=1, gap=float("nan"), dist_x=-0.0, tau=1e308))
+    report.add(MetricRecord(k=2, sigma=5e-324))
+    report.step_dx.extend([float("nan"), np.inf, -np.inf, -0.0, 5e-324, 1e308, 3])
+    return report
+
+
+def _mksvm_report(tmp_path) -> RunReport:
+    data = load_dataset(DatasetSpec(name="heart-disease", path=str(_heart_file(tmp_path))))
+    return mksvm_experiment(data, variant="c1", seed=2, runs=2, checkpoints=(20, 60))
+
+
+_REPORTS = {
+    "toy nu=0": lambda tmp_path: toy_experiment(seed=4, nu=0.0, d=10, n=15, max_iter=60),
+    "toy nu=0.3": lambda tmp_path: toy_experiment(seed=4, nu=0.3, d=10, n=15, max_iter=60),
+    "synthetic": lambda tmp_path: synthetic_experiment(seed=4, dim=8, max_iter=60),
+    "mksvm": _mksvm_report,
+    "empty": lambda tmp_path: RunReport(),
+    "crafted, no trace": lambda tmp_path: _crafted_report({}),
+    "crafted, escaped trace keys": lambda tmp_path: _crafted_report(
+        {'th"eta\n': [0.5, -0.0], "τ": [], "sigma": [np.inf]}),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORTS))
+def test_json_text_is_one_indent_2_dump(tmp_path, name):
+    report = _REPORTS[name](tmp_path)
+    assert report.to_json_text() == report_json_formula(report)
+
+
+@pytest.mark.parametrize("name", ["toy nu=0.3", "crafted, escaped trace keys"])
+def test_json_text_without_json_c_encoder(tmp_path, monkeypatch, name):
+    report = _REPORTS[name](tmp_path)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert report.to_json_text() == report_json_formula(report)
+
+
+def test_cli_toy_json_files_are_one_indent_2_dump(tmp_path, monkeypatch):
+    written, real_to_json = [], RunReport.to_json
+
+    def to_json(report, path):
+        written.append((report, path))
+        real_to_json(report, path)
+
+    monkeypatch.setattr(RunReport, "to_json", to_json)
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("d = 10\nn = 15\niters = 50\ncheckpoints = 10,50\n")
+    assert main(["toy", "--config", str(cfg), "--seed", "3",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert [path.name for _, path in written] == ["toy_nu0-0.json", "toy_nu0-3.json"]
+    for report, path in written:
+        assert path.read_text() == report_json_formula(report)
 
 
 # -- config parsing -----------------------------------------------------------

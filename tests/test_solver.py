@@ -357,8 +357,7 @@ class _Jump(SaddleProblem):
 
 def test_finite_step_whose_squared_norm_overflows_is_kept():
     kind = AdaptiveSchedule(tau0=0.1, sigma0=0.1, c_alpha=2.0)
-    with np.errstate(over="ignore"):  # the step norm's dot product overflows
-        result = run(_Jump(), kind, np.zeros(2), np.zeros(2), max_iter=3)
+    result = run(_Jump(), kind, np.zeros(2), np.zeros(2), max_iter=3)
     assert result.report.step_dx == [np.inf, 0.0, 0.0]
     np.testing.assert_array_equal(result.state.x, np.full(2, 1e200))
 
