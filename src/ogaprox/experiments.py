@@ -46,6 +46,7 @@ from .solver import gap_certificate, initial_distance, run
 __all__ = [
     "log_checkpoints",
     "toy_experiment",
+    "toy_experiments",
     "synthetic_experiment",
     "mksvm_experiment",
     "fairness_experiment",
@@ -81,58 +82,69 @@ def _sorted_checkpoints(checkpoints) -> tuple[int, ...]:
 
 # -- toy problem -------------------------------------------------------------
 
-def toy_experiment(
+def toy_experiment(seed: int, nu: float, **options) -> RunReport:
+    """:func:`toy_experiments` for one ``nu``.  The ``nu`` values of one such call
+    share one instance and its projector; two calls with the same seed still draw
+    the same instance and starting points (the draws come first), whatever ``nu``."""
+    return toy_experiments(seed, (nu,), **options)[0]
+
+
+def toy_experiments(
     seed: int,
-    nu: float,
+    nus: tuple[float, ...] = (0.0, 0.3),
     d: int = 250,
     n: int = 350,
     max_iter: int = 10_000,
     checkpoints: list[int] | None = None,
     tau0: float | None = None,
     sigma0: float | None = None,
-) -> RunReport:
-    """Cone problem run under the adaptive law, whose steps stay constant
-    at ``nu = 0``.
-
-    The matrix has entries uniform on [-3, 3]; starting points are uniform
-    on [-5, 5], with ``y0`` projected onto the cone to make it feasible.
-    Two calls with the same seed but different ``nu`` share the instance
-    and the starting points (the draws come first in the stream).
-    """
+) -> list[RunReport]:
+    """Cone problem run under the adaptive law, whose steps stay constant at
+    ``nu = 0``: one report per value of ``nus``, in order, all on one instance
+    whose matrix is drawn and projector built (one SVD) once, with every ``nu``
+    checked before the first run.  The matrix has entries uniform on [-3, 3];
+    starting points are uniform on [-5, 5], with ``y0`` projected onto the
+    cone to make it feasible."""
     _at_least_one(max_iter=max_iter)
+    if not nus:
+        raise ValueError("nu must be given at least once, got no values")
     marks = log_checkpoints(max_iter) if checkpoints is None else _sorted_checkpoints(checkpoints)
     if marks[-1] > max_iter:
         raise ValueError(f"checkpoints must not exceed max_iter = {max_iter}, got {marks[-1]}")
     marks = set(marks)
     rng = experiment_rng(seed, "toy", 0)
-    problem = random_toy_problem(d, n, nu, rng)
+    base = random_toy_problem(d, n, 0.0, rng)
     x0 = rng.uniform(-5.0, 5.0, d)
-    y0 = problem.prox_g(1.0, rng.uniform(-5.0, 5.0, n))
-    if nu > 0 and sigma0 is None:
+    v0 = rng.uniform(-5.0, 5.0, n)  # projected per nu: prox_g scales it by 1/(1 + nu)
+
+    def one_run(nu, problem):
+        y0 = problem.prox_g(1.0, v0)
         # the generic default keeps nu*sigma0 too small for the contraction to show
         # here: sigma0 sits at a quarter of its cap, and default_adaptive fills tau0
-        sigma0 = 0.25 * ADAPTIVE_SIGMA0_FACTOR / nu
-    kind = default_adaptive(problem.constants, tau0=tau0, sigma0=sigma0)
-    sched0 = make_schedule(kind, problem.constants)
-    saddle = problem.saddle_point()
-    d0 = initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma)
+        s0 = 0.25 * ADAPTIVE_SIGMA0_FACTOR / nu if nu > 0 and sigma0 is None else sigma0
+        kind = default_adaptive(problem.constants, tau0=tau0, sigma0=s0)
+        sched0 = make_schedule(kind, problem.constants)
+        saddle = problem.saddle_point()
+        d0 = initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma)
 
-    def metrics(k, state, sched):
-        if k not in marks:
-            return None
-        out = {"gap": problem.gap_value(saddle, state.ergodic()),
-               "dist_x": float(np.linalg.norm(state.x - saddle[0]))}
-        if nu > 0:
-            out["dist_y"] = float(np.linalg.norm(state.y - saddle[1]))
-        return out
+        def metrics(k, state, sched):
+            if k not in marks:
+                return None
+            out = {"gap": problem.gap_value(saddle, state.ergodic()),
+                   "dist_x": float(np.linalg.norm(state.x - saddle[0]))}
+            if nu > 0:
+                out["dist_y"] = float(np.linalg.norm(state.y - saddle[1]))
+            return out
 
-    report = run(problem, kind, x0, y0, max_iter, callbacks=(metrics,)).report
-    report.config = {
-        "experiment": "toy", "seed": seed, "d": d, "n": n, "nu": nu,
-        "max_iter": max_iter, "tau0": sched0.tau, "sigma0": sched0.sigma,
-        "d0": d0,
-    }
-    return report
+        report = run(problem, kind, x0, y0, max_iter, callbacks=(metrics,)).report
+        report.config = {
+            "experiment": "toy", "seed": seed, "d": d, "n": n, "nu": nu,
+            "max_iter": max_iter, "tau0": sched0.tau, "sigma0": sched0.sigma,
+            "d0": d0,
+        }
+        return report
+
+    return [one_run(nu, problem) for nu, problem in zip(nus, [base.with_nu(nu) for nu in nus])]
 
 
 # -- synthetic strongly convex-strongly concave ------------------------------

@@ -10,6 +10,9 @@ cone image ``A y``; at ``x <= 0`` the x-prox is the identity and ``grad_y``
 is exactly zero, so neither multiplies by ``A`` and the step tests ``x <= 0`` once.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 
 from ..problem import ProblemConstants, SaddleProblem
@@ -30,14 +33,19 @@ def _outside_cone(slack: np.ndarray) -> bool:
 
 class ToyProblem(SaddleProblem):
     def __init__(self, a_matrix, nu: float = 0.0):
-        if nu < 0:
-            raise ValueError("nu must be nonnegative")
         self._projector = PolytopeProjector(a_matrix)  # rejects A without full row rank
         self.a = self._projector.a
         self.nu = float(nu)
         self.dim_x, self.dim_y = self.a.shape
-        # 1.001 * ||A||, from the singular values of the projector's rank check
+        # 1.001 * ||A|| from the projector's singular values; rejects nu < 0, NaN, inf
         self.constants = ProblemConstants(l_yx=1.001 * self._projector.norm, l_yy=0.0, nu=self.nu)
+
+    def with_nu(self, nu: float) -> "ToyProblem":
+        """This instance, ``a`` and its stateless projector shared, with modulus ``nu``."""
+        constants = dataclasses.replace(self.constants, nu=float(nu))
+        other = copy.copy(self)
+        other.nu, other.constants = constants.nu, constants
+        return other
 
     def grad_y(self, x, y):
         if np.asarray(x).max() <= 0.0:  # [x]_+ = 0 exactly; a NaN entry fails the test

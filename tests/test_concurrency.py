@@ -67,10 +67,16 @@ def _small_problem(name, rng):
 
 
 @pytest.mark.parametrize(
-    "name", ["toy nu=0", "toy nu=0.3", "bilinear", "quadratic", "mksvm", "fairness"])
+    "name", ["toy nu=0", "toy nu=0.3", "bilinear", "quadratic", "mksvm", "fairness",
+             "toy with_nu"])
 def test_run_leaves_problem_unchanged(name):
     problem = _small_problem(name, make_rng(122, 0))
-    x0, y0 = problem.sample_point(make_rng(122, 1))
+    target = problem
+    if name == "toy with_nu":  # a run on the derived problem leaves its source unchanged
+        target = problem.with_nu(0.3)
+        assert target.a is problem.a and target._projector is problem._projector
+        assert (problem.nu, target.nu) == (0.0, 0.3)
+    x0, y0 = target.sample_point(make_rng(122, 1))
     before = pickle.dumps(problem)
-    run(problem, default_adaptive(problem.constants), x0, y0, max_iter=40)
+    run(target, default_adaptive(target.constants), x0, y0, max_iter=40)
     assert pickle.dumps(problem) == before

@@ -12,6 +12,7 @@ from ogaprox.experiments import (
     mksvm_experiment,
     synthetic_experiment,
     toy_experiment,
+    toy_experiments,
     validation_experiment,
     _trimmed_mean,
 )
@@ -77,6 +78,25 @@ def test_toy_experiment_shares_instance_across_nu(monkeypatch):
     (problem_a, _, x0_a, _), (problem_b, _, x0_b, _) = calls
     np.testing.assert_array_equal(problem_a.a, problem_b.a)
     np.testing.assert_array_equal(x0_a, x0_b)
+
+
+@pytest.mark.parametrize("nus", [(0.0, 0.3), (0.3, 0.0)], ids=["0,0.3", "0.3,0"])
+def test_toy_experiments_match_one_nu_calls(nus):
+    """The nu values of one call share an instance and leak nothing into each
+    other: each report is the one-nu call's, in the order of ``nus``."""
+    options = {"d": 10, "n": 15, "max_iter": 60, "checkpoints": [10, 60]}
+    reports = toy_experiments(4, nus, **options)
+    singles = [toy_experiment(seed=4, nu=nu, **options) for nu in nus]
+    assert [r.to_json_text() for r in reports] == [r.to_json_text() for r in singles]
+    assert [r.to_csv_text() for r in reports] == [r.to_csv_text() for r in singles]
+
+
+@pytest.mark.parametrize("nus", [(0.0, -1.0), ()], ids=["negative", "empty"])
+def test_toy_experiments_reject_bad_nus_before_any_run(nus, monkeypatch):
+    calls = spy_on_run(monkeypatch)
+    with pytest.raises(ValueError, match="nu"):
+        toy_experiments(5, nus, d=6, n=9, max_iter=5)
+    assert calls == []
 
 
 def _toy_run(nu):

@@ -42,6 +42,16 @@ def test_toy_rejects_a_without_full_row_rank():
         ToyProblem(np.vstack([a.T, a.T[1]]))  # a repeated row
 
 
+@pytest.mark.parametrize("nu", [-1.0, np.nan, np.inf])
+def test_toy_with_nu_rejects_a_bad_modulus(nu):
+    problem = _toy(make_rng(23, 1))
+    with pytest.raises(ValueError, match="nu must be a nonnegative finite real"):
+        problem.with_nu(nu)
+    with pytest.raises(ValueError, match="nu must be a nonnegative finite real"):
+        ToyProblem(problem.a, nu)
+    assert problem.nu == problem.constants.nu == 0.0
+
+
 # -- toy gradient and prox ---------------------------------------------------
 
 def test_toy_grad_vanishes_on_nonpositive_x():

@@ -370,39 +370,66 @@ def test_cli_mksvm_sigma0_alone_fills_tau0(tmp_path, capsys, sigma0, code):
 
 
 def test_cli_passes_only_the_keys_that_are_set(tmp_path, monkeypatch):
-    """With no driver key in the config, every driver runs on its own defaults."""
+    """With no driver key in the config, every driver runs on its own defaults;
+    toy makes one driver call for both nu, or for the one nu that is set."""
     calls = []
 
     def fake(name, result):
         def driver(*args, **kwargs):
             calls.append((name, args, kwargs))
-            return result
+            return result(kwargs) if callable(result) else result
         return driver
 
     report = RunReport(records=[MetricRecord(k=1, gap=0.0, tsa=50.0)], config={
         "max_iter": 1, "variant": "c1", "grouping": "sex", "runs": 0, "checkpoints": [],
         "certificate_ok": True, "max_certificate_ratio": 0.0})
-    for name in ("toy_experiment", "synthetic_experiment", "mksvm_experiment",
-                 "fairness_experiment"):
+    for name in ("synthetic_experiment", "mksvm_experiment", "fairness_experiment"):
         monkeypatch.setattr(cli, name, fake(name, report))
+    monkeypatch.setattr(cli, "toy_experiments", fake(
+        "toy_experiments", lambda kwargs: [report] * len(kwargs["nus"])))
     monkeypatch.setattr(cli, "validation_experiment", fake("validation_experiment", (True, [])))
     data = SimpleNamespace(name="ionosphere")
     monkeypatch.setattr(cli, "load_dataset", lambda spec: data)
     mksvm_cfg = tmp_path / "mksvm.cfg"
     mksvm_cfg.write_text("dataset = ionosphere\n")  # a CLI key, not a driver keyword
+    toy_cfg = tmp_path / "toy.cfg"
+    toy_cfg.write_text("nu = 0.3\n")
     for verb in ("validate", "toy", "synthetic", "fairness"):
         assert main([verb, "--seed", "7"]) == 0
     assert main(["mksvm", "--config", str(mksvm_cfg), "--seed", "7"]) == 0
+    assert main(["toy", "--config", str(toy_cfg), "--seed", "7"]) == 0
     assert calls == [
         ("validation_experiment", (), {"seed": 7}),
-        ("toy_experiment", (), {"seed": 7, "nu": 0.0}),
-        ("toy_experiment", (), {"seed": 7, "nu": 0.3}),
+        ("toy_experiments", (), {"seed": 7, "nus": (0.0, 0.3)}),
         ("synthetic_experiment", (), {"seed": 7}),
         ("fairness_experiment", (data,), {"seed": 7}),
         ("mksvm_experiment", (data,), {"seed": 7}),
+        ("toy_experiments", (), {"seed": 7, "nus": (0.3,)}),
     ]
 
 
+def test_cli_toy_draws_one_instance_for_both_nu(tmp_path, monkeypatch):
+    """Without ``nu``, the matrix is drawn and its projector (one SVD) built once."""
+    from ogaprox import experiments, prox
+    from ogaprox.problems import toy
+
+    counts = {"draws": 0, "projectors": 0}
+    real_draw, real_init = experiments.random_toy_problem, prox.PolytopeProjector.__init__
+
+    def draw(*args, **kwargs):
+        counts["draws"] += 1
+        return real_draw(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        counts["projectors"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "random_toy_problem", draw)
+    monkeypatch.setattr(toy.PolytopeProjector, "__init__", init)
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("d = 8\nn = 12\niters = 20\n")
+    assert main(["toy", "--config", str(cfg), "--seed", "3"]) == 0
+    assert counts == {"draws": 1, "projectors": 1}
 def test_run_report_carries_schedule_trace():
     from ogaprox.experiments import toy_experiment
 
