@@ -64,9 +64,7 @@ class SaddleProblem(abc.ABC):
     Required: :meth:`grad_y`, :meth:`prox_phi_x`, :meth:`prox_g` plus the
     ``dim_x``/``dim_y``/``constants`` attributes.  Optional capabilities
     (objective values, feasible-point sampling, saddle points) unlock
-    validation, gap certificates and fixed-point tests.  The solver calls an
-    optional fused ``prox_step(sigma, v, tau, x)`` in place of ``prox_g``,
-    ``prox_phi_x`` and ``grad_y``; it must return their ``(y, x, grad)`` bit for bit.
+    validation, gap certificates and fixed-point tests.
     """
 
     dim_x: int
@@ -84,6 +82,14 @@ class SaddleProblem(abc.ABC):
     @abc.abstractmethod
     def prox_g(self, sigma: float, v: np.ndarray) -> np.ndarray:
         """Unique minimizer of ``w -> sigma * g(w) + 0.5 ||w - v||^2``."""
+
+    def prox_step(self, sigma: float, v: np.ndarray, tau: float, x: np.ndarray):
+        """``y = prox_g(sigma, v)``, ``prox_phi_x(tau, y, x)`` and ``None``, the
+        solver's one oracle call per step; it then takes ``grad_y`` at the new
+        pair once that is finite.  An override whose oracles share work returns
+        ``grad_y``'s value in place of ``None``, each entry bit for bit."""
+        y = self.prox_g(sigma, v)
+        return y, self.prox_phi_x(tau, y, x), None
 
     # -- optional capabilities -------------------------------------------
 

@@ -3,15 +3,13 @@
 One iteration extrapolates the y-gradient with the previous one,
 ``(1 + theta_k) * grad_y(x_k, y_k) - theta_k * grad_y(x_{k-1}, y_{k-1})``,
 takes a prox step of ``g`` in ``y`` and a pure prox step of
-``Phi(., y_{k+1})`` in ``x``; the proxes and ``grad_y(x_{k+1}, y_{k+1})``
-come from the problem's fused oracle ``prox_step`` when it has one, else
-from ``prox_g``, ``prox_phi_x`` and ``grad_y`` in turn.  The state carries
-both gradients, the step's norms (a non-finite iterate raises before
-``grad_y`` sees it) and the run's totals: the count ``k`` and the iterate
-sums weighted by ``t_k`` with their total ``T_k``, normalized only on read,
-so a common rescale of the weights (applied before they overflow on linear
-schedules) leaves the averages unchanged.  :func:`gap_certificate` measures
-a state's ergodic gap against the bound of its law's kind.
+``Phi(., y_{k+1})`` in ``x``, both from the problem's ``prox_step``.  The
+state carries both gradients, the step's norms (a non-finite iterate raises
+before ``grad_y`` sees it) and the run's totals: the count ``k`` and the
+iterate sums weighted by ``t_k`` with their total ``T_k``, normalized only
+on read, so a common rescale of the weights (applied before they overflow on
+linear schedules) leaves the averages unchanged.  :func:`gap_certificate`
+measures a state's ergodic gap against the bound of its law's kind.
 """
 
 import math
@@ -93,12 +91,7 @@ def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> So
     theta, t = sched.theta, sched.t  # a multiply by 1.0 is skipped: 1.0 * a == a
     prev = state.grad_prev if theta == 1.0 else theta * state.grad_prev
     v = state.y + sched.sigma * ((1.0 + theta) * state.grad - prev)
-    fused = getattr(problem, "prox_step", None)
-    if fused is None:
-        y_next = problem.prox_g(sched.sigma, v)
-        x_next, grad = problem.prox_phi_x(sched.tau, y_next, state.x), None
-    else:
-        y_next, x_next, grad = fused(sched.sigma, v, sched.tau, state.x)
+    y_next, x_next, grad = problem.prox_step(sched.sigma, v, sched.tau, state.x)
     dx, dy = x_next - state.x, y_next - state.y
     sq_x, sq_y = float(np.vdot(dx, dx)), float(np.vdot(dy, dy))
     if not (_finite(x_next, sq_x) and _finite(y_next, sq_y)):

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ogaprox import experiments
+from ogaprox.problem import SaddleProblem
 from ogaprox.prox import _as_vector
 from ogaprox.rng import make_rng
 from ogaprox.schedule import AdaptiveSchedule, schedule_margin
@@ -153,17 +154,18 @@ def spy_on_run(monkeypatch) -> list[tuple]:
 def step_formula(problem, state, sched) -> SolverState:
     """``ogaprox.solver.step`` on finite iterates, written out in full: it
     multiplies by ``theta`` and ``t`` even when they are 1 and takes each
-    step norm from its own difference.  ``step`` must match it bit for bit."""
+    step norm from its own difference; a problem that does not override
+    ``prox_step`` is stepped by its three oracles, called here one by one.
+    ``step`` must match it bit for bit."""
     v = state.y + sched.sigma * (
         (1.0 + sched.theta) * state.grad - sched.theta * state.grad_prev
     )
-    fused = getattr(problem, "prox_step", None)
-    if fused is None:
+    if type(problem).prox_step is SaddleProblem.prox_step:
         y_next = problem.prox_g(sched.sigma, v)
         x_next = problem.prox_phi_x(sched.tau, y_next, state.x)
         grad = problem.grad_y(x_next, y_next)
     else:
-        y_next, x_next, grad = fused(sched.sigma, v, sched.tau, state.x)
+        y_next, x_next, grad = problem.prox_step(sched.sigma, v, sched.tau, state.x)
     dx, dy = x_next - state.x, y_next - state.y
     return SolverState(x_next, y_next, grad, state.grad, state.erg_x + sched.t * x_next,
                        state.erg_y + sched.t * y_next, state.t_sum + sched.t, state.k + 1,
@@ -177,10 +179,11 @@ def outside_cone_formula(slack, tol: float = 1e-8) -> bool:
 
 
 class ThreeCalls:
-    """A problem with its fused ``prox_step`` hidden, so ``step`` calls
-    ``prox_g``, ``prox_phi_x`` and ``grad_y`` in turn."""
+    """A problem with its fused ``prox_step`` replaced by the default of
+    ``SaddleProblem``, so ``step`` calls ``prox_g``, ``prox_phi_x`` and
+    ``grad_y`` in turn."""
 
-    prox_step = None
+    prox_step = SaddleProblem.prox_step
 
     def __init__(self, problem):
         self._problem = problem

@@ -15,7 +15,7 @@ from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
 
-from _oracles import prox_oracle
+from _oracles import ThreeCalls, prox_oracle
 
 
 def _synthetic_instance(rng, n_train=14, n_test=5, m_feat=3):
@@ -34,16 +34,9 @@ def _synthetic_instance(rng, n_train=14, n_test=5, m_feat=3):
     return kernels, train_idx, test_idx, labels, mats
 
 
-def _problem(rng, mu=0.0, nu=0.0, cls=MkSvmProblem):
+def _problem(rng, mu=0.0, nu=0.0):
     _, train_idx, _, labels, mats = _synthetic_instance(rng)
-    return cls(mats, labels[: len(train_idx)], box_c=1.0, mu=mu, nu=nu)
-
-
-class _TwoCallMkSvm(MkSvmProblem):
-    """Hides the fused oracle, so ``run`` calls ``prox_g``, ``prox_phi_x``
-    and then ``grad_y``."""
-
-    prox_step = None
+    return MkSvmProblem(mats, labels[: len(train_idx)], box_c=1.0, mu=mu, nu=nu)
 
 
 # (mu, nu) and schedule law of the three MKSVM variants c1, a and c2
@@ -148,7 +141,7 @@ def test_fused_prox_x_grad_equals_the_two_oracles(mu, nu):
 @pytest.mark.parametrize("mu, nu, law", _VARIANTS)
 def test_fused_run_matches_the_two_call_run(mu, nu, law):
     fused = _problem(make_rng(73, 0), mu=mu, nu=nu)
-    two_call = _problem(make_rng(73, 0), mu=mu, nu=nu, cls=_TwoCallMkSvm)
+    two_call = ThreeCalls(fused)
     x0, y0 = fused.sample_point(make_rng(73, 1))
     kind = law(fused.constants)
     a = run(fused, kind, x0, y0, max_iter=150)
@@ -159,7 +152,8 @@ def test_fused_run_matches_the_two_call_run(mu, nu, law):
     assert a.report.step_dy == b.report.step_dy
 
 
-def test_fused_run_evaluates_grad_y_only_at_the_start():
+def _grad_y_calls(wrap) -> int:
+    """``grad_y`` evaluations of a 30-step run on ``wrap(problem)``."""
     p = _problem(make_rng(74, 0), mu=1.0, nu=0.5)
     x0, y0 = p.sample_point(make_rng(74, 1))
     calls, grad_y = [], p.grad_y
@@ -169,8 +163,18 @@ def test_fused_run_evaluates_grad_y_only_at_the_start():
         return grad_y(x, y)
 
     p.grad_y = counting
-    run(p, default_adaptive(p.constants), x0, y0, max_iter=30)
-    assert len(calls) == 1
+    run(wrap(p), default_adaptive(p.constants), x0, y0, max_iter=30)
+    return len(calls)
+
+
+def test_fused_run_evaluates_grad_y_only_at_the_start():
+    assert _grad_y_calls(lambda p: p) == 1
+
+
+def test_three_call_run_evaluates_grad_y_at_every_step():
+    # the default prox_step leaves grad_y to the solver, once per step
+    # plus the start: the two-call comparison above runs the default path
+    assert _grad_y_calls(ThreeCalls) == 31
 
 
 def test_prox_g_composition_identity():

@@ -99,8 +99,35 @@ _FUSED = {
 
 
 def test_every_built_in_fused_problem_is_checked():
-    fused = {name for name in problems.__all__ if hasattr(getattr(problems, name), "prox_step")}
+    default = SaddleProblem.prox_step
+    fused = {name for name in problems.__all__
+             if getattr(getattr(problems, name), "prox_step", default) is not default}
     assert fused == {"ToyProblem", "MkSvmProblem"}
+
+
+_DEFAULT_PATH = {
+    "fairness": lambda: FairnessProblem(
+        [Group(make_rng(93, k).standard_normal((6, 3)),
+               np.where(np.arange(6) % 2 == 0, 1.0, -1.0)) for k in range(2)]),
+    "quadratic": lambda: QuadraticSaddleProblem(make_rng(94, 0).standard_normal((5, 4)), nu=0.3),
+    "quadratic-boxed": lambda: QuadraticSaddleProblem(
+        make_rng(95, 0).standard_normal((5, 4)), mu=0.6, box=(-1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFAULT_PATH))
+def test_default_prox_step_is_prox_g_then_prox_phi_x(name):
+    p = _DEFAULT_PATH[name]()
+    assert type(p).prox_step is SaddleProblem.prox_step
+    rng = make_rng(96, 0)
+    for tau in (0.04, 3.0):
+        x, y = p.sample_point(rng)
+        sigma, v = 2.0 * tau, 3.0 * y - 1.0  # v leaves a simplex or box
+        y_next, x_next, grad = p.prox_step(sigma, v, tau, x)
+        y_ref = p.prox_g(sigma, v)
+        assert y_next.tobytes() == y_ref.tobytes()
+        assert x_next.tobytes() == p.prox_phi_x(tau, y_ref, x).tobytes()
+        assert grad is None
 
 
 @pytest.mark.parametrize("name", sorted(_FUSED))
