@@ -28,6 +28,7 @@ from .problems import (
 from .problems.mksvm import (
     conjugated_kernels,
     gaussian_kernel,
+    kernel_diagonal,
     linear_kernel,
     normalize_kernel,
     polynomial_kernel,
@@ -220,10 +221,11 @@ MKSVM_VARIANTS = {
 
 
 def _build_kernels(features: np.ndarray) -> list[np.ndarray]:
+    thin = features.shape[1] < len(features)  # then the features are the linear kernel's factor
     return [
         normalize_kernel(polynomial_kernel(features)),
         normalize_kernel(gaussian_kernel(features)),
-        normalize_kernel(linear_kernel(features)),
+        normalize_kernel(features if thin else linear_kernel(features)),
     ]
 
 
@@ -257,7 +259,7 @@ def mksvm_experiment(
     checkpoints = _sorted_checkpoints(checkpoints)
     max_iter = checkpoints[-1]
     kernels = _build_kernels(data.features)
-    traces = np.array([np.trace(k) for k in kernels])
+    traces = np.array([np.sum(kernel_diagonal(k)) for k in kernels])
     c_total = float(np.sum(traces))
     per_run: list[dict[int, float]] = []
     for run_index in range(runs):

@@ -6,7 +6,8 @@ constrained to ``{0 <= y <= C, <y, b> = 0}``.  With the per-kernel
 matrices ``M_i`` (label-conjugated, trace-rescaled Gram matrices) the
 coupling is ``Phi(x, y) = mu/2 ||x||^2 - 0.5 sum_i x_i y'M_i y + e'y``
 restricted to the simplex, and ``g(y) = nu/2 ||y||^2`` restricted to the
-box-hyperplane set.
+box-hyperplane set.  A kernel is a square matrix or, with fewer columns than
+rows, a factor ``F`` of ``F F'``: every function here reads it by that rule.
 """
 
 from dataclasses import dataclass
@@ -24,10 +25,24 @@ __all__ = [
     "gaussian_kernel",
     "linear_kernel",
     "normalize_kernel",
+    "kernel_diagonal",
     "conjugated_kernels",
 ]
 
 _FEAS_TOL = 1e-8
+
+
+def _is_factor(kernel: np.ndarray) -> bool:
+    return kernel.ndim == 2 and kernel.shape[1] < kernel.shape[0]
+
+
+def kernel_diagonal(kernel: np.ndarray) -> np.ndarray:
+    """``diag(K)`` of a kernel or of its factor; its sum is ``trace(K)``."""
+    return np.sum(kernel**2, axis=1) if _is_factor(kernel) else np.diag(kernel)
+
+
+def _block(kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    return kernel[rows] @ kernel[cols].T if _is_factor(kernel) else kernel[np.ix_(rows, cols)]
 
 
 def polynomial_kernel(features: np.ndarray) -> np.ndarray:
@@ -53,35 +68,38 @@ def linear_kernel(features: np.ndarray) -> np.ndarray:
 def normalize_kernel(kernel: np.ndarray) -> np.ndarray:
     """Unit-diagonal rescaling ``K <- D^-1/2 K D^-1/2`` with ``D = diag(K)``.
 
-    Afterwards ``trace(K) = len(K)``.  Requires strictly positive
-    diagonal entries.
+    Afterwards ``trace(K) = len(K)``; a factor's rows get unit norm.
+    Requires strictly positive diagonal entries.
     """
-    diag = np.diag(kernel).copy()
+    diag = kernel_diagonal(kernel)
     if np.min(diag) <= 1e-12 * max(1.0, float(np.max(diag))):
         raise ValueError("kernel has (near-)zero diagonal entries; cannot normalize")
     inv_root = 1.0 / np.sqrt(diag)
-    return kernel * np.outer(inv_root, inv_root)
+    return kernel * (inv_root[:, None] if _is_factor(kernel) else np.outer(inv_root, inv_root))
 
 
 def conjugated_kernels(kernels: list[np.ndarray], train_idx: np.ndarray,
                        labels_train: np.ndarray) -> list[np.ndarray]:
     """Per-kernel coupling matrices ``M_i = (c / r_i) diag(b) K_i^tr diag(b)``
-    with ``r_i = trace(K_i)`` and ``c = sum_i r_i``."""
-    traces = [float(np.trace(k)) for k in kernels]
+    with ``r_i = trace(K_i)`` and ``c = sum_i r_i``; a factor ``F`` thinner than
+    the training rows gives the factor ``sqrt(c / r_i) diag(b) F^tr`` of ``M_i``."""
+    traces = [float(np.sum(kernel_diagonal(k))) for k in kernels]
     c = sum(traces)
     sign = np.outer(labels_train, labels_train)
-    out = []
-    for kernel, r in zip(kernels, traces):
-        block = kernel[np.ix_(train_idx, train_idx)]
-        out.append((c / r) * sign * block)
-    return out
+    return [
+        np.sqrt(c / r) * labels_train[:, None] * kernel[train_idx]
+        if _is_factor(kernel) and kernel.shape[1] < len(train_idx)
+        else (c / r) * sign * _block(kernel, train_idx, train_idx)
+        for kernel, r in zip(kernels, traces)
+    ]
 
 
 def spectral_norm(a: np.ndarray) -> float:
     """Power iteration on ``A'A`` (at most 200 steps, stopping at a relative
     change of 1e-12), inflated by 1.001.  The iteration approaches ``||A||``
     from below, so this bounds it only once converged, as it does on the
-    symmetric PSD kernel matrices here (``1.001 * lambda_max``)."""
+    symmetric PSD kernel matrices here (``1.001 * lambda_max``) and on an
+    ``n x r`` factor ``G`` (``spectral_norm(G)**2 / 1.001 = 1.001 * lambda_max(G G')``)."""
     rng = np.random.Generator(np.random.Philox(12345))
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
@@ -106,9 +124,11 @@ class MkSvmProblem(SaddleProblem):
         if not 0 < box_c < np.inf:
             raise ValueError(f"box_c must be positive and finite, got {box_c}")
         n = labels.size
-        mats = []
-        for i, m in enumerate(m_list):
-            m = np.asarray(m, dtype=float)
+        mats = [np.asarray(m, dtype=float) for m in m_list]
+        thin = [_is_factor(m) and len(m) == n for m in mats]  # M_i = m m' is PSD by construction
+        self._factors = tuple((i, m.copy()) for i, m in enumerate(mats) if thin[i])
+        dense = [(i, m) for i, m in enumerate(mats) if not thin[i]]
+        for i, m in dense:
             scale = max(1.0, float(np.max(np.abs(m))))
             if m.shape != (n, n) or float(np.max(np.abs(m - m.T))) > _FEAS_TOL * scale:
                 raise ValueError(f"kernel matrix {i} must be symmetric {n}x{n}")
@@ -116,8 +136,8 @@ class MkSvmProblem(SaddleProblem):
                 np.linalg.cholesky(m + _FEAS_TOL * scale * np.eye(n))
             except np.linalg.LinAlgError:
                 raise ValueError(f"kernel matrix {i} is not positive semidefinite") from None
-            mats.append(m)
-        self.m_stack = np.stack(mats)
+        self.m_stack = np.array([m for _, m in dense]).reshape(-1, n, n)
+        self._dense_rows = np.array([i for i, _ in dense], dtype=np.intp)
         self.box_c = float(box_c)
         self.mu = float(mu)
         self.nu = float(nu)
@@ -125,7 +145,8 @@ class MkSvmProblem(SaddleProblem):
         self.dim_y = n
         self.y_set = BoxHyperplaneSet(upper=self.box_c, normal=labels)
         self.labels = self.y_set.normal  # the set's read-only copy, so the two never disagree
-        top = max(spectral_norm(m) for m in mats)
+        top = max([spectral_norm(m) for m in self.m_stack]
+                  + [spectral_norm(g) ** 2 / 1.001 for _, g in self._factors])
         self.constants = ProblemConstants(
             l_yx=self.box_c * np.sqrt(self.dim_x * n) * top,
             l_yy=top, mu=self.mu, nu=self.nu,
@@ -135,17 +156,25 @@ class MkSvmProblem(SaddleProblem):
         if not on_simplex(x):
             raise ValueError("x must lie on the unit simplex")
 
+    def _kernel_products(self, y):
+        """Row ``i`` is ``M_i y``: ``m_stack @ y`` when dense, ``G (G' y)`` for a factor."""
+        my = np.empty((self.dim_x, self.dim_y))
+        my[self._dense_rows] = self.m_stack @ y
+        for i, g in self._factors:
+            my[i] = g @ (g.T @ y)
+        return my
+
     def grad_y(self, x, y):
         self._check_simplex(x)
-        my = self.m_stack @ y
+        my = self._kernel_products(y)
         return 1.0 - x @ my
 
     def prox_phi_x(self, tau, y, x):
         return self._prox_x_grad(tau, y, x)[0]
 
     def _prox_x_grad(self, tau, y, x):
-        """``prox_phi_x`` and ``grad_y`` at the new pair from one stacked matvec."""
-        my = self.m_stack @ y
+        """``prox_phi_x`` and ``grad_y`` at the new pair from one coupling pass."""
+        my = self._kernel_products(y)
         xi = 0.5 * (my @ y)
         z = np.asarray(x, float) + tau * xi
         x_next = project_simplex(z / (1.0 + self.mu * tau) if self.mu else z)
@@ -156,7 +185,7 @@ class MkSvmProblem(SaddleProblem):
         return project_box_hyperplane(self.y_set, v / (1.0 + self.nu * sigma) if self.nu else v)
 
     def prox_step(self, sigma, v, tau, x):
-        """``prox_g``, then ``prox_phi_x`` and ``grad_y`` sharing one stacked matvec."""
+        """``prox_g``, then ``prox_phi_x`` and ``grad_y`` sharing one coupling pass."""
         y = self.prox_g(sigma, v)
         return (y, *self._prox_x_grad(tau, y, x))
 
@@ -164,7 +193,7 @@ class MkSvmProblem(SaddleProblem):
         x = np.asarray(x, float)
         if not on_simplex(x):
             return np.inf
-        my = self.m_stack @ y
+        my = self._kernel_products(y)
         return (
             0.5 * self.mu * float(x @ x)
             - 0.5 * float(x @ (my @ y))
@@ -220,14 +249,12 @@ def mksvm_predict(
     prediction is flagged.  ``sign(0)`` maps to +1.
     """
     alpha = np.asarray(alpha, dtype=float)
-    combined_cross = sum(
-        e * k[np.ix_(train_idx, test_idx)] for e, k in zip(eta, kernels)
-    )
+    combined_cross = sum(e * _block(k, train_idx, test_idx) for e, k in zip(eta, kernels))
     interior = np.minimum(alpha, box_c - alpha)
     j0 = int(np.argmax(interior))
     fallback = bool(interior[j0] < 1e-4 * box_c)
     combined_j0 = sum(
-        e * k[np.ix_(train_idx, train_idx[j0:j0 + 1])][:, 0] for e, k in zip(eta, kernels)
+        e * _block(k, train_idx, train_idx[j0:j0 + 1])[:, 0] for e, k in zip(eta, kernels)
     )
     weights = labels_train * alpha
     gamma = labels_train[j0] * (1.0 - nu * alpha[j0]) - float(weights @ combined_j0)

@@ -80,3 +80,11 @@ def test_run_leaves_problem_unchanged(name):
     before = pickle.dumps(problem)
     run(target, default_adaptive(target.constants), x0, y0, max_iter=40)
     assert pickle.dumps(problem) == before
+
+
+def test_small_mksvm_problem_carries_the_linear_kernel_as_a_factor():
+    # the unchanged-problem check above runs the shipped form: two dense
+    # kernels and the linear one as its 18 x 4 factor
+    problem = _small_problem("mksvm", make_rng(122, 0))
+    assert problem.m_stack.shape == (2, 18, 18)
+    assert [(i, g.shape) for i, g in problem._factors] == [(2, (18, 4))]

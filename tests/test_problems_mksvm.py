@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from ogaprox import experiments
+from ogaprox.datasets import LoadedDataset
+from ogaprox.experiments import _build_kernels, mksvm_experiment
 from ogaprox.problem import validate_problem
 from ogaprox.problems import MkSvmProblem, mksvm_predict
 from ogaprox.problems.mksvm import (
@@ -18,16 +21,20 @@ from ogaprox.solver import run
 from _oracles import ThreeCalls, prox_oracle
 
 
-def _synthetic_instance(rng, n_train=14, n_test=5, m_feat=3):
-    total = n_train + n_test
-    features = rng.standard_normal((total, m_feat))
-    labels = np.where(rng.uniform(size=total) < 0.5, -1.0, 1.0)
-    labels[0], labels[1] = 1.0, -1.0
-    kernels = [
+def _dense_kernels(features):
+    return [
         normalize_kernel(polynomial_kernel(features)),
         normalize_kernel(gaussian_kernel(features)),
         normalize_kernel(linear_kernel(features)),
     ]
+
+
+def _synthetic_instance(rng, n_train=14, n_test=5, m_feat=3, build=_dense_kernels):
+    total = n_train + n_test
+    features = rng.standard_normal((total, m_feat))
+    labels = np.where(rng.uniform(size=total) < 0.5, -1.0, 1.0)
+    labels[0], labels[1] = 1.0, -1.0
+    kernels = build(features)
     train_idx = np.arange(n_train)
     test_idx = np.arange(n_train, total)
     mats = conjugated_kernels(kernels, train_idx, labels[train_idx])
@@ -294,3 +301,137 @@ def test_a_later_write_to_the_labels_changes_no_projection_or_value():
     np.testing.assert_array_equal(after, before)
     assert p.g_value(after) < np.inf
     assert p.labels is p.y_set.normal
+
+
+# -- the linear kernel as a thin factor ---------------------------------------
+
+def _close(a, b, rel=1e-12):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    assert np.linalg.norm(a - b) <= rel * np.linalg.norm(b), (a, b)
+
+
+def _factor_and_dense(seed, mu=0.0, nu=0.0):
+    """One instance in the shipped form (the linear kernel a 14 x 3 factor
+    ``G``) and as the problem built from ``G G'``."""
+    _, train_idx, _, labels, mats = _synthetic_instance(make_rng(seed, 0), build=_build_kernels)
+    assert [m.shape for m in mats] == [(14, 14), (14, 14), (14, 3)]
+    b = labels[train_idx]
+    factor = MkSvmProblem(mats, b, box_c=1.0, mu=mu, nu=nu)
+    dense = MkSvmProblem(mats[:2] + [mats[2] @ mats[2].T], b, box_c=1.0, mu=mu, nu=nu)
+    return factor, dense
+
+
+@pytest.mark.parametrize("mu, nu, law", _VARIANTS)
+def test_factor_form_matches_the_dense_problem(mu, nu, law):
+    factor, dense = _factor_and_dense(80, mu, nu)
+    assert len(factor.m_stack) == 2 and len(dense.m_stack) == 3
+    assert factor.dim_x == dense.dim_x == 3
+    rng = make_rng(80, 1)
+    for tau in (0.0, 0.04, 3.0):
+        x, y = factor.sample_point(rng)
+        v = 3.0 * y - 1.0
+        _close(factor.grad_y(x, y), dense.grad_y(x, y))
+        _close(factor.phi_value(x, y), dense.phi_value(x, y))
+        for a, b in zip(factor.prox_step(2.0 * tau, v, tau, x), dense.prox_step(2.0 * tau, v, tau, x)):
+            _close(a, b)
+    # one schedule for both: the two power iterations stop 3e-12 apart, and
+    # the step sizes would carry that into the iterates
+    x0, y0 = factor.sample_point(make_rng(80, 2))
+    kind = law(factor.constants)
+    a = run(factor, kind, x0, y0, max_iter=200)
+    b = run(dense, kind, x0, y0, max_iter=200)
+    for u, w in zip((a.state.x, a.state.y, *a.ergodic()), (b.state.x, b.state.y, *b.ergodic())):
+        _close(u, w)
+
+
+@pytest.mark.parametrize("kernels", ["factor", "mixed"])
+def test_factor_l_yy_bounds_the_largest_eigenvalue(kernels):
+    factor, _ = _factor_and_dense(81)
+    g = factor._factors[0][1]
+    mats = [g] if kernels == "factor" else [*factor.m_stack, g]
+    lam = max(np.linalg.eigvalsh(m @ m.T if m.shape[1] < m.shape[0] else m)[-1] for m in mats)
+    l_yy = MkSvmProblem(mats, factor.labels, box_c=1.0).constants.l_yy
+    assert lam <= l_yy <= 1.001 * lam * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("shape", [(3, 14), (14, 15), (13, 3)],
+                         ids=["transposed", "wider-than-n", "wrong-row-count"])
+def test_rejects_a_matrix_that_is_neither_kernel_nor_factor(shape):
+    bad = make_rng(82, 0).standard_normal(shape)
+    labels = np.where(np.arange(14) % 2 == 0, 1.0, -1.0)
+    with pytest.raises(ValueError, match="kernel matrix 1 must be symmetric 14x14"):
+        MkSvmProblem([np.eye(14), bad], labels, box_c=1.0)
+
+
+def test_conjugated_factor_is_the_dense_coupling_matrix():
+    # sqrt(c / r) diag(b) F^tr, label sign included, multiplies out to the
+    # dense M_i of the same kernel built as a Gram matrix over all rows
+    *_, factor_mats = _synthetic_instance(make_rng(83, 0), build=_build_kernels)
+    *_, dense_mats = _synthetic_instance(make_rng(83, 0))
+    np.testing.assert_array_equal(factor_mats[0], dense_mats[0])
+    np.testing.assert_array_equal(factor_mats[1], dense_mats[1])
+    _close(factor_mats[2] @ factor_mats[2].T, dense_mats[2])
+
+
+def test_a_factor_no_thinner_than_the_training_rows_gives_the_dense_block():
+    features = normalize_kernel(make_rng(84, 0).standard_normal((10, 4)))
+    labels = np.array([1.0, -1.0, 1.0, 1.0])
+    [block] = conjugated_kernels([features], np.arange(4), labels)
+    assert block.shape == (4, 4)
+    scale = 10.0 / np.sum(features**2)  # c / r with one kernel
+    _close(block, scale * np.outer(labels, labels) * (features[:4] @ features[:4].T))
+
+
+def test_predict_on_the_factor_form_matches_the_dense_kernels():
+    rng = make_rng(85, 0)
+    factor_kernels, train_idx, test_idx, labels, _ = _synthetic_instance(
+        make_rng(85, 1), build=_build_kernels)
+    dense_kernels, *_ = _synthetic_instance(make_rng(85, 1))
+    assert factor_kernels[2].shape == (19, 3)
+    for alpha in (rng.uniform(0.0, 1.0, train_idx.size), np.zeros(train_idx.size)):
+        eta = rng.uniform(0.2, 1.0, 3)
+        a, b = (mksvm_predict(k, train_idx, test_idx, labels[train_idx], alpha, eta,
+                              nu=0.5, box_c=1.0) for k in (factor_kernels, dense_kernels))
+        np.testing.assert_array_equal(a.labels, b.labels)
+        assert (a.j0, a.fallback) == (b.j0, b.fallback)
+        assert a.gamma == pytest.approx(b.gamma, rel=1e-12)
+
+
+def test_driver_eta_from_factor_traces_matches_the_dense_kernels(monkeypatch):
+    # the linear kernel's trace is sum(F**2), not trace(F): the driver's
+    # eta = c x / r must be the same as on the dense kernels
+    rng = make_rng(86, 0)
+    labels = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
+    feats = labels[:, None] * rng.standard_normal(3)[None, :] * 0.6 + rng.standard_normal((40, 3))
+    data = LoadedDataset(name="sonar", features=(feats - feats.mean(0)) / feats.std(0),
+                         labels=labels)
+    calls, real_predict = [], experiments.mksvm_predict
+
+    def spy(kernels, *args, **kwargs):
+        calls.append((kernels, args[4]))
+        return real_predict(kernels, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "mksvm_predict", spy)
+    shipped = mksvm_experiment(data, variant="a", seed=3, runs=2, checkpoints=(20, 60))
+    monkeypatch.setattr(experiments, "_build_kernels", _dense_kernels)
+    dense = mksvm_experiment(data, variant="a", seed=3, runs=2, checkpoints=(20, 60))
+    factor_calls, dense_calls = calls[:4], calls[4:]
+    assert [k.shape for k in factor_calls[0][0]] == [(40, 40), (40, 40), (40, 3)]
+    assert [k.shape for k in dense_calls[0][0]] == [(40, 40)] * 3
+    for (_, eta_f), (_, eta_d) in zip(factor_calls, dense_calls, strict=True):
+        _close(eta_f, eta_d)
+    assert shipped.to_json_text() == dense.to_json_text()
+
+
+def test_validation_experiment_checks_the_factor_form(monkeypatch):
+    problems, real_validate = {}, experiments.validate_problem
+
+    def spy(problem, **kwargs):
+        problems[type(problem).__name__] = problem
+        return real_validate(problem, **kwargs)
+
+    monkeypatch.setattr(experiments, "validate_problem", spy)
+    ok, _ = experiments.validation_experiment(seed=1, trials=25)
+    mksvm = problems["MkSvmProblem"]
+    assert ok and mksvm.m_stack.shape == (2, 18, 18)
+    assert [(i, g.shape) for i, g in mksvm._factors] == [(2, (18, 4))]
