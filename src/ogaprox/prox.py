@@ -87,26 +87,29 @@ def on_simplex(v) -> bool:
 class BoxHyperplaneSet:
     """The multi-kernel SVM dual set ``{0 <= y <= upper, <y, normal> = 0}``.
 
-    ``0 < upper < inf`` and ``normal`` is finite with no zero entry, so
-    every coordinate has two knots; the set holds 0, so it is never empty.
-    ``normal`` is a read-only copy; built from it once are the projection's
-    constants: ``|normal|``, ``||normal||**2`` and the knots' slope changes
-    ``(-n_i**2, n_i**2)``.
+    ``0 < upper < inf``; ``normal`` is finite with no zero entry, so every
+    coordinate has two knots, and ``0 < ||normal||**2 < inf``.  The set holds
+    0, so it is never empty.  ``normal`` is a read-only copy; built from it
+    once are the projection's constants: ``|normal|``, ``||normal||**2`` and
+    the knots' slope changes ``(-n_i**2, n_i**2)``.
     """
 
     upper: float
     normal: np.ndarray
 
+    @np.errstate(over="ignore")  # an overflowing normal @ normal is rejected below
     def __post_init__(self):
         normal = np.array(self.normal, dtype=float)
         if normal.ndim != 1 or normal.size == 0:
             raise ValueError("normal must be a nonempty 1-d vector")
         if not (np.isfinite(normal) & (normal != 0.0)).all():
             raise ValueError("normal must be finite with no zero entry")
+        if not 0.0 < (nn := float(normal @ normal)) < np.inf:  # the projection divides by it
+            raise ValueError(f"normal must have a finite positive normal @ normal, got {nn}")
         if not 0.0 < self.upper < np.inf:
             raise ValueError(f"upper must be positive and finite, got {self.upper}")
         normal.flags.writeable = False
-        self.__dict__.update(normal=normal, _abs_n=np.abs(normal), _nn=float(normal @ normal),
+        self.__dict__.update(normal=normal, _abs_n=np.abs(normal), _nn=nn,
                              _change=np.concatenate((-normal**2, normal**2)))
 
     @property
@@ -125,30 +128,37 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     ``t`` is kept if (a) ``z = v - t * normal`` has that pattern and (b)
     ``|z_i - bound| > 1e-10 |normal_i| scale / slope``, ``scale = sum
     |normal_i| (|v_i| + |z_i| + |y0_i|)``, ``y0 = y(t0)``; this margin is
-    computed only once (a) holds.  By (b) each knot has ``|r| > 1e-10
-    scale`` (slope times distance next to ``t``, more beyond, as each term
-    of ``r`` moves one way).  Direct residuals and ``t`` carry about ``dim
-    2**-53 scale`` of rounding, and ``scale / slope >= |t|`` covers the
-    knots'.  So for ``dim < 10**5`` the breakpoint search reads each knot's
-    sign exactly, brackets ``t`` by the same knots and solves the same
-    pattern: the same floats.  From ``10**5`` entries on the search always runs.
+    computed only once (a) holds.  If ``y0`` clips nothing (a third to half
+    of a 1,000-step MKSVM run's calls, a fifth of a 2,000-step one's), ``t0``
+    is the root and only (b) is computed.  By (b) each knot has ``|r| >
+    1e-10 scale`` (slope times distance next to ``t``, more beyond, as each
+    term of ``r`` moves one way).  Direct residuals and ``t`` carry about
+    ``dim 2**-53 scale`` of rounding, and ``scale / slope >= |t|`` covers
+    the knots'.  So for ``dim < 10**5`` the breakpoint search reads each
+    knot's sign exactly, brackets ``t`` by the same knots and solves the
+    same pattern: the same floats; from ``10**5`` entries on it always runs.
     """
     w = _as_vector(v)
     if w.size != s.dim:
         raise ValueError("dimension mismatch with set normal")
+    if s.dim >= 10**5:
+        return _box_hyperplane_search(s, w)
     n, upper, abs_n = s.normal, s.upper, s._abs_n
-    y0 = np.minimum(np.maximum(w - float(n @ w) / s._nn * n, 0.0), upper)
+    z = y = y0 = np.minimum(np.maximum(w - float(n @ w) / s._nn * n, 0.0), upper)
     free = (y0 > 0.0) & (y0 < upper)
-    n_free = n[free]
-    slope = float(n_free @ n_free)
-    if slope > 0.0 and s.dim < 10**5:
-        t = float(n @ np.where(free, w, y0)) / slope
-        z = w - t * n
-        y = np.minimum(np.maximum(z, 0.0), upper)
-        if (y == np.where(free, z, y0)).all():
-            scale = float(abs_n @ (np.abs(w) + np.abs(z) + y0))  # y0 >= 0
-            if (np.minimum(np.abs(z), np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all():
-                return y
+    slope, pattern_holds = s._nn, free.all()  # all free: t0 is the root and z = y0
+    if not pattern_holds:
+        n_free = n[free]
+        slope = float(n_free @ n_free)
+        if slope > 0.0:
+            z = w - float(n @ np.where(free, w, y0)) / slope * n
+            y = np.minimum(np.maximum(z, 0.0), upper)
+            pattern_holds = (y == np.where(free, z, y0)).all()
+    if pattern_holds:
+        abs_z = np.abs(z)
+        scale = float(abs_n @ (np.abs(w) + abs_z + y0))  # y0 >= 0
+        if (np.minimum(abs_z, np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all():
+            return y
     return _box_hyperplane_search(s, w)
 
 

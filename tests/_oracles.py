@@ -116,6 +116,16 @@ def one_step_accepts(s, v) -> bool:
         np.abs(z), np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all())
 
 
+def first_clip_is_all_free(s, v) -> bool:
+    """Whether the clip of ``v - t0 * normal`` at the all-free root ``t0 =
+    <v, normal> / ||normal||**2`` leaves every coordinate strictly inside
+    ``(0, upper)``: then ``ogaprox.prox.project_box_hyperplane`` takes
+    ``t0`` as the root without a second Newton solve."""
+    w = _as_vector(v)
+    z = w - float(s.normal @ w) / s._nn * s.normal
+    return bool(np.all((z > 0.0) & (z < s.upper)))
+
+
 def assumption_slacks(state, prev_tau: float, kind: AdaptiveSchedule,
                       constants) -> tuple[float, float]:
     """Slacks of the adaptive law's two step-size inequalities at ``state``,

@@ -30,8 +30,8 @@ from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
 
-from _oracles import (one_step_accepts, project_simplex_numpy, prox_oracle,
-                      prox_positive_part_scaled)
+from _oracles import (first_clip_is_all_free, one_step_accepts, project_simplex_numpy,
+                      prox_oracle, prox_positive_part_scaled)
 
 
 # -- simplex ---------------------------------------------------------------
@@ -175,16 +175,29 @@ def test_box_hyperplane_residual_tolerance():
     (1.0, [1.0, np.nan], "normal"),
     (1.0, [], "normal"),
     (1.0, [[1.0, -1.0]], "normal"),
+    # the projection divides by normal @ normal: inf left its input off the
+    # hyperplane, 0 raised ZeroDivisionError
+    (1.0, [1e200, -1e200, 1e200], "normal"),
+    (1.0, [1e-170, -1e-170, 1e-170], "normal"),
     (0.0, [1.0, -1.0], "upper"),
     (-1.0, [1.0, -1.0], "upper"),
     (np.inf, [1.0, -1.0], "upper"),
     (np.nan, [1.0, -1.0], "upper"),
-], ids=["zero-entry", "nan-entry", "empty", "2-d", "upper-0", "upper-negative", "upper-inf",
-        "upper-nan"])
+], ids=["zero-entry", "nan-entry", "empty", "2-d", "norm-overflow", "norm-underflow", "upper-0",
+        "upper-negative", "upper-inf", "upper-nan"])
 def test_box_hyperplane_set_rejects_bad_fields(upper, normal, field):
     # every coordinate needs two finite knots, and the set always holds 0
     with pytest.raises(ValueError, match=f"^{field} must"):
         BoxHyperplaneSet(upper=upper, normal=normal)
+
+
+def test_box_hyperplane_large_normal_projects_as_the_unit_normal():
+    # normal @ normal is 3e300 here: representable, so the set is accepted
+    v = [0.3, 0.5, 0.9]
+    unit = project_box_hyperplane(BoxHyperplaneSet(upper=1.0, normal=[1.0, -1.0, 1.0]), v)
+    np.testing.assert_allclose(unit, [1.0 / 15.0, 11.0 / 15.0, 2.0 / 3.0], rtol=1e-14)
+    big = BoxHyperplaneSet(upper=1.0, normal=[1e150, -1e150, 1e150])
+    np.testing.assert_allclose(project_box_hyperplane(big, v), unit, rtol=1e-14)
 
 
 # -- polytope cone ---------------------------------------------------------
@@ -661,10 +674,38 @@ def _random_box_hyperplane_cases(count, rng):
     return cases
 
 
+# all free at t0, an entry 1e-12 from its bound: inside the 1e-10 margin
+_ALL_FREE_NEAR_BOUND = ([1.0, 1.0, -1.0, -1.0], [1e-12, 0.5, 0.25, 0.25 + 1e-12])
+# the first clip clips the first entry alone; the re-solve moves t from -0.125 to 0
+_ONE_CLIPPED = ([1.0, 1.0, -1.0, -1.0], [-0.5, 0.5, 0.3, 0.2])
+
+
+def _all_free_cases(rng):
+    """Inputs whose first clip clips nothing: a point ``y`` inside the box
+    on the hyperplane, moved along ``normal``, for +-1 and Gaussian normals
+    and three values of ``upper``; then :data:`_ALL_FREE_NEAR_BOUND` and
+    :data:`_ONE_CLIPPED`, which is not all free."""
+    cases = []
+    for kind in ("pm1", "gauss"):
+        for upper in (0.5, 1.0, 5.0):
+            for _ in range(4):
+                n = int(rng.integers(20, 301))
+                normal = (np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) if kind == "pm1"
+                          else rng.standard_normal(n))
+                u = rng.uniform(0.3, 0.7, n) * upper
+                y = u - float(normal @ u) / float(normal @ normal) * normal
+                cases.append((BoxHyperplaneSet(upper=upper, normal=normal),
+                              y + rng.uniform(-2.0, 2.0) * upper * normal))
+    assert all(first_clip_is_all_free(s, v) for s, v in cases)
+    return cases + [(BoxHyperplaneSet(upper=1.0, normal=normal), np.array(v))
+                    for normal, v in (_ALL_FREE_NEAR_BOUND, _ONE_CLIPPED)]
+
+
 def test_box_hyperplane_matches_the_bisection_search():
     # the cumulative slopes lose digits on wide boxes; these sets include
     # ones where the direct residuals have to move the bracket
-    cases = _random_box_hyperplane_cases(2000, make_rng(16, 25)) + _degenerate_box_hyperplane_cases()
+    cases = (_random_box_hyperplane_cases(2000, make_rng(16, 25)) + _degenerate_box_hyperplane_cases()
+             + _all_free_cases(make_rng(16, 30)))
     for i, (s, v) in enumerate(cases):
         np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v),
                                       err_msg=str(i))
@@ -714,6 +755,8 @@ _ONE_STEP_FALLBACKS = [
     # the root t = 0.25 is the knot of the third coordinate, exactly and within rounding
     ([1.0, 1.0, 1.0, -1.0], [0.5, 0.5, 0.25, 0.25]),
     ([1.0, 1.0, 1.0, -1.0], [0.5, 0.5, 0.25 + 1e-15, 0.25]),
+    # every coordinate free at t0, one of them inside the margin
+    _ALL_FREE_NEAR_BOUND,
     # every coordinate is at a bound at t0: the Newton piece has slope 0,
     # also for an input offset far from the set
     ([1.0, -1.0], [3.0, 3.0]),
@@ -725,13 +768,32 @@ _ONE_STEP_FALLBACKS = [
 
 
 @pytest.mark.parametrize("normal, v", _ONE_STEP_FALLBACKS,
-                         ids=["on-knot", "near-knot", "slope-0", "slope-0-offset",
-                              "zero-normal-on-bound"])
+                         ids=["on-knot", "near-knot", "all-free-near-bound", "slope-0",
+                              "slope-0-offset", "zero-normal-on-bound"])
 def test_box_hyperplane_falls_back_to_the_search(monkeypatch, normal, v):
     calls = _count_searches(monkeypatch)
     s = BoxHyperplaneSet(upper=1.0, normal=normal)
     np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v))
     assert len(calls) == 1
+
+
+def test_box_hyperplane_all_free_first_clip(monkeypatch):
+    # an all-free first clip is kept as it is, unless an entry lies inside the
+    # margin; one clipped entry sends the input through the Newton re-solve
+    calls = _count_searches(monkeypatch)
+    *interior, near_bound, one_clipped = _all_free_cases(make_rng(16, 31))
+    for i, (s, v) in enumerate(interior):
+        y = project_box_hyperplane(s, v)
+        np.testing.assert_array_equal(y, _box_hyperplane_bisect(s, v), err_msg=str(i))
+        assert not calls, i
+    s, v = near_bound
+    assert first_clip_is_all_free(s, v) and not one_step_accepts(s, v)
+    s, v = one_clipped
+    assert not first_clip_is_all_free(s, v) and one_step_accepts(s, v)
+    y = project_box_hyperplane(s, v)
+    np.testing.assert_array_equal(y, _box_hyperplane_bisect(s, v))
+    np.testing.assert_array_equal(y, [0.0, 0.5, 0.3, 0.2])
+    assert not calls
 
 
 def test_box_hyperplane_searches_from_10_to_the_5_entries(monkeypatch):
@@ -751,6 +813,7 @@ def test_box_hyperplane_searches_exactly_when_the_one_step_test_fails(monkeypatc
     calls = _count_searches(monkeypatch)
     cases = (_random_box_hyperplane_cases(600, make_rng(16, 27))
              + _near_feasible_cases(make_rng(16, 28)) + _degenerate_box_hyperplane_cases()
+             + _all_free_cases(make_rng(16, 32))
              + [(BoxHyperplaneSet(upper=1.0, normal=normal), np.asarray(v, float))
                 for normal, v in _ONE_STEP_FALLBACKS])
     # the third coordinate from 1e-8 to 1e-13 off its knot, across the margin
@@ -770,7 +833,8 @@ def test_box_hyperplane_searches_exactly_when_the_one_step_test_fails(monkeypatc
                          ids=["c1", "c2"])
 def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
     # the traffic the fast path serves: every y-prox of a run, checked
-    # against the bisection search, falls back on at most 5% of the steps
+    # against the bisection search, falls back on at most 5% of the steps,
+    # and both the all-free first clip and the Newton re-solve occur
     rng = make_rng(64, 0)
     rows = 120
     labels = np.where(rng.uniform(size=rows) < 0.6, 1.0, -1.0)
@@ -779,9 +843,10 @@ def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
                for kernel in (polynomial_kernel, gaussian_kernel, linear_kernel)]
     problem = MkSvmProblem(conjugated_kernels(kernels, np.arange(rows), labels), labels,
                            box_c=1.0, mu=mu, nu=nu)
-    calls, outputs = _count_searches(monkeypatch), []
+    calls, outputs, all_free = _count_searches(monkeypatch), [], []
 
     def checked(s, v):
+        all_free.append(first_clip_is_all_free(s, v))
         outputs.append(project_box_hyperplane(s, v))
         np.testing.assert_array_equal(outputs[-1], _box_hyperplane_bisect(s, v))
         return outputs[-1]
@@ -790,6 +855,7 @@ def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
     run(problem, law(problem.constants), np.full(3, 1.0 / 3.0), np.zeros(rows), 600)
     assert len(outputs) == 600
     assert len(calls) <= 0.05 * len(outputs)
+    assert 0 < sum(all_free) < len(outputs)
 
 
 @pytest.mark.parametrize("fairness", [False, True], ids=["mksvm-c1", "fairness-2-groups"])
