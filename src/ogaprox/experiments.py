@@ -25,14 +25,7 @@ from .problems import (
     mksvm_predict,
     random_toy_problem,
 )
-from .problems.mksvm import (
-    conjugated_kernels,
-    gaussian_kernel,
-    kernel_diagonal,
-    linear_kernel,
-    normalize_kernel,
-    polynomial_kernel,
-)
+from .problems.mksvm import build_kernels, conjugated_kernels, kernel_diagonal
 from .report import MetricRecord, RunReport
 from .rng import STREAMS, experiment_rng, make_rng
 from .schedule import (
@@ -46,7 +39,6 @@ from .solver import gap_certificate, initial_distance, run
 
 __all__ = [
     "log_checkpoints",
-    "toy_experiment",
     "toy_experiments",
     "synthetic_experiment",
     "mksvm_experiment",
@@ -83,13 +75,6 @@ def _sorted_checkpoints(checkpoints) -> tuple[int, ...]:
 
 # -- toy problem -------------------------------------------------------------
 
-def toy_experiment(seed: int, nu: float, **options) -> RunReport:
-    """:func:`toy_experiments` for one ``nu``.  The ``nu`` values of one such call
-    share one instance and its projector; two calls with the same seed still draw
-    the same instance and starting points (the draws come first), whatever ``nu``."""
-    return toy_experiments(seed, (nu,), **options)[0]
-
-
 def toy_experiments(
     seed: int,
     nus: tuple[float, ...] = (0.0, 0.3),
@@ -104,8 +89,8 @@ def toy_experiments(
     ``nu = 0``: one report per value of ``nus``, in order, all on one instance
     whose matrix is drawn and projector built (one SVD) once, with every ``nu``
     checked before the first run.  The matrix has entries uniform on [-3, 3];
-    starting points are uniform on [-5, 5], with ``y0`` projected onto the
-    cone to make it feasible."""
+    starting points are uniform on [-5, 5], with ``y0`` projected onto the cone
+    to make it feasible.  A seed draws them the same way whatever ``nus``."""
     _at_least_one(max_iter=max_iter)
     if not nus:
         raise ValueError("nu must be given at least once, got no values")
@@ -220,15 +205,6 @@ MKSVM_VARIANTS = {
 }
 
 
-def _build_kernels(features: np.ndarray) -> list[np.ndarray]:
-    thin = features.shape[1] < len(features)  # then the features are the linear kernel's factor
-    return [
-        normalize_kernel(polynomial_kernel(features)),
-        normalize_kernel(gaussian_kernel(features)),
-        normalize_kernel(features if thin else linear_kernel(features)),
-    ]
-
-
 def mksvm_experiment(
     data: LoadedDataset,
     variant: str = "c1",
@@ -258,7 +234,7 @@ def mksvm_experiment(
     _at_least_one(runs=runs)
     checkpoints = _sorted_checkpoints(checkpoints)
     max_iter = checkpoints[-1]
-    kernels = _build_kernels(data.features)
+    kernels = build_kernels(data.features)
     traces = np.array([np.sum(kernel_diagonal(k)) for k in kernels])
     c_total = float(np.sum(traces))
     per_run: list[dict[int, float]] = []
@@ -410,7 +386,7 @@ def validation_experiment(seed: int = 0, trials: int = 1000) -> tuple[bool, list
     feats = rng.standard_normal((24, 4))
     labels = np.where(rng.uniform(size=24) < 0.5, -1.0, 1.0)
     labels[:2] = (1.0, -1.0)
-    kernels = _build_kernels(feats)
+    kernels = build_kernels(feats)
     train_idx = np.arange(18)
     mats = conjugated_kernels(kernels, train_idx, labels[:18])
     cases.append(("mksvm", MkSvmProblem(mats, labels[:18], box_c=1.0,

@@ -26,6 +26,7 @@ __all__ = [
     "linear_kernel",
     "normalize_kernel",
     "kernel_diagonal",
+    "build_kernels",
     "conjugated_kernels",
 ]
 
@@ -78,6 +79,17 @@ def normalize_kernel(kernel: np.ndarray) -> np.ndarray:
     return kernel * (inv_root[:, None] if _is_factor(kernel) else np.outer(inv_root, inv_root))
 
 
+def build_kernels(features: np.ndarray) -> list[np.ndarray]:
+    """The polynomial, Gaussian and linear kernels over all rows, unit-diagonal
+    normalized; the linear one is kept as the feature factor when that is thin."""
+    thin = features.shape[1] < len(features)
+    return [
+        normalize_kernel(polynomial_kernel(features)),
+        normalize_kernel(gaussian_kernel(features)),
+        normalize_kernel(features if thin else linear_kernel(features)),
+    ]
+
+
 def conjugated_kernels(kernels: list[np.ndarray], train_idx: np.ndarray,
                        labels_train: np.ndarray) -> list[np.ndarray]:
     """Per-kernel coupling matrices ``M_i = (c / r_i) diag(b) K_i^tr diag(b)``
@@ -125,6 +137,8 @@ class MkSvmProblem(SaddleProblem):
             raise ValueError(f"box_c must be positive and finite, got {box_c}")
         n = labels.size
         mats = [np.asarray(m, dtype=float) for m in m_list]
+        if not mats:
+            raise ValueError("at least one kernel required")
         thin = [_is_factor(m) and len(m) == n for m in mats]  # M_i = m m' is PSD by construction
         self._factors = tuple((i, m.copy()) for i, m in enumerate(mats) if thin[i])
         dense = [(i, m) for i, m in enumerate(mats) if not thin[i]]

@@ -1,13 +1,13 @@
 """Proximal operators and Euclidean projections used by the model problems.
 
-The closed-form projections are exact finite algorithms: onto the simplex,
-and onto the multi-kernel SVM dual set ``{0 <= y <= upper, <y, normal> = 0}``
-(a box and a hyperplane through 0).  Projections onto polyhedra
-``{y : A y >= h}`` with full-row-rank ``A`` (the cone projector, and the
-cone toy problem's saddle point) go through one dual active-set kernel,
-:func:`solve_polytope_dual`, which is finite on such data.  The dense QP
-route (:func:`project_polytope`) has no run-time caller: it is the test
-oracle for the cone projector.
+The closed-form projections are exact finite algorithms: onto the simplex
+(one sort-and-threshold on Python floats at every size), and onto the
+multi-kernel SVM dual set ``{0 <= y <= upper, <y, normal> = 0}`` (a box and
+a hyperplane through 0).  Projections onto polyhedra ``{y : A y >= h}`` with
+full-row-rank ``A`` (the cone projector, and the cone toy problem's saddle
+point) go through one dual active-set kernel, :func:`solve_polytope_dual`,
+which is finite on such data.  The dense QP route (:func:`project_polytope`)
+has no run-time caller: it is the test oracle for the cone projector.
 """
 
 import math
@@ -51,28 +51,18 @@ def project_simplex(v) -> np.ndarray:
     """Euclidean projection onto the unit simplex.
 
     Uses the sort-and-threshold method, an exact finite algorithm: the
-    output is nonnegative and sums to one up to roundoff.  Up to 8 entries
-    the same steps run on Python floats (the same floats, without numpy's
-    per-call cost) unless an entry reaches ``2**1000`` or no candidate passes.
+    output is nonnegative and sums to one up to roundoff.  The sort and the
+    running sums run on Python floats, cheapest at the few entries the model
+    problems send (one per kernel or group); above about 64 entries numpy
+    array operations would be faster.
     """
     x = _as_vector(v)
-    if x.size <= 8:
-        u = sorted(x.tolist(), reverse=True)
+    u = sorted(x.tolist(), reverse=True)
+    if max(u[0], -u[-1]) < 2.0**1000:  # the sums below stay finite
         passing = [(total - 1.0) / (j + 1.0) for j, total in enumerate(accumulate(u))
                    if u[j] * (j + 1) > total - 1.0]  # running sums in np.cumsum's order
-        if passing and max(u[0], -u[-1]) < 2.0**1000:
+        if passing:  # empty when |u[0]| >= 2**53 rounds u[0] - 1 to u[0]
             return np.maximum(x - passing[-1], 0.0)
-    return _simplex_sort(x)
-
-
-def _simplex_sort(x: np.ndarray) -> np.ndarray:
-    u = np.sort(x)[::-1]
-    if max(u[0], -u[-1]) < 2.0**1000:  # the sums below stay finite
-        cumulative = np.cumsum(u) - 1.0
-        rho_candidates = np.nonzero(u * np.arange(1, x.size + 1) > cumulative)[0]
-        if rho_candidates.size:  # empty when |u[0]| >= 2**53 rounds u[0] - 1 to u[0]
-            rho = rho_candidates[-1]
-            return np.maximum(x - cumulative[rho] / (rho + 1.0), 0.0)
     with np.errstate(over="ignore"):  # entries below max(x) - 1 project to 0
         return project_simplex(np.maximum(x - u[0], -1.0))
 

@@ -81,8 +81,8 @@ def prox_oracle(
 
 
 def project_simplex_numpy(v) -> np.ndarray:
-    """``ogaprox.prox.project_simplex`` with numpy array operations at every
-    size: the reference its scalar path must match bit for bit."""
+    """``ogaprox.prox.project_simplex`` with numpy array operations in place of
+    its Python-float sort and sums: the reference it must match bit for bit."""
     x = _as_vector(v)
     u = np.sort(x)[::-1]
     if max(u[0], -u[-1]) < 2.0**1000:  # the sums below stay finite

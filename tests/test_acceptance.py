@@ -19,7 +19,7 @@ from ogaprox.experiments import (
     fairness_experiment,
     mksvm_experiment,
     synthetic_experiment,
-    toy_experiment,
+    toy_experiments,
 )
 from ogaprox.problem import prox_inequality_gap, validate_problem
 from ogaprox.problems import (
@@ -87,7 +87,7 @@ def _dataset(name: str):
 
 def test_criterion_1_gap_rate_merely_convex():
     started = time.perf_counter()
-    report = toy_experiment(seed=SEED, nu=0.0, d=250, n=350, max_iter=10_000)
+    report = toy_experiments(SEED, (0.0,), d=250, n=350, max_iter=10_000)[0]
     elapsed = time.perf_counter() - started
     slope = _slope(report.records)
     d0 = report.config["d0"]
@@ -99,7 +99,7 @@ def test_criterion_1_gap_rate_merely_convex():
 def test_criterion_2_gap_rate_strongly_concave(monkeypatch):
     calls = spy_on_run(monkeypatch)
     started = time.perf_counter()
-    report = toy_experiment(seed=SEED, nu=0.3, d=250, n=350, max_iter=10_000)
+    report = toy_experiments(SEED, (0.3,), d=250, n=350, max_iter=10_000)[0]
     elapsed = time.perf_counter() - started
     [(problem, kind, _, _)] = calls
     slope = _slope(report.records)

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ogaprox.experiments import _build_kernels, mksvm_experiment
+from ogaprox.experiments import mksvm_experiment
 from ogaprox.problems import (
     FairnessProblem,
     Group,
@@ -14,7 +14,7 @@ from ogaprox.problems import (
     QuadraticSaddleProblem,
     random_toy_problem,
 )
-from ogaprox.problems.mksvm import conjugated_kernels
+from ogaprox.problems.mksvm import build_kernels, conjugated_kernels
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive
 from ogaprox.solver import run
@@ -61,7 +61,7 @@ def _small_problem(name, rng):
     labels = np.where(rng.uniform(size=24) < 0.5, -1.0, 1.0)
     labels[:2] = (1.0, -1.0)
     if name == "mksvm":
-        mats = conjugated_kernels(_build_kernels(feats), np.arange(18), labels[:18])
+        mats = conjugated_kernels(build_kernels(feats), np.arange(18), labels[:18])
         return MkSvmProblem(mats, labels[:18], box_c=1.0, mu=0.5, nu=0.5)
     return FairnessProblem([Group(feats[:12], labels[:12]), Group(feats[12:], labels[12:])])
 

@@ -11,7 +11,6 @@ from ogaprox.experiments import (
     log_checkpoints,
     mksvm_experiment,
     synthetic_experiment,
-    toy_experiment,
     toy_experiments,
     validation_experiment,
     _trimmed_mean,
@@ -52,7 +51,7 @@ def test_trimmed_mean_drops_one_min_one_max():
 
 
 @pytest.mark.parametrize("driver", [
-    pytest.param(lambda: toy_experiment(seed=1, nu=0.3, d=6, n=9, max_iter=5), id="toy"),
+    pytest.param(lambda: toy_experiments(1, (0.3,), d=6, n=9, max_iter=5)[0], id="toy"),
     pytest.param(lambda: synthetic_experiment(seed=1, dim=4, max_iter=5), id="synthetic"),
     pytest.param(lambda: mksvm_experiment(_separable_dataset(make_rng(99, 0), rows=30),
                                           runs=1, checkpoints=(5,)), id="mksvm"),
@@ -65,16 +64,16 @@ def test_every_report_driver_returns_its_run_report(driver):
 
 
 def test_toy_experiment_deterministic_replay():
-    a = toy_experiment(seed=5, nu=0.0, d=12, n=18, max_iter=200)
-    b = toy_experiment(seed=5, nu=0.0, d=12, n=18, max_iter=200)
+    a = toy_experiments(5, (0.0,), d=12, n=18, max_iter=200)[0]
+    b = toy_experiments(5, (0.0,), d=12, n=18, max_iter=200)[0]
     assert a.to_json_text() == b.to_json_text()
     assert a.to_csv_text() == b.to_csv_text()
 
 
 def test_toy_experiment_shares_instance_across_nu(monkeypatch):
     calls = spy_on_run(monkeypatch)
-    toy_experiment(seed=6, nu=0.0, d=10, n=15, max_iter=10)
-    toy_experiment(seed=6, nu=0.3, d=10, n=15, max_iter=10)
+    toy_experiments(6, (0.0,), d=10, n=15, max_iter=10)
+    toy_experiments(6, (0.3,), d=10, n=15, max_iter=10)
     (problem_a, _, x0_a, _), (problem_b, _, x0_b, _) = calls
     np.testing.assert_array_equal(problem_a.a, problem_b.a)
     np.testing.assert_array_equal(x0_a, x0_b)
@@ -86,7 +85,7 @@ def test_toy_experiments_match_one_nu_calls(nus):
     other: each report is the one-nu call's, in the order of ``nus``."""
     options = {"d": 10, "n": 15, "max_iter": 60, "checkpoints": [10, 60]}
     reports = toy_experiments(4, nus, **options)
-    singles = [toy_experiment(seed=4, nu=nu, **options) for nu in nus]
+    singles = [toy_experiments(4, (nu,), **options)[0] for nu in nus]
     assert [r.to_json_text() for r in reports] == [r.to_json_text() for r in singles]
     assert [r.to_csv_text() for r in reports] == [r.to_csv_text() for r in singles]
 
@@ -100,7 +99,7 @@ def test_toy_experiments_reject_bad_nus_before_any_run(nus, monkeypatch):
 
 
 def _toy_run(nu):
-    report = toy_experiment(seed=8, nu=nu, d=60, n=80, max_iter=300)
+    report = toy_experiments(8, (nu,), d=60, n=80, max_iter=300)[0]
     assert len(report.step_dx) == 300
 
 
@@ -126,7 +125,7 @@ def test_toy_experiment_never_reaches_dense_qp(experiment, monkeypatch):
 
 
 def test_toy_gap_column_positive_and_bounded():
-    report = toy_experiment(seed=7, nu=0.0, d=20, n=30, max_iter=500)
+    report = toy_experiments(7, (0.0,), d=20, n=30, max_iter=500)[0]
     for rec in report.records:
         assert rec.gap > 0.0
         assert rec.gap <= report.config["d0"] / rec.k + 1e-9
@@ -135,7 +134,7 @@ def test_toy_gap_column_positive_and_bounded():
 @pytest.mark.parametrize("nu", [0.0, 0.3])
 def test_toy_sigma0_alone_fills_tau0(nu, monkeypatch):
     calls = spy_on_run(monkeypatch)
-    report = toy_experiment(seed=7, nu=nu, d=12, n=18, max_iter=20, sigma0=0.01)
+    report = toy_experiments(7, (nu,), d=12, n=18, max_iter=20, sigma0=0.01)[0]
     [(problem, _, _, _)] = calls
     c = problem.constants
     tau0, sigma0 = report.config["tau0"], report.config["sigma0"]
@@ -262,7 +261,7 @@ def test_fairness_three_group_banding():
 
 def test_toy_adaptive_gap_bounded_by_ergodic_total():
     # gap <= d0 / T_K with T_K = sum of t_k = tau_k / tau0
-    report = toy_experiment(seed=9, nu=0.3, d=15, n=22, max_iter=400)
+    report = toy_experiments(9, (0.3,), d=15, n=22, max_iter=400)[0]
     taus = np.array(report.schedule_trace["tau"])
     totals = np.cumsum(taus / taus[0])
     for rec in report.records:

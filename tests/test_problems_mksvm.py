@@ -3,10 +3,11 @@ import pytest
 
 from ogaprox import experiments
 from ogaprox.datasets import LoadedDataset
-from ogaprox.experiments import _build_kernels, mksvm_experiment
+from ogaprox.experiments import mksvm_experiment
 from ogaprox.problem import validate_problem
 from ogaprox.problems import MkSvmProblem, mksvm_predict
 from ogaprox.problems.mksvm import (
+    build_kernels,
     conjugated_kernels,
     gaussian_kernel,
     linear_kernel,
@@ -228,15 +229,16 @@ def test_rejects_non_psd_kernel():
         MkSvmProblem([bad], np.array([1.0, -1.0]), box_c=1.0)
 
 
-@pytest.mark.parametrize("kernel, labels, box_c, message", [
-    (np.eye(2), [1.0, 2.0], 1.0, r"labels must be \+-1"),
-    (np.eye(2), [1.0, -1.0], 0.0, "box_c must be positive"),
-    (np.array([[1.0, 0.5], [0.0, 1.0]]), [1.0, -1.0], 1.0,
+@pytest.mark.parametrize("kernels, labels, box_c, message", [
+    ([np.eye(2)], [1.0, 2.0], 1.0, r"labels must be \+-1"),
+    ([np.eye(2)], [1.0, -1.0], 0.0, "box_c must be positive"),
+    ([np.array([[1.0, 0.5], [0.0, 1.0]])], [1.0, -1.0], 1.0,
      "kernel matrix 0 must be symmetric 2x2"),
-], ids=["labels", "box_c", "asymmetric"])
-def test_rejects_bad_inputs(kernel, labels, box_c, message):
+    ([], [1.0, -1.0], 1.0, "at least one kernel required"),
+], ids=["labels", "box_c", "asymmetric", "no-kernels"])
+def test_rejects_bad_inputs(kernels, labels, box_c, message):
     with pytest.raises(ValueError, match=message):
-        MkSvmProblem([kernel], np.array(labels), box_c=box_c)
+        MkSvmProblem(kernels, np.array(labels), box_c=box_c)
 
 
 # -- prediction rule ---------------------------------------------------------
@@ -313,7 +315,7 @@ def _close(a, b, rel=1e-12):
 def _factor_and_dense(seed, mu=0.0, nu=0.0):
     """One instance in the shipped form (the linear kernel a 14 x 3 factor
     ``G``) and as the problem built from ``G G'``."""
-    _, train_idx, _, labels, mats = _synthetic_instance(make_rng(seed, 0), build=_build_kernels)
+    _, train_idx, _, labels, mats = _synthetic_instance(make_rng(seed, 0), build=build_kernels)
     assert [m.shape for m in mats] == [(14, 14), (14, 14), (14, 3)]
     b = labels[train_idx]
     factor = MkSvmProblem(mats, b, box_c=1.0, mu=mu, nu=nu)
@@ -366,7 +368,7 @@ def test_rejects_a_matrix_that_is_neither_kernel_nor_factor(shape):
 def test_conjugated_factor_is_the_dense_coupling_matrix():
     # sqrt(c / r) diag(b) F^tr, label sign included, multiplies out to the
     # dense M_i of the same kernel built as a Gram matrix over all rows
-    *_, factor_mats = _synthetic_instance(make_rng(83, 0), build=_build_kernels)
+    *_, factor_mats = _synthetic_instance(make_rng(83, 0), build=build_kernels)
     *_, dense_mats = _synthetic_instance(make_rng(83, 0))
     np.testing.assert_array_equal(factor_mats[0], dense_mats[0])
     np.testing.assert_array_equal(factor_mats[1], dense_mats[1])
@@ -385,7 +387,7 @@ def test_a_factor_no_thinner_than_the_training_rows_gives_the_dense_block():
 def test_predict_on_the_factor_form_matches_the_dense_kernels():
     rng = make_rng(85, 0)
     factor_kernels, train_idx, test_idx, labels, _ = _synthetic_instance(
-        make_rng(85, 1), build=_build_kernels)
+        make_rng(85, 1), build=build_kernels)
     dense_kernels, *_ = _synthetic_instance(make_rng(85, 1))
     assert factor_kernels[2].shape == (19, 3)
     for alpha in (rng.uniform(0.0, 1.0, train_idx.size), np.zeros(train_idx.size)):
@@ -413,7 +415,7 @@ def test_driver_eta_from_factor_traces_matches_the_dense_kernels(monkeypatch):
 
     monkeypatch.setattr(experiments, "mksvm_predict", spy)
     shipped = mksvm_experiment(data, variant="a", seed=3, runs=2, checkpoints=(20, 60))
-    monkeypatch.setattr(experiments, "_build_kernels", _dense_kernels)
+    monkeypatch.setattr(experiments, "build_kernels", _dense_kernels)
     dense = mksvm_experiment(data, variant="a", seed=3, runs=2, checkpoints=(20, 60))
     factor_calls, dense_calls = calls[:4], calls[4:]
     assert [k.shape for k in factor_calls[0][0]] == [(40, 40), (40, 40), (40, 3)]

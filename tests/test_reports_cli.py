@@ -13,7 +13,7 @@ from _oracles import report_json_formula
 from ogaprox import cli
 from ogaprox.cli import main, parse_config
 from ogaprox.datasets import DatasetSpec, load_dataset
-from ogaprox.experiments import mksvm_experiment, synthetic_experiment, toy_experiment
+from ogaprox.experiments import mksvm_experiment, synthetic_experiment, toy_experiments
 from ogaprox.problems import MkSvmProblem
 from ogaprox.report import CSV_COLUMNS, MetricRecord, RunReport
 from ogaprox.rng import make_rng
@@ -83,8 +83,8 @@ def _mksvm_report(tmp_path) -> RunReport:
 
 
 _REPORTS = {
-    "toy nu=0": lambda tmp_path: toy_experiment(seed=4, nu=0.0, d=10, n=15, max_iter=60),
-    "toy nu=0.3": lambda tmp_path: toy_experiment(seed=4, nu=0.3, d=10, n=15, max_iter=60),
+    "toy nu=0": lambda tmp_path: toy_experiments(4, (0.0,), d=10, n=15, max_iter=60)[0],
+    "toy nu=0.3": lambda tmp_path: toy_experiments(4, (0.3,), d=10, n=15, max_iter=60)[0],
     "synthetic": lambda tmp_path: synthetic_experiment(seed=4, dim=8, max_iter=60),
     "mksvm": _mksvm_report,
     "empty": lambda tmp_path: RunReport(),
@@ -430,10 +430,10 @@ def test_cli_toy_draws_one_instance_for_both_nu(tmp_path, monkeypatch):
     cfg.write_text("d = 8\nn = 12\niters = 20\n")
     assert main(["toy", "--config", str(cfg), "--seed", "3"]) == 0
     assert counts == {"draws": 1, "projectors": 1}
-def test_run_report_carries_schedule_trace():
-    from ogaprox.experiments import toy_experiment
 
-    report = toy_experiment(seed=8, nu=0.3, d=8, n=12, max_iter=25)
+
+def test_run_report_carries_schedule_trace():
+    report = toy_experiments(8, (0.3,), d=8, n=12, max_iter=25)[0]
     trace = report.schedule_trace
     assert len(trace["theta"]) == len(trace["tau"]) == len(trace["sigma"]) == 25
     assert trace["theta"][0] == 1.0 and trace["theta"][1] < 1.0
