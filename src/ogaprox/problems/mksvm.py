@@ -187,11 +187,13 @@ class MkSvmProblem(SaddleProblem):
         return self._prox_x_grad(tau, y, x)[0]
 
     def _prox_x_grad(self, tau, y, x):
-        """``prox_phi_x`` and ``grad_y`` at the new pair from one coupling pass."""
+        """``prox_phi_x`` and ``grad_y`` at the new pair from one coupling pass;
+        the few kernel weights step on Python floats, numpy's operations entry by entry."""
         my = self._kernel_products(y)
-        xi = 0.5 * (my @ y)
-        z = np.asarray(x, float) + tau * xi
-        x_next = project_simplex(z / (1.0 + self.mu * tau) if self.mu else z)
+        tau = float(tau)  # the schedule's numpy scalars would make each float operation slow
+        xi, d = (my @ y).tolist(), 1.0 + self.mu * tau  # e / 1.0 == e at mu = 0
+        x_next = project_simplex([(a + tau * (0.5 * q)) / d
+                                  for a, q in zip(np.asarray(x, float).tolist(), xi)])
         return x_next, 1.0 - x_next @ my
 
     def prox_g(self, sigma, v):

@@ -82,18 +82,28 @@ def prox_oracle(
 
 def project_simplex_numpy(v) -> np.ndarray:
     """``ogaprox.prox.project_simplex`` with numpy array operations in place of
-    its Python-float sort and sums: the reference it must match bit for bit."""
+    its Python-float sort, sums and output: the reference it must match bit
+    for bit, the shift of inputs that reach ``2**20`` included."""
     x = _as_vector(v)
     u = np.sort(x)[::-1]
-    if max(u[0], -u[-1]) < 2.0**1000:  # the sums below stay finite
-        cumulative = np.cumsum(u) - 1.0
-        rho_candidates = np.nonzero(u * np.arange(1, x.size + 1) > cumulative)[0]
-        if rho_candidates.size:  # empty when |u[0]| >= 2**53 rounds u[0] - 1 to u[0]
-            rho = rho_candidates[-1]
-            threshold = cumulative[rho] / (rho + 1.0)
-            return np.maximum(x - threshold, 0.0)
-    with np.errstate(over="ignore"):  # entries below max(x) - 1 project to 0
-        return project_simplex_numpy(np.maximum(x - u[0], -1.0))
+    if max(u[0], -u[-1]) >= 2.0**20:
+        with np.errstate(over="ignore"):  # entries below max(x) - 1 project to 0
+            return project_simplex_numpy(np.maximum(x - u[0], -1.0))
+    cumulative = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, x.size + 1) > cumulative)[0][-1]
+    threshold = cumulative[rho] / (rho + 1.0)
+    return np.maximum(x - threshold, 0.0)
+
+
+def prox_x_grad_formula(problem, tau, y, x) -> tuple[np.ndarray, np.ndarray]:
+    """``MkSvmProblem._prox_x_grad`` with numpy array operations in place of
+    its Python-float step on the kernel weights, dividing by ``1 + mu tau``
+    also at ``mu = 0``: the reference it must match bit for bit."""
+    my = problem._kernel_products(y)
+    xi = 0.5 * (my @ y)
+    z = np.asarray(x, float) + tau * xi
+    x_next = project_simplex_numpy(z / (1.0 + problem.mu * tau))
+    return x_next, 1.0 - x_next @ my
 
 
 def one_step_accepts(s, v) -> bool:

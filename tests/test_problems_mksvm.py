@@ -19,7 +19,7 @@ from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
 
-from _oracles import ThreeCalls, prox_oracle
+from _oracles import ThreeCalls, prox_oracle, prox_x_grad_formula
 
 
 def _dense_kernels(features):
@@ -144,6 +144,21 @@ def test_fused_prox_x_grad_equals_the_two_oracles(mu, nu):
         np.testing.assert_array_equal(y_next, p.prox_g(sigma, v))
         np.testing.assert_array_equal(x_next, p.prox_phi_x(tau, y_next, x))
         np.testing.assert_array_equal(grad, p.grad_y(x_next, y_next))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_prox_x_grad_is_the_numpy_formula_bit_for_bit(mu):
+    # the kernel weights step on Python floats; each operation must be the
+    # one numpy makes entry by entry, on and off the simplex, over six decades of tau
+    p, _ = _factor_and_dense(73, mu=mu)
+    rng = make_rng(73, 1)
+    for i in range(1000):
+        x, y = p.sample_point(rng)
+        if i % 2:
+            x = rng.standard_normal(p.dim_x) * 10.0 ** rng.uniform(-2.0, 2.0)
+        tau = 10.0 ** rng.uniform(-3.0, 3.0)
+        for got, want in zip(p._prox_x_grad(tau, y, x), prox_x_grad_formula(p, tau, y, x)):
+            assert got.tobytes() == want.tobytes(), i
 
 
 @pytest.mark.parametrize("mu, nu, law", _VARIANTS)

@@ -1,4 +1,5 @@
 import bisect
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ def test_simplex_at_and_past_2_to_the_53():
     np.testing.assert_array_equal(project_simplex([1e300, 1e300, 0.0]), [0.5, 0.5, 0.0])
     np.testing.assert_array_equal(project_simplex([1e308, 1e308, 0.0]), [0.5, 0.5, 0.0])
     np.testing.assert_array_equal(project_simplex([1.7e308, -1.7e308, 0.0]), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("v, expected", [
+    ([2.0**53 + 2.0], [1.0]),
+    ([-(2.0**53 + 2.0)], [1.0]),
+    ([2.0**51 + 0.5, 2.0**51], [0.75, 0.25]),
+    ([2.0**40 + 0.3, 2.0**40], [0.6500244140625, 0.3499755859375]),
+], ids=["2**53+2", "-(2**53+2)", "2**51-pair", "2**40-pair"])
+def test_simplex_large_entries_stay_on_the_simplex(v, expected):
+    # unshifted, the running sums round away the 1 of the threshold, and the
+    # outputs sum to 2, 2, 1.5 and 1 + 2**-12
+    out = project_simplex(v)
+    np.testing.assert_array_equal(out, expected)
+    assert math.fsum(out) == 1.0
 
 
 def test_simplex_rejects_bad_input():
@@ -679,13 +694,34 @@ def _random_box_hyperplane_cases(count, rng):
 _ALL_FREE_NEAR_BOUND = ([1.0, 1.0, -1.0, -1.0], [1e-12, 0.5, 0.25, 0.25 + 1e-12])
 # the first clip clips the first entry alone; the re-solve moves t from -0.125 to 0
 _ONE_CLIPPED = ([1.0, 1.0, -1.0, -1.0], [-0.5, 0.5, 0.3, 0.2])
+# all free, the first entry 1e-11 from 0: inside the margin c of a unit
+# entry, outside the c / 100 of its own entry of 0.01
+_SPREAD_NORMAL = ([0.01, 1.0, 1.0, -1.0, -1.0], [1e-11, 0.5, 0.25, 0.5, 0.25])
+
+
+def _margin_straddle(s, v, k, kept, searched):
+    """Two copies of ``v`` whose entry ``k`` are adjacent floats between
+    ``kept`` and ``searched`` (of one sign), found by bisection on the bits:
+    the first passes :func:`one_step_accepts` and the second fails it."""
+    def with_entry(bits):
+        u = np.array(v, float)
+        u[k] = np.array(bits, np.int64).view(np.float64)
+        return u
+
+    good, bad = (int(np.array(e, np.float64).view(np.int64)) for e in (kept, searched))
+    while abs(good - bad) > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if one_step_accepts(s, with_entry(mid)) else (good, mid)
+    return [(s, with_entry(good)), (s, with_entry(bad))]
 
 
 def _all_free_cases(rng):
     """Inputs whose first clip clips nothing: a point ``y`` inside the box
     on the hyperplane, moved along ``normal``, for +-1 and Gaussian normals
-    and three values of ``upper``; then :data:`_ALL_FREE_NEAR_BOUND` and
-    :data:`_ONE_CLIPPED`, which is not all free."""
+    and three values of ``upper``; :data:`_SPREAD_NORMAL`; two pairs of
+    +-1-normal inputs one ulp either side of the margin, at 0 and at
+    ``upper``; then :data:`_ALL_FREE_NEAR_BOUND` and :data:`_ONE_CLIPPED`,
+    which is not all free."""
     cases = []
     for kind in ("pm1", "gauss"):
         for upper in (0.5, 1.0, 5.0):
@@ -697,6 +733,10 @@ def _all_free_cases(rng):
                 y = u - float(normal @ u) / float(normal @ normal) * normal
                 cases.append((BoxHyperplaneSet(upper=upper, normal=normal),
                               y + rng.uniform(-2.0, 2.0) * upper * normal))
+    cases += [(BoxHyperplaneSet(upper=1.0, normal=_SPREAD_NORMAL[0]), np.array(_SPREAD_NORMAL[1]))]
+    unit = BoxHyperplaneSet(upper=1.0, normal=[1.0, 1.0, -1.0, -1.0])
+    cases += _margin_straddle(unit, [0.0, 0.5, 0.25, 0.25], 0, 1e-6, 1e-12)
+    cases += _margin_straddle(unit, [0.0, 0.5, 0.75, 0.75], 0, 1.0 - 1e-6, 1.0 - 1e-12)
     assert all(first_clip_is_all_free(s, v) for s, v in cases)
     return cases + [(BoxHyperplaneSet(upper=1.0, normal=normal), np.array(v))
                     for normal, v in (_ALL_FREE_NEAR_BOUND, _ONE_CLIPPED)]
@@ -778,15 +818,49 @@ def test_box_hyperplane_falls_back_to_the_search(monkeypatch, normal, v):
     assert len(calls) == 1
 
 
+class _MinimumCounter:
+    """Stands in for ``numpy`` inside ``ogaprox.prox`` and counts the calls
+    of ``np.minimum``: on a call kept by the all-free path, only the
+    per-entry margin makes one."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def minimum(self, *args, **kwargs):
+        self.calls += 1
+        return np.minimum(*args, **kwargs)
+
+
+def _count_minimum_calls(monkeypatch):
+    counter = _MinimumCounter()
+    monkeypatch.setattr(prox, "np", counter)
+    return counter
+
+
 def test_box_hyperplane_all_free_first_clip(monkeypatch):
     # an all-free first clip is kept as it is, unless an entry lies inside the
-    # margin; one clipped entry sends the input through the Newton re-solve
-    calls = _count_searches(monkeypatch)
-    *interior, near_bound, one_clipped = _all_free_cases(make_rng(16, 31))
-    for i, (s, v) in enumerate(interior):
+    # margin; one clipped entry sends the input through the Newton re-solve.
+    # The margin is first tested on the least distance to a bound against the
+    # largest |normal_i|, which decides it for a +-1 normal; a spread normal
+    # can fail that and pass the per-entry margin
+    calls, minimum = _count_searches(monkeypatch), _count_minimum_calls(monkeypatch)
+    (*interior, spread, low_kept, low_searched, high_kept, high_searched,
+     near_bound, one_clipped) = _all_free_cases(make_rng(16, 31))
+    for i, (s, v) in enumerate(interior + [low_kept, high_kept]):
         y = project_box_hyperplane(s, v)
         np.testing.assert_array_equal(y, _box_hyperplane_bisect(s, v), err_msg=str(i))
-        assert not calls, i
+        assert not calls and not minimum.calls, i
+    s, v = spread
+    assert one_step_accepts(s, v)
+    np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v))
+    assert not calls and minimum.calls == 1
+    for (_, kept), (s, v) in ((low_kept, low_searched), (high_kept, high_searched)):
+        assert np.nextafter(kept[0], v[0]) == v[0] and not one_step_accepts(s, v)
+        np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v))
+    assert len(calls) == 2
     s, v = near_bound
     assert first_clip_is_all_free(s, v) and not one_step_accepts(s, v)
     s, v = one_clipped
@@ -794,7 +868,7 @@ def test_box_hyperplane_all_free_first_clip(monkeypatch):
     y = project_box_hyperplane(s, v)
     np.testing.assert_array_equal(y, _box_hyperplane_bisect(s, v))
     np.testing.assert_array_equal(y, [0.0, 0.5, 0.3, 0.2])
-    assert not calls
+    assert len(calls) == 2
 
 
 def test_box_hyperplane_searches_from_10_to_the_5_entries(monkeypatch):
@@ -845,10 +919,14 @@ def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
     problem = MkSvmProblem(conjugated_kernels(kernels, np.arange(rows), labels), labels,
                            box_c=1.0, mu=mu, nu=nu)
     calls, outputs, all_free = _count_searches(monkeypatch), [], []
+    minimum = _count_minimum_calls(monkeypatch)
 
     def checked(s, v):
         all_free.append(first_clip_is_all_free(s, v))
+        before, minimum_before = len(calls), minimum.calls
         outputs.append(project_box_hyperplane(s, v))
+        # a kept all-free call is decided by the scalar margin alone
+        assert not all_free[-1] or len(calls) > before or minimum.calls == minimum_before
         np.testing.assert_array_equal(outputs[-1], _box_hyperplane_bisect(s, v))
         return outputs[-1]
 
