@@ -162,7 +162,7 @@ class MkSvmProblem(SaddleProblem):
         top = max([spectral_norm(m) for m in self.m_stack]
                   + [spectral_norm(g) ** 2 / 1.001 for _, g in self._factors])
         self.constants = ProblemConstants(
-            l_yx=self.box_c * np.sqrt(self.dim_x * n) * top,
+            l_yx=float(self.box_c * np.sqrt(self.dim_x * n) * top),
             l_yy=top, mu=self.mu, nu=self.nu,
         )
 
@@ -190,7 +190,6 @@ class MkSvmProblem(SaddleProblem):
         """``prox_phi_x`` and ``grad_y`` at the new pair from one coupling pass;
         the few kernel weights step on Python floats, numpy's operations entry by entry."""
         my = self._kernel_products(y)
-        tau = float(tau)  # the schedule's numpy scalars would make each float operation slow
         xi, d = (my @ y).tolist(), 1.0 + self.mu * tau  # e / 1.0 == e at mu = 0
         x_next = project_simplex([(a + tau * (0.5 * q)) / d
                                   for a, q in zip(np.asarray(x, float).tolist(), xi)])

@@ -151,9 +151,8 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
         if min(lo, upper - hi) > c * s._max_n or (np.minimum(z, upper - z) > c * abs_n).all():
             return z
         return _box_hyperplane_search(s, w)
-    # with no entry at or past upper, as on the MKSVM runs measured, only 0 clips
-    y0 = np.maximum(z, 0.0) if hi < upper else np.minimum(np.maximum(z, 0.0), upper)
-    free = y0 > 0.0 if hi < upper else (y0 > 0.0) & (y0 < upper)
+    y0 = np.minimum(np.maximum(z, 0.0), upper)
+    free = (y0 > 0.0) & (y0 < upper)
     n_free = n[free]
     slope = float(n_free @ n_free)
     if slope > 0.0:

@@ -818,26 +818,16 @@ def test_box_hyperplane_falls_back_to_the_search(monkeypatch, normal, v):
     assert len(calls) == 1
 
 
-class _MinimumCounter:
-    """Stands in for ``numpy`` inside ``ogaprox.prox`` and counts the calls
-    of ``np.minimum``: on a call kept by the all-free path, only the
-    per-entry margin makes one."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def minimum(self, *args, **kwargs):
-        self.calls += 1
-        return np.minimum(*args, **kwargs)
-
-
-def _count_minimum_calls(monkeypatch):
-    counter = _MinimumCounter()
-    monkeypatch.setattr(prox, "np", counter)
-    return counter
+def _scalar_margin_holds(s, v):
+    """Whether the least distance of ``z0 = v - t0 * normal`` to a bound
+    exceeds ``c max|normal_i|``, ``c`` the one-step margin's ``1e-10 scale /
+    ||normal||**2`` at ``y0 = z0``: the margin test of an all-free input
+    that needs no per-entry pass."""
+    n, v = s.normal, np.asarray(v, float)
+    nn = float(n @ n)
+    z0 = v - float(n @ v) / nn * n
+    c = 1e-10 * float(np.abs(n) @ (np.abs(v) + z0 + z0)) / nn
+    return min(z0.min(), s.upper - z0.max()) > c * float(np.abs(n).max())
 
 
 def test_box_hyperplane_all_free_first_clip(monkeypatch):
@@ -846,19 +836,22 @@ def test_box_hyperplane_all_free_first_clip(monkeypatch):
     # The margin is first tested on the least distance to a bound against the
     # largest |normal_i|, which decides it for a +-1 normal; a spread normal
     # can fail that and pass the per-entry margin
-    calls, minimum = _count_searches(monkeypatch), _count_minimum_calls(monkeypatch)
+    calls = _count_searches(monkeypatch)
     (*interior, spread, low_kept, low_searched, high_kept, high_searched,
      near_bound, one_clipped) = _all_free_cases(make_rng(16, 31))
     for i, (s, v) in enumerate(interior + [low_kept, high_kept]):
         y = project_box_hyperplane(s, v)
         np.testing.assert_array_equal(y, _box_hyperplane_bisect(s, v), err_msg=str(i))
-        assert not calls and not minimum.calls, i
+        assert not calls, i
+        # for a +-1 normal the scalar margin decides
+        assert _scalar_margin_holds(s, v) or not (np.abs(s.normal) == 1.0).all(), i
     s, v = spread
-    assert one_step_accepts(s, v)
+    assert one_step_accepts(s, v) and not _scalar_margin_holds(s, v)
     np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v))
-    assert not calls and minimum.calls == 1
+    assert not calls
     for (_, kept), (s, v) in ((low_kept, low_searched), (high_kept, high_searched)):
         assert np.nextafter(kept[0], v[0]) == v[0] and not one_step_accepts(s, v)
+        assert _scalar_margin_holds(s, kept) and not _scalar_margin_holds(s, v)
         np.testing.assert_array_equal(project_box_hyperplane(s, v), _box_hyperplane_bisect(s, v))
     assert len(calls) == 2
     s, v = near_bound
@@ -919,14 +912,13 @@ def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
     problem = MkSvmProblem(conjugated_kernels(kernels, np.arange(rows), labels), labels,
                            box_c=1.0, mu=mu, nu=nu)
     calls, outputs, all_free = _count_searches(monkeypatch), [], []
-    minimum = _count_minimum_calls(monkeypatch)
 
     def checked(s, v):
         all_free.append(first_clip_is_all_free(s, v))
-        before, minimum_before = len(calls), minimum.calls
+        before = len(calls)
         outputs.append(project_box_hyperplane(s, v))
         # a kept all-free call is decided by the scalar margin alone
-        assert not all_free[-1] or len(calls) > before or minimum.calls == minimum_before
+        assert not all_free[-1] or len(calls) > before or _scalar_margin_holds(s, v)
         np.testing.assert_array_equal(outputs[-1], _box_hyperplane_bisect(s, v))
         return outputs[-1]
 
