@@ -16,7 +16,7 @@ from ..prox import on_simplex, project_simplex
 __all__ = ["Group", "FairnessProblem"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Group:
     features: np.ndarray
     labels: np.ndarray

@@ -237,7 +237,7 @@ class MkSvmProblem(SaddleProblem):
         self._check_simplex(x0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MkSvmPrediction:
     labels: np.ndarray
     j0: int

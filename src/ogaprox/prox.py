@@ -2,14 +2,16 @@
 
 The closed-form projections are exact finite algorithms: onto the simplex
 (one sort-and-threshold on Python floats at every size), and onto the
-multi-kernel SVM dual set ``{0 <= y <= upper, <y, normal> = 0}`` (a box and
-a hyperplane through 0).  Projections onto polyhedra ``{y : A y >= h}`` with
-full-row-rank ``A`` (the cone projector, and the cone toy problem's saddle
-point) go through one dual active-set kernel, :func:`solve_polytope_dual`,
-which is finite on such data.  The dense QP route (:func:`project_polytope`)
-has no run-time caller: it is the test oracle for the cone projector.
+multi-kernel SVM dual set ``{0 <= y <= upper, <y, normal> = 0}``, ``normal``
+the +-1 labels (one Newton step, else a binary search over the knots).
+Projections onto polyhedra ``{y : A y >= h}`` with full-row-rank ``A`` (the
+cone projector, and the cone toy problem's saddle point) go through one dual
+active-set kernel, :func:`solve_polytope_dual`, which is finite on such
+data.  The dense QP route (:func:`project_polytope`) has no run-time caller:
+it is the test oracle for the cone projector.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -54,11 +56,12 @@ def project_simplex(v) -> np.ndarray:
     sort, the running sums and the output run on Python floats, cheapest at
     the few entries the model problems send (one per kernel or group);
     above about 64 entries numpy array operations would be faster.  Below
-    ``2**20`` in magnitude the sums round by at most ``size**2 2**-53
-    max|x|``, and so does the output's sum.  An input that reaches ``2**20``
-    is first shifted by ``max(x)`` and floored at ``-1``, as entries below
-    ``max(x) - 1`` project to 0: the shift is exact on the entries it keeps
-    when ``|max(x)| >= 2``, and rounds each by at most ``2**-53`` otherwise.
+    ``2**20`` in magnitude each output entry and the output's sum lie
+    within ``size**2 2**-52 max(1, max|x|)`` of the exact projection's (the
+    output has unit scale).  An input that reaches ``2**20`` is first
+    shifted by ``max(x)`` and floored at ``-1``, as entries below ``max(x)
+    - 1`` project to 0: the shift is exact on the entries it keeps when
+    ``|max(x)| >= 2``, and rounds each by at most ``2**-53`` otherwise.
     """
     x = _as_vector(v)
     values = x.tolist()
@@ -78,35 +81,26 @@ def on_simplex(v) -> bool:
     return not (abs(float(np.sum(v)) - 1.0) > 1e-8 or float(np.min(v)) < -1e-8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxHyperplaneSet:
     """The multi-kernel SVM dual set ``{0 <= y <= upper, <y, normal> = 0}``.
 
-    ``0 < upper < inf``; ``normal`` is finite with no zero entry, so every
-    coordinate has two knots, and ``0 < ||normal||**2 < inf``.  The set holds
-    0, so it is never empty.  ``normal`` is a read-only copy; built from it
-    once are the projection's constants: ``|normal|``, its largest entry,
-    ``||normal||**2`` and the knots' slope changes ``(-n_i**2, n_i**2)``.
+    ``0 < upper < inf``; every entry of ``normal`` is -1 or +1 (the labels),
+    so every coordinate has two knots and ``||normal||**2`` is ``dim``.  The
+    set holds 0, so it is never empty.  ``normal`` is a read-only copy.
     """
 
     upper: float
     normal: np.ndarray
 
-    @np.errstate(over="ignore")  # an overflowing normal @ normal is rejected below
     def __post_init__(self):
         normal = np.array(self.normal, dtype=float)
-        if normal.ndim != 1 or normal.size == 0:
-            raise ValueError("normal must be a nonempty 1-d vector")
-        if not (np.isfinite(normal) & (normal != 0.0)).all():
-            raise ValueError("normal must be finite with no zero entry")
-        if not 0.0 < (nn := float(normal @ normal)) < np.inf:  # the projection divides by it
-            raise ValueError(f"normal must have a finite positive normal @ normal, got {nn}")
+        if normal.ndim != 1 or normal.size == 0 or not (np.abs(normal) == 1.0).all():
+            raise ValueError("normal must be a nonempty 1-d vector of -1 and +1 entries")
         if not 0.0 < self.upper < np.inf:
             raise ValueError(f"upper must be positive and finite, got {self.upper}")
         normal.flags.writeable = False
-        abs_n = np.abs(normal)
-        self.__dict__.update(normal=normal, _abs_n=abs_n, _max_n=float(abs_n.max()), _nn=nn,
-                             _change=np.concatenate((-normal**2, normal**2)))
+        object.__setattr__(self, "normal", normal)
 
     @property
     def dim(self) -> int:
@@ -118,88 +112,68 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     ``clip(v - t * normal, 0, upper)`` at the root of the nonincreasing
     ``r(t) = <y(t), normal>``.  Between the knots, where coordinates meet
     bounds, the pattern (the free set, and the bound of each other
-    coordinate) is fixed and one division solves ``r = 0``.  The pattern at
-    the all-free root ``t0 = <v, normal> / ||normal||**2`` is tried first
-    (one Newton step; Cominetti, Mascarenhas and Silva 2014).  Its root
-    ``t`` is kept if (a) ``z = v - t * normal`` has that pattern and (b)
-    ``|z_i - bound| > c |normal_i|``, ``c = 1e-10 scale / slope``, ``scale =
-    sum |normal_i| (|v_i| + |z_i| + |y0_i|)``, ``y0 = y(t0)``; this margin
-    is computed only once (a) holds.  If ``0 < min z0`` and ``max z0 <
-    upper`` for ``z0 = v - t0 * normal`` (a third to half of a 1,000-step
-    MKSVM run's calls, a fifth of a 2,000-step one's), the clip would return
-    ``z0``: ``t0`` is the root, ``z = y0 = z0``, and (b) is first tried as
-    ``min(min z0, upper - max z0) > c max|normal|``.  Rounding is monotone,
-    so that implies (b) entry by entry, and for a +-1 normal it is (b); only
-    when it fails is (b) computed per entry.  By (b) each knot has ``|r| >
-    1e-10 scale`` (slope times distance next to ``t``, more beyond, as each
-    term of ``r`` moves one way).  Direct residuals and ``t`` carry about
-    ``dim 2**-53 scale`` of rounding, and ``scale / slope >= |t|`` covers
-    the knots'.  So for ``dim < 10**5`` the breakpoint search reads each
-    knot's sign exactly, brackets ``t`` by the same knots and solves the
-    same pattern: the same floats; from ``10**5`` entries on it always runs.
+    coordinate) is fixed and one division by its slope, the number of free
+    coordinates, solves ``r = 0``.  The pattern at the all-free root ``t0 =
+    <v, normal> / dim`` is tried first (one Newton step; Cominetti,
+    Mascarenhas and Silva 2014).  Its root ``t`` is kept if (a) ``z = v - t
+    * normal`` has that pattern and then (b) ``|z_i - bound| > c = 1e-10
+    scale / slope`` for all ``i``, ``scale = sum (|v_i| + |z_i| + y0_i)``,
+    ``y0 = y(t0)``.  If ``z0 = v - t0 * normal`` lies inside the box (a
+    quarter of a 2,000-step MKSVM run's calls), ``t0`` is the root, ``z =
+    y0 = z0`` and (b) is ``min(min z0, upper - max z0) > c``.  By (b) each
+    knot has ``|r| > 1e-10 scale`` (slope times distance next to ``t``, more
+    beyond, as each term of ``r`` moves one way).  Direct residuals and
+    ``t`` carry about ``dim 2**-53 scale`` of rounding, and ``scale / slope
+    >= |t|`` covers the knots'.  So for ``dim < 10**5`` the breakpoint
+    search reads each knot's sign exactly, brackets ``t`` by the same knots
+    and solves the same pattern: the same floats; from ``10**5`` entries on
+    it always runs.
     """
     w = _as_vector(v)
     if w.size != s.dim:
         raise ValueError("dimension mismatch with set normal")
     if s.dim >= 10**5:
         return _box_hyperplane_search(s, w)
-    n, upper, abs_n = s.normal, s.upper, s._abs_n
-    z = w - float(n @ w) / s._nn * n
+    n, upper = s.normal, s.upper
+    z = w - float(n @ w) / s.dim * n
     lo, hi = z.min(), z.max()
     if 0.0 < lo and hi < upper:  # all free: t0 is the root and z = y0
-        c = 1e-10 * float(abs_n @ (np.abs(w) + z + z)) / s._nn
-        if min(lo, upper - hi) > c * s._max_n or (np.minimum(z, upper - z) > c * abs_n).all():
-            return z
-        return _box_hyperplane_search(s, w)
+        c = 1e-10 * float((np.abs(w) + z + z).sum()) / s.dim
+        return z if min(lo, upper - hi) > c else _box_hyperplane_search(s, w)
     y0 = np.minimum(np.maximum(z, 0.0), upper)
     free = (y0 > 0.0) & (y0 < upper)
-    n_free = n[free]
-    slope = float(n_free @ n_free)
-    if slope > 0.0:
+    slope = np.count_nonzero(free)
+    if slope:
         z = w - float(n @ np.where(free, w, y0)) / slope * n
         y = np.minimum(np.maximum(z, 0.0), upper)
         if (y == np.where(free, z, y0)).all():
             abs_z = np.abs(z)
-            scale = float(abs_n @ (np.abs(w) + abs_z + y0))  # y0 >= 0
-            if (np.minimum(abs_z, np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all():
+            scale = float((np.abs(w) + abs_z + y0).sum())
+            if (np.minimum(abs_z, np.abs(z - upper)) > 1e-10 * scale / slope).all():
                 return y
     return _box_hyperplane_search(s, w)
 
 
 def _box_hyperplane_search(s: BoxHyperplaneSet, w: np.ndarray) -> np.ndarray:
-    """Kiwiel's (2008) breakpoint search: cumulative slopes over the sorted
-    knots bracket the root, direct residuals confirm the bracket (the sums
-    lose digits on wide boxes), and its midpoint gives the pattern."""
+    """Breakpoint search: a binary search over the sorted knots on direct
+    residuals brackets the root, and its midpoint gives the pattern.  Each
+    rounded term of ``r`` falls with ``t``, and so does their sum in a
+    fixed order, so the knots with ``r < 0`` come last."""
     n, upper = s.normal, s.upper
-    a, b = w / n, (w - upper) / n
-    knots = np.concatenate((np.minimum(a, b), np.maximum(a, b)))
-    order = np.argsort(knots)
-    knots, change = knots[order], s._change[order]
+    knots = np.sort(np.concatenate((w / n, (w - upper) / n)))
 
     def y_at(t: float) -> np.ndarray:
         return np.minimum(np.maximum(w - t * n, 0.0), upper)
 
-    def negative(t: float) -> bool:
-        return float(n @ y_at(t)) < 0.0
-
-    steps = np.cumsum(change[:-1]) * np.diff(knots)
-    r = float(n @ y_at(knots[0])) + np.concatenate(([0.0], np.cumsum(steps)))
     # first knot with r < 0; the root lies between it and the knot before,
     # or on an open end segment past the first or the last knot
-    j = int(np.searchsorted(-r, 0.0, side="right"))
-    while j < knots.size and not negative(knots[j]):
-        j += 1
-    while j > 0 and negative(knots[j - 1]):
-        j -= 1
+    j = bisect.bisect_left(knots, True, key=lambda t: float(n @ y_at(t)) < 0.0)
     left = knots[j - 1] if j > 0 else knots[0] - 1.0 - abs(knots[0])
     right = knots[j] if j < knots.size else knots[-1] + 1.0 + abs(knots[-1])
-    t = 0.5 * (left + right)
-    y = y_at(t)
+    y = y_at(0.5 * (left + right))
     free = (y > 0.0) & (y < upper)
-    slope = float(n[free] @ n[free])
-    if slope > 0.0:  # otherwise r is constant (zero) on the segment and any t in it is a root
-        t = float(n @ np.where(free, w, y)) / slope
-    return y_at(t)
+    slope = np.count_nonzero(free)  # 0: r is zero on the segment, and any t in it is a root
+    return y_at(float(n @ np.where(free, w, y)) / slope) if slope else y
 
 
 def project_polytope(a_matrix, v) -> np.ndarray:

@@ -34,7 +34,7 @@ class QpUnboundedError(RuntimeError):
     """Objective decreases without bound along a feasible ray."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpProblem:
     """Convex QP data: ``min 0.5 u'Qu + q'u`` s.t. ``Gu >= h`` and ``Eu = e``."""
 

@@ -12,6 +12,7 @@ returns only its report.
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -112,28 +113,71 @@ def one_step_accepts(s, v) -> bool:
     pattern-and-margin test written in one expression: below that size the
     breakpoint search must run exactly when this is false."""
     w = _as_vector(v)
-    n, upper, abs_n = s.normal, s.upper, s._abs_n
-    y0 = np.minimum(np.maximum(w - float(n @ w) / s._nn * n, 0.0), upper)
+    n, upper = s.normal, s.upper
+    y0 = np.minimum(np.maximum(w - float(n @ w) / s.dim * n, 0.0), upper)
     free = (y0 > 0.0) & (y0 < upper)
-    slope = float(n[free] @ n[free])
-    if not slope > 0.0:
+    slope = int(free.sum())
+    if not slope:
         return False
     t = float(n @ np.where(free, w, y0)) / slope
     z = w - t * n
     y = np.minimum(np.maximum(z, 0.0), upper)
-    scale = float(abs_n @ (np.abs(w) + np.abs(z) + np.abs(y0)))
+    scale = float(np.sum(np.abs(w) + np.abs(z) + np.abs(y0)))
     return bool(np.array_equal(y, np.where(free, z, y0)) and (np.minimum(
-        np.abs(z), np.abs(z - upper)) > 1e-10 * scale / slope * abs_n).all())
+        np.abs(z), np.abs(z - upper)) > 1e-10 * scale / slope).all())
 
 
 def first_clip_is_all_free(s, v) -> bool:
     """Whether the clip of ``v - t0 * normal`` at the all-free root ``t0 =
-    <v, normal> / ||normal||**2`` leaves every coordinate strictly inside
-    ``(0, upper)``: then ``ogaprox.prox.project_box_hyperplane`` takes
-    ``t0`` as the root without a second Newton solve."""
+    <v, normal> / dim`` leaves every coordinate strictly inside ``(0,
+    upper)``: then ``ogaprox.prox.project_box_hyperplane`` takes ``t0`` as
+    the root without a second Newton solve."""
     w = _as_vector(v)
-    z = w - float(s.normal @ w) / s._nn * s.normal
+    z = w - float(s.normal @ w) / s.dim * s.normal
     return bool(np.all((z > 0.0) & (z < s.upper)))
+
+
+def project_box_hyperplane_exact(s, v) -> tuple[float, np.ndarray]:
+    """The projection onto a +-1 box-hyperplane set in exact rational
+    arithmetic: coordinate ``i`` is free between its knots ``v_i n_i -
+    upper`` and ``v_i n_i`` (``n_i = 1``) or ``v_i n_i`` and ``v_i n_i +
+    upper`` (``n_i = -1``); from the residual at the first sorted knot,
+    exact cumulative slopes give it at each later one, up to the first
+    knot where it is not positive.  Returns that segment's root ``t`` and
+    the projection, each rounded once to floats."""
+    upper = Fraction(s.upper)
+    pairs = [(Fraction(e), int(ni)) for e, ni in zip(_as_vector(v).tolist(), s.normal)]
+    knots = []
+    for e, ni in pairs:
+        low = e * ni - upper if ni > 0 else e * ni
+        knots += [(low, 1), (low + upper, -1)]
+    knots.sort()
+
+    def y_at(t):
+        return [min(max(e - t * ni, Fraction(0)), upper) for e, ni in pairs]
+
+    t = knots[0][0]
+    r, slope = sum(ni * y for (_, ni), y in zip(pairs, y_at(t))), 0
+    for knot, change in knots:
+        at_knot = r - slope * (knot - t)
+        if at_knot <= 0:
+            break
+        t, r, slope = knot, at_knot, slope + change
+    if r > 0:
+        t += r / slope
+    return float(t), np.array([float(y) for y in y_at(t)])
+
+
+def project_simplex_exact(v) -> np.ndarray:
+    """Sort-and-threshold onto the unit simplex in exact rational
+    arithmetic, each output entry rounded once to a float."""
+    x = [Fraction(e) for e in _as_vector(v).tolist()]
+    total = Fraction(0)
+    for j, e in enumerate(sorted(x, reverse=True)):
+        total += e
+        if e * (j + 1) > total - 1:
+            threshold = (total - 1) / (j + 1)
+    return np.array([float(max(e - threshold, Fraction(0))) for e in x])
 
 
 def assumption_slacks(state, prev_tau: float, kind: AdaptiveSchedule,
