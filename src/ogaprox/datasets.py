@@ -9,7 +9,6 @@ yields group labels by sex and by age band (<50, 50-59, >=60), computed
 from the raw values before normalization.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +40,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetFormat:
     filename: str  # name of the file as distributed by the UCI repository
     label_column: int
@@ -86,7 +85,7 @@ class DatasetSpec:
             raise UnknownDatasetError(f"unknown dataset {self.name!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class LoadedDataset:
     name: str
     features: np.ndarray
@@ -142,8 +141,10 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
 
+    keep = [c for c in range(fmt.n_columns) if c != fmt.label_column and c not in fmt.drop_columns]
     raw_rows: list[list[float]] = []
     labels: list[float] = []
+    kept_lines: list[int] = []
     dropped = 0
     with path.open() as handle:
         lines = [line for line in handle if line.strip()]
@@ -161,22 +162,24 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
         label_token = tokens[fmt.label_column]
         if label_token not in fmt.label_map:
             raise ParseError(f"unknown label {label_token!r}", index, fmt.label_column)
-        row = []
-        for col, tok in enumerate(tokens):
-            if col == fmt.label_column or col in fmt.drop_columns:
-                continue
-            try:
-                row.append(float(tok))
-            except ValueError:
-                raise ParseError(f"non-numeric feature {tok!r}", index, col) from None
-            if not math.isfinite(row[-1]):
-                raise ParseError(f"non-finite feature {tok!r}", index, col)
-        raw_rows.append(row)
+        try:
+            raw_rows.append([float(tokens[c]) for c in keep])
+        except ValueError:
+            for col in keep:
+                try:
+                    float(tokens[col])
+                except ValueError:
+                    raise ParseError(f"non-numeric feature {tokens[col]!r}", index, col) from None
         labels.append(fmt.label_map[label_token])
+        kept_lines.append(index)
     if not raw_rows:
         raise ValueError(f"dataset file {path} has no complete data rows")
 
     raw = np.asarray(raw_rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(raw))
+    if bad.size:
+        index, col = kept_lines[bad[0, 0]], keep[bad[0, 1]]
+        raise ParseError(f"non-finite feature {_tokenize(lines[index])[col]!r}", index, col)
     label_arr = np.asarray(labels, dtype=float)
     groups: dict[str, np.ndarray] = {}
     if spec.name == "heart-disease":

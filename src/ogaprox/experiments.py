@@ -243,8 +243,8 @@ def mksvm_experiment(
         train_idx, test_idx = train_test_split(data.n_rows, split_fraction, rng)
         labels_train = data.labels[train_idx]
         labels_test = data.labels[test_idx]
-        mats = conjugated_kernels(kernels, train_idx, labels_train)
-        problem = MkSvmProblem(mats, labels_train, box_c=box_c, mu=mu, nu=nu)
+        problem = MkSvmProblem(conjugated_kernels(kernels, train_idx, labels_train),
+                               labels_train, box_c=box_c, mu=mu, nu=nu)
         if variant == "c2":
             kind = default_linear(problem.constants)
         else:
@@ -262,6 +262,7 @@ def mksvm_experiment(
 
         records = run(problem, kind, x0, y0, max_iter, callbacks=(accuracy,)).report.records
         per_run.append({rec.k: rec.tsa for rec in records})
+        del problem  # the next run's blocks are built without this run's alive
 
     report = RunReport()
     for k in checkpoints:

@@ -43,7 +43,8 @@ def kernel_diagonal(kernel: np.ndarray) -> np.ndarray:
 
 
 def _block(kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return kernel[rows] @ kernel[cols].T if _is_factor(kernel) else kernel[np.ix_(rows, cols)]
+    """``K[rows, cols]``, C-ordered; a dense kernel is gathered by columns, then rows."""
+    return kernel[rows] @ kernel[cols].T if _is_factor(kernel) else kernel[:, cols][rows]
 
 
 def polynomial_kernel(features: np.ndarray) -> np.ndarray:
@@ -58,8 +59,11 @@ def gaussian_kernel(features: np.ndarray) -> np.ndarray:
     (read as ``exp(-0.5 ||a-a'||^2 / 0.1)``).
     """
     sq = np.sum(features**2, axis=1)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (features @ features.T)
-    return np.exp(-5.0 * np.maximum(dist, 0.0))
+    dist = np.add.outer(sq, sq)
+    dist -= 2.0 * (features @ features.T)
+    np.maximum(dist, 0.0, out=dist)
+    dist *= -5.0
+    return np.exp(dist, out=dist)
 
 
 def linear_kernel(features: np.ndarray) -> np.ndarray:
@@ -94,24 +98,30 @@ def conjugated_kernels(kernels: list[np.ndarray], train_idx: np.ndarray,
                        labels_train: np.ndarray) -> list[np.ndarray]:
     """Per-kernel coupling matrices ``M_i = (c / r_i) diag(b) K_i^tr diag(b)``
     with ``r_i = trace(K_i)`` and ``c = sum_i r_i``; a factor ``F`` thinner than
-    the training rows gives the factor ``sqrt(c / r_i) diag(b) F^tr`` of ``M_i``."""
+    the training rows gives the factor ``sqrt(c / r_i) diag(b) F^tr`` of ``M_i``.
+    Each block is gathered once and scaled in place; the ``+-1`` label products
+    are exact, so it rounds as ``(c / r_i) K_i^tr`` does."""
     traces = [float(np.sum(kernel_diagonal(k))) for k in kernels]
     c = sum(traces)
-    sign = np.outer(labels_train, labels_train)
-    return [
-        np.sqrt(c / r) * labels_train[:, None] * kernel[train_idx]
-        if _is_factor(kernel) and kernel.shape[1] < len(train_idx)
-        else (c / r) * sign * _block(kernel, train_idx, train_idx)
-        for kernel, r in zip(kernels, traces)
-    ]
+    mats = []
+    for kernel, r in zip(kernels, traces):
+        thin = _is_factor(kernel) and kernel.shape[1] < len(train_idx)
+        m = kernel[train_idx] if thin else _block(kernel, train_idx, train_idx)
+        m *= np.sqrt(c / r) if thin else c / r
+        m *= labels_train[:, None]
+        if not thin:
+            m *= labels_train
+        mats.append(m)
+    return mats
 
 
 def spectral_norm(a: np.ndarray) -> float:
     """Power iteration on ``A'A`` (at most 200 steps, stopping at a relative
     change of 1e-12), inflated by 1.001.  The iteration approaches ``||A||``
-    from below, so this bounds it only once converged, as it does on the
-    symmetric PSD kernel matrices here (``1.001 * lambda_max``) and on an
-    ``n x r`` factor ``G`` (``spectral_norm(G)**2 / 1.001 = 1.001 * lambda_max(G G')``)."""
+    from below, so when it has not converged by then the SVD's ``||A||`` is
+    inflated instead.  On the symmetric PSD kernel matrices here this is
+    ``1.001 * lambda_max``, and on an ``n x r`` factor ``G``
+    ``spectral_norm(G)**2 / 1.001 = 1.001 * lambda_max(G G')``."""
     rng = np.random.Generator(np.random.Philox(12345))
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
@@ -124,8 +134,8 @@ def spectral_norm(a: np.ndarray) -> float:
         v = w / norm_w
         value, prev = float(np.sqrt(norm_w)), value
         if abs(value - prev) <= 1e-12 * max(1.0, value):
-            break
-    return 1.001 * value
+            return 1.001 * value
+    return 1.001 * float(np.linalg.norm(a, 2))
 
 
 class MkSvmProblem(SaddleProblem):
@@ -144,12 +154,16 @@ class MkSvmProblem(SaddleProblem):
         dense = [(i, m) for i, m in enumerate(mats) if not thin[i]]
         for i, m in dense:
             scale = max(1.0, float(np.max(np.abs(m))))
-            if m.shape != (n, n) or float(np.max(np.abs(m - m.T))) > _FEAS_TOL * scale:
+            # m - m' is antisymmetric, so its largest entry is its largest magnitude
+            if m.shape != (n, n) or float(np.max(m - m.T)) > _FEAS_TOL * scale:
                 raise ValueError(f"kernel matrix {i} must be symmetric {n}x{n}")
+            shifted = m.copy()
+            shifted.flat[:: n + 1] += _FEAS_TOL * scale
             try:
-                np.linalg.cholesky(m + _FEAS_TOL * scale * np.eye(n))
+                np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 raise ValueError(f"kernel matrix {i} is not positive semidefinite") from None
+            del shifted  # not alive while the next block is checked or the stack is built
         self.m_stack = np.array([m for _, m in dense]).reshape(-1, n, n)
         self._dense_rows = np.array([i for i, _ in dense], dtype=np.intp)
         self.box_c = float(box_c)

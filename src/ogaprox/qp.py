@@ -93,7 +93,7 @@ class KktResidual:
         return max(self.stationarity, self.primal, self.dual, self.complementarity)
 
 
-@dataclass
+@dataclass(eq=False)
 class QpResult:
     x: np.ndarray
     status: QpStatus

@@ -53,7 +53,7 @@ class NonFiniteIterateError(RuntimeError):
         self.report = report
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverState:
     """Iterates, ``grad = grad_y(x_k, y_k)``, ``grad_prev =
     grad_y(x_{k-1}, y_{k-1})``, the weighted sums ``erg_x``, ``erg_y`` of

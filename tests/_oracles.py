@@ -107,6 +107,34 @@ def prox_x_grad_formula(problem, tau, y, x) -> tuple[np.ndarray, np.ndarray]:
     return x_next, 1.0 - x_next @ my
 
 
+def gaussian_kernel_formula(features) -> np.ndarray:
+    """``ogaprox.problems.mksvm.gaussian_kernel`` as one expression of fresh
+    arrays in place of its one in-place buffer: the reference it must match
+    bit for bit."""
+    sq = np.sum(features**2, axis=1)
+    dist = sq[:, None] + sq[None, :] - 2.0 * (features @ features.T)
+    return np.exp(-5.0 * np.maximum(dist, 0.0))
+
+
+def conjugated_kernels_formula(kernels, train_idx, labels_train) -> list[np.ndarray]:
+    """``ogaprox.problems.mksvm.conjugated_kernels`` with an ``np.ix_`` gather
+    and a sign matrix ``b b'`` in place of its in-place row scaling: the
+    reference it must match bit for bit."""
+    traces = [float(np.sum(np.sum(k**2, axis=1) if k.shape[1] < len(k) else np.diag(k)))
+              for k in kernels]
+    c = sum(traces)
+    sign = np.outer(labels_train, labels_train)
+    out = []
+    for kernel, r in zip(kernels, traces):
+        if kernel.shape[1] < len(train_idx):
+            out.append(np.sqrt(c / r) * labels_train[:, None] * kernel[train_idx])
+            continue
+        block = (kernel[train_idx] @ kernel[train_idx].T if kernel.shape[1] < len(kernel)
+                 else kernel[np.ix_(train_idx, train_idx)])
+        out.append((c / r) * sign * block)
+    return out
+
+
 def one_step_accepts(s, v) -> bool:
     """Whether ``ogaprox.prox.project_box_hyperplane`` keeps the root of its
     one Newton step on a set of fewer than ``10**5`` entries, by the

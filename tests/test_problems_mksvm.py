@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ogaprox import experiments
-from ogaprox.datasets import LoadedDataset
+from ogaprox.datasets import DatasetSpec, LoadedDataset, load_dataset
 from ogaprox.experiments import mksvm_experiment
 from ogaprox.problem import validate_problem
 from ogaprox.problems import MkSvmProblem, mksvm_predict
@@ -13,13 +15,16 @@ from ogaprox.problems.mksvm import (
     linear_kernel,
     normalize_kernel,
     polynomial_kernel,
+    spectral_norm,
 )
 from ogaprox.prox import project_box_hyperplane, project_simplex
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
 
-from _oracles import ThreeCalls, prox_oracle, prox_x_grad_formula
+from _oracles import (ThreeCalls, conjugated_kernels_formula, gaussian_kernel_formula,
+                      prox_oracle, prox_x_grad_formula)
+from perfbench import datagen
 
 
 def _dense_kernels(features):
@@ -249,8 +254,10 @@ def test_rejects_non_psd_kernel():
     ([np.eye(2)], [1.0, -1.0], 0.0, "box_c must be positive"),
     ([np.array([[1.0, 0.5], [0.0, 1.0]])], [1.0, -1.0], 1.0,
      "kernel matrix 0 must be symmetric 2x2"),
+    ([np.array([[1.0, 0.0], [0.5, 1.0]])], [1.0, -1.0], 1.0,
+     "kernel matrix 0 must be symmetric 2x2"),
     ([], [1.0, -1.0], 1.0, "at least one kernel required"),
-], ids=["labels", "box_c", "asymmetric", "no-kernels"])
+], ids=["labels", "box_c", "asymmetric", "asymmetric-lower", "no-kernels"])
 def test_rejects_bad_inputs(kernels, labels, box_c, message):
     with pytest.raises(ValueError, match=message):
         MkSvmProblem(kernels, np.array(labels), box_c=box_c)
@@ -397,6 +404,55 @@ def test_a_factor_no_thinner_than_the_training_rows_gives_the_dense_block():
     assert block.shape == (4, 4)
     scale = 10.0 / np.sum(features**2)  # c / r with one kernel
     _close(block, scale * np.outer(labels, labels) * (features[:4] @ features[:4].T))
+
+
+def _ionosphere_file(tmp_path):
+    """The benchmark's seed-1 ionosphere-shaped file, loaded."""
+    path = tmp_path / "ionosphere.data"
+    path.write_text(datagen.ionosphere_text(1))
+    with pytest.warns(UserWarning, match=r"dropping constant feature column\(s\) \(1,\)"):
+        return load_dataset(DatasetSpec(name="ionosphere", path=str(path)))
+
+
+def test_in_place_kernels_match_their_formulas_bit_for_bit(tmp_path):
+    # shapes: the benchmark file (thin factor), a thin factor, a factor no thinner
+    # than the training rows (dense block through the factor) and a dense linear kernel
+    rng = make_rng(88, 0)
+    cases = [_ionosphere_file(tmp_path).features] + [
+        scale * rng.standard_normal(shape)
+        for shape, scale in (((19, 3), 1.0), ((30, 25), 0.3), ((12, 40), 0.2))]
+    for features in cases:
+        got, want = gaussian_kernel(features), gaussian_kernel_formula(features)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        rows = len(features)
+        train_idx = np.sort(rng.choice(rows, size=int(0.8 * rows), replace=False))
+        labels = np.where(rng.uniform(size=train_idx.size) < 0.5, -1.0, 1.0)
+        kernels = build_kernels(features)
+        got = conjugated_kernels(kernels, train_idx, labels)
+        want = conjugated_kernels_formula(kernels, train_idx, labels)
+        assert [(m.shape, m.tobytes()) for m in got] == [(m.shape, m.tobytes()) for m in want]
+
+
+def test_mksvm_study_peak_memory_on_the_benchmark_file(tmp_path):
+    # traced peak above the loaded data: 4.6 MiB with the blocks built and
+    # checked in place and the previous run's problem released; 7.1 MiB with
+    # the throwaway n x n copies and two runs' blocks alive at once
+    data = _ionosphere_file(tmp_path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mksvm_experiment(data, variant="c1", seed=0, runs=2, checkpoints=(50,))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.1 * 2**20
+
+
+def test_spectral_norm_bounds_the_norm_when_the_power_iteration_stalls():
+    # singular values 1 down to 0.99: 200 power steps reach only 0.9984
+    a = np.diag(np.linspace(1.0, 0.99, 100))
+    assert spectral_norm(a) == pytest.approx(1.001, rel=1e-12)
 
 
 def test_predict_on_the_factor_form_matches_the_dense_kernels():

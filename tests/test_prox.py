@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ogaprox import prox
+from ogaprox.datasets import DatasetFormat, LoadedDataset
 from ogaprox.problem import prox_inequality_gap
 from ogaprox.problems import FairnessProblem, Group, MkSvmProblem
 from ogaprox.problems import fairness as fairness_module
@@ -27,10 +28,10 @@ from ogaprox.prox import (
     project_simplex,
     solve_polytope_dual,
 )
-from ogaprox.qp import QpProblem, QpStatus, solve_qp
+from ogaprox.qp import QpProblem, QpResult, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive, default_linear
-from ogaprox.solver import run
+from ogaprox.solver import SolverState, run
 
 from _oracles import (first_clip_is_all_free, one_step_accepts, project_box_hyperplane_exact,
                       project_simplex_exact, project_simplex_numpy, prox_oracle,
@@ -404,9 +405,15 @@ def test_set_and_projector_hold_read_only_copies():
     lambda: Group(np.ones((2, 3)), [1.0, -1.0]),
     lambda: MkSvmPrediction(np.array([1.0, -1.0]), 0, 0.5, False),
     lambda: QpProblem(np.eye(2), np.zeros(2)),
-], ids=["box-hyperplane-set", "group", "mksvm-prediction", "qp-problem"])
+    lambda: QpResult(np.zeros(2), QpStatus.OPTIMAL, 0),
+    lambda: SolverState(*(np.zeros(2) for _ in range(6))),
+    lambda: LoadedDataset("sonar", np.zeros((2, 2)), np.array([1.0, -1.0])),
+    lambda: DatasetFormat("f.data", 1, {"a": 1.0}, 2),
+], ids=["box-hyperplane-set", "group", "mksvm-prediction", "qp-problem", "qp-result",
+        "solver-state", "loaded-dataset", "dataset-format"])
 def test_frozen_array_holders_compare_by_identity(make):
-    # field-wise == would ask numpy for the truth value of an array
+    # field-wise == would ask numpy for the truth value of an array, and a
+    # field-wise hash fails on an array or dict field
     a, b = make(), make()
     assert a == a and a != b
     assert hash(a) == hash(a) and a in {a} and b not in {a}
