@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..problem import ProblemConstants, SaddleProblem
-from ..prox import BoxHyperplaneSet, on_simplex, project_box_hyperplane, project_simplex
+from ..prox import BoxHyperplaneSet, _finite, on_simplex, project_box_hyperplane, project_simplex
 
 __all__ = [
     "MkSvmProblem",
@@ -53,7 +53,8 @@ def polynomial_kernel(features: np.ndarray) -> np.ndarray:
 
 
 def gaussian_kernel(features: np.ndarray) -> np.ndarray:
-    """Gaussian kernel ``exp(-5 ||a - a'||^2)``.
+    """Gaussian kernel ``exp(-5 ||a - a'||^2)``; entries below the smallest normal
+    float are 0, so no product with the kernel takes slow subnormal arithmetic.
 
     ``gamma = 5`` corresponds to a squared-exponential with width 1/10
     (read as ``exp(-0.5 ||a-a'||^2 / 0.1)``).
@@ -63,7 +64,9 @@ def gaussian_kernel(features: np.ndarray) -> np.ndarray:
     dist -= 2.0 * (features @ features.T)
     np.maximum(dist, 0.0, out=dist)
     dist *= -5.0
-    return np.exp(dist, out=dist)
+    np.exp(dist, out=dist)
+    dist[dist < np.finfo(float).tiny] = 0.0
+    return dist
 
 
 def linear_kernel(features: np.ndarray) -> np.ndarray:
@@ -150,13 +153,28 @@ class MkSvmProblem(SaddleProblem):
         if not mats:
             raise ValueError("at least one kernel required")
         thin = [_is_factor(m) and len(m) == n for m in mats]  # M_i = m m' is PSD by construction
+        for i, m in enumerate(mats):
+            if thin[i] and not _finite(m, float(np.vdot(m, m))):
+                raise ValueError(f"kernel matrix {i} must be finite")
         self._factors = tuple((i, m.copy()) for i, m in enumerate(mats) if thin[i])
         dense = [(i, m) for i, m in enumerate(mats) if not thin[i]]
         for i, m in dense:
-            scale = max(1.0, float(np.max(np.abs(m))))
-            # m - m' is antisymmetric, so its largest entry is its largest magnitude
-            if m.shape != (n, n) or float(np.max(m - m.T)) > _FEAS_TOL * scale:
+            if m.shape != (n, n):
                 raise ValueError(f"kernel matrix {i} must be symmetric {n}x{n}")
+            size = np.abs(m)
+            scale, row_sums = max(1.0, float(size.max())), size.sum(axis=1)
+            del size  # no two n x n temporaries alive at once
+            if not _finite(m, float(np.sum(row_sums))):
+                raise ValueError(f"kernel matrix {i} must be finite")
+            # m - m' is antisymmetric, so its largest entry is its largest magnitude
+            if float(np.max(m - m.T)) > _FEAS_TOL * scale:
+                raise ValueError(f"kernel matrix {i} must be symmetric {n}x{n}")
+            # PSD certificate (Gershgorin): d_i + |d_i| + tol > sum_j |m_ij| in every row, with
+            # tol = _FEAS_TOL * scale and 1 + n 2^-52 for the row sums' rounding, makes m + tol I
+            # strictly diagonally dominant, so lambda_min(m) > -tol, the Cholesky test's margin
+            diag = m.diagonal()
+            if (diag + np.abs(diag) + _FEAS_TOL * scale > row_sums * (1.0 + n * 2.0**-52)).all():
+                continue
             shifted = m.copy()
             shifted.flat[:: n + 1] += _FEAS_TOL * scale
             try:

@@ -21,6 +21,8 @@ class QuadraticSaddleProblem(SaddleProblem):
     def __init__(self, a_matrix, b_lin=None, c_lin=None, mu: float = 0.0, nu: float = 0.0,
                  box: tuple[float, float] | None = None):
         self.a = np.array(a_matrix, dtype=float)
+        if not np.isfinite(self.a).all():
+            raise ValueError("a_matrix must be finite")
         if self.a.ndim != 2:
             raise ValueError("a_matrix must be 2-d")
         self.dim_y, self.dim_x = self.a.shape

@@ -250,6 +250,8 @@ class PolytopeProjector:
 
     def __init__(self, a_matrix):
         a = np.array(a_matrix, dtype=float)
+        if not np.isfinite(a).all():
+            raise ValueError("a_matrix must be finite")
         if a.ndim != 2:
             raise ValueError("a_matrix must be 2-d")
         d, n = a.shape

@@ -11,12 +11,13 @@ from ogaprox.problem import (
     validate_problem,
 )
 from ogaprox.problems import (
+    MkSvmProblem,
     QuadraticSaddleProblem,
     ToyProblem,
     random_toy_problem,
 )
 from ogaprox.problems.toy import _FEAS_TOL, _outside_cone
-from ogaprox.prox import RankDeficientError
+from ogaprox.prox import PolytopeProjector, RankDeficientError
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import experiment_rng, make_rng
 from ogaprox.schedule import default_adaptive
@@ -447,6 +448,30 @@ def test_quadratic_later_writes_to_the_arguments_change_no_oracle_output():
     for arr in (p.a, p.b, p.c, QuadraticSaddleProblem(np.eye(2)).b):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+def _poisoned(a, value):
+    a = np.array(a, dtype=float)
+    a[0, -1] = a[-1, 0] = value
+    return a
+
+
+_SIGNS = np.array([1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, message", [
+    (lambda v: MkSvmProblem([_poisoned(np.eye(3), v)], _SIGNS, box_c=1.0),
+     "kernel matrix 0 must be finite"),
+    (lambda v: MkSvmProblem([np.eye(3), _poisoned(np.ones((3, 1)), v)], _SIGNS, box_c=1.0),
+     "kernel matrix 1 must be finite"),
+    (lambda v: QuadraticSaddleProblem(_poisoned(np.eye(3), v)), "a_matrix must be finite"),
+    (lambda v: PolytopeProjector(_poisoned(np.eye(2, 3), v)), "a_matrix must be finite"),
+    (lambda v: ToyProblem(_poisoned(np.eye(2, 3), v)), "a_matrix must be finite"),
+], ids=["mksvm-dense", "mksvm-factor", "quadratic", "polytope-projector", "toy"])
+def test_constructors_reject_a_non_finite_matrix(make, message, value):
+    with pytest.raises(ValueError, match=message):
+        make(value)
 
 
 # -- interface validation ----------------------------------------------------

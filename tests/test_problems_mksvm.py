@@ -1,10 +1,11 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ogaprox import experiments
-from ogaprox.datasets import DatasetSpec, LoadedDataset, load_dataset
+from ogaprox.datasets import DatasetSpec, LoadedDataset, load_dataset, train_test_split
 from ogaprox.experiments import mksvm_experiment
 from ogaprox.problem import validate_problem
 from ogaprox.problems import MkSvmProblem, mksvm_predict
@@ -18,7 +19,7 @@ from ogaprox.problems.mksvm import (
     spectral_norm,
 )
 from ogaprox.prox import project_box_hyperplane, project_simplex
-from ogaprox.rng import make_rng
+from ogaprox.rng import experiment_rng, make_rng
 from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
 
@@ -257,10 +258,61 @@ def test_rejects_non_psd_kernel():
     ([np.array([[1.0, 0.0], [0.5, 1.0]])], [1.0, -1.0], 1.0,
      "kernel matrix 0 must be symmetric 2x2"),
     ([], [1.0, -1.0], 1.0, "at least one kernel required"),
-], ids=["labels", "box_c", "asymmetric", "asymmetric-lower", "no-kernels"])
+    # rows 1 and 2 are diagonally dominant, row 0 is not
+    ([np.array([[-1.0, 0.1, 0.1], [0.1, 1.0, 0.0], [0.1, 0.0, 1.0]])], [1.0, -1.0, 1.0], 1.0,
+     "kernel matrix 0 is not positive semidefinite"),
+], ids=["labels", "box_c", "asymmetric", "asymmetric-lower", "no-kernels",
+        "indefinite-one-row-not-dominant"])
 def test_rejects_bad_inputs(kernels, labels, box_c, message):
     with pytest.raises(ValueError, match=message):
         MkSvmProblem(kernels, np.array(labels), box_c=box_c)
+
+
+def _cholesky_calls(monkeypatch, allowed=True):
+    """Record each ``np.linalg.cholesky`` call's shape; fail the test on a call
+    when not ``allowed``."""
+    calls, real = [], np.linalg.cholesky
+
+    def spy(a):
+        assert allowed, "the Cholesky PSD test ran"
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return calls
+
+
+def _ionosphere_blocks(tmp_path):
+    """The benchmark file's polynomial and Gaussian training blocks of run 0, and the labels."""
+    data = _ionosphere_file(tmp_path)
+    train_idx, _ = train_test_split(data.n_rows, 0.8, experiment_rng(0, "mksvm", 0))
+    labels = data.labels[train_idx]
+    return conjugated_kernels(build_kernels(data.features), train_idx, labels)[:2], labels
+
+
+def test_diagonally_dominant_blocks_skip_the_cholesky_test(tmp_path, monkeypatch):
+    (_, gauss), labels = _ionosphere_blocks(tmp_path)
+    n = labels.size
+    s = make_rng(90, 0).uniform(-1.0, 1.0, (n, n))
+    _cholesky_calls(monkeypatch, allowed=False)
+    p = MkSvmProblem([gauss, 3.0 * np.eye(n) + 1e-3 * (s + s.T)], labels, box_c=1.0)
+    assert p.m_stack.shape == (2, n, n)
+
+
+def test_blocks_without_a_dominance_certificate_reach_the_cholesky_test(tmp_path, monkeypatch):
+    (poly, _), labels = _ionosphere_blocks(tmp_path)
+    n = labels.size
+    g = make_rng(90, 1).standard_normal((n, 3))
+    # (1 - a) I + a J: PD, and dominant with the shift, 1 + 1e-8 > 3a, by about
+    # 1e-15, less than the row sums' rounding margin but more than their rounding
+    a = (1.0 + 1e-8) / 3.0 - 3e-16
+    close = (1.0 - a) * np.eye(4) + a * np.ones((4, 4))
+    np.fill_diagonal(close, 1.0)
+    assert Fraction(1) + Fraction(1e-8) > 3 * Fraction(a)
+    calls = _cholesky_calls(monkeypatch)
+    MkSvmProblem([poly, g @ g.T], labels, box_c=1.0)
+    MkSvmProblem([close], np.array([1.0, -1.0, 1.0, -1.0]), box_c=1.0)
+    assert calls == [(n, n), (n, n), (4, 4)]
 
 
 # -- prediction rule ---------------------------------------------------------
@@ -414,16 +466,36 @@ def _ionosphere_file(tmp_path):
         return load_dataset(DatasetSpec(name="ionosphere", path=str(path)))
 
 
+def _z_scored(rng, rows, cols):
+    features = rng.standard_normal((rows, cols))
+    return (features - features.mean(axis=0)) / features.std(axis=0)
+
+
+def _flushed(kernel):
+    """``kernel`` with its subnormal entries set to 0."""
+    return np.where(kernel < np.finfo(float).tiny, 0.0, kernel)
+
+
+def _subnormal_share(m):
+    return float(np.mean((m != 0.0) & (np.abs(m) < np.finfo(float).tiny)))
+
+
 def test_in_place_kernels_match_their_formulas_bit_for_bit(tmp_path):
-    # shapes: the benchmark file (thin factor), a thin factor, a factor no thinner
-    # than the training rows (dense block through the factor) and a dense linear kernel
+    # shapes: the benchmark file (thin factor), 70 z-scored features (thin factor;
+    # ||a - a'||^2 is about 140, so exp(-5 ||a - a'||^2) lands near the bottom of the
+    # float range), a thin factor, a factor no thinner than the training rows (dense
+    # block through the factor) and a dense linear kernel.  The Gaussian kernel is
+    # the formula with its subnormal entries set to 0.
     rng = make_rng(88, 0)
-    cases = [_ionosphere_file(tmp_path).features] + [
+    wide = _z_scored(make_rng(89, 0), 351, 70)
+    cases = [_ionosphere_file(tmp_path).features, wide] + [
         scale * rng.standard_normal(shape)
         for shape, scale in (((19, 3), 1.0), ((30, 25), 0.3), ((12, 40), 0.2))]
+    assert _subnormal_share(gaussian_kernel_formula(wide)) >= 0.10
     for features in cases:
-        got, want = gaussian_kernel(features), gaussian_kernel_formula(features)
+        got, want = gaussian_kernel(features), _flushed(gaussian_kernel_formula(features))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert _subnormal_share(got) == 0.0
         rows = len(features)
         train_idx = np.sort(rng.choice(rows, size=int(0.8 * rows), replace=False))
         labels = np.where(rng.uniform(size=train_idx.size) < 0.5, -1.0, 1.0)
@@ -431,6 +503,22 @@ def test_in_place_kernels_match_their_formulas_bit_for_bit(tmp_path):
         got = conjugated_kernels(kernels, train_idx, labels)
         want = conjugated_kernels_formula(kernels, train_idx, labels)
         assert [(m.shape, m.tobytes()) for m in got] == [(m.shape, m.tobytes()) for m in want]
+
+
+def test_no_kernel_block_of_a_wide_z_scored_study_holds_a_subnormal(monkeypatch):
+    rng = make_rng(89, 1)
+    data = LoadedDataset(name="ionosphere", features=_z_scored(rng, 351, 70),
+                         labels=np.where(rng.uniform(size=351) < 0.5, -1.0, 1.0))
+    blocks = []
+
+    def spy(m_list, *args, **kwargs):
+        blocks.extend(m_list)
+        return MkSvmProblem(m_list, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "MkSvmProblem", spy)
+    mksvm_experiment(data, variant="c1", seed=0, runs=2, checkpoints=(5,))
+    assert [m.shape for m in blocks] == [(281, 281), (281, 281), (281, 70)] * 2
+    assert [_subnormal_share(m) for m in blocks] == [0.0] * 6
 
 
 def test_mksvm_study_peak_memory_on_the_benchmark_file(tmp_path):
