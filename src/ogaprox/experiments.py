@@ -321,51 +321,41 @@ def fairness_experiment(
     _at_least_one(partitions=partitions)
     checkpoints = _sorted_checkpoints(checkpoints)
     max_iter = checkpoints[-1]
-    sums_with: dict[int, dict[str, list[float]]] = {k: {} for k in checkpoints}
-    sums_without: dict[int, dict[str, list[float]]] = {k: {} for k in checkpoints}
+    # accuracies per classifier, checkpoint and key: "overall", then "group<id>"
+    table: dict[str, dict[int, dict[str, list[float]]]] = {
+        name: {k: {} for k in checkpoints} for name in ("with_fairness", "without_fairness")}
     for part in range(partitions):
         rng = experiment_rng(seed, "fairness", part)
         train_idx, test_idx = train_test_split(data.n_rows, split_fraction, rng)
+        test_rows = [("overall", test_idx)] + [
+            (f"group{gid}", rows) for gid in group_ids
+            if (rows := test_idx[group_vector[test_idx] == gid]).size]
         fair_groups = _groups_from_rows(data.features, data.labels,
                                         group_vector, train_idx)
         plain_group = [Group(data.features[train_idx], data.labels[train_idx])]
-        for groups, sums in ((fair_groups, sums_with), (plain_group, sums_without)):
-            problem = FairnessProblem(groups)
-            kind = default_adaptive(problem.constants)
-            x0 = np.zeros(problem.dim_x)
-            y0 = np.full(problem.dim_y, 1.0 / problem.dim_y)
+        for name, groups in (("with_fairness", fair_groups), ("without_fairness", plain_group)):
+            problem, cells = FairnessProblem(groups), table[name]
 
-            def tsa_metrics(k, state, sched):
-                if k not in checkpoints:
-                    return None
-                cell = sums[k]
-                overall = problem.accuracy(state.x, data.features[test_idx],
-                                           data.labels[test_idx])
-                cell.setdefault("overall", []).append(overall)
-                for gid in group_ids:
-                    rows = test_idx[group_vector[test_idx] == gid]
-                    if rows.size:
-                        acc = problem.accuracy(state.x, data.features[rows],
-                                               data.labels[rows])
-                        cell.setdefault(f"group{gid}", []).append(acc)
-                return {"tsa": overall}
+            def record(k, state, sched):
+                if k in checkpoints:
+                    for key, rows in test_rows:
+                        cells[k].setdefault(key, []).append(problem.accuracy(
+                            state.x, data.features[rows], data.labels[rows]))
 
-            run(problem, kind, x0, y0, max_iter, callbacks=(tsa_metrics,))
+            run(problem, default_adaptive(problem.constants), np.zeros(problem.dim_x),
+                np.full(problem.dim_y, 1.0 / problem.dim_y), max_iter, callbacks=(record,))
 
     # averages per key over the partitions that observed it (a group can
     # miss a small test split)
-    with_avg = {k: {key: float(np.mean(vals)) for key, vals in cell.items()}
-                for k, cell in sums_with.items()}
-    without_avg = {k: {key: float(np.mean(vals)) for key, vals in cell.items()}
-                   for k, cell in sums_without.items()}
+    averages = {name: {str(k): {key: float(np.mean(vals)) for key, vals in cell.items()}
+                       for k, cell in cells.items()} for name, cells in table.items()}
     report = RunReport()
     for k in checkpoints:
-        report.add(MetricRecord(k=k, tsa=with_avg[k]["overall"]))
+        report.add(MetricRecord(k=k, tsa=averages["with_fairness"][str(k)]["overall"]))
     report.config = {
         "experiment": "fairness", "dataset": data.name, "grouping": grouping,
         "seed": seed, "partitions": partitions, "checkpoints": list(checkpoints),
-        "with_fairness": {str(k): v for k, v in with_avg.items()},
-        "without_fairness": {str(k): v for k, v in without_avg.items()},
+        **averages,
     }
     return report
 

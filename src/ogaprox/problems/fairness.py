@@ -43,7 +43,6 @@ class FairnessProblem(SaddleProblem):
         dims = {g.features.shape[1] for g in groups}
         if len(dims) != 1:
             raise ValueError("all groups must share the feature dimension")
-        self.groups = list(groups)
         self.dim_x = dims.pop()
         self.dim_y = len(groups)
         # rows b_ij * a_ij stacked over groups; margins are 1 - signed @ x

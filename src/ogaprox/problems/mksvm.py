@@ -152,13 +152,11 @@ class MkSvmProblem(SaddleProblem):
         mats = [np.asarray(m, dtype=float) for m in m_list]
         if not mats:
             raise ValueError("at least one kernel required")
-        thin = [_is_factor(m) and len(m) == n for m in mats]  # M_i = m m' is PSD by construction
         for i, m in enumerate(mats):
-            if thin[i] and not _finite(m, float(np.vdot(m, m))):
-                raise ValueError(f"kernel matrix {i} must be finite")
-        self._factors = tuple((i, m.copy()) for i, m in enumerate(mats) if thin[i])
-        dense = [(i, m) for i, m in enumerate(mats) if not thin[i]]
-        for i, m in dense:
+            if _is_factor(m) and len(m) == n:  # M_i = m m' is PSD by construction
+                if not _finite(m, float(np.vdot(m, m))):
+                    raise ValueError(f"kernel matrix {i} must be finite")
+                continue
             if m.shape != (n, n):
                 raise ValueError(f"kernel matrix {i} must be symmetric {n}x{n}")
             size = np.abs(m)
@@ -181,21 +179,21 @@ class MkSvmProblem(SaddleProblem):
                 np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 raise ValueError(f"kernel matrix {i} is not positive semidefinite") from None
-            del shifted  # not alive while the next block is checked or the stack is built
-        self.m_stack = np.array([m for _, m in dense]).reshape(-1, n, n)
-        self._dense_rows = np.array([i for i, _ in dense], dtype=np.intp)
+            del shifted  # not alive while the next block is checked or the blocks are copied
+        # private read-only copies in kernel order, made once every block has passed
+        self._blocks = tuple(m.copy() for m in mats)
+        for m in self._blocks:
+            m.flags.writeable = False
         self.box_c = float(box_c)
-        self.mu = float(mu)
-        self.nu = float(nu)
         self.dim_x = len(mats)
         self.dim_y = n
         self.y_set = BoxHyperplaneSet(upper=self.box_c, normal=labels)
         self.labels = self.y_set.normal  # the set's read-only copy, so the two never disagree
-        top = max([spectral_norm(m) for m in self.m_stack]
-                  + [spectral_norm(g) ** 2 / 1.001 for _, g in self._factors])
+        top = max(spectral_norm(m) ** 2 / 1.001 if _is_factor(m) else spectral_norm(m)
+                  for m in self._blocks)
         self.constants = ProblemConstants(
             l_yx=float(self.box_c * np.sqrt(self.dim_x * n) * top),
-            l_yy=top, mu=self.mu, nu=self.nu,
+            l_yy=top, mu=float(mu), nu=float(nu),
         )
 
     def _check_simplex(self, x):
@@ -203,12 +201,8 @@ class MkSvmProblem(SaddleProblem):
             raise ValueError("x must lie on the unit simplex")
 
     def _kernel_products(self, y):
-        """Row ``i`` is ``M_i y``: ``m_stack @ y`` when dense, ``G (G' y)`` for a factor."""
-        my = np.empty((self.dim_x, self.dim_y))
-        my[self._dense_rows] = self.m_stack @ y
-        for i, g in self._factors:
-            my[i] = g @ (g.T @ y)
-        return my
+        """Row ``i`` is ``M_i y``: ``m @ y`` for a dense block, ``G (G' y)`` for a factor."""
+        return np.array([m @ (m.T @ y) if _is_factor(m) else m @ y for m in self._blocks])
 
     def grad_y(self, x, y):
         self._check_simplex(x)
@@ -222,14 +216,14 @@ class MkSvmProblem(SaddleProblem):
         """``prox_phi_x`` and ``grad_y`` at the new pair from one coupling pass;
         the few kernel weights step on Python floats, numpy's operations entry by entry."""
         my = self._kernel_products(y)
-        xi, d = (my @ y).tolist(), 1.0 + self.mu * tau  # e / 1.0 == e at mu = 0
+        xi, d = (my @ y).tolist(), 1.0 + self.constants.mu * tau  # e / 1.0 == e at mu = 0
         x_next = project_simplex([(a + tau * (0.5 * q)) / d
                                   for a, q in zip(np.asarray(x, float).tolist(), xi)])
         return x_next, 1.0 - x_next @ my
 
     def prox_g(self, sigma, v):
-        v = np.asarray(v, float)  # v / 1.0 == v: at nu = 0 the division is skipped
-        return project_box_hyperplane(self.y_set, v / (1.0 + self.nu * sigma) if self.nu else v)
+        v, nu = np.asarray(v, float), self.constants.nu  # v / 1.0 == v: at nu = 0 no division
+        return project_box_hyperplane(self.y_set, v / (1.0 + nu * sigma) if nu else v)
 
     def prox_step(self, sigma, v, tau, x):
         """``prox_g``, then ``prox_phi_x`` and ``grad_y`` sharing one coupling pass."""
@@ -242,7 +236,7 @@ class MkSvmProblem(SaddleProblem):
             return np.inf
         my = self._kernel_products(y)
         return (
-            0.5 * self.mu * float(x @ x)
+            0.5 * self.constants.mu * float(x @ x)
             - 0.5 * float(x @ (my @ y))
             + float(np.sum(y))
         )
@@ -257,7 +251,7 @@ class MkSvmProblem(SaddleProblem):
         )
         if not inside:
             return np.inf
-        return 0.5 * self.nu * float(y @ y)
+        return 0.5 * self.constants.nu * float(y @ y)
 
     def sample_point(self, rng):
         x = rng.dirichlet(np.ones(self.dim_x))

@@ -35,16 +35,15 @@ class ToyProblem(SaddleProblem):
     def __init__(self, a_matrix, nu: float = 0.0):
         self._projector = PolytopeProjector(a_matrix)  # rejects A without full row rank
         self.a = self._projector.a
-        self.nu = float(nu)
         self.dim_x, self.dim_y = self.a.shape
         # 1.001 * ||A|| from the projector's singular values; rejects nu < 0, NaN, inf
-        self.constants = ProblemConstants(l_yx=1.001 * self._projector.norm, l_yy=0.0, nu=self.nu)
+        self.constants = ProblemConstants(l_yx=1.001 * self._projector.norm, l_yy=0.0,
+                                          nu=float(nu))
 
     def with_nu(self, nu: float) -> "ToyProblem":
         """This instance, ``a`` and its stateless projector shared, with modulus ``nu``."""
-        constants = dataclasses.replace(self.constants, nu=float(nu))
         other = copy.copy(self)
-        other.nu, other.constants = constants.nu, constants
+        other.constants = dataclasses.replace(self.constants, nu=float(nu))
         return other
 
     def grad_y(self, x, y):
@@ -65,8 +64,8 @@ class ToyProblem(SaddleProblem):
         return np.where(x <= 0.0, x, np.where(x <= tau * w, 0.0, x - tau * w)), False
 
     def _scaled(self, sigma, v):  # v / (1 + nu sigma); at nu = 0 that is v, bit for bit
-        v = np.asarray(v, float)
-        return v / (1.0 + self.nu * sigma) if self.nu else v
+        v, nu = np.asarray(v, float), self.constants.nu
+        return v / (1.0 + nu * sigma) if nu else v
 
     def prox_g(self, sigma, v):
         return self._projector.project(self._scaled(sigma, v))
@@ -83,7 +82,7 @@ class ToyProblem(SaddleProblem):
     def g_value(self, y):
         if _outside_cone(self.a @ y):
             return np.inf
-        return 0.5 * self.nu * float(y @ y)
+        return 0.5 * self.constants.nu * float(y @ y)
 
     def sample_point(self, rng):
         x = rng.uniform(-5.0, 5.0, self.dim_x)
@@ -96,7 +95,7 @@ class ToyProblem(SaddleProblem):
         the projection of 0 by the cone projector's dual kernel with
         ``h = e``, where every row starts violated and so free."""
         x_star = -np.ones(self.dim_x)
-        if self.nu > 0:
+        if self.constants.nu > 0:
             return x_star, np.zeros(self.dim_y)
         lam = solve_polytope_dual(self._projector.gram, -np.ones(self.dim_x))
         y = self.a.T @ lam

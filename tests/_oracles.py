@@ -103,7 +103,7 @@ def prox_x_grad_formula(problem, tau, y, x) -> tuple[np.ndarray, np.ndarray]:
     my = problem._kernel_products(y)
     xi = 0.5 * (my @ y)
     z = np.asarray(x, float) + tau * xi
-    x_next = project_simplex_numpy(z / (1.0 + problem.mu * tau))
+    x_next = project_simplex_numpy(z / (1.0 + problem.constants.mu * tau))
     return x_next, 1.0 - x_next @ my
 
 

@@ -75,7 +75,7 @@ def test_run_leaves_problem_unchanged(name):
     if name == "toy with_nu":  # a run on the derived problem leaves its source unchanged
         target = problem.with_nu(0.3)
         assert target.a is problem.a and target._projector is problem._projector
-        assert (problem.nu, target.nu) == (0.0, 0.3)
+        assert (problem.constants.nu, target.constants.nu) == (0.0, 0.3)
     x0, y0 = target.sample_point(make_rng(122, 1))
     before = pickle.dumps(problem)
     run(target, default_adaptive(target.constants), x0, y0, max_iter=40)
@@ -86,5 +86,4 @@ def test_small_mksvm_problem_carries_the_linear_kernel_as_a_factor():
     # the unchanged-problem check above runs the shipped form: two dense
     # kernels and the linear one as its 18 x 4 factor
     problem = _small_problem("mksvm", make_rng(122, 0))
-    assert problem.m_stack.shape == (2, 18, 18)
-    assert [(i, g.shape) for i, g in problem._factors] == [(2, (18, 4))]
+    assert [m.shape for m in problem._blocks] == [(18, 18), (18, 18), (18, 4)]

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ogaprox.datasets import LoadedDataset
+from ogaprox.datasets import LoadedDataset, train_test_split
 from ogaprox.experiments import (
     fairness_experiment,
     log_checkpoints,
@@ -15,8 +15,11 @@ from ogaprox.experiments import (
     validation_experiment,
     _trimmed_mean,
 )
+from ogaprox.problems import FairnessProblem, Group
 from ogaprox.report import RunReport
-from ogaprox.rng import make_rng
+from ogaprox.rng import experiment_rng, make_rng
+from ogaprox.schedule import default_adaptive
+from ogaprox.solver import run
 
 from _oracles import spy_on_run
 
@@ -258,6 +261,40 @@ def test_fairness_three_group_banding():
     for key in group_keys + ["overall"]:
         assert 0.0 <= cell[key] <= 100.0
 
+
+
+def test_fairness_cells_average_over_the_partitions_whose_test_split_holds_the_group():
+    rows, seed = 40, 6
+    data = _separable_dataset(make_rng(101, 0), rows=rows, dim=3, noise=1.5)
+    splits = [train_test_split(rows, 0.8, experiment_rng(seed, "fairness", p)) for p in range(3)]
+    # group 2: one row held out by partition 1 alone, one row every partition trains on
+    held = next(r for r in splits[1][1] if r in splits[0][0] and r in splits[2][0])
+    always = next(r for r in range(rows) if all(r in train for train, _ in splits))
+    groups = np.arange(rows) % 2
+    groups[[held, always]] = 2
+    data.groups = {"sex": groups}
+    report = fairness_experiment(data, grouping="sex", seed=seed, partitions=3, checkpoints=(30,))
+
+    # each classifier retrained per partition, its cells collected where the test split has rows
+    cells = {"with_fairness": {}, "without_fairness": {}}
+    for train, test in splits:
+        fair = [Group(data.features[r], data.labels[r])
+                for r in (train[groups[train] == g] for g in (0, 1, 2))]
+        plain = [Group(data.features[train], data.labels[train])]
+        for name, problem in (("with_fairness", FairnessProblem(fair)),
+                              ("without_fairness", FairnessProblem(plain))):
+            y0 = np.full(problem.dim_y, 1.0 / problem.dim_y)
+            x = run(problem, default_adaptive(problem.constants), np.zeros(3), y0, 30).state.x
+            for key, r in [("overall", test)] + [(f"group{g}", test[groups[test] == g])
+                                                 for g in (0, 1, 2)]:
+                if r.size:
+                    cells[name].setdefault(key, []).append(
+                        problem.accuracy(x, data.features[r], data.labels[r]))
+    for name, cell in cells.items():
+        assert len(cell["group2"]) == 1 and len(cell["group0"]) == 3
+        reported = report.config[name]["30"]
+        assert list(reported) == ["overall", "group0", "group1", "group2"]
+        assert reported == pytest.approx({key: np.mean(v) for key, v in cell.items()}, abs=1e-12)
 
 def test_toy_adaptive_gap_bounded_by_ergodic_total():
     # gap <= d0 / T_K with T_K = sum of t_k = tau_k / tau0

@@ -50,7 +50,7 @@ def test_toy_with_nu_rejects_a_bad_modulus(nu):
         problem.with_nu(nu)
     with pytest.raises(ValueError, match="nu must be a nonnegative finite real"):
         ToyProblem(problem.a, nu)
-    assert problem.nu == problem.constants.nu == 0.0
+    assert problem.constants.nu == 0.0
 
 
 # -- toy gradient and prox ---------------------------------------------------
@@ -419,7 +419,8 @@ def test_quadratic_with_box_gap_is_the_objective_difference():
     direct = p.psi_value(pair[0], saddle[1]) - p.psi_value(saddle[0], pair[1])
     assert p.gap_value(saddle, pair) == direct
     dx, dy = pair[0] - saddle[0], pair[1] - saddle[1]
-    assert direct != 0.5 * p.mu * (dx @ dx) + 0.5 * p.nu * (dy @ dy)  # the unboxed identity
+    mu, nu = p.constants.mu, p.constants.nu
+    assert direct != 0.5 * mu * (dx @ dx) + 0.5 * nu * (dy @ dy)  # the unboxed identity
 
 
 @pytest.mark.parametrize("mu, nu", [(-0.1, 1.0), (1.0, -0.1), (np.inf, 1.0)])
@@ -466,12 +467,25 @@ _SIGNS = np.array([1.0, -1.0, 1.0])
     (lambda v: MkSvmProblem([np.eye(3), _poisoned(np.ones((3, 1)), v)], _SIGNS, box_c=1.0),
      "kernel matrix 1 must be finite"),
     (lambda v: QuadraticSaddleProblem(_poisoned(np.eye(3), v)), "a_matrix must be finite"),
+    (lambda v: QuadraticSaddleProblem(np.eye(2), b_lin=[v, 0.0], mu=1.0, nu=1.0),
+     "b_lin must be finite"),
+    (lambda v: QuadraticSaddleProblem(np.eye(2), c_lin=[v, 0.0], mu=1.0, nu=1.0),
+     "c_lin must be finite"),
     (lambda v: PolytopeProjector(_poisoned(np.eye(2, 3), v)), "a_matrix must be finite"),
     (lambda v: ToyProblem(_poisoned(np.eye(2, 3), v)), "a_matrix must be finite"),
-], ids=["mksvm-dense", "mksvm-factor", "quadratic", "polytope-projector", "toy"])
+], ids=["mksvm-dense", "mksvm-factor", "quadratic", "quadratic-b-lin", "quadratic-c-lin",
+        "polytope-projector", "toy"])
 def test_constructors_reject_a_non_finite_matrix(make, message, value):
     with pytest.raises(ValueError, match=message):
         make(value)
+
+
+def test_quadratic_saddle_point_rejects_a_nan_residual():
+    # finite data whose solve overflows to (inf, -inf): the residual is NaN and must fail
+    p = QuadraticSaddleProblem([[1e-300]], b_lin=[1e300], c_lin=[1e300], mu=1e-300, nu=1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="residual nan"):
+            p.saddle_point()
 
 
 # -- interface validation ----------------------------------------------------

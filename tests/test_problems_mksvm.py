@@ -87,7 +87,7 @@ def test_grad_on_vertex_uses_single_kernel():
     _, y = p.sample_point(rng)
     e1 = np.zeros(p.dim_x)
     e1[0] = 1.0
-    np.testing.assert_allclose(p.grad_y(e1, y), 1.0 - p.m_stack[0] @ y, atol=1e-12)
+    np.testing.assert_allclose(p.grad_y(e1, y), 1.0 - p._blocks[0] @ y, atol=1e-12)
 
 
 def test_grad_matches_finite_differences():
@@ -230,7 +230,7 @@ def test_prox_g_matches_oracle():
 def test_constants_formula():
     rng = make_rng(71, 0)
     p = _problem(rng)
-    norms = [np.linalg.svd(m, compute_uv=False)[0] for m in p.m_stack]
+    norms = [np.linalg.svd(m, compute_uv=False)[0] for m in p._blocks]
     top = 1.001 * max(norms)
     assert p.constants.l_yy == pytest.approx(top, rel=1e-6)
     assert p.constants.l_yx == pytest.approx(
@@ -296,7 +296,7 @@ def test_diagonally_dominant_blocks_skip_the_cholesky_test(tmp_path, monkeypatch
     s = make_rng(90, 0).uniform(-1.0, 1.0, (n, n))
     _cholesky_calls(monkeypatch, allowed=False)
     p = MkSvmProblem([gauss, 3.0 * np.eye(n) + 1e-3 * (s + s.T)], labels, box_c=1.0)
-    assert p.m_stack.shape == (2, n, n)
+    assert [m.shape for m in p._blocks] == [(n, n)] * 2
 
 
 def test_blocks_without_a_dominance_certificate_reach_the_cholesky_test(tmp_path, monkeypatch):
@@ -400,7 +400,8 @@ def _factor_and_dense(seed, mu=0.0, nu=0.0):
 @pytest.mark.parametrize("mu, nu, law", _VARIANTS)
 def test_factor_form_matches_the_dense_problem(mu, nu, law):
     factor, dense = _factor_and_dense(80, mu, nu)
-    assert len(factor.m_stack) == 2 and len(dense.m_stack) == 3
+    assert [m.shape for m in factor._blocks] == [(14, 14), (14, 14), (14, 3)]
+    assert [m.shape for m in dense._blocks] == [(14, 14)] * 3
     assert factor.dim_x == dense.dim_x == 3
     rng = make_rng(80, 1)
     for tau in (0.0, 0.04, 3.0):
@@ -420,11 +421,37 @@ def test_factor_form_matches_the_dense_problem(mu, nu, law):
         _close(u, w)
 
 
+def test_a_leading_factor_matches_the_dense_problem_and_later_writes_change_nothing():
+    _, train_idx, _, labels, (poly, gauss, g) = _synthetic_instance(make_rng(84, 0),
+                                                                     build=build_kernels)
+    b = labels[train_idx]
+    inputs = [g.copy(), poly.copy(), gauss.copy()]
+    factor = MkSvmProblem(inputs, b, box_c=1.0, mu=1.0, nu=0.5)
+    dense = MkSvmProblem([g @ g.T, poly, gauss], b, box_c=1.0, mu=1.0, nu=0.5)
+    rng = make_rng(84, 1)
+    points = [factor.sample_point(rng) for _ in range(3)]
+
+    def outputs(p):
+        return [(p.grad_y(x, y), *p.prox_step(0.3, 3.0 * y - 1.0, 0.2, x)) for x, y in points]
+
+    before = outputs(factor)
+    for f_out, d_out in zip(before, outputs(dense)):
+        for a, c in zip(f_out, d_out):
+            _close(a, c)
+    # the two power iterations stop about 3e-12 apart
+    _close(factor.constants.l_yy, dense.constants.l_yy, rel=1e-10)
+    l_yy = factor.constants.l_yy
+    for m in inputs:
+        m *= -2.0
+    for f_out, f_again in zip(before, outputs(factor)):
+        for a, c in zip(f_out, f_again):
+            np.testing.assert_array_equal(a, c)
+    assert factor.constants.l_yy == l_yy
+
 @pytest.mark.parametrize("kernels", ["factor", "mixed"])
 def test_factor_l_yy_bounds_the_largest_eigenvalue(kernels):
     factor, _ = _factor_and_dense(81)
-    g = factor._factors[0][1]
-    mats = [g] if kernels == "factor" else [*factor.m_stack, g]
+    mats = [factor._blocks[2]] if kernels == "factor" else list(factor._blocks)
     lam = max(np.linalg.eigvalsh(m @ m.T if m.shape[1] < m.shape[0] else m)[-1] for m in mats)
     l_yy = MkSvmProblem(mats, factor.labels, box_c=1.0).constants.l_yy
     assert lam <= l_yy <= 1.001 * lam * (1.0 + 1e-9)
@@ -594,5 +621,4 @@ def test_validation_experiment_checks_the_factor_form(monkeypatch):
     monkeypatch.setattr(experiments, "validate_problem", spy)
     ok, _ = experiments.validation_experiment(seed=1, trials=25)
     mksvm = problems["MkSvmProblem"]
-    assert ok and mksvm.m_stack.shape == (2, 18, 18)
-    assert [(i, g.shape) for i, g in mksvm._factors] == [(2, (18, 4))]
+    assert ok and [m.shape for m in mksvm._blocks] == [(18, 18), (18, 18), (18, 4)]
