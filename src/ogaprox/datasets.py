@@ -200,9 +200,12 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
 
 def train_test_split(n_rows: int, fraction: float,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint covering index split with ``round(fraction * n)`` training rows."""
+    """Disjoint covering index split with ``round(fraction * n)`` training rows,
+    clamped to ``[1, n - 1]``."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("split_fraction must lie in (0, 1)")
+    if n_rows < 2:
+        raise ValueError(f"a train/test split needs at least 2 rows, got {n_rows}")
     order = rng.permutation(n_rows)
     n_train = int(round(fraction * n_rows))
     n_train = min(max(n_train, 1), n_rows - 1)

@@ -19,7 +19,6 @@ from .datasets import LoadedDataset, train_test_split
 from .problem import SaddleProblem, validate_problem
 from .problems import (
     FairnessProblem,
-    Group,
     MkSvmProblem,
     QuadraticSaddleProblem,
     mksvm_predict,
@@ -287,16 +286,6 @@ def _trimmed_mean(values: list[float]) -> float:
 
 # -- minimax-fair classification ---------------------------------------------
 
-def _groups_from_rows(features, labels, group_vector, row_idx) -> list[Group]:
-    groups = []
-    for gid in np.unique(group_vector):
-        rows = row_idx[group_vector[row_idx] == gid]
-        if rows.size == 0:
-            raise ValueError(f"group {gid} has no rows in this partition")
-        groups.append(Group(features[rows], labels[rows]))
-    return groups
-
-
 def fairness_experiment(
     data: LoadedDataset,
     grouping: str = "sex",
@@ -327,14 +316,16 @@ def fairness_experiment(
     for part in range(partitions):
         rng = experiment_rng(seed, "fairness", part)
         train_idx, test_idx = train_test_split(data.n_rows, split_fraction, rng)
+        ids = group_vector[train_idx]
+        if (missing := np.setdiff1d(group_ids, ids)).size:
+            raise ValueError(f"group {missing[0]} has no rows in this partition")
         test_rows = [("overall", test_idx)] + [
             (f"group{gid}", rows) for gid in group_ids
             if (rows := test_idx[group_vector[test_idx] == gid]).size]
-        fair_groups = _groups_from_rows(data.features, data.labels,
-                                        group_vector, train_idx)
-        plain_group = [Group(data.features[train_idx], data.labels[train_idx])]
-        for name, groups in (("with_fairness", fair_groups), ("without_fairness", plain_group)):
-            problem, cells = FairnessProblem(groups), table[name]
+        # the plain classifier is the fair one with a single group
+        for name, train_ids in (("with_fairness", ids), ("without_fairness", np.zeros_like(ids))):
+            problem = FairnessProblem(data.features[train_idx], data.labels[train_idx], train_ids)
+            cells = table[name]
 
             def record(k, state, sched):
                 if k in checkpoints:
@@ -382,9 +373,7 @@ def validation_experiment(seed: int = 0, trials: int = 1000) -> tuple[bool, list
     mats = conjugated_kernels(kernels, train_idx, labels[:18])
     cases.append(("mksvm", MkSvmProblem(mats, labels[:18], box_c=1.0,
                                         mu=0.5, nu=0.5)))
-    cases.append(("fairness", FairnessProblem([
-        Group(feats[:12], labels[:12]), Group(feats[12:], labels[12:]),
-    ])))
+    cases.append(("fairness", FairnessProblem(feats, labels, np.arange(24) // 12)))
 
     all_ok = True
     lines = []

@@ -1,6 +1,6 @@
 """Concrete saddle-point problems."""
 
-from .fairness import FairnessProblem, Group
+from .fairness import FairnessProblem
 from .mksvm import (
     MkSvmPrediction,
     MkSvmProblem,
@@ -15,7 +15,6 @@ from .toy import ToyProblem, random_toy_problem
 
 __all__ = [
     "FairnessProblem",
-    "Group",
     "MkSvmPrediction",
     "MkSvmProblem",
     "QuadraticSaddleProblem",

@@ -6,54 +6,42 @@ the worst-off group.  The x-prox is the weighted-hinge proximal problem,
 solved exactly by an active-set method on the hinge kinks in x-space.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..problem import ProblemConstants, SaddleProblem
 from ..prox import on_simplex, project_simplex
 
-__all__ = ["Group", "FairnessProblem"]
-
-
-@dataclass(frozen=True, eq=False)
-class Group:
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        labs = np.asarray(self.labels, dtype=float)
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            raise ValueError("each group needs at least one sample")
-        if labs.shape != (feats.shape[0],) or not np.all(np.isin(labs, (-1.0, 1.0))):
-            raise ValueError("labels must be +-1, one per sample")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
+__all__ = ["FairnessProblem"]
 
 
 class FairnessProblem(SaddleProblem):
-    def __init__(self, groups: list[Group]):
-        if not groups:
-            raise ValueError("at least one group required")
-        dims = {g.features.shape[1] for g in groups}
-        if len(dims) != 1:
-            raise ValueError("all groups must share the feature dimension")
-        self.dim_x = dims.pop()
-        self.dim_y = len(groups)
-        # rows b_ij * a_ij stacked over groups; margins are 1 - signed @ x
-        self.signed = np.vstack([g.labels[:, None] * g.features for g in groups])
-        self.row_group = np.concatenate(
-            [np.full(g.size, i) for i, g in enumerate(groups)]
-        )
-        self.group_sizes = np.array([g.size for g in groups], dtype=float)
+    """Rows with a +-1 label and a group id each; ``y`` weights the distinct ids
+    in ascending order, and a single id gives the plain average-loss classifier."""
+
+    def __init__(self, features, labels, groups):
+        feats = np.asarray(features, dtype=float)
+        labs = np.asarray(labels, dtype=float)
+        ids = np.asarray(groups)
+        if feats.ndim != 2 or feats.shape[0] == 0:
+            raise ValueError("features must be 2-d with at least one row")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("features must be finite")
+        if labs.shape != (feats.shape[0],) or not np.all(np.isin(labs, (-1.0, 1.0))):
+            raise ValueError("labels must be +-1, one per sample")
+        if ids.shape != labs.shape:
+            raise ValueError("groups must hold one id per sample")
+        # rows grouped by ascending id, each group's rows in their given order
+        order = np.argsort(ids, kind="stable")
+        feats, labs = feats[order], labs[order]
+        _, self.row_group, counts = np.unique(ids[order], return_inverse=True, return_counts=True)
+        self.dim_x = feats.shape[1]
+        self.dim_y = counts.size
+        # rows b_ij * a_ij; margins are 1 - signed @ x
+        self.signed = labs[:, None] * feats
+        self.group_sizes = counts.astype(float)
         self.row_weight = 1.0 / self.group_sizes[self.row_group]
         l_yx = float(np.sqrt(sum(
-            float(np.sum(g.features**2)) / g.size for g in groups
+            float(np.sum(f**2)) / f.shape[0] for f in np.split(feats, np.cumsum(counts)[:-1])
         )))
         self.constants = ProblemConstants(l_yx=l_yx, l_yy=0.0, mu=0.0, nu=0.0)
 

@@ -24,7 +24,6 @@ from ogaprox.experiments import (
 from ogaprox.problem import prox_inequality_gap, validate_problem
 from ogaprox.problems import (
     FairnessProblem,
-    Group,
     MkSvmProblem,
     QuadraticSaddleProblem,
     random_toy_problem,
@@ -246,8 +245,7 @@ def test_criterion_6_prox_and_qp_correctness():
                normalize_kernel(linear_kernel(feats))]
     mats = conjugated_kernels(kernels, np.arange(14), flabels[:14])
     mksvm = MkSvmProblem(mats, flabels[:14], box_c=1.0, mu=0.5, nu=0.5)
-    fairness = FairnessProblem([Group(feats[:9], flabels[:9]),
-                                Group(feats[9:], flabels[9:])])
+    fairness = FairnessProblem(feats, flabels, np.arange(18) // 9)
     fair_y = np.array([0.35, 0.65])
     problem_cases = [
         ("toy", toy, toy.sample_point(make_rng(SEED, 68))[1], 0.9),

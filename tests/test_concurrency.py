@@ -9,7 +9,6 @@ import pytest
 from ogaprox.experiments import mksvm_experiment
 from ogaprox.problems import (
     FairnessProblem,
-    Group,
     MkSvmProblem,
     QuadraticSaddleProblem,
     random_toy_problem,
@@ -63,7 +62,7 @@ def _small_problem(name, rng):
     if name == "mksvm":
         mats = conjugated_kernels(build_kernels(feats), np.arange(18), labels[:18])
         return MkSvmProblem(mats, labels[:18], box_c=1.0, mu=0.5, nu=0.5)
-    return FairnessProblem([Group(feats[:12], labels[:12]), Group(feats[12:], labels[12:])])
+    return FairnessProblem(feats, labels, np.arange(24) // 12)
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,18 @@ def test_split_fraction_validated():
             train_test_split(10, fraction, make_rng(94, 0))
 
 
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_split_needs_two_rows(n_rows):
+    with pytest.raises(ValueError, match=f"at least 2 rows, got {n_rows}"):
+        train_test_split(n_rows, 0.8, make_rng(94, 0))
+
+
+@pytest.mark.parametrize("fraction", [0.01, 0.99])
+def test_two_row_split_keeps_one_row_on_each_side(fraction):
+    train, test = train_test_split(2, fraction, make_rng(94, 0))
+    assert train.size == test.size == 1 and np.union1d(train, test).tolist() == [0, 1]
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(DatasetSpec(name="sonar", path=str(tmp_path / "none.data")))

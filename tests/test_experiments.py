@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ogaprox.datasets import LoadedDataset, train_test_split
+from ogaprox.datasets import DatasetSpec, LoadedDataset, load_dataset, train_test_split
 from ogaprox.experiments import (
     fairness_experiment,
     log_checkpoints,
@@ -15,13 +15,14 @@ from ogaprox.experiments import (
     validation_experiment,
     _trimmed_mean,
 )
-from ogaprox.problems import FairnessProblem, Group
+from ogaprox.problems import FairnessProblem
 from ogaprox.report import RunReport
 from ogaprox.rng import experiment_rng, make_rng
 from ogaprox.schedule import default_adaptive
 from ogaprox.solver import run
 
 from _oracles import spy_on_run
+from perfbench import datagen
 
 
 def _separable_dataset(rng, rows=60, dim=4, noise=0.3, with_groups=False):
@@ -236,6 +237,72 @@ def test_fairness_unknown_grouping_rejected():
         fairness_experiment(data, grouping="age")
 
 
+def test_fairness_rejects_a_group_without_training_rows():
+    data = _separable_dataset(make_rng(99, 1), rows=30, dim=3)
+    _, test = train_test_split(30, 0.8, experiment_rng(0, "fairness", 0))
+    groups = np.zeros(30, dtype=int)
+    groups[test[0]] = 1  # group 1's only row is held out by partition 0
+    data.groups = {"sex": groups}
+    with pytest.raises(ValueError, match="^group 1 has no rows in this partition$"):
+        fairness_experiment(data, grouping="sex", seed=0, partitions=1, checkpoints=(5,))
+
+
+def test_experiment_rng_rejects_an_unknown_stream():
+    with pytest.raises(ValueError, match="unknown experiment stream 'toys'"):
+        experiment_rng(0, "toys")
+
+
+# Exact accuracy tables of a seed-fixed study: the 100-row seed-1 heart-shaped
+# file of perfbench.datagen, 3 partitions, checkpoints 10, 40 and 120, seed 0.
+# A change to how the fairness problem orders, weights or solves its rows that
+# moves any iterate far enough to flip a prediction changes these figures.
+_PINNED_FAIRNESS_TABLES = {
+    "sex": {
+        "with_fairness": {
+            "10": {"overall": 85.0, "group0": 100.0, "group1": 79.36507936507935},
+            "40": {"overall": 81.66666666666667, "group0": 94.44444444444446,
+                   "group1": 77.14285714285715},
+            "120": {"overall": 85.0, "group0": 94.44444444444446, "group1": 81.90476190476191},
+        },
+        "without_fairness": {
+            "10": {"overall": 85.0, "group0": 94.44444444444446, "group1": 81.74603174603175},
+            "40": {"overall": 81.66666666666667, "group0": 94.44444444444446,
+                   "group1": 77.14285714285715},
+            "120": {"overall": 85.0, "group0": 94.44444444444446, "group1": 81.90476190476191},
+        },
+    },
+    "age": {
+        "with_fairness": {
+            "10": {"overall": 85.0, "group0": 92.12962962962963, "group1": 85.0,
+                   "group2": 80.83333333333333},
+            "40": {"overall": 83.33333333333333, "group0": 87.96296296296298, "group1": 85.0,
+                   "group2": 80.83333333333333},
+            "120": {"overall": 86.66666666666667, "group0": 87.96296296296298,
+                    "group1": 91.66666666666667, "group2": 80.83333333333333},
+        },
+        "without_fairness": {
+            "10": {"overall": 85.0, "group0": 92.12962962962963, "group1": 85.0,
+                   "group2": 80.83333333333333},
+            "40": {"overall": 81.66666666666667, "group0": 87.96296296296298, "group1": 85.0,
+                   "group2": 74.16666666666667},
+            "120": {"overall": 85.0, "group0": 87.96296296296298, "group1": 88.33333333333333,
+                    "group2": 80.83333333333333},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("grouping", ["sex", "age"])
+def test_fairness_tables_stay_as_recorded(tmp_path, grouping):
+    path = tmp_path / "heart.dat"
+    path.write_text(datagen.heart_text(1, rows=100))
+    data = load_dataset(DatasetSpec(name="heart-disease", path=str(path)))
+    report = fairness_experiment(data, grouping=grouping, seed=0, partitions=3,
+                                 checkpoints=(10, 40, 120))
+    tables = {name: report.config[name] for name in ("with_fairness", "without_fairness")}
+    assert tables == _PINNED_FAIRNESS_TABLES[grouping]
+
+
 def test_validation_experiment_all_pass():
     ok, lines = validation_experiment(seed=1, trials=25)
     assert ok, lines
@@ -278,11 +345,9 @@ def test_fairness_cells_average_over_the_partitions_whose_test_split_holds_the_g
     # each classifier retrained per partition, its cells collected where the test split has rows
     cells = {"with_fairness": {}, "without_fairness": {}}
     for train, test in splits:
-        fair = [Group(data.features[r], data.labels[r])
-                for r in (train[groups[train] == g] for g in (0, 1, 2))]
-        plain = [Group(data.features[train], data.labels[train])]
-        for name, problem in (("with_fairness", FairnessProblem(fair)),
-                              ("without_fairness", FairnessProblem(plain))):
+        for name, ids in (("with_fairness", groups[train]),
+                          ("without_fairness", np.zeros_like(train))):
+            problem = FairnessProblem(data.features[train], data.labels[train], ids)
             y0 = np.full(problem.dim_y, 1.0 / problem.dim_y)
             x = run(problem, default_adaptive(problem.constants), np.zeros(3), y0, 30).state.x
             for key, r in [("overall", test)] + [(f"group{g}", test[groups[test] == g])

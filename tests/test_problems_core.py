@@ -43,6 +43,20 @@ def test_toy_rejects_a_without_full_row_rank():
         ToyProblem(np.vstack([a.T, a.T[1]]))  # a repeated row
 
 
+def test_random_toy_problem_gives_up_after_twenty_rank_deficient_draws():
+    class RankOneDraws:
+        calls = 0
+
+        def uniform(self, low, high, size):
+            self.calls += 1
+            return np.ones(size)
+
+    rng = RankOneDraws()
+    with pytest.raises(RuntimeError, match="could not draw a full-row-rank matrix"):
+        random_toy_problem(3, 5, 0.0, rng)
+    assert rng.calls == 20
+
+
 @pytest.mark.parametrize("nu", [-1.0, np.nan, np.inf])
 def test_toy_with_nu_rejects_a_bad_modulus(nu):
     problem = _toy(make_rng(23, 1))

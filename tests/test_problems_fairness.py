@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ogaprox.problem import validate_problem
-from ogaprox.problems import FairnessProblem, Group
+from ogaprox.problems import FairnessProblem
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive
@@ -11,13 +11,14 @@ from ogaprox.solver import run
 from _oracles import prox_oracle
 
 
-def _random_groups(rng, sizes=(8, 12), dim=5):
-    groups = []
+def _random_rows(rng, sizes=(8, 12), dim=5):
+    """Features, +-1 labels and group ids of random groups of ``sizes`` rows,
+    drawn group by group and stacked in that order."""
+    feats, labels = [], []
     for size in sizes:
-        feats = rng.standard_normal((size, dim))
-        labels = np.where(rng.uniform(size=size) < 0.5, -1.0, 1.0)
-        groups.append(Group(features=feats, labels=labels))
-    return groups
+        feats.append(rng.standard_normal((size, dim)))
+        labels.append(np.where(rng.uniform(size=size) < 0.5, -1.0, 1.0))
+    return np.vstack(feats), np.concatenate(labels), np.repeat(np.arange(len(sizes)), sizes)
 
 
 def _hinge_prox_reference(signed, weights, x, tol=1e-13, sweeps=200_000):
@@ -47,7 +48,7 @@ def _hinge_prox_reference(signed, weights, x, tol=1e-13, sweeps=200_000):
 def test_group_loss_values():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     labels = np.array([1.0, -1.0, 1.0])
-    p = FairnessProblem([Group(feats, labels)])
+    p = FairnessProblem(feats, labels, np.zeros(3))
     x = np.array([0.5, 0.0])
     # margins: 1-0.5, 1+0, 1+0.5 -> hinges 0.5, 1.0, 1.5 -> mean 1.0
     np.testing.assert_allclose(p.group_losses(x), [1.0])
@@ -56,16 +57,16 @@ def test_group_loss_values():
 
 def test_lipschitz_constant_formula():
     rng = make_rng(80, 0)
-    groups = _random_groups(rng)
-    p = FairnessProblem(groups)
-    expected = np.sqrt(sum(np.sum(g.features**2) / g.size for g in groups))
+    feats, labels, ids = _random_rows(rng)
+    p = FairnessProblem(feats, labels, ids)
+    expected = np.sqrt(sum(np.sum(feats[ids == g]**2) / np.sum(ids == g) for g in (0, 1)))
     assert p.constants.l_yx == pytest.approx(expected, rel=1e-12)
     assert p.constants.l_yy == 0.0
 
 
 def test_prox_x_zero_tau_identity():
     rng = make_rng(81, 0)
-    p = FairnessProblem(_random_groups(rng))
+    p = FairnessProblem(*_random_rows(rng))
     x = rng.standard_normal(p.dim_x)
     y = np.full(p.dim_y, 1.0 / p.dim_y)
     np.testing.assert_array_equal(p.prox_phi_x(0.0, y, x), x)
@@ -73,8 +74,7 @@ def test_prox_x_zero_tau_identity():
 
 def test_prox_x_single_active_group_matches_coordinate_ascent():
     rng = make_rng(82, 0)
-    groups = _random_groups(rng, sizes=(20,), dim=5)
-    p = FairnessProblem(groups)
+    p = FairnessProblem(*_random_rows(rng, sizes=(20,), dim=5))
     x = rng.standard_normal(5)
     tau = 0.6
     y = np.array([1.0])
@@ -86,9 +86,9 @@ def test_prox_x_single_active_group_matches_coordinate_ascent():
 
 def test_prox_x_zero_weight_group_is_ignored():
     rng = make_rng(83, 0)
-    groups = _random_groups(rng, sizes=(6, 9), dim=4)
-    p = FairnessProblem(groups)
-    single = FairnessProblem([groups[1]])
+    feats, labels, ids = _random_rows(rng, sizes=(6, 9), dim=4)
+    p = FairnessProblem(feats, labels, ids)
+    single = FairnessProblem(feats[6:], labels[6:], ids[6:])
     x = rng.standard_normal(4)
     tau = 0.8
     ours = p.prox_phi_x(tau, np.array([0.0, 1.0]), x)
@@ -98,7 +98,7 @@ def test_prox_x_zero_weight_group_is_ignored():
 
 def test_prox_x_oracle_random_instances():
     rng = make_rng(84, 0)
-    p = FairnessProblem(_random_groups(rng, sizes=(10, 10), dim=5))
+    p = FairnessProblem(*_random_rows(rng, sizes=(10, 10), dim=5))
     for trial in range(4):
         x = rng.standard_normal(5) * 1.5
         y = rng.dirichlet(np.ones(2))
@@ -134,7 +134,7 @@ def _oracle_case(rng, trial):
     features, a zero row, duplicated rows (equal and opposite labels), a
     zero entry of ``y`` and ``x`` placed on a kink."""
     dim = int(rng.integers(1, 9))
-    groups = []
+    rows = []
     for size in rng.integers(3, 16, size=int(rng.integers(1, 4))):
         if trial % 2:
             feats = rng.integers(-3, 4, size=(size, dim)).astype(float)
@@ -146,8 +146,8 @@ def _oracle_case(rng, trial):
         if trial % 3 == 0:
             feats[1] = feats[2]
             labels[1] = labels[2] if trial % 2 else -labels[2]
-        groups.append(Group(feats, labels))
-    p = FairnessProblem(groups)
+        rows.append((feats, labels, np.full(size, len(rows))))
+    p = FairnessProblem(*(np.concatenate(part) for part in zip(*rows)))
     tau = float(10.0 ** rng.uniform(-8, 3))
     y = rng.dirichlet(np.ones(p.dim_y))
     if trial % 4 == 0 and p.dim_y > 1:
@@ -174,7 +174,7 @@ def test_prox_x_matches_slack_qp_oracle():
 
 def test_single_group_run_reduces_to_proximal_point():
     rng = make_rng(85, 0)
-    p = FairnessProblem(_random_groups(rng, sizes=(15,), dim=4))
+    p = FairnessProblem(*_random_rows(rng, sizes=(15,), dim=4))
     kind = default_adaptive(p.constants)
     x0 = np.zeros(4)
     y0 = np.array([1.0])
@@ -187,35 +187,60 @@ def test_single_group_run_reduces_to_proximal_point():
 
 
 def test_validation_clean():
-    p = FairnessProblem(_random_groups(make_rng(86, 0), sizes=(6, 7), dim=3))
+    p = FairnessProblem(*_random_rows(make_rng(86, 0), sizes=(6, 7), dim=3))
     report = validate_problem(p, trials=25, seed=4)
     assert report.ok, (report.lipschitz_violation, report.prox_violation)
 
 
 def test_accuracy_helper_sign_convention():
-    p = FairnessProblem([Group(np.array([[1.0], [0.0]]), np.array([1.0, 1.0]))])
+    p = FairnessProblem(np.array([[1.0], [0.0]]), np.array([1.0, 1.0]), np.zeros(2))
     # score 0 predicts +1
     assert p.accuracy(np.array([1.0]), np.array([[0.0]]), np.array([1.0])) == 100.0
     assert p.accuracy(np.array([1.0]), np.array([[0.0]]), np.array([-1.0])) == 0.0
 
 
 def test_group_validation():
-    with pytest.raises(ValueError):
-        Group(np.zeros((0, 3)), np.zeros(0))
-    with pytest.raises(ValueError):
-        Group(np.zeros((2, 3)), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        FairnessProblem([])
+    feats = np.ones((2, 3))
+    with pytest.raises(ValueError, match="features must be 2-d with at least one row"):
+        FairnessProblem(np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError, match="features must be 2-d with at least one row"):
+        FairnessProblem(np.ones(3), np.ones(3), np.zeros(3))
+    with pytest.raises(ValueError, match="labels must be"):
+        FairnessProblem(feats, np.array([1.0, 2.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="labels must be"):
+        FairnessProblem(feats, np.ones(3), np.zeros(2))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: FairnessProblem([Group(np.ones((2, 2)), np.ones(2)),
-                              Group(np.ones((2, 3)), np.ones(2))]),
-     "all groups must share the feature dimension"),
-    (lambda: FairnessProblem([Group(np.ones((2, 2)), np.ones(2))]).prox_phi_x(
+    (lambda: FairnessProblem(np.ones((2, 2)), np.ones(2), np.zeros(3)),
+     "groups must hold one id per sample"),
+    (lambda: FairnessProblem(np.ones((2, 2)), np.ones(2), np.zeros(2)).prox_phi_x(
         -1.0, np.ones(1), np.zeros(2)),
      "tau must be nonnegative"),
 ], ids=["dimensions", "negative-tau"])
 def test_rejects_bad_inputs(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_features(bad):
+    feats = np.ones((3, 2))
+    feats[1, 0] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        FairnessProblem(feats, np.ones(3), np.zeros(3))
+
+
+def test_rows_are_grouped_by_ascending_id_in_their_given_order():
+    # ids given out of order: y weights 2, 5, 9; each group keeps its rows' order
+    feats, labels, _ = _random_rows(make_rng(87, 1), sizes=(7,), dim=3)
+    ids = np.array([5, 2, 9, 5, 2, 2, 5])
+    p = FairnessProblem(feats, labels, ids)
+    order = [1, 4, 5, 0, 3, 6, 2]
+    np.testing.assert_array_equal(p.signed, labels[order, None] * feats[order])
+    np.testing.assert_array_equal(p.row_group, [0, 0, 0, 1, 1, 1, 2])
+    np.testing.assert_array_equal(p.group_sizes, [3.0, 3.0, 1.0])
+    x = make_rng(87, 2).standard_normal(3)
+    hinge = np.maximum(0.0, 1.0 - labels * (feats @ x))
+    np.testing.assert_allclose(p.group_losses(x), [np.mean(hinge[ids == g]) for g in (2, 5, 9)],
+                               rtol=1e-14)

@@ -485,6 +485,11 @@ def test_a_factor_no_thinner_than_the_training_rows_gives_the_dense_block():
     _close(block, scale * np.outer(labels, labels) * (features[:4] @ features[:4].T))
 
 
+def test_normalize_kernel_rejects_a_zero_diagonal_entry():
+    with pytest.raises(ValueError, match=r"kernel has \(near-\)zero diagonal entries"):
+        normalize_kernel(np.diag([1.0, 0.0, 2.0]))
+
+
 def _ionosphere_file(tmp_path):
     """The benchmark's seed-1 ionosphere-shaped file, loaded."""
     path = tmp_path / "ionosphere.data"

@@ -6,7 +6,7 @@ import pytest
 from ogaprox import prox
 from ogaprox.datasets import DatasetFormat, LoadedDataset
 from ogaprox.problem import prox_inequality_gap
-from ogaprox.problems import FairnessProblem, Group, MkSvmProblem
+from ogaprox.problems import FairnessProblem, MkSvmProblem
 from ogaprox.problems import fairness as fairness_module
 from ogaprox.problems import mksvm as mksvm_module
 from ogaprox.problems.mksvm import (
@@ -224,6 +224,12 @@ def test_box_hyperplane_set_rejects_bad_fields(upper, normal, field):
         BoxHyperplaneSet(upper=upper, normal=normal)
 
 
+def test_box_hyperplane_rejects_a_point_of_another_dimension():
+    s = BoxHyperplaneSet(upper=1.0, normal=[1.0, -1.0])
+    with pytest.raises(ValueError, match="dimension mismatch with set normal"):
+        project_box_hyperplane(s, np.zeros(3))
+
+
 # -- polytope cone ---------------------------------------------------------
 
 def _feasible_cone_points(a, rng, count):
@@ -402,14 +408,13 @@ def test_set_and_projector_hold_read_only_copies():
 
 @pytest.mark.parametrize("make", [
     lambda: BoxHyperplaneSet(upper=1.0, normal=[1.0, -1.0]),
-    lambda: Group(np.ones((2, 3)), [1.0, -1.0]),
     lambda: MkSvmPrediction(np.array([1.0, -1.0]), 0, 0.5, False),
     lambda: QpProblem(np.eye(2), np.zeros(2)),
     lambda: QpResult(np.zeros(2), QpStatus.OPTIMAL, 0),
     lambda: SolverState(*(np.zeros(2) for _ in range(6))),
     lambda: LoadedDataset("sonar", np.zeros((2, 2)), np.array([1.0, -1.0])),
     lambda: DatasetFormat("f.data", 1, {"a": 1.0}, 2),
-], ids=["box-hyperplane-set", "group", "mksvm-prediction", "qp-problem", "qp-result",
+], ids=["box-hyperplane-set", "mksvm-prediction", "qp-problem", "qp-result",
         "solver-state", "loaded-dataset", "dataset-format"])
 def test_frozen_array_holders_compare_by_identity(make):
     # field-wise == would ask numpy for the truth value of an array, and a
@@ -440,6 +445,8 @@ def test_projector_rejects_a_without_full_row_rank():
     assert not isinstance(info.value, RankDeficientError)
     with pytest.raises(ValueError, match=r"d = 0"):
         PolytopeProjector(np.zeros((0, 7)))
+    with pytest.raises(ValueError, match="a_matrix must be 2-d"):
+        PolytopeProjector(np.ones(7))
 
 
 # -- scaled positive part ---------------------------------------------------
@@ -511,10 +518,9 @@ def _mksvm(mu, nu):
 
 def _fairness(sizes=(6, 9, 12)):
     rng = make_rng(62, 7)
-    return FairnessProblem([
-        Group(rng.standard_normal((size, 4)), np.where(rng.uniform(size=size) < 0.5, -1.0, 1.0))
-        for size in sizes
-    ])
+    rows = [(rng.standard_normal((size, 4)), np.where(rng.uniform(size=size) < 0.5, -1.0, 1.0),
+             np.full(size, gid)) for gid, size in enumerate(sizes)]
+    return FairnessProblem(*(np.concatenate(part) for part in zip(*rows)))
 
 
 @pytest.mark.parametrize("make, simplex_x, simplex_y", [

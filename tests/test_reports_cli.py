@@ -208,10 +208,13 @@ def test_cli_toy_with_more_rows_than_columns_is_validation_error(tmp_path):
     assert main(["toy", "--config", str(cfg)]) == 2
 
 
-def test_cli_bad_config_is_validation_error(tmp_path):
+def test_cli_bad_config_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dataset = not-a-dataset\npath = x\n")
     assert main(["mksvm", "--config", str(cfg)]) == 2
+    cfg.write_text("runs = 1\n")
+    assert main(["mksvm", "--config", str(cfg)]) == 2
+    assert "config must set dataset = <name>" in capsys.readouterr().err
 
 
 def test_cli_split_fraction_out_of_range_is_validation_error(tmp_path):
@@ -318,6 +321,7 @@ def test_mksvm_and_fairness_reports_do_not_depend_on_blas_threads(tmp_path):
     ("synthetic", "checkpoints = 5, x", "checkpoints"),
     ("validate", "trials = many", "trials"),
     ("mksvm", "runs = two", "runs"),
+    ("mksvm", "variant = c3", "variant"),
     ("mksvm", "partitions = 2", "partitions"),
     ("fairness", "split_fraction = half", "split_fraction"),
     ("fairness", "variant = c1", "variant"),

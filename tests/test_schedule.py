@@ -140,6 +140,24 @@ def test_linear_requires_both_moduli():
     constants = ProblemConstants(l_yx=1.0, l_yy=0.0, mu=0.0, nu=1.0)
     with pytest.raises(StepSizeViolationError, match="mu > 0"):
         make_schedule(LinearSchedule(theta=0.9, alpha=1.0), constants)
+    for mu, nu in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(StepSizeViolationError, match="balanced alpha needs mu > 0 and nu > 0"):
+            balanced_alpha(ProblemConstants(l_yx=1.0, l_yy=0.0, mu=mu, nu=nu))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda kind, constants, state: make_schedule(kind, constants), "unknown schedule kind"),
+    (lambda kind, constants, state: schedule_margin(kind, constants), "unknown schedule kind"),
+    (lambda kind, constants, state: advance_schedule(state, kind, constants),
+     "unknown schedule kind"),
+    (lambda kind, constants, state: sigma_tilde(kind, constants), "defined for the linear law"),
+], ids=["make-schedule", "schedule-margin", "advance-schedule", "sigma-tilde"])
+def test_schedule_functions_reject_a_kind_that_is_not_a_law(call, message):
+    # nu > 0, so advance_schedule does not return the state unchanged
+    constants = ProblemConstants(l_yx=1.0, l_yy=0.0, mu=1.0, nu=1.0)
+    state = make_schedule(default_adaptive(constants), constants)
+    with pytest.raises(TypeError, match=message):
+        call(object(), constants, state)
 
 
 def test_linear_t_growth_and_sigma_tilde():

@@ -11,7 +11,6 @@ from ogaprox import problems, prox
 from ogaprox.problem import ProblemConstants, SaddleProblem
 from ogaprox.problems import (
     FairnessProblem,
-    Group,
     MkSvmProblem,
     QuadraticSaddleProblem,
     random_toy_problem,
@@ -107,8 +106,8 @@ def test_every_built_in_fused_problem_is_checked():
 
 _DEFAULT_PATH = {
     "fairness": lambda: FairnessProblem(
-        [Group(make_rng(93, k).standard_normal((6, 3)),
-               np.where(np.arange(6) % 2 == 0, 1.0, -1.0)) for k in range(2)]),
+        np.vstack([make_rng(93, k).standard_normal((6, 3)) for k in range(2)]),
+        np.where(np.arange(12) % 2 == 0, 1.0, -1.0), np.arange(12) // 6),
     "quadratic": lambda: QuadraticSaddleProblem(make_rng(94, 0).standard_normal((5, 4)), nu=0.3),
     "quadratic-boxed": lambda: QuadraticSaddleProblem(
         make_rng(95, 0).standard_normal((5, 4)), mu=0.6, box=(-1.0, 1.0)),
@@ -251,7 +250,8 @@ def test_run_rejects_infeasible_start():
 def _fairness_start():
     rng = make_rng(92, 0)
     labels = np.where(np.arange(6) % 2 == 0, 1.0, -1.0)
-    p = FairnessProblem([Group(rng.standard_normal((6, 3)), labels) for _ in range(2)])
+    p = FairnessProblem(np.vstack([rng.standard_normal((6, 3)) for _ in range(2)]),
+                        np.tile(labels, 2), np.arange(12) // 6)
     return p, np.zeros(p.dim_x), np.full(p.dim_y, 1.0 / p.dim_y)
 
 
@@ -273,6 +273,14 @@ def test_run_rejects_a_non_finite_start(name, which, value):
     start[which][0] = value
     with pytest.raises(ValueError, match=f"{which} must be finite"):
         run(p, default_adaptive(p.constants), start["x0"], start["y0"], max_iter=3)
+
+
+@pytest.mark.parametrize("which", ["x0", "y0"])
+def test_run_rejects_a_start_of_the_wrong_shape(which):
+    p, x0, y0 = _STARTS["quadratic"]()
+    start = {"x0": x0, "y0": y0, which: np.zeros(4)}
+    with pytest.raises(ValueError, match="starting point dimensions do not match the problem"):
+        run(p, default_adaptive(p.constants), start["x0"], start["y0"], max_iter=1)
 
 
 def test_run_rejects_negative_max_iter():
