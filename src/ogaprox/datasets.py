@@ -4,9 +4,9 @@ Files are plain delimited text (comma or whitespace); the per-dataset
 column maps below say which column carries the label, which columns to
 drop, and how raw labels map to +-1.  Rows with missing values are
 dropped, features are z-scored over the full dataset, and constant
-columns are removed with a warning.  The heart-disease table additionally
-yields group labels by sex and by age band (<50, 50-59, >=60), computed
-from the raw values before normalization.
+columns are removed with a warning, or an error if none is left.  The
+heart-disease table additionally yields group labels by sex and by age
+band (<50, 50-59, >=60), computed from the raw values before normalization.
 """
 
 import warnings
@@ -188,6 +188,8 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
         groups["sex"] = sex.astype(int)
         groups["age"] = np.digitize(age, [50.0, 60.0])  # <50, 50-59, >=60
     features, dropped_cols = zscore(raw)
+    if not features.shape[1]:
+        raise ValueError(f"empty feature matrix: every feature column of {path} is constant")
     return LoadedDataset(
         name=spec.name,
         features=features,

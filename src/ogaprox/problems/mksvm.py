@@ -7,7 +7,9 @@ matrices ``M_i`` (label-conjugated, trace-rescaled Gram matrices) the
 coupling is ``Phi(x, y) = mu/2 ||x||^2 - 0.5 sum_i x_i y'M_i y + e'y``
 restricted to the simplex, and ``g(y) = nu/2 ||y||^2`` restricted to the
 box-hyperplane set.  A kernel is a square matrix or, with fewer columns than
-rows, a factor ``F`` of ``F F'``: every function here reads it by that rule.
+rows, a factor ``F`` of ``F F'``: every function here reads it by that rule,
+and ``MkSvmProblem`` keeps a block that is diagonal to working precision as
+the 1-d vector of its diagonal, a third form the shape tells apart.
 """
 
 from dataclasses import dataclass
@@ -152,6 +154,7 @@ class MkSvmProblem(SaddleProblem):
         mats = [np.asarray(m, dtype=float) for m in m_list]
         if not mats:
             raise ValueError("at least one kernel required")
+        diagonal = {}  # kernel position -> diagonal of a block kept in that form
         for i, m in enumerate(mats):
             if _is_factor(m) and len(m) == n:  # M_i = m m' is PSD by construction
                 if not _finite(m, float(np.vdot(m, m))):
@@ -160,18 +163,23 @@ class MkSvmProblem(SaddleProblem):
             if m.shape != (n, n):
                 raise ValueError(f"kernel matrix {i} must be symmetric {n}x{n}")
             size = np.abs(m)
-            scale, row_sums = max(1.0, float(size.max())), size.sum(axis=1)
+            scale, diag = max(1.0, float(size.max())), m.diagonal()
+            size.flat[:: n + 1] = 0.0  # off-diagonal sums as summed: row sums - |d_i| cancel
+            off = size.sum(axis=1)
             del size  # no two n x n temporaries alive at once
-            if not _finite(m, float(np.sum(row_sums))):
+            if not _finite(m, float(np.sum(off) + np.sum(np.abs(diag)))):
                 raise ValueError(f"kernel matrix {i} must be finite")
             # m - m' is antisymmetric, so its largest entry is its largest magnitude
             if float(np.max(m - m.T)) > _FEAS_TOL * scale:
                 raise ValueError(f"kernel matrix {i} must be symmetric {n}x{n}")
-            # PSD certificate (Gershgorin): d_i + |d_i| + tol > sum_j |m_ij| in every row, with
-            # tol = _FEAS_TOL * scale and 1 + n 2^-52 for the row sums' rounding, makes m + tol I
-            # strictly diagonally dominant, so lambda_min(m) > -tol, the Cholesky test's margin
-            diag = m.diagonal()
-            if (diag + np.abs(diag) + _FEAS_TOL * scale > row_sums * (1.0 + n * 2.0**-52)).all():
+            # PSD certificate (Gershgorin): d_i + tol > sum_{j != i} |m_ij| in every row, with
+            # tol = _FEAS_TOL * scale and 1 + n 2^-52 for the rounding of n - 1 terms and of both
+            # sides, makes m + tol I strictly diagonally dominant, so lambda_min(m) > -tol
+            if (diag + _FEAS_TOL * scale > off * (1.0 + n * 2.0**-52)).all():
+                # kept as d if off_i <= 2^-60 |d_i|: d * y drops <= 2^-60 |d_i| ||y||_inf, 1/128
+                # ulp; the Gaussian block is diagonal only as gamma = 5 (README's Gaussian caveat)
+                if (off <= 2.0**-60 * np.abs(diag)).all():
+                    diagonal[i] = diag
                 continue
             shifted = m.copy()
             shifted.flat[:: n + 1] += _FEAS_TOL * scale
@@ -181,7 +189,7 @@ class MkSvmProblem(SaddleProblem):
                 raise ValueError(f"kernel matrix {i} is not positive semidefinite") from None
             del shifted  # not alive while the next block is checked or the blocks are copied
         # private read-only copies in kernel order, made once every block has passed
-        self._blocks = tuple(m.copy() for m in mats)
+        self._blocks = tuple(diagonal.get(i, m).copy() for i, m in enumerate(mats))
         for m in self._blocks:
             m.flags.writeable = False
         self.box_c = float(box_c)
@@ -190,7 +198,7 @@ class MkSvmProblem(SaddleProblem):
         self.y_set = BoxHyperplaneSet(upper=self.box_c, normal=labels)
         self.labels = self.y_set.normal  # the set's read-only copy, so the two never disagree
         top = max(spectral_norm(m) ** 2 / 1.001 if _is_factor(m) else spectral_norm(m)
-                  for m in self._blocks)
+                  for m in mats)  # the blocks as given: no form changes a constant
         self.constants = ProblemConstants(
             l_yx=float(self.box_c * np.sqrt(self.dim_x * n) * top),
             l_yy=top, mu=float(mu), nu=float(nu),
@@ -201,8 +209,9 @@ class MkSvmProblem(SaddleProblem):
             raise ValueError("x must lie on the unit simplex")
 
     def _kernel_products(self, y):
-        """Row ``i`` is ``M_i y``: ``m @ y`` for a dense block, ``G (G' y)`` for a factor."""
-        return np.array([m @ (m.T @ y) if _is_factor(m) else m @ y for m in self._blocks])
+        """Row ``i`` is ``M_i y``; ``ndim`` is tested first, as ``d @ y`` would be a scalar."""
+        return np.array([m * y if m.ndim == 1 else m @ (m.T @ y) if _is_factor(m) else m @ y
+                         for m in self._blocks])
 
     def grad_y(self, x, y):
         self._check_simplex(x)

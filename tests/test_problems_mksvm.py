@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from fractions import Fraction
 
@@ -296,7 +297,8 @@ def test_diagonally_dominant_blocks_skip_the_cholesky_test(tmp_path, monkeypatch
     s = make_rng(90, 0).uniform(-1.0, 1.0, (n, n))
     _cholesky_calls(monkeypatch, allowed=False)
     p = MkSvmProblem([gauss, 3.0 * np.eye(n) + 1e-3 * (s + s.T)], labels, box_c=1.0)
-    assert [m.shape for m in p._blocks] == [(n, n)] * 2
+    # the Gaussian block is the identity to working precision and is kept as its diagonal
+    assert [m.shape for m in p._blocks] == [(n,), (n, n)]
 
 
 def test_blocks_without_a_dominance_certificate_reach_the_cholesky_test(tmp_path, monkeypatch):
@@ -313,6 +315,91 @@ def test_blocks_without_a_dominance_certificate_reach_the_cholesky_test(tmp_path
     MkSvmProblem([poly, g @ g.T], labels, box_c=1.0)
     MkSvmProblem([close], np.array([1.0, -1.0, 1.0, -1.0]), box_c=1.0)
     assert calls == [(n, n), (n, n), (4, 4)]
+
+
+# -- a numerically diagonal block kept as its diagonal --------------------------
+
+def _diagonal_and_dense(tmp_path):
+    """The benchmark file's polynomial and Gaussian blocks of run 0 in the shipped
+    form (the Gaussian one kept as its diagonal), the same problem with the dense
+    Gaussian block put back, and the two blocks as given."""
+    (poly, gauss), labels = _ionosphere_blocks(tmp_path)
+    diagonal = MkSvmProblem([poly, gauss], labels, box_c=1.0, mu=1.0, nu=0.5)
+    assert [m.shape for m in diagonal._blocks] == [poly.shape, (labels.size,)]
+    np.testing.assert_array_equal(diagonal._blocks[1], np.diag(gauss))
+    dense = copy.copy(diagonal)
+    dense._blocks = (diagonal._blocks[0], gauss)
+    return diagonal, dense, (poly, gauss)
+
+
+def test_diagonal_form_matches_the_dense_problem(tmp_path):
+    diagonal, dense, (_, gauss) = _diagonal_and_dense(tmp_path)
+    n, d = gauss.shape[0], np.abs(np.diag(gauss))
+    rng = make_rng(91, 0)
+    for trial in range(4):
+        x = rng.dirichlet(np.ones(2))
+        y = rng.uniform(-1.0, 1.0, n)
+        y[trial::3] = 0.0
+        top = np.max(np.abs(y))
+        got, want = diagonal._kernel_products(y), dense._kernel_products(y)
+        np.testing.assert_array_equal(got[0], want[0])
+        # entry i drops sum_{j != i} m_ij y_j, at most 2^-60 |d_i| ||y||_inf, and the
+        # dense matvec rounds by at most n 2^-53 (|d_i| + that) ||y||_inf
+        error = np.abs(got[1] - want[1])
+        assert np.all(error <= (2.0**-60 + (n + 1) * 2.0**-53) * d * top)
+        # where y_i = 0 the diagonal form gives 0 and the dense one only the dropped part
+        zero = y == 0.0
+        assert np.all(got[1][zero] == 0.0)
+        assert np.all(error[zero] <= 2.0**-60 * (1.0 + n * 2.0**-53) * d[zero] * top)
+        bound = float(np.max(error))
+        np.testing.assert_allclose(diagonal.grad_y(x, y), dense.grad_y(x, y),
+                                   rtol=2.0**-50, atol=bound)
+        assert abs(diagonal.phi_value(x, y) - dense.phi_value(x, y)) <= (
+            0.5 * n * bound * top + 2.0**-50 * (n * top + abs(dense.phi_value(x, y))))
+    # the iterates of a run move only at roundoff
+    x0, y0 = diagonal.sample_point(make_rng(91, 1))
+    kind = default_adaptive(diagonal.constants)
+    a, b = run(diagonal, kind, x0, y0, max_iter=300), run(dense, kind, x0, y0, max_iter=300)
+    for u, w in zip((a.state.x, a.state.y, *a.ergodic()), (b.state.x, b.state.y, *b.ergodic())):
+        _close(u, w)
+
+
+def test_diagonal_form_keeps_the_dense_constants_bit_for_bit(tmp_path):
+    diagonal, _, (poly, gauss) = _diagonal_and_dense(tmp_path)
+    top = max(spectral_norm(poly), spectral_norm(gauss))
+    n = gauss.shape[0]
+    assert diagonal.constants.l_yy == top
+    assert diagonal.constants.l_yx == float(1.0 * np.sqrt(2 * n) * top)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at-threshold", "one-ulp-above"])
+def test_one_off_diagonal_entry_above_the_threshold_keeps_the_block_dense(above):
+    # d_i = 3, so the threshold 2^-60 * 3 is exact; only rows 0 and 1 carry the entry
+    entry = 3.0 * 2.0**-60
+    m = 3.0 * np.eye(4)
+    m[0, 1] = m[1, 0] = np.nextafter(entry, 1.0) if above else entry
+    p = MkSvmProblem([m], np.array([1.0, -1.0, 1.0, -1.0]), box_c=1.0)
+    assert p._blocks[0].shape == ((4, 4) if above else (4,))
+
+
+def test_off_diagonal_sums_below_half_an_ulp_of_the_diagonal_keep_the_block_dense():
+    # every entry is below 2^-60 d_i, their sum 15 * 2^-60 is above it, and below
+    # half an ulp of d_i: the row sum minus |d_i| would read 0 and pass the test
+    n = 16
+    m = 3.0 * np.eye(n) + 2.0**-60 * (np.ones((n, n)) - np.eye(n))
+    off = (n - 1) * 2.0**-60
+    assert 2.0**-60 < 3.0 * 2.0**-60 < off and (3.0 + off) - 3.0 == 0.0
+    p = MkSvmProblem([m], np.where(np.arange(n) % 2 == 0, 1.0, -1.0), box_c=1.0)
+    assert p._blocks[0].shape == (n, n)
+
+
+def test_diagonal_form_is_a_private_read_only_copy():
+    m = 2.0 * np.eye(5)
+    p = MkSvmProblem([m], np.array([1.0, -1.0, 1.0, -1.0, 1.0]), box_c=1.0)
+    (d,) = p._blocks
+    assert d.shape == (5,) and not d.flags.writeable and not np.shares_memory(d, m)
+    m[:] = 7.0
+    np.testing.assert_array_equal(d, 2.0)
 
 
 # -- prediction rule ---------------------------------------------------------
@@ -554,8 +641,9 @@ def test_no_kernel_block_of_a_wide_z_scored_study_holds_a_subnormal(monkeypatch)
 
 
 def test_mksvm_study_peak_memory_on_the_benchmark_file(tmp_path):
-    # traced peak above the loaded data: 4.6 MiB with the blocks built and
-    # checked in place and the previous run's problem released; 7.1 MiB with
+    # traced peak above the loaded data: 4.5 MiB with the blocks built and
+    # checked in place, the previous run's problem released and the Gaussian
+    # block kept as its diagonal (4.6 MiB with it kept dense); 7.1 MiB with
     # the throwaway n x n copies and two runs' blocks alive at once
     data = _ionosphere_file(tmp_path)
     tracemalloc.start()

@@ -17,6 +17,7 @@ from ogaprox.experiments import mksvm_experiment, synthetic_experiment, toy_expe
 from ogaprox.problems import MkSvmProblem
 from ogaprox.report import CSV_COLUMNS, MetricRecord, RunReport
 from ogaprox.rng import make_rng
+from perfbench import datagen
 
 
 # -- report -------------------------------------------------------------------
@@ -200,6 +201,19 @@ def test_cli_unknown_dataset_without_path_names_it(tmp_path, capsys):
     cfg.write_text("dataset = iris\n")
     assert main(["mksvm", "--config", str(cfg)]) == 2
     assert "unknown dataset 'iris'" in capsys.readouterr().err
+
+
+def test_cli_one_row_file_names_the_empty_feature_matrix(tmp_path, capsys):
+    # z-scoring one row drops every column as constant
+    data_path = tmp_path / "ionosphere.data"
+    data_path.write_text(datagen.ionosphere_text(1).splitlines()[0] + "\n")
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"dataset = ionosphere\npath = {data_path}\n")
+    with pytest.warns(UserWarning, match="dropping constant feature column"):
+        assert main(["mksvm", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"empty feature matrix: every feature column of {data_path} is constant" in err
+    assert "zero diagonal" not in err
 
 
 def test_cli_toy_with_more_rows_than_columns_is_validation_error(tmp_path):
