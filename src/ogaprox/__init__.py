@@ -25,7 +25,6 @@ from .schedule import (
 from .solver import (
     GapCertificate,
     NonFiniteIterateError,
-    RunResult,
     SolverState,
     gap_certificate,
     run,
@@ -42,7 +41,6 @@ __all__ = [
     "ProblemConstants",
     "PsiUndefinedError",
     "RunReport",
-    "RunResult",
     "SaddleProblem",
     "ScheduleKind",
     "ScheduleState",

@@ -24,7 +24,7 @@ from .problems import (
     mksvm_predict,
     random_toy_problem,
 )
-from .problems.mksvm import build_kernels, conjugated_kernels, kernel_diagonal
+from .problems.mksvm import build_kernels, conjugated_kernels
 from .report import MetricRecord, RunReport
 from .rng import STREAMS, experiment_rng, make_rng
 from .schedule import (
@@ -121,7 +121,7 @@ def toy_experiments(
                 out["dist_y"] = float(np.linalg.norm(state.y - saddle[1]))
             return out
 
-        report = run(problem, kind, x0, y0, max_iter, callbacks=(metrics,)).report
+        _, report = run(problem, kind, x0, y0, max_iter, callbacks=(metrics,))
         report.config = {
             "experiment": "toy", "seed": seed, "d": d, "n": n, "nu": nu,
             "max_iter": max_iter, "tau0": sched0.tau, "sigma0": sched0.sigma,
@@ -186,7 +186,7 @@ def synthetic_experiment(
                     "dist_y": float(np.linalg.norm(state.y - saddle[1]))}
         return None
 
-    report = run(problem, kind, x0, y0, max_iter, callbacks=(certify,)).report
+    _, report = run(problem, kind, x0, y0, max_iter, callbacks=(certify,))
     report.config = {
         "experiment": "synthetic", "seed": seed, "dim": dim,
         "max_iter": max_iter, "theta": theta, "alpha": kind.alpha,
@@ -234,8 +234,6 @@ def mksvm_experiment(
     checkpoints = _sorted_checkpoints(checkpoints)
     max_iter = checkpoints[-1]
     kernels = build_kernels(data.features)
-    traces = np.array([np.sum(kernel_diagonal(k)) for k in kernels])
-    c_total = float(np.sum(traces))
     per_run: list[dict[int, float]] = []
     for run_index in range(runs):
         rng = experiment_rng(seed, "mksvm", run_index)
@@ -254,26 +252,22 @@ def mksvm_experiment(
         def accuracy(k, state, sched):
             if k not in checkpoints:
                 return None
-            eta = c_total * state.x / traces
             pred = mksvm_predict(kernels, train_idx, test_idx, labels_train,
-                                 state.y, eta, nu=nu, box_c=box_c)
+                                 state.y, state.x, nu=nu, box_c=box_c)
             return {"tsa": 100.0 * float(np.mean(pred.labels == labels_test))}
 
-        records = run(problem, kind, x0, y0, max_iter, callbacks=(accuracy,)).report.records
-        per_run.append({rec.k: rec.tsa for rec in records})
+        _, report = run(problem, kind, x0, y0, max_iter, callbacks=(accuracy,))
+        per_run.append({rec.k: rec.tsa for rec in report.records})
         del problem  # the next run's blocks are built without this run's alive
 
-    report = RunReport()
-    for k in checkpoints:
-        report.add(MetricRecord(k=k, tsa=_trimmed_mean([s[k] for s in per_run])))
-    report.config = {
+    records = [MetricRecord(k=k, tsa=_trimmed_mean([s[k] for s in per_run])) for k in checkpoints]
+    return RunReport(records, config={
         "experiment": "mksvm", "dataset": data.name, "variant": variant,
         "seed": seed, "runs": runs, "mu": mu, "nu": nu, "box_c": box_c,
         "checkpoints": list(checkpoints), "per_run": [
             {str(k): v for k, v in s.items()} for s in per_run
         ],
-    }
-    return report
+    })
 
 
 def _trimmed_mean(values: list[float]) -> float:
@@ -340,15 +334,13 @@ def fairness_experiment(
     # miss a small test split)
     averages = {name: {str(k): {key: float(np.mean(vals)) for key, vals in cell.items()}
                        for k, cell in cells.items()} for name, cells in table.items()}
-    report = RunReport()
-    for k in checkpoints:
-        report.add(MetricRecord(k=k, tsa=averages["with_fairness"][str(k)]["overall"]))
-    report.config = {
+    fair = averages["with_fairness"]
+    records = [MetricRecord(k=k, tsa=fair[str(k)]["overall"]) for k in checkpoints]
+    return RunReport(records, config={
         "experiment": "fairness", "dataset": data.name, "grouping": grouping,
         "seed": seed, "partitions": partitions, "checkpoints": list(checkpoints),
         **averages,
-    }
-    return report
+    })
 
 
 # -- library self-check -------------------------------------------------------

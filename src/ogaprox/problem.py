@@ -15,6 +15,7 @@ so gap reporting can never silently produce NaN.
 
 import abc
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -152,7 +153,7 @@ class ValidationReport:
     trials: int
     lipschitz_violation: float
     prox_violation: float | None
-    tolerance: float = 1e-8
+    tolerance: ClassVar[float] = 1e-8
 
     @property
     def ok(self) -> bool:

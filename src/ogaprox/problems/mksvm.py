@@ -286,19 +286,22 @@ def mksvm_predict(
     test_idx: np.ndarray,
     labels_train: np.ndarray,
     alpha: np.ndarray,
-    eta: np.ndarray,
+    weights: np.ndarray,
     nu: float,
     box_c: float,
 ) -> MkSvmPrediction:
     """Label the test points with the combined-kernel decision function.
 
-    ``alpha`` is the dual iterate, ``eta`` the kernel combination weights.
+    ``alpha`` is the dual iterate, ``weights`` the solver's kernel weights ``x``; the
+    kernels combine as ``eta = c x / r``, undoing :func:`conjugated_kernels`' scaling.
     The intercept is anchored at a support vector ``j0`` strictly inside
     the box (band ``[tol, C - tol]`` with ``tol = 1e-4 * C``); when no
     coefficient falls in the band, the most interior one is used and the
     prediction is flagged.  ``sign(0)`` maps to +1.
     """
     alpha = np.asarray(alpha, dtype=float)
+    traces = np.array([np.sum(kernel_diagonal(k)) for k in kernels])
+    eta = float(np.sum(traces)) * weights / traces
     combined_cross = sum(e * _block(k, train_idx, test_idx) for e, k in zip(eta, kernels))
     interior = np.minimum(alpha, box_c - alpha)
     j0 = int(np.argmax(interior))
@@ -306,8 +309,8 @@ def mksvm_predict(
     combined_j0 = sum(
         e * _block(k, train_idx, train_idx[j0:j0 + 1])[:, 0] for e, k in zip(eta, kernels)
     )
-    weights = labels_train * alpha
-    gamma = labels_train[j0] * (1.0 - nu * alpha[j0]) - float(weights @ combined_j0)
-    scores = weights @ combined_cross + gamma
+    signed = labels_train * alpha
+    gamma = labels_train[j0] * (1.0 - nu * alpha[j0]) - float(signed @ combined_j0)
+    scores = signed @ combined_cross + gamma
     labels = np.where(scores >= 0.0, 1.0, -1.0)
     return MkSvmPrediction(labels=labels, j0=j0, gamma=gamma, fallback=fallback)

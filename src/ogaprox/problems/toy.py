@@ -7,7 +7,7 @@ scaled projection onto ``C``.  For full-row-rank ``A`` the saddle points
 are exactly ``x* <= 0`` with ``y* = 0`` when ``nu > 0`` (any ``y*`` in
 ``C`` when ``nu = 0``).  The fused ``prox_step`` takes both proxes from one
 cone image ``A y``; at ``x <= 0`` the x-prox is the identity and ``grad_y``
-is exactly zero, so neither multiplies by ``A`` and the step tests ``x <= 0`` once.
+is exactly zero, so the step tests ``x <= 0`` once and does not multiply by ``A``.
 """
 
 import copy
@@ -47,8 +47,6 @@ class ToyProblem(SaddleProblem):
         return other
 
     def grad_y(self, x, y):
-        if np.asarray(x).max() <= 0.0:  # [x]_+ = 0 exactly; a NaN entry fails the test
-            return np.zeros(self.dim_y)
         return self.a.T @ np.maximum(x, 0.0)
 
     def prox_phi_x(self, tau, y, x):

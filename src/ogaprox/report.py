@@ -72,9 +72,6 @@ class RunReport:
     config: dict = field(default_factory=dict)
     version: str = field(default_factory=package_version)
 
-    def add(self, record: MetricRecord) -> None:
-        self.records.append(record)
-
     def to_csv_text(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer)

@@ -8,8 +8,9 @@ state carries both gradients, the step's norms (a non-finite iterate raises
 before ``grad_y`` sees it) and the run's totals: the count ``k`` and the
 iterate sums weighted by ``t_k`` with their total ``T_k``, normalized only
 on read, so a common rescale of the weights (applied before they overflow on
-linear schedules) leaves the averages unchanged.  :func:`gap_certificate`
-measures a state's ergodic gap against the bound of its law's kind.
+linear schedules) leaves the averages unchanged.  :func:`run` returns the
+final state and the run's report; :func:`gap_certificate` measures a state's
+ergodic gap against the bound of its law's kind.
 """
 
 import math
@@ -31,7 +32,6 @@ from .schedule import (
 
 __all__ = [
     "SolverState",
-    "RunResult",
     "NonFiniteIterateError",
     "step",
     "run",
@@ -103,17 +103,6 @@ def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> So
                        state.t_sum + t, state.k + 1, math.sqrt(sq_x), math.sqrt(sq_y))
 
 
-@dataclass
-class RunResult:
-    """Final state of a run plus its metric report."""
-
-    state: SolverState
-    report: RunReport
-
-    def ergodic(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.state.ergodic()
-
-
 def run(
     problem: SaddleProblem,
     kind: ScheduleKind,
@@ -121,8 +110,9 @@ def run(
     y0,
     max_iter: int,
     callbacks: tuple = (),
-) -> RunResult:
-    """Run the iteration for ``max_iter`` steps from a feasible start.
+) -> tuple[SolverState, RunReport]:
+    """Run ``max_iter`` steps from a feasible start; returns ``(state, report)``,
+    the final state, which holds the last iterate and the ergodic pair, and the log.
 
     Each callback is invoked once per iteration as
     ``callback(k, state, sched)`` with the state after step ``k``
@@ -158,7 +148,7 @@ def run(
             if extra:
                 metrics.update(extra)
         if metrics:
-            report.add(MetricRecord(
+            report.records.append(MetricRecord(
                 k=state.k, theta=used.theta, tau=used.tau, sigma=used.sigma,
                 **metrics,
             ))
@@ -168,7 +158,7 @@ def run(
             state.t_sum *= factor
             state.erg_x *= factor
             state.erg_y *= factor
-    return RunResult(state=state, report=report)
+    return state, report
 
 
 def initial_distance(saddle, x0, y0, tau0: float, sigma0: float) -> float:

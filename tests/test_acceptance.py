@@ -146,7 +146,7 @@ def test_criterion_4_pdhg_reduction():
     kind = AdaptiveSchedule(tau0=tau, sigma0=sigma, c_alpha=2.0 * norm_a)
     x0 = rng.standard_normal(n)
     y0 = np.clip(rng.standard_normal(n), -1.0, 1.0)
-    result = run(problem, kind, x0, y0, max_iter=100)
+    state, _ = run(problem, kind, x0, y0, max_iter=100)
 
     x_cur, x_prev, y_cur = x0.copy(), x0.copy(), y0.copy()
     for _ in range(100):
@@ -154,8 +154,8 @@ def test_criterion_4_pdhg_reduction():
         y_cur = np.clip(y_cur + sigma * (a @ x_bar), -1.0, 1.0)
         x_prev = x_cur
         x_cur = x_cur - tau * (a.T @ y_cur)
-    diff = max(float(np.max(np.abs(result.state.x - x_cur))),
-               float(np.max(np.abs(result.state.y - y_cur))))
+    diff = max(float(np.max(np.abs(state.x - x_cur))),
+               float(np.max(np.abs(state.y - y_cur))))
     _report(4, "PDHG reduction on bilinear coupling", diff <= 1e-10,
             f"max coordinate diff {diff:.2e}")
 

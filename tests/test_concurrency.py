@@ -21,10 +21,10 @@ from ogaprox.solver import run
 
 def _concurrent_runs_match_sequential(problem, starts):
     kind = default_adaptive(problem.constants)
-    sequential = [run(problem, kind, x0, y0, max_iter=300).state for x0, y0 in starts]
+    sequential = [run(problem, kind, x0, y0, max_iter=300)[0] for x0, y0 in starts]
     with ThreadPoolExecutor(max_workers=6) as pool:
         futures = [pool.submit(run, problem, kind, x0, y0, 300) for x0, y0 in starts]
-        concurrent = [f.result().state for f in futures]
+        concurrent = [f.result()[0] for f in futures]
     for seq, conc in zip(sequential, concurrent):
         np.testing.assert_array_equal(conc.x, seq.x)
         np.testing.assert_array_equal(conc.y, seq.y)

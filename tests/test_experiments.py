@@ -349,7 +349,7 @@ def test_fairness_cells_average_over_the_partitions_whose_test_split_holds_the_g
                           ("without_fairness", np.zeros_like(train))):
             problem = FairnessProblem(data.features[train], data.labels[train], ids)
             y0 = np.full(problem.dim_y, 1.0 / problem.dim_y)
-            x = run(problem, default_adaptive(problem.constants), np.zeros(3), y0, 30).state.x
+            x = run(problem, default_adaptive(problem.constants), np.zeros(3), y0, 30)[0].x
             for key, r in [("overall", test)] + [(f"group{g}", test[groups[test] == g])
                                                  for g in (0, 1, 2)]:
                 if r.size:

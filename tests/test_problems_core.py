@@ -148,16 +148,16 @@ def test_toy_fused_run_matches_the_three_call_run(nu):
     p = random_toy_problem(20, 30, nu, make_rng(26, 0))
     x0, y0 = p.sample_point(make_rng(26, 1))
     kind = default_adaptive(p.constants)
-    a = run(p, kind, x0, y0, max_iter=150)
-    b = run(ThreeCalls(p), kind, x0, y0, max_iter=150)
-    for u, v in zip((a.state.x, a.state.y, *a.ergodic()), (b.state.x, b.state.y, *b.ergodic())):
+    a, report_a = run(p, kind, x0, y0, max_iter=150)
+    b, report_b = run(ThreeCalls(p), kind, x0, y0, max_iter=150)
+    for u, v in zip((a.x, a.y, *a.ergodic()), (b.x, b.y, *b.ergodic())):
         np.testing.assert_array_equal(u, v)
-    assert a.report.step_dx == b.report.step_dx
-    assert a.report.step_dy == b.report.step_dy
+    assert report_a.step_dx == report_b.step_dx
+    assert report_a.step_dy == report_b.step_dy
 
 
 def test_toy_empty_positive_part_is_exact():
-    # at x <= 0 the oracles skip A: the results are those of the formulas
+    # at x <= 0 the x-prox and the fused step skip A: the results are those of the formulas
     p = _toy(make_rng(27, 0))
     rng = make_rng(27, 1)
     _, y = p.sample_point(rng)

@@ -178,12 +178,12 @@ def test_single_group_run_reduces_to_proximal_point():
     kind = default_adaptive(p.constants)
     x0 = np.zeros(4)
     y0 = np.array([1.0])
-    result = run(p, kind, x0, y0, max_iter=20)
+    state, _ = run(p, kind, x0, y0, max_iter=20)
     x_manual = x0.copy()
     for _ in range(20):
         x_manual = p.prox_phi_x(kind.tau0, y0, x_manual)
-    np.testing.assert_allclose(result.state.x, x_manual, atol=1e-8)
-    np.testing.assert_allclose(result.state.y, y0, atol=1e-12)
+    np.testing.assert_allclose(state.x, x_manual, atol=1e-8)
+    np.testing.assert_allclose(state.y, y0, atol=1e-12)
 
 
 def test_validation_clean():

@@ -174,12 +174,12 @@ def test_fused_run_matches_the_two_call_run(mu, nu, law):
     two_call = ThreeCalls(fused)
     x0, y0 = fused.sample_point(make_rng(73, 1))
     kind = law(fused.constants)
-    a = run(fused, kind, x0, y0, max_iter=150)
-    b = run(two_call, kind, x0, y0, max_iter=150)
-    for u, v in zip((a.state.x, a.state.y, *a.ergodic()), (b.state.x, b.state.y, *b.ergodic())):
+    a, report_a = run(fused, kind, x0, y0, max_iter=150)
+    b, report_b = run(two_call, kind, x0, y0, max_iter=150)
+    for u, v in zip((a.x, a.y, *a.ergodic()), (b.x, b.y, *b.ergodic())):
         np.testing.assert_array_equal(u, v)
-    assert a.report.step_dx == b.report.step_dx
-    assert a.report.step_dy == b.report.step_dy
+    assert report_a.step_dx == report_b.step_dx
+    assert report_a.step_dy == report_b.step_dy
 
 
 def _grad_y_calls(wrap) -> int:
@@ -359,8 +359,8 @@ def test_diagonal_form_matches_the_dense_problem(tmp_path):
     # the iterates of a run move only at roundoff
     x0, y0 = diagonal.sample_point(make_rng(91, 1))
     kind = default_adaptive(diagonal.constants)
-    a, b = run(diagonal, kind, x0, y0, max_iter=300), run(dense, kind, x0, y0, max_iter=300)
-    for u, w in zip((a.state.x, a.state.y, *a.ergodic()), (b.state.x, b.state.y, *b.ergodic())):
+    (a, _), (b, _) = (run(p, kind, x0, y0, max_iter=300) for p in (diagonal, dense))
+    for u, w in zip((a.x, a.y, *a.ergodic()), (b.x, b.y, *b.ergodic())):
         _close(u, w)
 
 
@@ -419,7 +419,7 @@ def test_predict_two_point_separable_instance():
         test_idx=np.array([2, 3]),
         labels_train=np.array([1.0, -1.0]),
         alpha=np.array([0.5, 0.5]),
-        eta=np.array([1.0]),
+        weights=np.array([1.0]),  # one kernel: eta = c x / r = x
         nu=0.0,
         box_c=1.0,
     )
@@ -432,11 +432,11 @@ def test_predict_gamma_nu_term():
     rng = make_rng(73, 0)
     kernels, train_idx, test_idx, labels, _ = _synthetic_instance(rng)
     alpha = rng.uniform(0.2, 0.8, train_idx.size)
-    eta = np.array([1.0, 0.5, 0.25])
+    weights = np.array([1.0, 0.5, 0.25])
     with_nu = mksvm_predict(kernels, train_idx, test_idx, labels[train_idx],
-                            alpha, eta, nu=0.5, box_c=1.0)
+                            alpha, weights, nu=0.5, box_c=1.0)
     without = mksvm_predict(kernels, train_idx, test_idx, labels[train_idx],
-                            alpha, eta, nu=0.0, box_c=1.0)
+                            alpha, weights, nu=0.0, box_c=1.0)
     j0 = without.j0
     shift = labels[train_idx][j0] * 0.5 * alpha[j0]
     assert with_nu.gamma == pytest.approx(without.gamma - shift, rel=1e-12)
@@ -502,9 +502,9 @@ def test_factor_form_matches_the_dense_problem(mu, nu, law):
     # the step sizes would carry that into the iterates
     x0, y0 = factor.sample_point(make_rng(80, 2))
     kind = law(factor.constants)
-    a = run(factor, kind, x0, y0, max_iter=200)
-    b = run(dense, kind, x0, y0, max_iter=200)
-    for u, w in zip((a.state.x, a.state.y, *a.ergodic()), (b.state.x, b.state.y, *b.ergodic())):
+    a, _ = run(factor, kind, x0, y0, max_iter=200)
+    b, _ = run(dense, kind, x0, y0, max_iter=200)
+    for u, w in zip((a.x, a.y, *a.ergodic()), (b.x, b.y, *b.ergodic())):
         _close(u, w)
 
 
@@ -670,8 +670,8 @@ def test_predict_on_the_factor_form_matches_the_dense_kernels():
     dense_kernels, *_ = _synthetic_instance(make_rng(85, 1))
     assert factor_kernels[2].shape == (19, 3)
     for alpha in (rng.uniform(0.0, 1.0, train_idx.size), np.zeros(train_idx.size)):
-        eta = rng.uniform(0.2, 1.0, 3)
-        a, b = (mksvm_predict(k, train_idx, test_idx, labels[train_idx], alpha, eta,
+        weights = rng.uniform(0.2, 1.0, 3)
+        a, b = (mksvm_predict(k, train_idx, test_idx, labels[train_idx], alpha, weights,
                               nu=0.5, box_c=1.0) for k in (factor_kernels, dense_kernels))
         np.testing.assert_array_equal(a.labels, b.labels)
         assert (a.j0, a.fallback) == (b.j0, b.fallback)
@@ -679,7 +679,7 @@ def test_predict_on_the_factor_form_matches_the_dense_kernels():
 
 
 def test_driver_eta_from_factor_traces_matches_the_dense_kernels(monkeypatch):
-    # the linear kernel's trace is sum(F**2), not trace(F): the driver's
+    # the linear kernel's trace is sum(F**2), not trace(F): mksvm_predict's
     # eta = c x / r must be the same as on the dense kernels
     rng = make_rng(86, 0)
     labels = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
@@ -689,7 +689,7 @@ def test_driver_eta_from_factor_traces_matches_the_dense_kernels(monkeypatch):
     calls, real_predict = [], experiments.mksvm_predict
 
     def spy(kernels, *args, **kwargs):
-        calls.append((kernels, args[4]))
+        calls.append((kernels, args, kwargs))
         return real_predict(kernels, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "mksvm_predict", spy)
@@ -699,8 +699,10 @@ def test_driver_eta_from_factor_traces_matches_the_dense_kernels(monkeypatch):
     factor_calls, dense_calls = calls[:4], calls[4:]
     assert [k.shape for k in factor_calls[0][0]] == [(40, 40), (40, 40), (40, 3)]
     assert [k.shape for k in dense_calls[0][0]] == [(40, 40)] * 3
-    for (_, eta_f), (_, eta_d) in zip(factor_calls, dense_calls, strict=True):
-        _close(eta_f, eta_d)
+    for (kernels_f, args, kwargs), (kernels_d, *_) in zip(factor_calls, dense_calls, strict=True):
+        a, b = (real_predict(k, *args, **kwargs) for k in (kernels_f, kernels_d))
+        np.testing.assert_array_equal(a.labels, b.labels)
+        _close(a.gamma, b.gamma)
     assert shipped.to_json_text() == dense.to_json_text()
 
 

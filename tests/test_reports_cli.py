@@ -30,9 +30,8 @@ def test_empty_report_header_only_csv(tmp_path):
 
 
 def test_csv_schema_and_empty_cells(tmp_path):
-    report = RunReport()
-    report.add(MetricRecord(k=10, gap=0.5, theta=1.0, tau=0.1, sigma=0.2))
-    report.add(MetricRecord(k=20, tsa=97.45))
+    report = RunReport([MetricRecord(k=10, gap=0.5, theta=1.0, tau=0.1, sigma=0.2),
+                        MetricRecord(k=20, tsa=97.45)])
     text = report.to_csv_text()
     lines = text.strip().splitlines()
     assert lines[0] == "k,gap,dist_x,dist_y,tsa,theta,tau,sigma"
@@ -41,8 +40,8 @@ def test_csv_schema_and_empty_cells(tmp_path):
 
 
 def test_json_round_trip(tmp_path):
-    report = RunReport(config={"experiment": "toy", "seed": 3})
-    report.add(MetricRecord(k=1, gap=1.25, dist_x=0.5))
+    report = RunReport([MetricRecord(k=1, gap=1.25, dist_x=0.5)],
+                       config={"experiment": "toy", "seed": 3})
     report.step_dx.extend([0.1, 0.2])
     report.step_dy.extend([0.3, 0.4])
     path = tmp_path / "r.json"
@@ -63,17 +62,16 @@ def test_tsa_range_validated():
 
 def test_repr_float_cells_parse_back_exactly():
     value = 0.1 + 0.2  # not exactly representable in decimal shorthand
-    report = RunReport()
-    report.add(MetricRecord(k=1, gap=value))
+    report = RunReport([MetricRecord(k=1, gap=value)])
     cell = report.to_csv_text().strip().splitlines()[1].split(",")[1]
     assert float(cell) == value
 
 
 def _crafted_report(schedule_trace) -> RunReport:
-    report = RunReport(config={"experiment": "crafted", 7: "int key", "name": "λ-ü"},
+    report = RunReport([MetricRecord(k=1, gap=float("nan"), dist_x=-0.0, tau=1e308),
+                        MetricRecord(k=2, sigma=5e-324)],
+                       config={"experiment": "crafted", 7: "int key", "name": "λ-ü"},
                        schedule_trace=schedule_trace)
-    report.add(MetricRecord(k=1, gap=float("nan"), dist_x=-0.0, tau=1e308))
-    report.add(MetricRecord(k=2, sigma=5e-324))
     report.step_dx.extend([float("nan"), np.inf, -np.inf, -0.0, 5e-324, 1e308, 3])
     return report
 

@@ -66,10 +66,10 @@ def test_run_evaluates_grad_y_once_per_step_plus_the_start():
         return grad_y(x, y)
 
     p.grad_y = counting
-    result = run(p, default_adaptive(p.constants), x0, y0, max_iter=25)
+    state, _ = run(p, default_adaptive(p.constants), x0, y0, max_iter=25)
     assert len(seen) == 26
-    np.testing.assert_array_equal(seen[-1][0], result.state.x)
-    np.testing.assert_array_equal(seen[-1][1], result.state.y)
+    np.testing.assert_array_equal(seen[-1][0], state.x)
+    np.testing.assert_array_equal(seen[-1][1], state.y)
 
 
 def _toy_start(nu):
@@ -187,7 +187,7 @@ def test_pdhg_equivalence_on_bilinear():
     x0 = rng.standard_normal(n)
     y0 = np.clip(rng.standard_normal(n), -1, 1)
 
-    result = run(p, kind, x0, y0, max_iter=100)
+    state, _ = run(p, kind, x0, y0, max_iter=100)
 
     x_cur, x_prev, y_cur = x0.copy(), x0.copy(), y0.copy()
     for _ in range(100):
@@ -196,8 +196,8 @@ def test_pdhg_equivalence_on_bilinear():
         x_prev = x_cur
         x_cur = x_cur - tau * (a.T @ y_cur)
 
-    assert np.max(np.abs(result.state.x - x_cur)) <= 1e-10
-    assert np.max(np.abs(result.state.y - y_cur)) <= 1e-10
+    assert np.max(np.abs(state.x - x_cur)) <= 1e-10
+    assert np.max(np.abs(state.y - y_cur)) <= 1e-10
 
 
 def test_fixed_point_at_toy_saddle():
@@ -229,10 +229,10 @@ def test_run_zero_iterations_returns_initial_state():
     p = random_toy_problem(4, 6, 0.0, make_rng(44, 0))
     x0 = np.zeros(4)
     y0 = np.zeros(6)
-    result = run(p, default_adaptive(p.constants), x0, y0, max_iter=0)
-    np.testing.assert_array_equal(result.state.x, x0)
-    np.testing.assert_array_equal(result.state.y, y0)
-    assert result.report.records == [] and result.report.step_dx == []
+    state, report = run(p, default_adaptive(p.constants), x0, y0, max_iter=0)
+    np.testing.assert_array_equal(state.x, x0)
+    np.testing.assert_array_equal(state.y, y0)
+    assert report.records == [] and report.step_dx == []
 
 
 def test_run_rejects_infeasible_start():
@@ -367,7 +367,7 @@ def test_non_finite_iterate_raises_at_its_step_before_grad_y(fused, value, which
     with pytest.raises(NonFiniteIterateError) as info:
         run(problem(), kind, np.ones(2), np.ones(2), max_iter=10)
     assert info.value.k == 3
-    assert info.value.report == run(problem(), kind, np.ones(2), np.ones(2), max_iter=2).report
+    assert info.value.report == run(problem(), kind, np.ones(2), np.ones(2), max_iter=2)[1]
 
 
 class _Jump(SaddleProblem):
@@ -392,9 +392,9 @@ class _Jump(SaddleProblem):
 
 def test_finite_step_whose_squared_norm_overflows_is_kept():
     kind = AdaptiveSchedule(tau0=0.1, sigma0=0.1, c_alpha=2.0)
-    result = run(_Jump(), kind, np.zeros(2), np.zeros(2), max_iter=3)
-    assert result.report.step_dx == [np.inf, 0.0, 0.0]
-    np.testing.assert_array_equal(result.state.x, np.full(2, 1e200))
+    state, report = run(_Jump(), kind, np.zeros(2), np.zeros(2), max_iter=3)
+    assert report.step_dx == [np.inf, 0.0, 0.0]
+    np.testing.assert_array_equal(state.x, np.full(2, 1e200))
 
 
 def _bits(state: SolverState) -> list:
@@ -442,22 +442,22 @@ def test_callbacks_record_metrics():
             return {"dist_x": float(np.linalg.norm(state.x))}
         return None
 
-    result = run(p, default_adaptive(p.constants), np.zeros(4), np.zeros(6), max_iter=6,
-                 callbacks=(watch,))
+    state, report = run(p, default_adaptive(p.constants), np.zeros(4), np.zeros(6), max_iter=6,
+                        callbacks=(watch,))
     assert seen == [1, 2, 3, 4, 5, 6]
-    assert [r.k for r in result.report.records] == [2, 4, 6]
-    assert all(r.theta == 1.0 for r in result.report.records)
-    for inside, final in zip(ergodic[-1], result.ergodic()):
+    assert [r.k for r in report.records] == [2, 4, 6]
+    assert all(r.theta == 1.0 for r in report.records)
+    for inside, final in zip(ergodic[-1], state.ergodic()):
         np.testing.assert_array_equal(inside, final)
 
     # on the adaptive law the parameters change every step: a record
     # carries the theta/tau/sigma used by its own step
     q = random_toy_problem(4, 6, 0.3, make_rng(46, 1))
-    result = run(q, default_adaptive(q.constants), np.zeros(4), np.zeros(6), max_iter=6,
-                 callbacks=(lambda k, state, sched: {"dist_y": float(np.linalg.norm(state.y))},))
-    trace = result.report.schedule_trace
+    _, report = run(q, default_adaptive(q.constants), np.zeros(4), np.zeros(6), max_iter=6,
+                    callbacks=(lambda k, state, sched: {"dist_y": float(np.linalg.norm(state.y))},))
+    trace = report.schedule_trace
     assert len(set(trace["tau"])) == 6
-    for rec in result.report.records:
+    for rec in report.records:
         i = rec.k - 1
         assert (rec.theta, rec.tau, rec.sigma) == (
             trace["theta"][i], trace["tau"][i], trace["sigma"][i])
@@ -474,9 +474,9 @@ def test_ergodic_is_plain_average_for_constant_schedule():
         iterates.append(state.x.copy())
         return None
 
-    result = run(p, kind, rng.standard_normal(3), np.zeros(3), max_iter=25,
-                 callbacks=(collect,))
-    erg_x, _ = result.ergodic()
+    state, _ = run(p, kind, rng.standard_normal(3), np.zeros(3), max_iter=25,
+                   callbacks=(collect,))
+    erg_x, _ = state.ergodic()
     np.testing.assert_allclose(erg_x, np.mean(iterates, axis=0), atol=1e-12)
 
 
@@ -485,9 +485,9 @@ def test_iterate_differences_decay_on_toy():
     rng = make_rng(48, 1)
     x0 = rng.uniform(-5, 5, 10)
     y0 = p.prox_g(1.0, rng.uniform(-5, 5, 14))
-    result = run(p, default_adaptive(p.constants), x0, y0, max_iter=3000)
-    head = np.mean(result.report.step_dx[:50]) + np.mean(result.report.step_dy[:50])
-    tail = np.mean(result.report.step_dx[-50:]) + np.mean(result.report.step_dy[-50:])
+    _, report = run(p, default_adaptive(p.constants), x0, y0, max_iter=3000)
+    head = np.mean(report.step_dx[:50]) + np.mean(report.step_dy[:50])
+    tail = np.mean(report.step_dx[-50:]) + np.mean(report.step_dy[-50:])
     assert tail <= 1e-6 * max(1.0, head)
 
 
@@ -502,8 +502,8 @@ def test_gap_bound_constant_schedule_on_toy():
     sched0 = make_schedule(kind, p.constants)
     d0 = initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma)
     for max_iter in (1, 5, 40, 200):
-        result = run(p, kind, x0, y0, max_iter=max_iter)
-        cert = gap_certificate(p, saddle, result.state, kind, d0)
+        state, _ = run(p, kind, x0, y0, max_iter=max_iter)
+        cert = gap_certificate(p, saddle, state, kind, d0)
         assert cert.gap >= -1e-10
         assert cert.gap <= cert.bound + 1e-9
 
@@ -519,12 +519,12 @@ def test_gap_bound_adaptive_schedule_on_quadratic():
     y0 = rng.standard_normal(6)
     sched0 = make_schedule(kind, p.constants)
     d0 = initial_distance(saddle, x0, y0, sched0.tau, sched0.sigma)
-    result = run(p, kind, x0, y0, max_iter=300)
-    cert = gap_certificate(p, saddle, result.state, kind, d0)
+    state, _ = run(p, kind, x0, y0, max_iter=300)
+    cert = gap_certificate(p, saddle, state, kind, d0)
     assert 0.0 <= cert.gap <= cert.bound + 1e-9
     c2, c1 = adaptive_rates(kind, p.constants)
     assert cert.gap <= c2 * d0 / 300**2 + 1e-9
-    dist_y = float(np.linalg.norm(result.state.y - saddle[1]))
+    dist_y = float(np.linalg.norm(state.y - saddle[1]))
     assert dist_y <= c1 * math.sqrt(d0) / 300 + 1e-9
 
 
@@ -574,8 +574,8 @@ def test_state_counts_steps_and_sums_weights(law):
         assert state.k == k
         assert state.t_sum == sum(weights)
     assert len(set(weights)) == (1 if law == "constant" else 30)
-    result = run(p, kind, x0, y0, max_iter=30)
-    assert (result.state.k, result.state.t_sum) == (state.k, state.t_sum)
+    final, _ = run(p, kind, x0, y0, max_iter=30)
+    assert (final.k, final.t_sum) == (state.k, state.t_sum)
 
 
 def test_weight_rescale_keeps_ergodic_finite():
@@ -585,12 +585,12 @@ def test_weight_rescale_keeps_ergodic_finite():
                                mu=1.0, nu=1.0)
     kind = LinearSchedule(theta=0.8, alpha=balanced_alpha(p.constants))
     # theta**-k overflows float64 near k ~ 2580 without the rescale guard
-    result = run(p, kind, rng.standard_normal(2), rng.standard_normal(2),
-                 max_iter=4000)
-    erg_x, erg_y = result.ergodic()
+    state, _ = run(p, kind, rng.standard_normal(2), rng.standard_normal(2),
+                   max_iter=4000)
+    erg_x, erg_y = state.ergodic()
     assert np.all(np.isfinite(erg_x)) and np.all(np.isfinite(erg_y))
     saddle = p.saddle_point()
-    assert np.linalg.norm(result.state.x - saddle[0]) <= 1e-9
+    assert np.linalg.norm(state.x - saddle[0]) <= 1e-9
     np.testing.assert_allclose(erg_x, saddle[0], atol=1e-6)
 
 
@@ -599,9 +599,9 @@ def test_gap_certificate_requires_saddle_point():
 
     p = random_toy_problem(4, 6, 0.0, make_rng(53, 0))
     kind = default_adaptive(p.constants)
-    result = run(p, kind, np.zeros(4), np.zeros(6), max_iter=3)
+    state, _ = run(p, kind, np.zeros(4), np.zeros(6), max_iter=3)
     with pytest.raises(MissingSaddlePointError):
-        gap_certificate(p, None, result.state, kind, d0=1.0)
+        gap_certificate(p, None, state, kind, d0=1.0)
 
 
 def test_adaptive_rate_constants_match_formulas():
@@ -640,11 +640,11 @@ def test_gap_certificate_needs_a_completed_step():
     p = QuadraticSaddleProblem(np.eye(2), np.ones(2), np.ones(2), mu=1.0, nu=1.0)
     kind = default_adaptive(p.constants)
     x0, y0 = np.zeros(2), np.zeros(2)
-    result = run(p, kind, x0, y0, max_iter=0)
+    state, _ = run(p, kind, x0, y0, max_iter=0)
     saddle = p.saddle_point()
     d0 = initial_distance(saddle, x0, y0, kind.tau0, kind.sigma0)
     with pytest.raises(ValueError):
-        gap_certificate(p, saddle, result.state, kind, d0)
+        gap_certificate(p, saddle, state, kind, d0)
 
 
 def test_quadratic_saddle_inequalities_direct_psi():
@@ -666,8 +666,8 @@ def test_readme_custom_problem_example():
     snippet = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
     scope = {"__name__": "readme_snippet"}
     exec(compile(snippet, "README.md", "exec"), scope)
-    result, x_bar, y_bar = scope["result"], scope["x_bar"], scope["y_bar"]
+    state, x_bar, y_bar = scope["state"], scope["x_bar"], scope["y_bar"]
     # saddle point of <y, Ax> - nu/2||y||^2 is (0, 0) for injective A'
-    assert np.linalg.norm(result.state.y) <= 1e-3
+    assert np.linalg.norm(state.y) <= 1e-3
     assert np.linalg.norm(y_bar) <= 1e-2
     assert np.all(np.isfinite(x_bar))
