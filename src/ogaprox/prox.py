@@ -35,9 +35,9 @@ class RankDeficientError(ValueError):
     """The constraint matrix does not have full row rank."""
 
 
-def _finite(v: np.ndarray, square: float) -> bool:
-    # for a finite u, square = ||v - u||^2 is non-finite if v is; an overflow is checked exactly
-    return math.isfinite(square) or bool(np.isfinite(v).all())
+def _finite(v: np.ndarray, total: float) -> bool:
+    # ||v - u||^2 (u finite) or <v, n> (+-1 entries n) is non-finite if v is; exact on overflow
+    return math.isfinite(total) or bool(np.isfinite(v).all())
 
 
 def _as_vector(v, name: str = "v") -> np.ndarray:
@@ -54,21 +54,23 @@ def project_simplex(v) -> np.ndarray:
 
     Uses the sort-and-threshold method, an exact finite algorithm.  The
     sort, the running sums and the output run on Python floats, cheapest at
-    the few entries the model problems send (one per kernel or group);
-    above about 64 entries numpy array operations would be faster.  Below
-    ``2**20`` in magnitude each output entry and the output's sum lie
-    within ``size**2 2**-52 max(1, max|x|)`` of the exact projection's (the
-    output has unit scale).  An input that reaches ``2**20`` is first
-    shifted by ``max(x)`` and floored at ``-1``, as entries below ``max(x)
-    - 1`` project to 0: the shift is exact on the entries it keeps when
-    ``|max(x)| >= 2``, and rounds each by at most ``2**-53`` otherwise.
+    the few entries the model problems send (one per kernel or group); above
+    about 64 entries numpy array operations would be faster.  A list of
+    Python floats is used as it is, any other input as a float array.  Below
+    ``2**20`` in magnitude each output entry and the output's sum lie within
+    ``size**2 2**-52 max(1, max|x|)`` of the exact projection's (the output
+    has unit scale).  An input that reaches ``2**20`` is first shifted by
+    ``max(x)`` and floored at ``-1``, as entries below ``max(x) - 1``
+    project to 0: the shift is exact on the entries it keeps when ``|max(x)|
+    >= 2``, and rounds each by at most ``2**-53`` otherwise.
     """
-    x = _as_vector(v)
-    values = x.tolist()
+    values = v if type(v) is list and v and set(map(type, v)) == {float} else _as_vector(v).tolist()
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise ValueError("v must be finite")
     u = sorted(values, reverse=True)
     if max(u[0], -u[-1]) >= 2.0**20:
         with np.errstate(over="ignore"):
-            return project_simplex(np.maximum(x - u[0], -1.0))
+            return project_simplex(np.maximum(np.array(values) - u[0], -1.0))
     # running sums in np.cumsum's order; the first candidate always passes
     p = [(total - 1.0) / (j + 1.0) for j, total in enumerate(accumulate(u))
          if u[j] * (j + 1) > total - 1.0][-1]
@@ -120,26 +122,37 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     scale / slope`` for all ``i``, ``scale = sum (|v_i| + |z_i| + y0_i)``,
     ``y0 = y(t0)``.  If ``z0 = v - t0 * normal`` lies inside the box (a
     quarter of a 2,000-step MKSVM run's calls), ``t0`` is the root, ``z =
-    y0 = z0`` and (b) is ``min(min z0, upper - max z0) > c``.  By (b) each
+    y0 = z0`` and (b) is ``min(min z0, upper - max z0) > c``.  There ``0 <
+    z_i < upper`` and ``|v_i| <= z_i (1 + 2**-53) + |t0|``, so ``c <= 1e-10
+    (3 max z0 + |t0|)`` times about ``1 + dim 2**-53`` for the sum's
+    rounding: a margin above twice that passes (b) unsummed.  By (b) each
     knot has ``|r| > 1e-10 scale`` (slope times distance next to ``t``, more
     beyond, as each term of ``r`` moves one way).  Direct residuals and
     ``t`` carry about ``dim 2**-53 scale`` of rounding, and ``scale / slope
     >= |t|`` covers the knots'.  So for ``dim < 10**5`` the breakpoint
     search reads each knot's sign exactly, brackets ``t`` by the same knots
     and solves the same pattern: the same floats; from ``10**5`` entries on
-    it always runs.
+    it always runs.  A finite ``v`` that overflows raises ``ValueError``.
     """
-    w = _as_vector(v)
-    if w.size != s.dim:
-        raise ValueError("dimension mismatch with set normal")
-    if s.dim >= 10**5:
-        return _box_hyperplane_search(s, w)
+    w = np.asarray(v, dtype=float)
+    if w.ndim != 1 or w.size != s.dim:
+        raise ValueError("v must be a nonempty 1-d vector" if w.ndim != 1 or not w.size
+                         else "dimension mismatch with set normal")
     n, upper = s.normal, s.upper
-    z = w - float(n @ w) / s.dim * n
+    nw = float(np.vdot(n, w))  # vdot, unlike @, gives no warning on a non-finite w
+    if not math.isfinite(nw):
+        raise ValueError("v overflows in <v, normal>" if _finite(w, nw) else "v must be finite")
+    if w.size >= 10**5:
+        return _box_hyperplane_search(s, w)
+    t0 = nw / w.size
+    z = w - t0 * n
     lo, hi = z.min(), z.max()
     if 0.0 < lo and hi < upper:  # all free: t0 is the root and z = y0
-        c = 1e-10 * float((np.abs(w) + z + z).sum()) / s.dim
-        return z if min(lo, upper - hi) > c else _box_hyperplane_search(s, w)
+        margin = min(lo, upper - hi)
+        if margin > 2e-10 * (3.0 * hi + abs(t0)):
+            return z
+        c = 1e-10 * float((np.abs(w) + z + z).sum()) / w.size
+        return z if margin > c else _box_hyperplane_search(s, w)
     y0 = np.minimum(np.maximum(z, 0.0), upper)
     free = (y0 > 0.0) & (y0 < upper)
     slope = np.count_nonzero(free)
@@ -158,8 +171,11 @@ def _box_hyperplane_search(s: BoxHyperplaneSet, w: np.ndarray) -> np.ndarray:
     """Breakpoint search: a binary search over the sorted knots on direct
     residuals brackets the root, and its midpoint gives the pattern.  Each
     rounded term of ``r`` falls with ``t``, and so does their sum in a
-    fixed order, so the knots with ``r < 0`` come last."""
+    fixed order, so the knots with ``r < 0`` come last.  Its magnitudes stay
+    below ``4 dim (max|w| + upper + 1)``, which must be finite."""
     n, upper = s.normal, s.upper
+    if not math.isfinite(4.0 * n.size * (float(np.abs(w).max()) + upper + 1.0)):
+        raise ValueError("v overflows in the breakpoint search")
     knots = np.sort(np.concatenate((w / n, (w - upper) / n)))
 
     def y_at(t: float) -> np.ndarray:

@@ -7,10 +7,11 @@ second statement of a formula is involved, so a mistake made in the code and
 in an oracle alike still shows.  The deviation is the largest entry
 difference relative to ``max(1, largest entry)`` of the reference; the copy
 sums in another order, so it is roundoff.  Over seeds 0-9 of these instances
-it stayed at or below 3.8e-15 (fairness, 500 steps), 1.2e-15 (MKSVM, 1,000
-steps) and 1.5e-14 (toy, 1,000 steps, where the ergodic sums of ``y`` carry
-it).  Each tolerance is about ten times that largest deviation; the tests run
-seed 0.
+it stayed at or below 3.8e-15 (fairness, 500 steps), 1.2e-15 (MKSVM kernels
+permuted, 1,000 steps), 1.4e-15 (MKSVM training rows permuted, 1,000 steps,
+where the y-prox sums ``<v, labels>`` and its margins in another order) and
+1.5e-14 (toy, 1,000 steps, where the ergodic sums of ``y`` carry it).  Each
+tolerance is about ten times that largest deviation; the tests run seed 0.
 """
 
 import numpy as np
@@ -18,12 +19,14 @@ import pytest
 
 from ogaprox.problems import FairnessProblem, MkSvmProblem, ToyProblem, random_toy_problem
 from ogaprox.problems.mksvm import build_kernels, conjugated_kernels
+from ogaprox.prox import BoxHyperplaneSet, project_box_hyperplane
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
 
 FAIRNESS_TOL = 4e-14
 MKSVM_TOL = 1e-14
+MKSVM_ROW_TOL = 1.5e-14
 TOY_TOL = 2e-13
 
 
@@ -115,6 +118,34 @@ def _mksvm_deviation(seed, mu, nu) -> float:
 @pytest.mark.parametrize("mu, nu", [(0.0, 0.0), (0.0, 0.5), (1.0, 0.5)], ids=["c1", "a", "c2"])
 def test_mksvm_permuted_kernels_permute_x_and_keep_y(mu, nu):
     assert _mksvm_deviation(0, mu, nu) <= MKSVM_TOL
+
+
+def _mksvm_row_deviation(seed, mu, nu) -> float:
+    """Deviation of the run on the training rows in a random order, ``y`` permuted back."""
+    rng = make_rng(seed, 6)
+    n = 40
+    feats = rng.standard_normal((n, 3))
+    noisy = feats @ rng.standard_normal(3) + 0.5 * rng.standard_normal(n)
+    labels = np.where(noisy >= 0.0, 1.0, -1.0)
+    labels[:2] = 1.0, -1.0
+    kernels = build_kernels(feats)
+    y0 = project_box_hyperplane(BoxHyperplaneSet(upper=1.0, normal=labels),
+                                rng.uniform(0.0, 1.0, n))
+    order = make_rng(seed, 7).permutation(n)
+    runs = []
+    for rows in (np.arange(n), order):  # gathering the blocks by ``rows`` is exact
+        p = MkSvmProblem(conjugated_kernels(kernels, rows, labels[rows]), labels[rows],
+                         box_c=1.0, mu=mu, nu=nu)
+        kind = default_linear(p.constants) if mu > 0 else default_adaptive(p.constants)
+        runs.append(_trajectory(p, kind, np.full(3, 1.0 / 3.0), y0[rows], 1000))
+    reference, (xs, ys, x_bar, y_bar) = runs
+    back = np.argsort(order)
+    return _deviation((xs, ys[:, back], x_bar, y_bar[back]), reference)
+
+
+@pytest.mark.parametrize("mu, nu", [(0.0, 0.0), (0.0, 0.5), (1.0, 0.5)], ids=["c1", "a", "c2"])
+def test_mksvm_permuted_rows_permute_y_and_keep_x(mu, nu):
+    assert _mksvm_row_deviation(0, mu, nu) <= MKSVM_ROW_TOL
 
 
 # -- toy: rows of A index x, its columns y -------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from ogaprox.schedule import default_adaptive, default_linear
 from ogaprox.solver import run
 
 from _oracles import (ThreeCalls, conjugated_kernels_formula, gaussian_kernel_formula,
-                      prox_oracle, prox_x_grad_formula)
+                      prox_oracle, prox_x_grad_formula, scalar_margin_accepts)
 from perfbench import datagen
 
 
@@ -655,6 +656,39 @@ def test_mksvm_study_peak_memory_on_the_benchmark_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 5.1 * 2**20
+
+
+def _call_events(call) -> int:
+    """The ``call`` and ``c_call`` events ``sys.setprofile`` reports for one warm
+    ``call()``: its own call and the profiler's switch-off are among them."""
+    call()
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return sum(event in ("call", "c_call") for event in events)
+
+
+def test_warm_all_free_proxes_make_no_more_calls_than_counted(tmp_path):
+    # a count, unlike a time, does not move with the host's load, so a pass
+    # added back to the all-free y-prox or to the fused step fails here.
+    # Under CPython 3.11 and numpy 2.4: 15 events for the y-prox and 36 for
+    # prox_step (22 and 47 with the summed margin taken first, a squared-norm
+    # finiteness pass, the simplex input converted to an array and back, and
+    # the kernel products stacked from a list)
+    data = _ionosphere_file(tmp_path)
+    train_idx, _ = train_test_split(data.n_rows, 0.8, experiment_rng(0, "mksvm", 0))
+    labels = data.labels[train_idx]
+    p = MkSvmProblem(conjugated_kernels(build_kernels(data.features), train_idx, labels),
+                     labels, box_c=1.0)
+    assert [m.ndim for m in p._blocks] == [2, 1, 2]  # dense, diagonal and factor blocks
+    v = 0.5 + 0.01 * make_rng(92, 0).standard_normal(labels.size)
+    assert scalar_margin_accepts(p.y_set, v)
+    x = np.full(3, 1.0 / 3.0)
+    assert _call_events(lambda: project_box_hyperplane(p.y_set, v)) <= 15
+    assert _call_events(lambda: p.prox_step(0.01, v, 0.01, x)) <= 36
 
 
 def test_spectral_norm_bounds_the_norm_when_the_power_iteration_stalls():

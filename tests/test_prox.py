@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from ogaprox.solver import SolverState, run
 
 from _oracles import (first_clip_is_all_free, one_step_accepts, project_box_hyperplane_exact,
                       project_simplex_exact, project_simplex_numpy, prox_oracle,
-                      prox_positive_part_scaled)
+                      prox_positive_part_scaled, scalar_margin_accepts)
 
 
 # -- simplex ---------------------------------------------------------------
@@ -124,6 +125,48 @@ def test_simplex_scalar_path_gives_the_numpy_floats():
     # floats, sign of zero included
     for i, v in enumerate(_simplex_inputs(make_rng(17, 0), 20000)):
         assert project_simplex(v).tobytes() == project_simplex_numpy(v).tobytes(), (i, v)
+
+
+def _count_conversions(monkeypatch):
+    """Counts the array conversions of ``project_simplex``'s input."""
+    calls = []
+    as_vector = prox._as_vector
+    monkeypatch.setattr(prox, "_as_vector", lambda v: calls.append(1) or as_vector(v))
+    return calls
+
+
+def test_simplex_float_list_gives_the_array_floats(monkeypatch):
+    # a list of Python floats is sorted and summed as it is: the array
+    # path's floats on random lists, ties, one entry and inputs that reach
+    # 2**20, where the shift alone converts to an array
+    inputs = _simplex_inputs(make_rng(17, 2), 5000)
+    wants = [project_simplex(x) for x in inputs]
+    calls = _count_conversions(monkeypatch)
+    for i, (x, want) in enumerate(zip(inputs, wants)):
+        before = len(calls)
+        assert project_simplex(x.tolist()).tobytes() == want.tobytes(), (i, x)
+        assert len(calls) - before == (max(x.max(), -x.min()) >= 2.0**20), (i, x)
+    assert 0 < len(calls) < len(inputs)
+
+
+def test_simplex_float_list_is_finite_when_its_sum_is_or_entry_by_entry():
+    v = [1.7e308, 1.7e308, -1.0]
+    assert not math.isfinite(sum(v))
+    assert project_simplex(v).tobytes() == project_simplex(np.array(v)).tobytes()
+    for bad in ([1.0, math.inf], [math.nan, 0.0], [math.inf, -math.inf],
+                [1.7e308, 1.7e308, math.nan], [-math.inf]):
+        with pytest.raises(ValueError, match="v must be finite"):
+            project_simplex(bad)
+
+
+@pytest.mark.parametrize("v", [[1, 2], [0, 0, 0], [np.float64(0.25), 0.5],
+                               [0.5, np.float32(0.25)], [True, 0.5], (0.5, 0.25)],
+                         ids=["ints", "zeros", "float64", "float32", "bool", "tuple"])
+def test_simplex_other_inputs_take_the_array_path(monkeypatch, v):
+    want = project_simplex_numpy(v)
+    calls = _count_conversions(monkeypatch)
+    assert project_simplex(v).tobytes() == want.tobytes()
+    assert len(calls) == 1
 
 
 def test_simplex_is_within_its_stated_bound_of_the_exact_projection():
@@ -228,6 +271,21 @@ def test_box_hyperplane_rejects_a_point_of_another_dimension():
     s = BoxHyperplaneSet(upper=1.0, normal=[1.0, -1.0])
     with pytest.raises(ValueError, match="dimension mismatch with set normal"):
         project_box_hyperplane(s, np.zeros(3))
+
+
+@pytest.mark.parametrize("upper, v, message", [
+    (1.0, [1e308, -1e308, 1e308, -1e308], "v overflows in <v, normal>"),
+    (1.0, [1e308] * 4, "v overflows in the breakpoint search"),
+    (1.5e308, [-1e308, -1e308, 0.0, 0.0], "v overflows in the breakpoint search"),
+    (1.0, [np.inf, np.inf, 0.0, 0.0], "v must be finite"),
+    (1.0, [np.nan, 0.0, 0.0, 0.0], "v must be finite"),
+], ids=["normal-sum", "residual", "knot", "inf", "nan"])
+def test_box_hyperplane_raises_where_a_finite_input_overflows(upper, v, message):
+    # an overflowed sum or residual would pick a wrong pattern: [0, 1, 0, 1],
+    # whose <y, normal> is -2, for the first input
+    s = BoxHyperplaneSet(upper=upper, normal=[1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        project_box_hyperplane(s, v)
 
 
 # -- polytope cone ---------------------------------------------------------
@@ -854,6 +912,20 @@ def test_box_hyperplane_all_free_first_clip(monkeypatch):
     assert len(calls) == 2
 
 
+def test_box_hyperplane_sums_the_margin_where_the_scalar_bound_declines(monkeypatch):
+    # min z0 = 2e-10 lies below the scalar bound 2e-10 (3 max z0 + |t0|) =
+    # 3e-10 and above the summed margin c = 1e-10 mean(|v| + 2 z0), about
+    # 7.5e-11: the sum runs and keeps z0; at 4e-10 the scalar bound keeps it
+    calls = _count_searches(monkeypatch)
+    s = BoxHyperplaneSet(upper=1.0, normal=[1.0, -1.0, 1.0, -1.0])
+    for low, scalar in ((2e-10, False), (4e-10, True)):
+        v = np.array([low, 0.5, 0.5, low])
+        assert first_clip_is_all_free(s, v) and one_step_accepts(s, v)
+        assert scalar_margin_accepts(s, v) == scalar
+        np.testing.assert_array_equal(project_box_hyperplane(s, v), _searched(s, v))
+    assert not calls
+
+
 def test_box_hyperplane_searches_from_10_to_the_5_entries(monkeypatch):
     # the rounding certificate of the one-step path covers fewer entries only
     rng = make_rng(16, 29)
@@ -902,7 +974,8 @@ def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
     # the traffic the fast path serves: every y-prox of a run, checked
     # against the search and the decision oracle, falls back on at most 5%
     # of the steps, and both the all-free first clip and the Newton
-    # re-solve occur
+    # re-solve occur; the scalar margin bound decides every all-free call
+    # here (252 of the 600 calls at c1, 171 at c2), so none sums the margin
     rng = make_rng(64, 0)
     rows = 120
     labels = np.where(rng.uniform(size=rows) < 0.6, 1.0, -1.0)
@@ -911,10 +984,11 @@ def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
                for kernel in (polynomial_kernel, gaussian_kernel, linear_kernel)]
     problem = MkSvmProblem(conjugated_kernels(kernels, np.arange(rows), labels), labels,
                            box_c=1.0, mu=mu, nu=nu)
-    calls, outputs, all_free = _count_searches(monkeypatch), [], []
+    calls, outputs, all_free, scalar = _count_searches(monkeypatch), [], [], []
 
     def checked(s, v):
         all_free.append(first_clip_is_all_free(s, v))
+        scalar.append(scalar_margin_accepts(s, v))
         before = len(calls)
         outputs.append(project_box_hyperplane(s, v))
         assert (len(calls) == before) == one_step_accepts(s, v)
@@ -926,12 +1000,14 @@ def test_mksvm_trajectory_takes_the_one_step_path(monkeypatch, mu, nu, law):
     assert len(outputs) == 600
     assert len(calls) <= 0.05 * len(outputs)
     assert 0 < sum(all_free) < len(outputs)
+    assert scalar == all_free
 
 
 @pytest.mark.parametrize("fairness", [False, True], ids=["mksvm-c1", "fairness-2-groups"])
 def test_workload_simplex_projections_take_the_scalar_path(monkeypatch, fairness):
     # MKSVM projects one entry per kernel, fairness one per group: a run
-    # makes one such call per step
+    # makes one such call per step; MKSVM's is a list of Python floats,
+    # which the projection sorts and sums without an array round trip
     if fairness:
         problem = _fairness((10, 14))
         x0, y0 = np.zeros(problem.dim_x), np.full(2, 0.5)
@@ -941,9 +1017,11 @@ def test_workload_simplex_projections_take_the_scalar_path(monkeypatch, fairness
     calls = []
     for module in (mksvm_module, fairness_module):
         monkeypatch.setattr(module, "project_simplex",
-                            lambda v: calls.append(1) or project_simplex(v))
+                            lambda v: calls.append(type(v) is list
+                                                   and {*map(type, v)} == {float})
+                            or project_simplex(v))
     run(problem, default_adaptive(problem.constants), x0, y0, 200)
-    assert len(calls) == 200
+    assert calls == [not fairness] * 200
 
 
 def test_oracle_flags_wrong_projection():
