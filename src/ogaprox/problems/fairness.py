@@ -9,7 +9,7 @@ solved exactly by an active-set method on the hinge kinks in x-space.
 import numpy as np
 
 from ..problem import ProblemConstants, SaddleProblem
-from ..prox import _as_vector, on_simplex, project_simplex
+from ..prox import on_simplex, project_simplex
 
 __all__ = ["FairnessProblem"]
 
@@ -105,8 +105,6 @@ class FairnessProblem(SaddleProblem):
         raise RuntimeError("hinge prox active set reached its step cap")
 
     def prox_g(self, sigma, v):
-        if self.dim_y == 1 and _as_vector(v).size == 1:  # the 1-entry simplex is {[1.0]}
-            return np.ones(1)
         return project_simplex(v)
 
     def phi_value(self, x, y):

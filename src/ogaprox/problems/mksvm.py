@@ -209,11 +209,9 @@ class MkSvmProblem(SaddleProblem):
             raise ValueError("x must lie on the unit simplex")
 
     def _kernel_products(self, y):
-        """Row ``i`` is ``M_i y``, written in place; a 1-d block ``d`` gives ``d * y``."""
-        out = np.empty((self.dim_x, self.dim_y))
-        for m, row in zip(self._blocks, out):
-            (np.multiply if m.ndim == 1 else np.matmul)(m, m.T @ y if _is_factor(m) else y, out=row)
-        return out
+        """Row ``i`` is ``M_i y``; ``ndim`` is tested first, as ``d @ y`` would be a scalar."""
+        return np.array([m * y if m.ndim == 1 else m @ (m.T @ y) if _is_factor(m) else m @ y
+                         for m in self._blocks])
 
     def grad_y(self, x, y):
         self._check_simplex(x)

@@ -40,11 +40,11 @@ def _finite(v: np.ndarray, total: float) -> bool:
     return math.isfinite(total) or bool(np.isfinite(v).all())
 
 
-def _as_vector(v, name: str = "v") -> np.ndarray:
+def _as_vector(v, name: str = "v", finite: bool = True) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if not _finite(arr, float(np.vdot(arr, arr))):  # vdot, unlike @, gives no overflow warning
+    if finite and not _finite(arr, float(np.vdot(arr, arr))):  # vdot: no overflow warning
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -64,7 +64,8 @@ def project_simplex(v) -> np.ndarray:
     project to 0: the shift is exact on the entries it keeps when ``|max(x)|
     >= 2``, and rounds each by at most ``2**-53`` otherwise.
     """
-    values = v if type(v) is list and v and set(map(type, v)) == {float} else _as_vector(v).tolist()
+    floats = type(v) is list and v and set(map(type, v)) == {float}
+    values = v if floats else _as_vector(v, finite=False).tolist()
     if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise ValueError("v must be finite")
     u = sorted(values, reverse=True)
@@ -132,7 +133,10 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     >= |t|`` covers the knots'.  So for ``dim < 10**5`` the breakpoint
     search reads each knot's sign exactly, brackets ``t`` by the same knots
     and solves the same pattern: the same floats; from ``10**5`` entries on
-    it always runs.  A finite ``v`` that overflows raises ``ValueError``.
+    it always runs.  A finite ``v`` raises ``ValueError`` where ``<v,
+    normal>`` overflows and where the search runs on ``max|v| + upper + 1 >=
+    2**1024 / (4 dim)`` (``4.5e305`` at 100 entries), overflow or not; such
+    entries can overflow ``z0`` first, with numpy's ``RuntimeWarning``.
     """
     w = np.asarray(v, dtype=float)
     if w.ndim != 1 or w.size != s.dim:
@@ -171,8 +175,8 @@ def _box_hyperplane_search(s: BoxHyperplaneSet, w: np.ndarray) -> np.ndarray:
     """Breakpoint search: a binary search over the sorted knots on direct
     residuals brackets the root, and its midpoint gives the pattern.  Each
     rounded term of ``r`` falls with ``t``, and so does their sum in a
-    fixed order, so the knots with ``r < 0`` come last.  Its magnitudes stay
-    below ``4 dim (max|w| + upper + 1)``, which must be finite."""
+    fixed order, so the knots with ``r < 0`` come last.  It refuses inputs
+    where its magnitudes' bound ``4 dim (max|w| + upper + 1)`` overflows."""
     n, upper = s.normal, s.upper
     if not math.isfinite(4.0 * n.size * (float(np.abs(w).max()) + upper + 1.0)):
         raise ValueError("v overflows in the breakpoint search")

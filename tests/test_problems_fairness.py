@@ -3,7 +3,6 @@ import pytest
 
 from ogaprox.problem import validate_problem
 from ogaprox.problems import FairnessProblem
-from ogaprox.prox import project_simplex
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive
@@ -187,17 +186,15 @@ def test_single_group_run_reduces_to_proximal_point():
     np.testing.assert_allclose(state.y, y0, atol=1e-12)
 
 
-def test_single_group_y_prox_is_a_fresh_one_after_the_projections_checks():
+def test_single_group_y_prox_is_exactly_one():
     # the 1-entry simplex is {[1.0]}; a step's input y + sigma * loss is at
-    # least 1, where the projection returns [1.0] exactly as well
+    # least 1, where the sort-and-threshold projection gives [1.0] exactly,
+    # in a fresh array on each call
     p = FairnessProblem(*_random_rows(make_rng(85, 1), sizes=(9,), dim=3))
-    inputs = ([1.0], [1.25], np.array([3.0e6]), [1.0 + 2.0**-52])
-    outs = [p.prox_g(0.5, v) for v in inputs]
-    for v, out in zip(inputs, outs):
-        assert out.tobytes() == np.ones(1).tobytes() == project_simplex(v).tobytes()
+    outs = [p.prox_g(0.5, v) for v in ([1.0], [1.25], np.array([3.0e6]), [1.0 + 2.0**-52])]
+    for out in outs:
+        assert out.tobytes() == np.ones(1).tobytes()
     assert len({id(out) for out in outs}) == len(outs)
-    outs[0][0] = 7.0
-    assert p.prox_g(0.5, [1.0])[0] == 1.0
     for v, message in (([np.nan], "v must be finite"), ([np.inf], "v must be finite"),
                        ([], "v must be a nonempty 1-d vector"),
                        (np.ones((1, 1)), "v must be a nonempty 1-d vector")):

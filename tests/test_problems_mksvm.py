@@ -662,22 +662,21 @@ def _call_events(call) -> int:
     """The ``call`` and ``c_call`` events ``sys.setprofile`` reports for one warm
     ``call()``: its own call and the profiler's switch-off are among them."""
     call()
-    events = []
+    events, previous = [], sys.getprofile()
     sys.setprofile(lambda frame, event, arg: events.append(event))
     try:
         call()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return sum(event in ("call", "c_call") for event in events)
 
 
 def test_warm_all_free_proxes_make_no_more_calls_than_counted(tmp_path):
     # a count, unlike a time, does not move with the host's load, so a pass
     # added back to the all-free y-prox or to the fused step fails here.
-    # Under CPython 3.11 and numpy 2.4: 15 events for the y-prox and 36 for
-    # prox_step (22 and 47 with the summed margin taken first, a squared-norm
-    # finiteness pass, the simplex input converted to an array and back, and
-    # the kernel products stacked from a list)
+    # 15 events for the y-prox and 36 for prox_step (22 and 47 with the
+    # summed margin taken first, a squared-norm finiteness pass and the
+    # simplex input converted to an array and back)
     data = _ionosphere_file(tmp_path)
     train_idx, _ = train_test_split(data.n_rows, 0.8, experiment_rng(0, "mksvm", 0))
     labels = data.labels[train_idx]
@@ -687,8 +686,10 @@ def test_warm_all_free_proxes_make_no_more_calls_than_counted(tmp_path):
     v = 0.5 + 0.01 * make_rng(92, 0).standard_normal(labels.size)
     assert scalar_margin_accepts(p.y_set, v)
     x = np.full(3, 1.0 / 3.0)
-    assert _call_events(lambda: project_box_hyperplane(p.y_set, v)) <= 15
-    assert _call_events(lambda: p.prox_step(0.01, v, 0.01, x)) <= 36
+    counted = (f"counted under CPython 3.11.7 and numpy 2.4.6; here {sys.version.split()[0]}, "
+               f"numpy {np.__version__}")
+    assert _call_events(lambda: project_box_hyperplane(p.y_set, v)) <= 15, counted
+    assert _call_events(lambda: p.prox_step(0.01, v, 0.01, x)) <= 36, counted
 
 
 def test_spectral_norm_bounds_the_norm_when_the_power_iteration_stalls():

@@ -131,7 +131,8 @@ def _count_conversions(monkeypatch):
     """Counts the array conversions of ``project_simplex``'s input."""
     calls = []
     as_vector = prox._as_vector
-    monkeypatch.setattr(prox, "_as_vector", lambda v: calls.append(1) or as_vector(v))
+    monkeypatch.setattr(prox, "_as_vector",
+                        lambda v, *args, **kwargs: calls.append(1) or as_vector(v, *args, **kwargs))
     return calls
 
 
@@ -286,6 +287,22 @@ def test_box_hyperplane_raises_where_a_finite_input_overflows(upper, v, message)
     s = BoxHyperplaneSet(upper=upper, normal=[1.0, -1.0, 1.0, -1.0])
     with pytest.raises(ValueError, match=re.escape(message)):
         project_box_hyperplane(s, v)
+
+
+def test_box_hyperplane_search_refuses_entries_above_its_overflow_bound():
+    # the search asks 4 dim (max|v| + upper + 1) < 2**1024, about 4.5e305 at
+    # 100 entries; 1e306 is refused although this search would not overflow,
+    # and 4e305 is projected
+    s = BoxHyperplaneSet(upper=1.0, normal=np.tile([1.0, -1.0], 50))
+    for big, refused in ((1e306, True), (4e305, False)):
+        v = np.full(100, big)
+        v[::3] = -big
+        if refused:
+            with pytest.raises(ValueError, match="v overflows in the breakpoint search"):
+                project_box_hyperplane(s, v)
+        else:
+            y = project_box_hyperplane(s, v)
+            assert y.tobytes() == project_box_hyperplane_exact(s, v)[1].tobytes()
 
 
 # -- polytope cone ---------------------------------------------------------
