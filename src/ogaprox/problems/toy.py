@@ -47,10 +47,10 @@ class ToyProblem(SaddleProblem):
         return other
 
     def grad_y(self, x, y):
-        return self.a.T @ np.maximum(x, 0.0)
+        return self.a.T.dot(np.maximum(x, 0.0))
 
     def prox_phi_x(self, tau, y, x):
-        return self._prox_x(tau, self.a @ y, x)[0]
+        return self._prox_x(tau, self.a.dot(y), x)[0]
 
     def _prox_x(self, tau, w, x):  # prox_phi_x given w = A y, and whether x <= 0 (the identity)
         if _outside_cone(w):
@@ -61,9 +61,9 @@ class ToyProblem(SaddleProblem):
         w = np.maximum(w, 0.0)
         return np.where(x <= 0.0, x, np.where(x <= tau * w, 0.0, x - tau * w)), False
 
-    def _scaled(self, sigma, v):  # v / (1 + nu sigma); at nu = 0 that is v, bit for bit
-        v, nu = np.asarray(v, float), self.constants.nu
-        return v / (1.0 + nu * sigma) if nu else v
+    def _scaled(self, sigma, v):  # v / (1 + nu sigma); at nu = 0 v as given: the projector converts
+        nu = self.constants.nu
+        return np.asarray(v, float) / (1.0 + nu * sigma) if nu else v
 
     def prox_g(self, sigma, v):
         return self._projector.project(self._scaled(sigma, v))

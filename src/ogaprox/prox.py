@@ -8,7 +8,9 @@ Projections onto polyhedra ``{y : A y >= h}`` with full-row-rank ``A`` (the
 cone projector, and the cone toy problem's saddle point) go through one dual
 active-set kernel, :func:`solve_polytope_dual`, which is finite on such
 data.  The dense QP route (:func:`project_polytope`) has no run-time caller:
-it is the test oracle for the cone projector.
+it is the test oracle for the cone projector.  Iteration-path products call
+``ndarray.dot``, ``@``'s BLAS call on a contiguous matrix or its ``.T``, same
+floats and less dispatch; a non-contiguous one keeps ``@``, as its floats differ.
 """
 
 import bisect
@@ -135,8 +137,9 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     and solves the same pattern: the same floats; from ``10**5`` entries on
     it always runs.  A finite ``v`` raises ``ValueError`` where ``<v,
     normal>`` overflows and where the search runs on ``max|v| + upper + 1 >=
-    2**1024 / (4 dim)`` (``4.5e305`` at 100 entries), overflow or not; such
-    entries can overflow ``z0`` first, with numpy's ``RuntimeWarning``.
+    2**1024 / (4 dim)`` (``4.5e305`` at 100 entries), overflow or not.  It
+    runs at ``|t0| >= 2**970`` and at a one-step ``|z0_i| >= 2**980``: below, no
+    difference or sum overflows, so for ``upper < 2**1000 / dim`` numpy never warns.
     """
     w = np.asarray(v, dtype=float)
     if w.ndim != 1 or w.size != s.dim:
@@ -149,6 +152,8 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     if w.size >= 10**5:
         return _box_hyperplane_search(s, w)
     t0 = nw / w.size
+    if not -2.0**970 < t0 < 2.0**970:  # below, a huge w_i minus t0 n_i rounds to w_i
+        return _box_hyperplane_search(s, w)
     z = w - t0 * n
     lo, hi = z.min(), z.max()
     if 0.0 < lo and hi < upper:  # all free: t0 is the root and z = y0
@@ -160,8 +165,8 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     y0 = np.minimum(np.maximum(z, 0.0), upper)
     free = (y0 > 0.0) & (y0 < upper)
     slope = np.count_nonzero(free)
-    if slope:
-        z = w - float(n @ np.where(free, w, y0)) / slope * n
+    if slope and -2.0**980 < lo and hi < 2.0**980:
+        z = w - float(n.dot(np.where(free, w, y0))) / slope * n
         y = np.minimum(np.maximum(z, 0.0), upper)
         if (y == np.where(free, z, y0)).all():
             abs_z = np.abs(z)
@@ -187,13 +192,13 @@ def _box_hyperplane_search(s: BoxHyperplaneSet, w: np.ndarray) -> np.ndarray:
 
     # first knot with r < 0; the root lies between it and the knot before,
     # or on an open end segment past the first or the last knot
-    j = bisect.bisect_left(knots, True, key=lambda t: float(n @ y_at(t)) < 0.0)
+    j = bisect.bisect_left(knots, True, key=lambda t: float(n.dot(y_at(t))) < 0.0)
     left = knots[j - 1] if j > 0 else knots[0] - 1.0 - abs(knots[0])
     right = knots[j] if j < knots.size else knots[-1] + 1.0 + abs(knots[-1])
     y = y_at(0.5 * (left + right))
     free = (y > 0.0) & (y < upper)
     slope = np.count_nonzero(free)  # 0: r is zero on the segment, and any t in it is a root
-    return y_at(float(n @ np.where(free, w, y)) / slope) if slope else y
+    return y_at(float(n.dot(np.where(free, w, y))) / slope) if slope else y
 
 
 def project_polytope(a_matrix, v) -> np.ndarray:
@@ -240,7 +245,7 @@ def solve_polytope_dual(gram, c) -> np.ndarray:
         idx = np.flatnonzero(free)
         if idx.size:
             lam[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], -c[idx])
-        slack = gram @ lam + c
+        slack = gram.dot(lam) + c
         # negative free multipliers and violated bound rows
         bad = np.where(free, lam, slack) < -eps
         n_bad = int(bad.sum())
@@ -294,10 +299,10 @@ class PolytopeProjector:
     def project_with_image(self, v) -> tuple[np.ndarray, np.ndarray]:
         """``(y, A y)``: the cone test's ``A v`` is ``A y`` when ``v`` is inside."""
         w = np.asarray(v, dtype=float)
-        c = self.a @ w
+        c = self.a.dot(w)
         if not math.isfinite(c[0]) and not np.isfinite(w).all():
             raise ValueError("v must be finite")
         if c.min() >= 0.0:
             return w.copy(), c
-        y = w + self.a.T @ solve_polytope_dual(self.gram, c)
-        return y, self.a @ y
+        y = w + self.a.T.dot(solve_polytope_dual(self.gram, c))
+        return y, self.a.dot(y)

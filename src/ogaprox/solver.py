@@ -129,17 +129,20 @@ def run(
     sched = make_schedule(kind, problem.constants)
     state = SolverState.initial(problem, x0, y0)
     report = RunReport()
+    log_dx, log_dy = report.step_dx.append, report.step_dy.append
+    log_theta, log_tau, log_sigma = (report.schedule_trace[key].append
+                                     for key in ("theta", "tau", "sigma"))
     for _ in range(max_iter):
         try:
             new_state = step(problem, state, sched)
         except NonFiniteIterateError as err:
             err.report = report
             raise
-        report.step_dx.append(new_state.step_dx)
-        report.step_dy.append(new_state.step_dy)
-        report.schedule_trace["theta"].append(sched.theta)
-        report.schedule_trace["tau"].append(sched.tau)
-        report.schedule_trace["sigma"].append(sched.sigma)
+        log_dx(new_state.step_dx)
+        log_dy(new_state.step_dy)
+        log_theta(sched.theta)
+        log_tau(sched.tau)
+        log_sigma(sched.sigma)
         state, used = new_state, sched
         sched = advance_schedule(sched, kind, problem.constants)
         metrics: dict = {}

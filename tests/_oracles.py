@@ -138,8 +138,10 @@ def conjugated_kernels_formula(kernels, train_idx, labels_train) -> list[np.ndar
 def one_step_accepts(s, v) -> bool:
     """Whether ``ogaprox.prox.project_box_hyperplane`` keeps the root of its
     one Newton step on a set of fewer than ``10**5`` entries, by the
-    pattern-and-margin test written in one expression: below that size the
-    breakpoint search must run exactly when this is false."""
+    pattern-and-margin test written in one expression: below that size, and
+    below its overflow guards (``|t0| < 2**970``, and ``|z0_i| < 2**980``
+    once a coordinate is clipped), the breakpoint search must run exactly
+    when this is false."""
     w = _as_vector(v)
     n, upper = s.normal, s.upper
     y0 = np.minimum(np.maximum(w - float(n @ w) / s.dim * n, 0.0), upper)

@@ -2,22 +2,26 @@
 
 Each test runs the iteration on an instance and on a relabelled copy of it
 and compares every iterate and the final ergodic pair after undoing the
-permutation the relabelling makes of the variables.  No
+permutation the relabelling makes of the variables (for the quadratic, the
+rotation it makes of them).  No
 second statement of a formula is involved, so a mistake made in the code and
 in an oracle alike still shows.  The deviation is the largest entry
 difference relative to ``max(1, largest entry)`` of the reference; the copy
 sums in another order, so it is roundoff.  Over seeds 0-9 of these instances
 it stayed at or below 3.8e-15 (fairness, 500 steps), 1.2e-15 (MKSVM kernels
 permuted, 1,000 steps), 1.4e-15 (MKSVM training rows permuted, 1,000 steps,
-where the y-prox sums ``<v, labels>`` and its margins in another order) and
-1.5e-14 (toy, 1,000 steps, where the ergodic sums of ``y`` carry it).  Each
+where the y-prox sums ``<v, labels>`` and its margins in another order),
+1.5e-14 (toy, 1,000 steps, where the ergodic sums of ``y`` carry it) and
+3.5e-15 (quadratic rotated, 1,000 steps: 3.5e-15 at ``nu = 0``, 1.4e-15 at
+``nu = 0.5`` and 1.1e-15 under the linear law).  Each
 tolerance is about ten times that largest deviation; the tests run seed 0.
 """
 
 import numpy as np
 import pytest
 
-from ogaprox.problems import FairnessProblem, MkSvmProblem, ToyProblem, random_toy_problem
+from ogaprox.problems import (FairnessProblem, MkSvmProblem, QuadraticSaddleProblem, ToyProblem,
+                              random_toy_problem)
 from ogaprox.problems.mksvm import build_kernels, conjugated_kernels
 from ogaprox.prox import BoxHyperplaneSet, project_box_hyperplane
 from ogaprox.rng import make_rng
@@ -28,6 +32,7 @@ FAIRNESS_TOL = 4e-14
 MKSVM_TOL = 1e-14
 MKSVM_ROW_TOL = 1.5e-14
 TOY_TOL = 2e-13
+QUADRATIC_TOL = 3.5e-14
 
 
 def _trajectory(problem, kind, x0, y0, steps):
@@ -168,3 +173,26 @@ def _toy_deviation(seed, nu, d=30, n=40) -> float:
 @pytest.mark.parametrize("nu", [0.0, 0.3])
 def test_toy_permuted_rows_and_columns_permute_x_and_y(nu):
     assert _toy_deviation(0, nu) <= TOY_TOL
+
+
+# -- quadratic: a rotation of x and of y rotates the iterates --------------------
+
+def _quadratic_rotation_deviation(seed, mu, nu, d=10, n=8) -> float:
+    """Deviation of the run on ``V'AU``, started at ``U'x0`` and ``V'y0``, rotated back."""
+    rng = make_rng(seed, 8)
+    a = rng.standard_normal((n, d))
+    x0, y0 = rng.standard_normal(d), rng.standard_normal(n)
+    u, v = (np.linalg.qr(rng.standard_normal((m, m)))[0] for m in (d, n))
+    p = QuadraticSaddleProblem(a, mu=mu, nu=nu)
+    q = QuadraticSaddleProblem(v.T @ a @ u, mu=mu, nu=nu)
+    # one schedule: q's spectral norm can be a few ulps apart
+    kind = default_linear(p.constants) if mu > 0 else default_adaptive(p.constants)
+    reference = _trajectory(p, kind, x0, y0, 1000)
+    xs, ys, x_bar, y_bar = _trajectory(q, kind, u.T @ x0, v.T @ y0, 1000)
+    return _deviation((xs @ u.T, ys @ v.T, u @ x_bar, v @ y_bar), reference)
+
+
+@pytest.mark.parametrize("mu, nu", [(0.0, 0.0), (0.0, 0.5), (1.0, 0.5)],
+                         ids=["nu0", "nu0.5", "linear"])
+def test_quadratic_rotated_variables_rotate_the_iterates(mu, nu):
+    assert _quadratic_rotation_deviation(0, mu, nu) <= QUADRATIC_TOL

@@ -10,7 +10,7 @@ from ogaprox import experiments
 from ogaprox.datasets import DatasetSpec, LoadedDataset, load_dataset, train_test_split
 from ogaprox.experiments import mksvm_experiment
 from ogaprox.problem import validate_problem
-from ogaprox.problems import MkSvmProblem, mksvm_predict
+from ogaprox.problems import MkSvmProblem, mksvm_predict, random_toy_problem
 from ogaprox.problems.mksvm import (
     build_kernels,
     conjugated_kernels,
@@ -658,25 +658,29 @@ def test_mksvm_study_peak_memory_on_the_benchmark_file(tmp_path):
     assert peak < 5.1 * 2**20
 
 
-def _call_events(call) -> int:
+def _call_events(call) -> tuple[int, int]:
     """The ``call`` and ``c_call`` events ``sys.setprofile`` reports for one warm
-    ``call()``: its own call and the profiler's switch-off are among them."""
+    ``call()``, its own call and the profiler's switch-off among them, as the
+    count of ``ndarray.dot`` calls and the count of all other events."""
     call()
     events, previous = [], sys.getprofile()
-    sys.setprofile(lambda frame, event, arg: events.append(event))
+    sys.setprofile(lambda frame, event, arg: events.append(
+        "dot" if event == "c_call" and getattr(arg, "__qualname__", "") == "ndarray.dot"
+        else event))
     try:
         call()
     finally:
         sys.setprofile(previous)
-    return sum(event in ("call", "c_call") for event in events)
+    return events.count("dot"), sum(event in ("call", "c_call") for event in events)
 
 
 def test_warm_all_free_proxes_make_no_more_calls_than_counted(tmp_path):
     # a count, unlike a time, does not move with the host's load, so a pass
     # added back to the all-free y-prox or to the fused step fails here.
-    # 15 events for the y-prox and 36 for prox_step (22 and 47 with the
-    # summed margin taken first, a squared-norm finiteness pass and the
-    # simplex input converted to an array and back)
+    # 15 events for the y-prox and 32 besides the 5 products for prox_step
+    # (22 and 47 with the summed margin taken first, a squared-norm finiteness
+    # pass and the simplex input converted to an array and back).  The
+    # products are counted exactly, as the profiler does not see ``@``
     data = _ionosphere_file(tmp_path)
     train_idx, _ = train_test_split(data.n_rows, 0.8, experiment_rng(0, "mksvm", 0))
     labels = data.labels[train_idx]
@@ -688,8 +692,41 @@ def test_warm_all_free_proxes_make_no_more_calls_than_counted(tmp_path):
     x = np.full(3, 1.0 / 3.0)
     counted = (f"counted under CPython 3.11.7 and numpy 2.4.6; here {sys.version.split()[0]}, "
                f"numpy {np.__version__}")
-    assert _call_events(lambda: project_box_hyperplane(p.y_set, v)) <= 15, counted
-    assert _call_events(lambda: p.prox_step(0.01, v, 0.01, x)) <= 36, counted
+    dots, others = _call_events(lambda: project_box_hyperplane(p.y_set, v))
+    assert dots == 0 and others <= 15, counted
+    # dense block, factor and its transpose, my.dot(y) and x_next.dot(my)
+    dots, others = _call_events(lambda: p.prox_step(0.01, v, 0.01, x))
+    assert dots == 5 and others <= 32, counted
+
+
+def test_dot_is_the_matmul_product_bit_for_bit_on_the_hot_path_layouts(tmp_path):
+    # the iteration path calls ndarray.dot, not @, for less dispatch; on these
+    # contiguous matrices, their .T views and strided vectors it makes the same
+    # BLAS call, so the floats must be the same
+    data = _ionosphere_file(tmp_path)
+    train_idx, _ = train_test_split(data.n_rows, 0.8, experiment_rng(0, "mksvm", 0))
+    labels = data.labels[train_idx]
+    p = MkSvmProblem(conjugated_kernels(build_kernels(data.features), train_idx, labels),
+                     labels, box_c=1.0)
+    dense, _, factor = p._blocks
+    toy = random_toy_problem(250, 350, 0.3, make_rng(93, 0))
+    a, gram = toy.a, toy._projector.gram
+    rng = make_rng(93, 1)
+    pairs = []
+    for n, d in ((labels.size, 3), (a.shape[1], a.shape[0])):
+        strided = rng.uniform(-1.0, 1.0, 2 * n)[::2]
+        pairs += [(rng.uniform(-1.0, 1.0, n), rng.dirichlet(np.ones(d))),
+                  (strided, rng.uniform(-1.0, 1.0, d))]
+    products = []
+    for y, x in pairs[:2]:
+        stack = p._kernel_products(y)
+        products += [(dense, y), (factor.T, y), (factor, factor.T.dot(y)), (stack, y),
+                     (x, stack)]
+    for y, x in pairs[2:]:
+        products += [(a, y), (a.T, x), (gram, x)]
+    message = f"ndarray.dot and @ round differently under numpy {np.__version__}"
+    for i, (left, right) in enumerate(products):
+        assert left.dot(right).tobytes() == (left @ right).tobytes(), f"{message} (product {i})"
 
 
 def test_spectral_norm_bounds_the_norm_when_the_power_iteration_stalls():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,29 @@ def test_box_hyperplane_search_refuses_entries_above_its_overflow_bound():
         else:
             y = project_box_hyperplane(s, v)
             assert y.tobytes() == project_box_hyperplane_exact(s, v)[1].tobytes()
+
+
+_BIG = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("upper, normal, v", [
+    (1.0, [1.0, 1.0, 1.0], [1.7e308, -1.7e308, -1.7e308]),
+    (1.0, [1.0, 1.0, 1.0], [-_BIG, _BIG, 3.0 * 2.0**970]),
+    (1e308, [1.0, 1.0, 1.0], [1.7e308, -1.7e308, 0.5]),
+    (1.0, [1.0, -1.0, 1.0], [1.7e308, 1.7e308, 0.5]),
+    (1.0, [1.0, -1.0] * 10 + [1.0], [0.99 * 2.0**1020] * 20 + [0.5]),
+], ids=["all-free-root", "all-free-root-2**970", "one-step-root", "one-step-margin",
+        "one-step-margin-2**1020"])
+def test_box_hyperplane_huge_entries_raise_without_a_warning(upper, normal, v):
+    # each would overflow if formed: v - t0 normal at t0 = -5.7e307, and at t0 =
+    # 2**970, half an ulp of the largest float; v - t normal at the one-step
+    # root t = 1e308; |v| + |z| in the one-step margin, at 1.7e308 or at 20
+    # entries below 2**1020.  Each goes to the search, which refuses it first
+    s = BoxHyperplaneSet(upper=upper, normal=normal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="v overflows in the breakpoint search"):
+            project_box_hyperplane(s, np.array(v))
 
 
 # -- polytope cone ---------------------------------------------------------
