@@ -13,6 +13,8 @@ from ..prox import on_simplex, project_simplex
 
 __all__ = ["FairnessProblem"]
 
+_KINK_TOL = 1e-12  # a row whose kink x lies on within this starts in the working set
+
 
 class FairnessProblem(SaddleProblem):
     """Rows with a +-1 label and a group id each; ``y`` weights the distinct ids
@@ -64,7 +66,11 @@ class FairnessProblem(SaddleProblem):
         at the first kink crossing, whose row joins ``W``; at the minimizer
         on ``W`` the row whose multiplier lies furthest outside ``[0, w_i]``
         leaves to the side of its sign.  Steps descend and ties go to the
-        lowest row, so the method is finite.
+        lowest row, so the method is finite.  ``W`` starts from the kinks
+        that ``x`` lies on, ``|1 - s_i'x| <= 1e-12 (1 + |s_i| |x|)``: an
+        independent subset of them, at most ``dim_x`` rows, by Gram--Schmidt
+        (residual above ``1e-8 |s_i|``).  The previous step's answer is the
+        next call's ``x``, and most of its kinks stay tight.
         """
         x = np.asarray(x, float)
         if tau < 0:
@@ -74,8 +80,17 @@ class FairnessProblem(SaddleProblem):
         norms = np.linalg.norm(rows, axis=1)
         step_tol = 1e-13 * max(1.0, float(np.linalg.norm(x)), float(w @ norms))
         lam_tol = 1e-10 * float(np.max(w, initial=0.0))
-        side = np.where(rows @ x < 1.0, 1, -1)  # +1 hinged, -1 slack, 0 in W
+        margins = rows @ x
+        side = np.where(margins < 1.0, 1, -1)  # +1 hinged, -1 slack, 0 in W
         work: list[int] = []
+        basis = np.zeros((0, x.size))
+        tight = np.abs(1.0 - margins) <= _KINK_TOL * (1.0 + norms * np.linalg.norm(x))
+        for i in np.flatnonzero(tight):
+            res = rows[i] - (basis @ rows[i]) @ basis
+            if len(work) < x.size and np.linalg.norm(res) > 1e-8 * norms[i]:
+                basis = np.vstack((basis, res / np.linalg.norm(res)))
+                work.append(int(i))
+                side[i] = 0
         u = x.copy()
         for _ in range(10 * (w.size + x.size)):
             z = x + (w * (side > 0)) @ rows

@@ -6,8 +6,10 @@ The x-prox is a componentwise scaled positive-part prox, the y-prox a
 scaled projection onto ``C``.  For full-row-rank ``A`` the saddle points
 are exactly ``x* <= 0`` with ``y* = 0`` when ``nu > 0`` (any ``y*`` in
 ``C`` when ``nu = 0``).  The fused ``prox_step`` takes both proxes from one
-cone image ``A y``; at ``x <= 0`` the x-prox is the identity and ``grad_y``
-is exactly zero, so the step tests ``x <= 0`` once and does not multiply by ``A``.
+cone image ``A y`` and tests the cone once: where the projector finds ``v``
+inside, its test was ``A y >= 0`` and the x-prox does not repeat it.  At
+``x <= 0`` the x-prox is the identity and ``grad_y`` is exactly zero, so the
+step tests ``x <= 0`` once and does not multiply by ``A``.
 """
 
 import copy
@@ -27,7 +29,7 @@ def _outside_cone(slack: np.ndarray) -> bool:
     """``A y >= 0`` fails by more than ``_FEAS_TOL`` relative to the largest
     ``|A y|`` (a NaN slack is not flagged; the solver's finiteness check is).
     The largest ``|A y|`` is taken only when some slack is negative."""
-    low = slack.min()
+    low = np.minimum.reduce(slack)
     return low < 0.0 and low < -_FEAS_TOL * max(1.0, float(np.abs(slack).max()))
 
 
@@ -50,13 +52,13 @@ class ToyProblem(SaddleProblem):
         return self.a.T.dot(np.maximum(x, 0.0))
 
     def prox_phi_x(self, tau, y, x):
-        return self._prox_x(tau, self.a.dot(y), x)[0]
+        return self._prox_x(tau, self.a.dot(y), x, False)[0]
 
-    def _prox_x(self, tau, w, x):  # prox_phi_x given w = A y, and whether x <= 0 (the identity)
-        if _outside_cone(w):
+    def _prox_x(self, tau, w, x, inside):  # prox_phi_x given w = A y, and whether x <= 0
+        if not inside and _outside_cone(w):  # inside: the projector just found A y >= 0
             raise ValueError("prox_phi_x needs feasible y (A y >= 0)")
         x = np.asarray(x, dtype=float)
-        if x.max() <= 0.0:  # the formula below is the identity here
+        if np.maximum.reduce(x) <= 0.0:  # the formula below is the identity here
             return x.copy(), True
         w = np.maximum(w, 0.0)
         return np.where(x <= 0.0, x, np.where(x <= tau * w, 0.0, x - tau * w)), False
@@ -70,8 +72,8 @@ class ToyProblem(SaddleProblem):
 
     def prox_step(self, sigma, v, tau, x):
         """The three oracles at once, the x-prox reading the projection's ``A y``."""
-        y, w = self._projector.project_with_image(self._scaled(sigma, v))
-        x_next, inactive = self._prox_x(tau, w, x)
+        y, w, inside = self._projector._project(self._scaled(sigma, v))
+        x_next, inactive = self._prox_x(tau, w if inside else self.a.dot(y), x, inside)
         return y, x_next, np.zeros(self.dim_y) if inactive else self.grad_y(x_next, y)
 
     def phi_value(self, x, y):

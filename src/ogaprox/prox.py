@@ -128,14 +128,15 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     y0 = z0`` and (b) is ``min(min z0, upper - max z0) > c``.  There ``0 <
     z_i < upper`` and ``|v_i| <= z_i (1 + 2**-53) + |t0|``, so ``c <= 1e-10
     (3 max z0 + |t0|)`` times about ``1 + dim 2**-53`` for the sum's
-    rounding: a margin above twice that passes (b) unsummed.  By (b) each
-    knot has ``|r| > 1e-10 scale`` (slope times distance next to ``t``, more
-    beyond, as each term of ``r`` moves one way).  Direct residuals and
-    ``t`` carry about ``dim 2**-53 scale`` of rounding, and ``scale / slope
-    >= |t|`` covers the knots'.  So for ``dim < 10**5`` the breakpoint
-    search reads each knot's sign exactly, brackets ``t`` by the same knots
-    and solves the same pattern: the same floats; from ``10**5`` entries on
-    it always runs.  A finite ``v`` raises ``ValueError`` where ``<v,
+    rounding: a margin above twice that passes (b) unsummed.  Neither test
+    warns: a sum that overflows is ``inf``, and the search refuses ``v``.
+    By (b) each knot has ``|r| > 1e-10 scale`` (slope times distance next
+    to ``t``, more beyond, as each term of ``r`` moves one way).  Direct
+    residuals and ``t`` carry about ``dim 2**-53 scale`` of rounding, and
+    ``scale / slope >= |t|`` covers the knots'.  So for ``dim < 10**5`` the
+    breakpoint search reads each knot's sign exactly, brackets ``t`` by the
+    same knots and solves the same pattern: the same floats; from ``10**5``
+    entries on it always runs.  A finite ``v`` raises ``ValueError`` where ``<v,
     normal>`` overflows and where the search runs on ``max|v| + upper + 1 >=
     2**1024 / (4 dim)`` (``4.5e305`` at 100 entries), overflow or not.  It
     runs at ``|t0| >= 2**970`` and at a one-step ``|z0_i| >= 2**980``: below, no
@@ -158,9 +159,10 @@ def project_box_hyperplane(s: BoxHyperplaneSet, v) -> np.ndarray:
     lo, hi = z.min(), z.max()
     if 0.0 < lo and hi < upper:  # all free: t0 is the root and z = y0
         margin = min(lo, upper - hi)
-        if margin > 2e-10 * (3.0 * hi + abs(t0)):
+        if margin > 6e-10 * hi + 2e-10 * abs(t0):  # hi < upper: no product overflows
             return z
-        c = 1e-10 * float((np.abs(w) + z + z).sum()) / w.size
+        with np.errstate(over="ignore"):  # an overflowed sum sends w to the search
+            c = 1e-10 * float((np.abs(w) + z + z).sum()) / w.size
         return z if margin > c else _box_hyperplane_search(s, w)
     y0 = np.minimum(np.maximum(z, 0.0), upper)
     free = (y0 > 0.0) & (y0 < upper)
@@ -271,7 +273,11 @@ class PolytopeProjector:
     norm of ``A``.  ``a`` and ``gram`` are read-only and ``a`` is a copy, so
     no later write to the argument reaches them, and the projector holds no
     state between calls: one projector is safe to share.  A non-finite ``v``
-    raises ``ValueError``; it makes every entry of ``A v`` non-finite."""
+    raises ``ValueError``; it makes every entry of ``A v`` non-finite.
+    Both methods call ``_project``, which returns ``(y, A v, inside)``:
+    ``inside`` says that ``A v >= 0`` was just tested, so that ``y = v`` and
+    ``A v`` is ``A y``; otherwise ``y`` comes from the dual kernel and ``A y``
+    is left to the caller that needs it."""
 
     def __init__(self, a_matrix):
         a = np.array(a_matrix, dtype=float)
@@ -294,15 +300,18 @@ class PolytopeProjector:
         a.flags.writeable = self.gram.flags.writeable = False
 
     def project(self, v) -> np.ndarray:
-        return self.project_with_image(v)[0]
+        return self._project(v)[0]
 
     def project_with_image(self, v) -> tuple[np.ndarray, np.ndarray]:
-        """``(y, A y)``: the cone test's ``A v`` is ``A y`` when ``v`` is inside."""
+        """``(y, A y)``."""
+        y, image, inside = self._project(v)
+        return y, image if inside else self.a.dot(y)
+
+    def _project(self, v) -> tuple[np.ndarray, np.ndarray, bool]:
         w = np.asarray(v, dtype=float)
         c = self.a.dot(w)
         if not math.isfinite(c[0]) and not np.isfinite(w).all():
             raise ValueError("v must be finite")
-        if c.min() >= 0.0:
-            return w.copy(), c
-        y = w + self.a.T.dot(solve_polytope_dual(self.gram, c))
-        return y, self.a.dot(y)
+        if np.minimum.reduce(c) >= 0.0:
+            return w.copy(), c, True
+        return w + self.a.T.dot(solve_polytope_dual(self.gram, c)), c, False

@@ -53,7 +53,7 @@ class NonFiniteIterateError(RuntimeError):
         self.report = report
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SolverState:
     """Iterates, ``grad = grad_y(x_k, y_k)``, ``grad_prev =
     grad_y(x_{k-1}, y_{k-1})``, the weighted sums ``erg_x``, ``erg_y`` of
@@ -94,7 +94,8 @@ def step(problem: SaddleProblem, state: SolverState, sched: ScheduleState) -> So
     y_next, x_next, grad = problem.prox_step(sched.sigma, v, sched.tau, state.x)
     dx, dy = x_next - state.x, y_next - state.y
     sq_x, sq_y = float(np.vdot(dx, dx)), float(np.vdot(dy, dy))
-    if not (_finite(x_next, sq_x) and _finite(y_next, sq_y)):
+    # a finite sum makes both norms finite; only otherwise pass over the iterates
+    if not math.isfinite(sq_x + sq_y) and not (_finite(x_next, sq_x) and _finite(y_next, sq_y)):
         raise NonFiniteIterateError(state.k + 1)
     if grad is None:
         grad = problem.grad_y(x_next, y_next)

@@ -170,12 +170,12 @@ def first_clip_is_all_free(s, v) -> bool:
 def scalar_margin_accepts(s, v) -> bool:
     """Whether ``ogaprox.prox.project_box_hyperplane`` keeps an all-free
     first clip ``z0`` on its scalar bound alone, ``min(min z0, upper - max
-    z0) > 2e-10 (3 max z0 + |t0|)``, before it sums the margin ``c``."""
+    z0) > 6e-10 max z0 + 2e-10 |t0|``, before it sums the margin ``c``."""
     w = _as_vector(v)
     t0 = float(s.normal @ w) / s.dim
     z = w - t0 * s.normal
     lo, hi = float(z.min()), float(z.max())
-    return 0.0 < lo and hi < s.upper and min(lo, s.upper - hi) > 2e-10 * (3.0 * hi + abs(t0))
+    return 0.0 < lo and hi < s.upper and min(lo, s.upper - hi) > 6e-10 * hi + 2e-10 * abs(t0)
 
 
 def project_box_hyperplane_exact(s, v) -> tuple[float, np.ndarray]:

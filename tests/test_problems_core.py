@@ -176,9 +176,22 @@ def test_toy_empty_positive_part_is_exact():
 
 
 def test_toy_prox_x_and_prox_step_reject_an_infeasible_image():
+    # the fused step skips its cone test only where the projector found v
+    # inside (A v >= 0 just tested); there at x <= 0 it is the three calls
+    from _oracles import ThreeCalls
+
     p = random_toy_problem(4, 6, 0.3, make_rng(28, 0))
+    v = np.linalg.pinv(p.a) @ np.ones(4)
+    assert p._projector._project(v)[2]
+    plain = ThreeCalls(p)
+    y = plain.prox_g(0.1, v)
+    x_next = plain.prox_phi_x(0.1, y, -np.ones(4))
+    for got, want in zip(p.prox_step(0.1, v, 0.1, -np.ones(4)),
+                         (y, x_next, plain.grad_y(x_next, y))):
+        assert got.tobytes() == want.tobytes()
+    # on the solve branch (inside False) an infeasible image is caught
     y_bad = np.linalg.pinv(p.a) @ np.array([1.0, 0.5, 0.2, -1.0])
-    p._projector.project_with_image = lambda v: (y_bad, p.a @ y_bad)
+    p._projector._project = lambda v: (y_bad, p.a @ y_bad, False)
     for x in (-np.ones(4), make_rng(28, 1).standard_normal(4)):
         with pytest.raises(ValueError, match="feasible y"):
             p.prox_phi_x(0.1, y_bad, x)

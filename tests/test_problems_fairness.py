@@ -3,6 +3,7 @@ import pytest
 
 from ogaprox.problem import validate_problem
 from ogaprox.problems import FairnessProblem
+from ogaprox.problems import fairness as fairness_module
 from ogaprox.qp import QpProblem, QpStatus, solve_qp
 from ogaprox.rng import make_rng
 from ogaprox.schedule import default_adaptive
@@ -170,6 +171,31 @@ def test_prox_x_matches_slack_qp_oracle():
         scale = max(1.0, float(np.max(np.abs(expected))))
         np.testing.assert_allclose(ours, expected, rtol=0, atol=1e-9 * scale,
                                    err_msg=f"trial {trial}, tau {tau}")
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.1, 1.0, 10.0])
+def test_prox_x_warm_start_on_more_kinks_than_dim_x_matches_the_cold_start(monkeypatch, tau):
+    # x lies on 7 kinks in 3 dimensions, two of them the same row; the warm
+    # start keeps an independent subset (at most dim_x rows), and a negative
+    # tolerance gives the cold start from an empty working set
+    rng = make_rng(88, 0)
+    feats, labels, ids = _random_rows(rng, sizes=(8, 10), dim=3)
+    x = rng.standard_normal(3)
+    signed = labels[:, None] * feats
+    on_kink = [0, 2, 5, 9, 11, 14, 15]
+    signed[on_kink] += np.outer(1.0 - signed[on_kink] @ x, x / (x @ x))
+    signed[2] = signed[0]
+    p = FairnessProblem(labels[:, None] * signed, labels, ids)
+    norms = np.linalg.norm(p.signed, axis=1)
+    assert np.sum(np.abs(1.0 - p.signed @ x) <= 1e-12 * (1.0 + norms * np.linalg.norm(x))) == 7
+    y = np.array([0.3, 0.7])
+    warm = p.prox_phi_x(tau, y, x)
+    monkeypatch.setattr(fairness_module, "_KINK_TOL", -1.0)
+    cold = p.prox_phi_x(tau, y, x)
+    expected = _slack_qp_prox(p, tau, y, x)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(warm, expected, rtol=0, atol=1e-9 * scale)
 
 
 def test_single_group_run_reduces_to_proximal_point():

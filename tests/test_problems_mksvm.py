@@ -22,8 +22,8 @@ from ogaprox.problems.mksvm import (
 )
 from ogaprox.prox import project_box_hyperplane, project_simplex
 from ogaprox.rng import experiment_rng, make_rng
-from ogaprox.schedule import default_adaptive, default_linear
-from ogaprox.solver import run
+from ogaprox.schedule import default_adaptive, default_linear, make_schedule
+from ogaprox.solver import SolverState, run, step
 
 from _oracles import (ThreeCalls, conjugated_kernels_formula, gaussian_kernel_formula,
                       prox_oracle, prox_x_grad_formula, scalar_margin_accepts)
@@ -697,6 +697,24 @@ def test_warm_all_free_proxes_make_no_more_calls_than_counted(tmp_path):
     # dense block, factor and its transpose, my.dot(y) and x_next.dot(my)
     dots, others = _call_events(lambda: p.prox_step(0.01, v, 0.01, x))
     assert dots == 5 and others <= 32, counted
+
+
+def test_warm_frozen_toy_step_makes_no_more_calls_than_counted():
+    # at nu = 0, x <= 0 and y inside the cone the toy's step is an exact fixed
+    # point (about half of a benchmark run's steps).  21 events besides the one
+    # cone product A v (32 with the cone tested a second time on the same
+    # image, ndarray.min and max wrappers and a finiteness call per norm)
+    p = random_toy_problem(6, 9, 0.0, make_rng(94, 0))
+    x, y = -np.ones(6), np.linalg.pinv(p.a) @ np.ones(6)
+    kind = default_adaptive(p.constants)
+    sched = make_schedule(kind, p.constants)
+    state = SolverState.initial(p, x, y)
+    after = step(p, state, sched)
+    assert after.x.tobytes() == x.tobytes() and after.y.tobytes() == y.tobytes()
+    counted = (f"counted under CPython 3.11.7 and numpy 2.4.6; here {sys.version.split()[0]}, "
+               f"numpy {np.__version__}")
+    dots, others = _call_events(lambda: step(p, state, sched))
+    assert dots == 1 and others <= 21, counted
 
 
 def test_dot_is_the_matmul_product_bit_for_bit_on_the_hot_path_layouts(tmp_path):

@@ -290,6 +290,21 @@ def test_box_hyperplane_raises_where_a_finite_input_overflows(upper, v, message)
         project_box_hyperplane(s, v)
 
 
+def test_box_hyperplane_all_free_margin_tests_do_not_warn_near_the_float_maximum():
+    # upper 1e308 lies outside the one-step path's no-warning range (upper <
+    # 2**1000 / dim), yet both all-free margin tests stay quiet: v inside the
+    # set is kept by the scalar bound, and a first clip within 1e-12 of upper
+    # sums |v| + 2 z0 past the float maximum, which sends v to the search
+    s = BoxHyperplaneSet(upper=1e308, normal=[1.0, -1.0])
+    near = 1e308 * (1.0 - 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = np.array([0.7e308, 0.7e308])
+        assert project_box_hyperplane(s, v).tobytes() == v.tobytes()
+        with pytest.raises(ValueError, match="v overflows in the breakpoint search"):
+            project_box_hyperplane(s, np.array([near, near]))
+
+
 def test_box_hyperplane_search_refuses_entries_above_its_overflow_bound():
     # the search asks 4 dim (max|v| + upper + 1) < 2**1024, about 4.5e305 at
     # 100 entries; 1e306 is refused although this search would not overflow,
