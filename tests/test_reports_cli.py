@@ -81,6 +81,18 @@ def _mksvm_report(tmp_path) -> RunReport:
     return mksvm_experiment(data, variant="c1", seed=2, runs=2, checkpoints=(20, 60))
 
 
+def _lists_report(*lists) -> RunReport:
+    """Each list as a trace entry and as ``step_dx``; a list of one object
+    repeated is written once and joined, any other list value by value."""
+    report = RunReport(schedule_trace={f"list{i}": values for i, values in enumerate(lists)})
+    report.step_dx.extend(lists[0])
+    return report
+
+
+_ZERO = float("0")
+_PLUS_ZERO, _MINUS_ZERO = _ZERO, -_ZERO  # equal, distinct and written differently
+_THIRD = 1.0 / 3.0
+
 _REPORTS = {
     "toy nu=0": lambda tmp_path: toy_experiments(4, (0.0,), d=10, n=15, max_iter=60)[0],
     "toy nu=0.3": lambda tmp_path: toy_experiments(4, (0.3,), d=10, n=15, max_iter=60)[0],
@@ -90,6 +102,17 @@ _REPORTS = {
     "crafted, no trace": lambda tmp_path: _crafted_report({}),
     "crafted, escaped trace keys": lambda tmp_path: _crafted_report(
         {'th"eta\n': [0.5, -0.0], "τ": [], "sigma": [np.inf]}),
+    "one float object repeated": lambda tmp_path: _lists_report([_THIRD] * 5, [_THIRD]),
+    "0.0 and -0.0": lambda tmp_path: _lists_report(
+        [_PLUS_ZERO, _MINUS_ZERO, _PLUS_ZERO], [_MINUS_ZERO] + [_PLUS_ZERO] * 3),
+    "1 and 1.0": lambda tmp_path: _lists_report([1, 1.0, 1], [1.0, 1, 1.0]),
+    "one nan or inf object repeated": lambda tmp_path: _lists_report(
+        [float("nan")] * 4, [float("inf")] * 3, [-np.inf] * 2),
+    "records with None and non-finite fields": lambda tmp_path: RunReport(
+        [MetricRecord(k=1), MetricRecord(k=2, gap=float("nan"), dist_y=np.inf, theta=-np.inf),
+         MetricRecord(k=3, gap=np.float64(0.1), tau=-0.0, sigma=1)]),
+    "empty records, non-empty trace": lambda tmp_path: RunReport(
+        schedule_trace={"theta": [1.0] * 3, "tau": [_THIRD, 0.5], "sigma": [2.0]}),
 }
 
 
@@ -99,7 +122,8 @@ def test_json_text_is_one_indent_2_dump(tmp_path, name):
     assert report.to_json_text() == report_json_formula(report)
 
 
-@pytest.mark.parametrize("name", ["toy nu=0.3", "crafted, escaped trace keys"])
+@pytest.mark.parametrize("name", ["toy nu=0.3", "crafted, escaped trace keys",
+                                  *list(_REPORTS)[-6:]])
 def test_json_text_without_json_c_encoder(tmp_path, monkeypatch, name):
     report = _REPORTS[name](tmp_path)
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
