@@ -246,7 +246,8 @@ def solve_polytope_dual(gram, c) -> np.ndarray:
         lam.fill(0.0)
         idx = np.flatnonzero(free)
         if idx.size:
-            lam[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], -c[idx])
+            # the block G[idx, idx] by two one-axis gathers, cheaper than np.ix_
+            lam[idx] = np.linalg.solve(gram.take(idx, 0).take(idx, 1), -c[idx])
         slack = gram.dot(lam) + c
         # negative free multipliers and violated bound rows
         bad = np.where(free, lam, slack) < -eps
@@ -274,10 +275,10 @@ class PolytopeProjector:
     no later write to the argument reaches them, and the projector holds no
     state between calls: one projector is safe to share.  A non-finite ``v``
     raises ``ValueError``; it makes every entry of ``A v`` non-finite.
-    Both methods call ``_project``, which returns ``(y, A v, inside)``:
-    ``inside`` says that ``A v >= 0`` was just tested, so that ``y = v`` and
-    ``A v`` is ``A y``; otherwise ``y`` comes from the dual kernel and ``A y``
-    is left to the caller that needs it."""
+    ``_project`` returns ``(y, A v, inside)``: ``inside`` says that ``A v >=
+    0`` was just tested, so that ``y = v`` and ``A v`` is ``A y``; otherwise
+    ``y`` comes from the dual kernel and ``A y`` is left to the caller that
+    needs it."""
 
     def __init__(self, a_matrix):
         a = np.array(a_matrix, dtype=float)
@@ -301,11 +302,6 @@ class PolytopeProjector:
 
     def project(self, v) -> np.ndarray:
         return self._project(v)[0]
-
-    def project_with_image(self, v) -> tuple[np.ndarray, np.ndarray]:
-        """``(y, A y)``."""
-        y, image, inside = self._project(v)
-        return y, image if inside else self.a.dot(y)
 
     def _project(self, v) -> tuple[np.ndarray, np.ndarray, bool]:
         w = np.asarray(v, dtype=float)

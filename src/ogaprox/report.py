@@ -1,8 +1,11 @@
 """Per-iteration metric records and CSV/JSON export.
 
-A JSON report is exactly ``json.dumps(payload, indent=2)``.  Its flat number
-lists (``step_dx``, ``step_dy``, each ``schedule_trace`` entry) are written by
-json's C encoder, which ``indent`` bypasses, and spliced into that layout.
+A JSON report is exactly ``json.dumps(payload, indent=2)``.  Only ``version``
+and ``config`` go through that encoder.  Each record and each flat number list
+(``step_dx``, ``step_dy``, each ``schedule_trace`` entry) is written by json's
+C encoder, which ``indent`` bypasses, and spliced into that layout.  A list of
+one object repeated (the trace of a constant step) is encoded once; the test
+is identity, as equal values such as ``0.0`` and ``-0.0`` may differ in text.
 """
 
 import csv
@@ -10,7 +13,9 @@ import functools
 import importlib.metadata
 import io
 import json
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 __all__ = ["MetricRecord", "RunReport", "package_version", "CSV_COLUMNS"]
@@ -51,12 +56,16 @@ def _cell(record: MetricRecord, column: str):
     return value if column == "k" else repr(float(value))
 
 
-def _number_list(values, level: int) -> str:
-    """A flat list laid out as ``indent=2`` lays it out at nesting ``level``."""
-    if not values:
-        return "[]"
+def _flat(value, level: int) -> str:
+    """A flat list or dict laid out as ``indent=2`` lays it out at nesting ``level``."""
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
     pad = "\n" + "  " * (level + 1)
-    return "[" + pad + json.dumps(values, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "]"
+    if not isinstance(value, dict) and all(map(operator.is_, value, repeat(value[0]))):
+        text = "[" + ("," + pad).join([json.dumps(value[0])] * len(value)) + "]"
+    else:
+        text = json.dumps(value, separators=("," + pad, ": "))
+    return text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
 
 
 @dataclass
@@ -85,13 +94,15 @@ class RunReport:
         Path(path).write_text(self.to_csv_text())
 
     def to_json_text(self) -> str:
-        head = json.dumps({"version": self.version, "config": self.config,
-                           "records": [vars(r) for r in self.records]}, indent=2)
-        trace = ",".join(f"\n    {json.dumps(key)}: {_number_list(values, 2)}"
+        head = json.dumps({"version": self.version, "config": self.config}, indent=2)
+        records = ",\n    ".join(_flat(vars(r), 2) for r in self.records)
+        records = "[\n    " + records + "\n  ]" if records else "[]"
+        trace = ",".join(f"\n    {json.dumps(key)}: {_flat(values, 2)}"
                          for key, values in self.schedule_trace.items())
         trace = "{" + trace + "\n  }" if trace else "{}"
-        return (f'{head[:-2]},\n  "step_dx": {_number_list(self.step_dx, 1)},'
-                f'\n  "step_dy": {_number_list(self.step_dy, 1)},'
+        return (f'{head[:-2]},\n  "records": {records},'
+                f'\n  "step_dx": {_flat(self.step_dx, 1)},'
+                f'\n  "step_dy": {_flat(self.step_dy, 1)},'
                 f'\n  "schedule_trace": {trace}\n}}')
 
     def to_json(self, path) -> None:

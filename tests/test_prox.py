@@ -545,8 +545,9 @@ def test_projector_keeps_a_finite_point_whose_image_overflows():
     v = np.zeros(7)
     v[0] = 1e308
     with np.errstate(over="ignore"):
-        y, image = PolytopeProjector(a).project_with_image(v)
+        y, image, inside = PolytopeProjector(a)._project(v)
     np.testing.assert_array_equal(y, v)
+    assert inside
     assert (image == np.inf).all()
 
 
